@@ -10,7 +10,7 @@ Modules:
     cli       scenario-driven command line front end
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .bisexual import (BisexualState, BoundednessReport, CustomMating,
                        DaleyMonogamy, DaleyPolygamy, MeanReproduction, Min,

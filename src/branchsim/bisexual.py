@@ -10,19 +10,18 @@ which is distributionally identical to assigning sexes one by one.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .engine import (DEFAULT_POPULATION_CAP, BatchResult, Trajectory,
+from .brs import Z99
+from .engine import (DEFAULT_POPULATION_CAP, BatchResult, _run_batch, _run_vector_block,
                      sample_offspring_total, sample_offspring_totals)
 from .errors import ConfigError
 from .law import ExplicitPmf, OffspringLaw
-from .rng import TrialStreams
-
-Z99 = 2.5758293035489004  # two-sided 99% normal quantile
+from .rng import STREAM_SEX, TrialStreams
 
 _GRID_MAX = 64  # custom mating functions are validated on [0, 64]^2
 
@@ -291,109 +290,18 @@ def theorem4_check(law: OffspringLaw, alpha: float, mating: MatingFunction,
                              note=note)
 
 
-def _run_bisexual_block(lo, hi, law, alpha, mating, horizon, seed, initial,
-                        cap, n_sample):
-    eg = np.full(hi - lo, -1, dtype=np.int64)
-    alive_counts = [0] * (horizon + 1)
-    alive_sums = [0] * (horizon + 1)
-    survivors = 0
-    survivor_size_sum = 0
-    sampled = []
-    for t in range(lo, hi):
-        streams = TrialStreams(seed, t)
-        state = initial_state(initial)
-        track = t < n_sample
-        counts = [state.units] if track else None
-        if state.units > 0:
-            alive_counts[0] += 1
-            alive_sums[0] += state.units
-        eg_t = 0 if state.units == 0 else -1
-        if eg_t != 0:
-            for n in range(1, horizon + 1):
-                state = bisexual_step(state, law, alpha, mating, streams,
-                                      population_cap=cap)
-                if track:
-                    counts.append(state.units)
-                if state.units:
-                    alive_counts[n] += 1
-                    alive_sums[n] += state.units
-                else:
-                    eg_t = n
-                    break
-        eg[t - lo] = eg_t
-        if state.units > 0:
-            survivors += 1
-            survivor_size_sum += state.units
-        if track:
-            if len(counts) < horizon + 1:
-                counts.extend([0] * (horizon + 1 - len(counts)))
-            absorbed = eg_t if eg_t >= 0 else None
-            sampled.append((t, Trajectory(counts=counts, absorbed_at=absorbed,
-                                          horizon=horizon)))
-    return eg, alive_counts, alive_sums, survivors, survivor_size_sum, sampled
-
-
 def run_bisexual_batch(config, threads: int = 1) -> BatchResult:
     """Monte Carlo batch over the mating-unit process.
 
-    Mirrors the single-sex batch runner: per-trial streams, exact integer
-    aggregation, results independent of the thread count.
+    Runs on the single-sex batch kernel: the offspring totals of the live
+    units are drawn exactly as there, then split by sex on the block's sex
+    stream and mated.  Aggregation and the failure budget are the same.
     """
-    law = config.law
-    alpha = config.alpha
-    mating = config.mating
-    horizon = int(config.horizon)
-    trials = int(config.trials)
-    seed = int(config.master_seed)
-    initial = int(getattr(config, "initial_units", 1))
-    cap = int(getattr(config, "population_cap", DEFAULT_POPULATION_CAP))
-    n_sample = int(getattr(config, "sample_trajectories", 0))
-    if horizon < 1:
-        raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+    alpha, mating = config.alpha, config.mating
 
-    threads = max(1, int(threads))
-    n_blocks = min(threads, trials)
-    bounds = [trials * i // n_blocks for i in range(n_blocks + 1)]
-    args = [(bounds[i], bounds[i + 1], law, alpha, mating, horizon, seed,
-             initial, cap, n_sample) for i in range(n_blocks)]
-    if n_blocks == 1:
-        results = [_run_bisexual_block(*args[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=n_blocks) as pool:
-            results = list(pool.map(lambda a: _run_bisexual_block(*a), args))
+    def finish(off, n, gens):
+        males = gens[STREAM_SEX].binomial(off.astype(np.int64), alpha)
+        return mating.units_vector(off - males, males)
 
-    eg = np.concatenate([r[0] for r in results])
-    alive_counts = np.zeros(horizon + 1, dtype=np.int64)
-    alive_sums = [0] * (horizon + 1)
-    survivors = 0
-    survivor_size_sum = 0
-    sampled = []
-    for r in results:
-        alive_counts += np.asarray(r[1], dtype=np.int64)
-        for n, v in enumerate(r[2]):
-            alive_sums[n] += v
-        survivors += r[3]
-        survivor_size_sum += r[4]
-        sampled.extend(r[5])
-
-    extinct_mask = eg >= 0
-    bc = np.bincount(eg[extinct_mask], minlength=horizon + 1)
-    extinct_counts = np.cumsum(bc[:horizon + 1])
-    extinct = int(extinct_mask.sum())
-    mean_final = survivor_size_sum / survivors if survivors else math.nan
-    sampled.sort(key=lambda pair: pair[0])
-    return BatchResult(
-        trials=trials,
-        horizon=horizon,
-        extinct_by_horizon=extinct,
-        extinction_fraction=extinct / trials,
-        mean_final_size_given_survival=mean_final,
-        per_generation_extinct_counts=extinct_counts,
-        per_generation_alive_counts=alive_counts,
-        per_generation_alive_size_sums=alive_sums,
-        extinction_generations=eg,
-        sampled_trajectories=[traj for _, traj in sampled],
-        failed_trials=[],
-    )
+    return _run_batch(config, getattr(config, "initial_units", 1), False,
+                      partial(_run_vector_block, None, finish))

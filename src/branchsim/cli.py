@@ -2,7 +2,7 @@
 
 Outputs are a pure function of the config file: every report starts with a
 provenance line (config hash, master seed, artifact version) and rerunning
-the same config yields byte-identical bytes for any ``--threads`` value.
+the same config yields byte-identical bytes.
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 population
 overflow, 1 anything else.
 """
@@ -17,7 +17,7 @@ import sys
 
 from . import __version__
 from .bisexual import run_bisexual_batch
-from .brs import brs_bound, estimate_expected_stop, solve_threshold
+from .brs import Z99, brs_bound, estimate_expected_stop, solve_threshold
 from .control import (Absorbing, Truncation, TruncationAsAbsorption,
                       expectation_criterion, zubkov_criterion)
 from .engine import run_batch
@@ -27,8 +27,6 @@ from .law import extinction_probability
 from .rng import STREAM_OFFSPRING, spawn_generator
 from .scenario import ScenarioConfig
 from .series import estimate_conditional_series, schedule_search
-
-Z99 = 2.5758293035489004
 
 EXIT_OK = 0
 EXIT_OTHER = 1
@@ -66,29 +64,35 @@ def _render_json(provenance: dict, header: list, rows: list) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _batch_rows(result, trials):
+def _batch_rows(result):
     rows = []
     for n in range(result.horizon + 1):
         extinct = int(result.per_generation_extinct_counts[n])
         alive = int(result.per_generation_alive_counts[n])
         size_sum = result.per_generation_alive_size_sums[n]
         mean_size = size_sum / alive if alive else math.nan
-        rows.append([n, extinct / trials, mean_size])
+        # every trial may have failed within the failure budget
+        rows.append([n, extinct / result.trials if result.trials else math.nan, mean_size])
     return rows
 
 
-def _execute(config: ScenarioConfig, threads: int):
+def _simulate(config: ScenarioConfig, provenance: dict):
+    """Run the config's batch; with a failure budget, record the failed trials."""
+    run = run_bisexual_batch if config.experiment == "bisexual" else run_batch
+    result = run(config)
+    if config.failure_budget > 0:
+        provenance["failed_trials"] = len(result.failed_trials)
+    return result
+
+
+def _execute(config: ScenarioConfig, provenance: dict):
     """Run the experiment; return (header, rows)."""
-    if config.experiment in ("gw", "controlled", "phi"):
-        result = run_batch(config, threads=threads)
-        return (["generation", "extinct_fraction", "mean_size_given_survival"],
-                _batch_rows(result, result.trials))
-    if config.experiment == "bisexual":
-        result = run_bisexual_batch(config, threads=threads)
-        return (["generation", "extinct_fraction", "mean_units_given_survival"],
-                _batch_rows(result, result.trials))
+    if config.experiment in ("gw", "controlled", "phi", "bisexual"):
+        size = "units" if config.experiment == "bisexual" else "size"
+        return (["generation", "extinct_fraction", f"mean_{size}_given_survival"],
+                _batch_rows(_simulate(config, provenance)))
     if config.experiment == "bcl_series":
-        result = run_batch(config, threads=threads)
+        result = _simulate(config, provenance)
         if "values" in config.schedule:
             schedule = tuple(config.schedule["values"])
         elif config.schedule.get("family") == "search":
@@ -124,7 +128,7 @@ def _execute(config: ScenarioConfig, threads: int):
     raise ConfigError(f"unknown experiment {config.experiment!r}")
 
 
-def _compare(config: ScenarioConfig, threads: int):
+def _compare(config: ScenarioConfig, provenance: dict):
     """Analytic series verdict next to the empirical extinction fraction."""
     if config.experiment not in ("gw", "controlled", "phi"):
         raise ConfigError("compare needs a gw, controlled or phi scenario")
@@ -143,9 +147,10 @@ def _compare(config: ScenarioConfig, threads: int):
         if g is not None:
             verdict, method = cv.verdict, cv.method
             alpha_hat = cv.fitted_decay_exponent
-    result = run_batch(config, threads=threads)
+    result = _simulate(config, provenance)
     frac = result.extinction_fraction
-    ci = Z99 * math.sqrt(max(frac * (1.0 - frac), 0.0) / result.trials)
+    ci = (Z99 * math.sqrt(max(frac * (1.0 - frac), 0.0) / result.trials)
+          if result.trials else math.nan)
     header = ["verdict", "method", "fitted_decay_exponent", "q",
               "extinction_fraction", "ci_halfwidth", "trials", "horizon"]
     rows = [[verdict, method, alpha_hat, q, frac, ci, result.trials, result.horizon]]
@@ -195,10 +200,10 @@ def exit_code_for(exc: BaseException) -> int:
     return EXIT_OTHER
 
 
-def _guarded(fn, config_path, out, threads, fmt) -> int:
+def _guarded(fn, config_path, out, fmt) -> int:
     try:
         config, provenance = _load_config(config_path)
-        header, rows = fn(config, threads)
+        header, rows = fn(config, provenance)
         _emit(config, provenance, header, rows, out, fmt)
         return EXIT_OK
     except (BranchsimError, ValueError) as exc:
@@ -212,14 +217,17 @@ def _guarded(fn, config_path, out, threads, fmt) -> int:
 
 def run(config_path: str, out: str | None = None, threads: int = 1,
         fmt: str | None = None) -> int:
-    """Execute a scenario config; returns the process exit code."""
-    return _guarded(_execute, config_path, out, threads, fmt)
+    """Execute a scenario config; returns the process exit code.
+
+    ``threads`` is accepted for compatibility and changes nothing.
+    """
+    return _guarded(_execute, config_path, out, fmt)
 
 
 def compare_criterion_vs_empirical(config_path: str, out: str | None = None,
                                    threads: int = 1, fmt: str | None = None) -> int:
     """Analytic divergence verdict vs empirical extinction, side by side."""
-    return _guarded(_compare, config_path, out, threads, fmt)
+    return _guarded(_compare, config_path, out, fmt)
 
 
 def main(argv=None) -> int:
@@ -233,7 +241,7 @@ def main(argv=None) -> int:
         p.add_argument("config", help="path to the JSON scenario config")
         p.add_argument("--out", default=None, help="output path (default: config or stdout)")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads; affects speed only, never results")
+                       help="accepted for compatibility; trials run in one thread")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None,
                        help="override the config's output format")
     args = parser.parse_args(argv)

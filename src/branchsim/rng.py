@@ -1,8 +1,7 @@
-"""Reproducible random streams keyed by (master_seed, trial, stream).
+"""Reproducible random streams keyed by master_seed, stream and trial or block.
 
 Every generator is derived from a numpy SeedSequence spawn key, so the draw
-sequence depends only on the key tuple, never on execution order or on how
-trials are distributed over workers.
+sequence depends only on the key tuple, never on execution order.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ import numpy as np
 STREAM_OFFSPRING = 0
 STREAM_CONTROL = 1
 STREAM_SEX = 2
+_BLOCK_STREAMS = 3  # block keys use streams 3 + STREAM_*
 
 
 def spawn_generator(master_seed: int, trial_index: int, stream: int,
@@ -63,3 +63,14 @@ class TrialStreams:
             gen = spawn_generator(self.master_seed, self.trial_index, stream)
             self._cache[stream] = gen
         return gen
+
+
+def block_generators(master_seed: int, block_index: int) -> tuple[np.random.Generator, ...]:
+    """Generators shared by the trials of one block, indexed by stream.
+
+    Their keys (3 + stream, block_index) start above every per-trial stream
+    and are shorter than the generation-keyed ones, so no block generator
+    repeats a per-trial or generation-keyed one.
+    """
+    return tuple(spawn_generator(master_seed, block_index, _BLOCK_STREAMS + stream)
+                 for stream in (STREAM_OFFSPRING, STREAM_CONTROL, STREAM_SEX))

@@ -214,6 +214,43 @@ def test_population_overflow_exit_and_error_record(tmp_path, capsys):
     assert record["trial_index"] == 0
 
 
+def test_all_trials_failing_within_budget_writes_nan_rows(tmp_path):
+    # every trial overflows a cap of 1 at generation 1; the budget absorbs all
+    doc = gw_doc(master_seed=1, trials=10, horizon=5, population_cap=1,
+                 failure_budget=10, law={"kind": "explicit_pmf", "pmf": {"2": 1}})
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "report.csv"
+    assert cli.run(str(cfg), out=str(out)) == 0
+    lines = read_lines(out)
+    assert lines[0].endswith(",failed_trials=10")
+    assert lines[2:] == [f"{n},nan,nan" for n in range(6)]
+    compared = tmp_path / "compare.csv"
+    assert cli.compare_criterion_vs_empirical(str(cfg), out=str(compared)) == 0
+    assert read_lines(compared)[2].split(",")[4:7] == ["nan", "nan", "0"]
+
+
+def test_failed_trials_enter_provenance_only_with_a_budget(tmp_path):
+    plain = write_config(tmp_path, gw_doc(), "plain.json")
+    budget = write_config(tmp_path, gw_doc(failure_budget=3), "budget.json")
+    assert cli.run(str(plain), out=str(tmp_path / "plain.csv")) == 0
+    assert cli.run(str(budget), out=str(tmp_path / "budget.csv")) == 0
+    assert "failed_trials" not in read_lines(tmp_path / "plain.csv")[0]
+    assert read_lines(tmp_path / "budget.csv")[0].endswith(",failed_trials=0")
+
+
+def test_bisexual_failure_budget_counts_failures(tmp_path):
+    doc = {"version": 1, "experiment": "bisexual", "master_seed": 1, "trials": 10,
+           "horizon": 5, "population_cap": 1, "failure_budget": 10,
+           "law": {"kind": "explicit_pmf", "pmf": {"2": 1}},
+           "alpha": 0.5, "mating": {"kind": "min"}}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "report.csv"
+    assert cli.run(str(cfg), out=str(out)) == 0
+    lines = read_lines(out)
+    assert lines[0].endswith(",failed_trials=10")
+    assert lines[2:] == [f"{n},nan,nan" for n in range(6)]
+
+
 # ------------------------------------------------------------------ compare
 
 def test_compare_controlled_scenario(tmp_path):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -240,15 +242,25 @@ def test_batch_aggregates_are_internally_consistent():
 
 
 def test_batch_sampled_trajectories_match_seeded_reruns():
-    cfg = Batch(Geometric(0.5), horizon=25, trials=40, master_seed=77,
+    # 5000 trials span two trial blocks; sampling some trajectories, or all,
+    # draws nothing extra, so the sampled prefix is the same in both runs
+    cfg = Batch(Geometric(0.5), horizon=25, trials=5000, master_seed=77,
                 sample_trajectories=5)
     res = run_batch(cfg, threads=4)
+    full = run_batch(Batch(Geometric(0.5), horizon=25, trials=5000, master_seed=77,
+                           sample_trajectories=5000), threads=1)
     assert len(res.sampled_trajectories) == 5
-    for t, traj in enumerate(res.sampled_trajectories):
-        solo = simulate_trajectory(Geometric(0.5), None, 25, TrialStreams(77, t),
-                                   population_cap=BIG_CAP)
-        assert traj.counts == solo.counts
-        assert traj.absorbed_at == solo.absorbed_at
+    assert len(full.sampled_trajectories) == 5000
+    for traj, ref in zip(res.sampled_trajectories, full.sampled_trajectories):
+        assert traj.counts == ref.counts
+        assert traj.absorbed_at == ref.absorbed_at
+    assert np.array_equal(res.extinction_generations, full.extinction_generations)
+    for t, traj in enumerate(full.sampled_trajectories):
+        eg = int(full.extinction_generations[t])
+        assert traj.absorbed_at == (eg if eg >= 0 else None)
+    for n in range(26):
+        assert sum(traj.counts[n] for traj in full.sampled_trajectories) \
+            == full.per_generation_alive_size_sums[n]
 
 
 def test_batch_failure_budget_excludes_failed_trials():
@@ -264,6 +276,44 @@ def test_batch_failure_budget_excludes_failed_trials():
     for f in res.failed_trials:
         assert isinstance(f, BatchTrialError)
         assert isinstance(f.cause, PopulationOverflow)
+
+
+def test_batch_failed_trials_leave_no_trace_in_aggregates():
+    cfg = Batch(ExplicitPmf({0: 0.25, 2: 0.75}), horizon=40, trials=300,
+                master_seed=2, population_cap=200, failure_budget=300,
+                sample_trajectories=300)
+    res = run_batch(cfg)
+    assert 0 < len(res.failed_trials) < 300
+    kept = res.sampled_trajectories  # failed trials are never sampled
+    assert len(kept) == res.trials
+    for n in range(41):
+        assert sum(t.counts[n] for t in kept) == res.per_generation_alive_size_sums[n]
+        assert sum(t.counts[n] > 0 for t in kept) == res.per_generation_alive_counts[n]
+
+
+def test_batch_exact_lane_keeps_counts_exact_past_int64():
+    # 2^n passes the int64 bound near generation 60 and keeps growing
+    cfg = Batch(ExplicitPmf({2: 1.0}), horizon=70, trials=3, master_seed=1,
+                sample_trajectories=3)
+    res = run_batch(cfg)
+    for traj in res.sampled_trajectories:
+        assert traj.counts == [2**n for n in range(71)]
+    assert res.per_generation_alive_size_sums[70] == 3 * 2**70
+    assert res.mean_final_size_given_survival == float(2**70)
+
+
+def test_batch_starts_no_thread_for_any_thread_count(monkeypatch):
+    def refuse(self):
+        raise AssertionError("run_batch started a thread")
+
+    # blocks run serially; a pool sized from a large cpu count would show here
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    cfg = Batch(Geometric(0.55), horizon=30, trials=9000, master_seed=9)
+    r1 = run_batch(cfg, threads=1)
+    many = run_batch(cfg, threads=10**9)
+    assert np.array_equal(r1.extinction_generations, many.extinction_generations)
+    assert r1.per_generation_alive_size_sums == many.per_generation_alive_size_sums
 
 
 def test_batch_raises_when_failures_exceed_budget():
