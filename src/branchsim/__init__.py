@@ -31,7 +31,7 @@ from .errors import (BatchTrialError, BranchsimError, BudgetExceedsMass,
                      ConfigError, InvalidRuleError, NumericFailure,
                      PopulationOverflow)
 from .law import (Binomial, ExplicitPmf, ExtinctionResult, Geometric,
-                  OffspringLaw, Poisson, extinction_probability, mean, pgf)
+                  OffspringLaw, Poisson, extinction_probability)
 from .rng import (STREAM_CONTROL, STREAM_OFFSPRING, STREAM_SEX, TrialStreams,
                   spawn_generator)
 from .scenario import OutputSpec, ScenarioConfig

@@ -26,7 +26,8 @@ from .errors import (BatchTrialError, BranchsimError, BudgetExceedsMass,
 from .law import extinction_probability
 from .rng import STREAM_OFFSPRING, spawn_generator
 from .scenario import ScenarioConfig
-from .series import estimate_conditional_series, schedule_search
+from .series import (_family_schedule, check_schedule, estimate_conditional_series,
+                     schedule_search)
 
 EXIT_OK = 0
 EXIT_OTHER = 1
@@ -93,17 +94,23 @@ def _execute(config: ScenarioConfig, provenance: dict):
                 _batch_rows(_simulate(config, provenance)))
     if config.experiment == "bcl_series":
         result = _simulate(config, provenance)
+        family = config.schedule.get("family", "linear")
         if "values" in config.schedule:
             schedule = tuple(config.schedule["values"])
-        elif config.schedule.get("family") == "search":
+        elif family == "search" and result.trials:
             schedule = schedule_search(result, config.schedule["max_points"])
         else:
-            from .series import _family_schedule
-            schedule = _family_schedule(config.schedule.get("family", "linear"),
+            # with no trial left a search ranks nothing and keeps t_k = k,
+            # its choice on ties
+            schedule = _family_schedule("linear" if family == "search" else family,
                                         result.horizon,
                                         config.schedule.get("max_points", 50))
             if not schedule:
                 raise ConfigError("schedule family produced no points inside the horizon")
+        header = ["k", "t_k", "p_marginal", "p_conditional", "partial_sum"]
+        if not result.trials:  # every trial failed within the failure budget
+            return header, [[k + 1, t_k, math.nan, math.nan, math.nan]
+                            for k, t_k in enumerate(check_schedule(schedule, result.horizon))]
         est = estimate_conditional_series(result, schedule)
         rows = []
         for k, t_k in enumerate(schedule):
@@ -111,7 +118,7 @@ def _execute(config: ScenarioConfig, provenance: dict):
                          float(est.p_marginal[k]),
                          float(est.p_conditional[k]),
                          float(est.partial_sums[k])])
-        return (["k", "t_k", "p_marginal", "p_conditional", "partial_sum"], rows)
+        return header, rows
     if config.experiment == "brs":
         pop = config.population
         try:

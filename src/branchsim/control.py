@@ -273,14 +273,26 @@ def _history_view(history, generation: int) -> tuple[int, ...]:
     return tuple(counts[:generation])
 
 
-def apply_phi(state: int, phi, law, rng) -> int:
-    """Total offspring of phi(state) reproducing units."""
-    from .engine import sample_offspring_total
+def phi_units(state: int, phi) -> int:
+    """phi(state), the number of reproducing units; a ConfigError if negative.
 
+    ``Phi`` probes phi at a few points only, so every use checks again.
+    """
     units = int(phi(state))
     if units < 0:
         raise ConfigError(f"phi({state}) = {units}; phi must be nonnegative")
-    return sample_offspring_total(law, units, rng)
+    return units
+
+
+def apply_phi(state: int, phi, law, rng, **sampling) -> int:
+    """Total offspring of phi(state) reproducing units.
+
+    ``sampling`` passes ``population_cap`` and ``per_particle`` on to
+    ``sample_offspring_total``.
+    """
+    from .engine import sample_offspring_total
+
+    return sample_offspring_total(law, phi_units(state, phi), rng, **sampling)
 
 
 @dataclass(frozen=True)

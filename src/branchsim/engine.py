@@ -5,10 +5,11 @@ configured cap allows it.  Offspring sums are drawn from exact closed-form
 equivalents (Poisson, negative binomial, binomial, multinomial) in parent
 blocks small enough that every underlying numpy draw stays safely inside
 int64.  Batches step every live trial of a block together: one sized draw
-per generation for the trials within the int64 bound, and one exact draw
-per trial past it.  A per-particle inverse-CDF mode exists for monotone
-coupling: with generation-keyed streams, the draw for parent i is the same
-in two runs, so the offspring total is nondecreasing in the parent count.
+per generation for the trials within the int64 bound, then chunked sized
+draws of the int64-safe pieces of the trials past it.  A per-particle
+inverse-CDF mode exists for monotone coupling: with generation-keyed
+streams, the draw for parent i is the same in two runs, so the offspring
+total is nondecreasing in the parent count.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .control import (Absorbing, CustomAbsorption, Disaster, LowerBoundary, Phi,
                       Truncation, TruncationAsAbsorption, apply_absorption,
-                      apply_truncation)
+                      apply_phi, apply_truncation, phi_units)
 from .errors import BatchTrialError, BranchsimError, ConfigError, PopulationOverflow
 from .law import Binomial, ExplicitPmf, Geometric, OffspringLaw, Poisson
 from .rng import STREAM_CONTROL, STREAM_OFFSPRING, TrialStreams, block_generators
@@ -213,7 +214,8 @@ def _make_stepper(law, policy, population_cap, per_particle):
             return apply_absorption(offspring, n, policy.rule, counts, streams.control(n))
     elif isinstance(policy, Phi):
         def advance(z, n, streams, counts):
-            return draw(int(policy.phi(z)), streams.offspring(n))
+            return apply_phi(z, policy.phi, law, streams.offspring(n),
+                             population_cap=population_cap, per_particle=per_particle)
     else:
         raise ConfigError(f"unknown control policy {type(policy).__name__}")
     return advance
@@ -325,7 +327,7 @@ def _vector_policy(policy):
     and object arrays alike; None stands for the identity.
     """
     if isinstance(policy, Phi):
-        return (lambda z: _counts([int(policy.phi(x)) for x in z.tolist()])), None
+        return (lambda z: _counts([phi_units(x, policy.phi) for x in z.tolist()])), None
     rule = policy.rule if isinstance(policy, Absorbing) else policy
     if rule is None:
         finish = None
@@ -348,24 +350,81 @@ def _vector_policy(policy):
     return None, finish
 
 
+_CHUNK = 4096  # parameters per sized draw of the exact lane: its temporaries
+                # set the lane's share of a run's peak memory
+_LOW = (1 << 31) - 1
+
+
+def _draw_pieces(full, rem, bound, draw, gen) -> list:
+    """Exact totals of trials of ``rem`` + ``full`` * ``bound`` parents each.
+
+    Each trial's pieces, its ``rem`` parents when nonzero and then ``full``
+    blocks of ``bound``, are drawn trial after trial in sized draws of at
+    most ``_CHUNK`` parameters.  numpy draws an array of parameters as the
+    same scalar draws made in sequence, so the stream moves exactly as with
+    one ``_make_total_sampler`` call per trial.  Pieces are summed as 31-bit
+    halves, which no int64 sum of up to ``_SLAB`` pieces overflows.
+    """
+    sizes = full + (rem > 0)
+    starts = np.cumsum(sizes) - sizes
+    pieces = int(sizes.sum())
+    firsts, rems = starts[rem > 0], rem[rem > 0]
+    high = np.zeros(full.size, dtype=np.int64)
+    low = np.zeros(full.size, dtype=np.int64)
+    for lo in range(0, pieces, _CHUNK):
+        hi = min(lo + _CHUNK, pieces)
+        params = np.full(hi - lo, bound, dtype=np.int64)
+        a, b = np.searchsorted(firsts, (lo, hi))
+        params[firsts[a:b] - lo] = rems[a:b]
+        drawn = draw(params, hi - lo, gen)
+        # the trials with pieces in [lo, hi); the first may have begun earlier
+        a = int(np.searchsorted(starts, lo, side="right")) - 1
+        b = int(np.searchsorted(starts, hi))
+        at = starts[a:b] - lo
+        at[0] = 0
+        high[a:b] += np.add.reduceat(drawn >> 31, at)
+        low[a:b] += np.add.reduceat(drawn & _LOW, at)
+    return [(h << 31) + l for h, l in zip(high.tolist(), low.tolist())]
+
+
 def _draw_offspring(units, gen, bound, draw, sample, cap):
     """Offspring totals for ``units`` parents each, and {position: failure}.
 
     Entries within the int64 bound take one sized draw, in ascending trial
-    order; entries past it then take one exact Python-int draw each.
+    order.  Entries past it follow, in ascending order, their pieces drawn
+    together by ``_draw_pieces``.  An entry above the cap (which draws
+    nothing) or of more than ``_SLAB`` blocks (whose slabs stop at the first
+    that overflows) still calls ``sample``, at its place in that order.
     """
     big = units > bound
+    any_big = bool(big.any())
     small = (units > 0) & ~big
-    off = np.zeros(units.size, dtype=object if big.any() else np.int64)
+    off = np.zeros(units.size, dtype=object if any_big else np.int64)
     if small.any():
         parents = units[small].astype(np.int64)
         off[small] = draw(parents, parents.size, gen)
     failures = {}
-    for i in np.flatnonzero(big).tolist():
-        try:
-            off[i] = sample(int(units[i]), gen)
-        except PopulationOverflow as exc:
-            failures[i] = exc
+    if any_big:
+        where = np.flatnonzero(big)
+        z = units[where]
+        full, rem = z // bound, z % bound
+        alone = np.flatnonzero((z > cap) | (full > _SLAB)).tolist()
+        start = 0
+        for stop in alone + [where.size]:
+            totals = _draw_pieces(full[start:stop].astype(np.int64),
+                                  rem[start:stop].astype(np.int64), bound, draw, gen)
+            for i, total in zip(where[start:stop].tolist(), totals):
+                if total > cap:
+                    failures[i] = PopulationOverflow(f"offspring total exceeded cap {cap}")
+                else:
+                    off[i] = total
+            if stop < where.size:
+                i = int(where[stop])
+                try:
+                    off[i] = sample(int(units[i]), gen)
+                except PopulationOverflow as exc:
+                    failures[i] = exc
+            start = stop + 1
     for i in np.flatnonzero(small & ((units > cap) | (off > cap))).tolist():
         failures[i] = PopulationOverflow(
             f"{units[i]} parents with {off[i]} offspring exceed cap {cap}")
@@ -441,6 +500,8 @@ def _run_trials(policy, coupled, batch, lo, hi):
             traj = simulate_trajectory(batch.law, policy, batch.horizon,
                                        TrialStreams(batch.seed, t, coupled),
                                        batch.initial, batch.cap, coupled)
+        except ConfigError:
+            raise  # a fault of the config, as in the block kernel, not of one trial
         except BranchsimError as exc:  # a failed trial joins no aggregate
             failures.append(BatchTrialError(t, exc))
             continue

@@ -235,16 +235,6 @@ class Binomial(OffspringLaw):
         return self._table
 
 
-def pgf(law: OffspringLaw, s: float) -> float:
-    """Evaluate the law's probability generating function at s."""
-    return law.pgf(s)
-
-
-def mean(law: OffspringLaw) -> float:
-    """Reproduction mean of the law."""
-    return law.mean()
-
-
 def extinction_probability(law: OffspringLaw, tol: float = 1e-12,
                            max_iterations: int = 200_000) -> ExtinctionResult:
     """Smallest root of pgf(s) = s on [0, 1].

@@ -50,6 +50,22 @@ def _extinction_generations(batch) -> np.ndarray:
     return np.asarray(eg, dtype=np.int64)
 
 
+def check_schedule(schedule, horizon: int | None = None) -> tuple[int, ...]:
+    """The schedule as a tuple of ints.
+
+    Raises ValueError unless it is nonempty, strictly increasing, starts at
+    1 or later and, when a horizon is given, stays within it.
+    """
+    schedule = tuple(int(t) for t in schedule)
+    if not schedule:
+        raise ValueError("schedule must contain at least one generation")
+    if schedule[0] < 1 or any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError(f"schedule must be strictly increasing and >= 1, got {schedule}")
+    if horizon is not None and schedule[-1] > horizon:
+        raise ValueError(f"schedule reaches {schedule[-1]} beyond horizon {horizon}")
+    return schedule
+
+
 def estimate_conditional_series(batch, schedule,
                                 horizon: int | None = None) -> MonotoneEventEstimate:
     """Marginal and conditional extinction probabilities along a schedule.
@@ -62,13 +78,7 @@ def estimate_conditional_series(batch, schedule,
     eg = _extinction_generations(batch)
     if horizon is None:
         horizon = getattr(batch, "horizon", None)
-    schedule = tuple(int(t) for t in schedule)
-    if not schedule:
-        raise ValueError("schedule must contain at least one generation")
-    if schedule[0] < 1 or any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError(f"schedule must be strictly increasing and >= 1, got {schedule}")
-    if horizon is not None and schedule[-1] > horizon:
-        raise ValueError(f"schedule reaches {schedule[-1]} beyond horizon {horizon}")
+    schedule = check_schedule(schedule, horizon)
     trials = int(eg.size)
     if trials == 0:
         raise ValueError("batch contains no trials")

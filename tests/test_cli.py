@@ -229,6 +229,34 @@ def test_all_trials_failing_within_budget_writes_nan_rows(tmp_path):
     assert read_lines(compared)[2].split(",")[4:7] == ["nan", "nan", "0"]
 
 
+@pytest.mark.parametrize("schedule,t_k", [
+    (None, [1, 2, 3, 4, 5]),
+    ({"values": [2, 4]}, [2, 4]),
+    ({"family": "search", "max_points": 3}, [1, 2, 3]),
+])
+def test_series_with_every_trial_failed_writes_nan_rows(tmp_path, schedule, t_k):
+    doc = {"version": 1, "experiment": "bcl_series", "master_seed": 1, "trials": 10,
+           "horizon": 5, "population_cap": 1, "failure_budget": 10,
+           "law": {"kind": "explicit_pmf", "pmf": {"2": 1}}}
+    if schedule is not None:
+        doc["schedule"] = schedule
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "series.csv"
+    assert cli.run(str(cfg), out=str(out)) == 0
+    lines = read_lines(out)
+    assert lines[0].endswith(",failed_trials=10")
+    assert lines[1] == "k,t_k,p_marginal,p_conditional,partial_sum"
+    assert lines[2:] == [f"{k},{t},nan,nan,nan" for k, t in enumerate(t_k, start=1)]
+
+
+def test_series_with_every_trial_failed_still_checks_the_schedule(tmp_path, capsys):
+    doc = {"version": 1, "experiment": "bcl_series", "master_seed": 1, "trials": 10,
+           "horizon": 5, "population_cap": 1, "failure_budget": 10,
+           "law": {"kind": "explicit_pmf", "pmf": {"2": 1}}, "schedule": {"values": [2, 9]}}
+    assert cli.run(str(write_config(tmp_path, doc))) != 0
+    assert "beyond horizon 5" in json.loads(capsys.readouterr().err)["message"]
+
+
 def test_failed_trials_enter_provenance_only_with_a_budget(tmp_path):
     plain = write_config(tmp_path, gw_doc(), "plain.json")
     budget = write_config(tmp_path, gw_doc(failure_budget=3), "budget.json")

@@ -29,6 +29,8 @@ from branchsim import (
     simulate_trajectory,
     step,
 )
+from branchsim.engine import (_SLAB, _block_size, _counts, _draw_offspring,
+                              _make_block_draw, _make_total_sampler)
 
 BIG_CAP = 1 << 200
 
@@ -126,6 +128,62 @@ def test_vectorized_totals_validate_arguments():
     assert sample_offspring_totals(Poisson(1.0), 0, 5, rng()).tolist() == [0] * 5
 
 
+def reference_offspring(units, gen, bound, draw, sample, cap):
+    """The exact lane drawn the plain way: one sized draw for the entries
+    within the bound, then one ``sample`` call per entry past it."""
+    units = [int(u) for u in units]
+    small = [i for i, u in enumerate(units) if 0 < u <= bound]
+    off = [0] * len(units)
+    if small:
+        parents = np.array([units[i] for i in small], dtype=np.int64)
+        for i, total in zip(small, draw(parents, parents.size, gen).tolist()):
+            off[i] = total
+    failures = {}
+    for i, u in enumerate(units):
+        if u > bound:
+            try:
+                off[i] = sample(u, gen)
+            except PopulationOverflow as exc:
+                failures[i] = str(exc)
+    for i in small:
+        if units[i] > cap or off[i] > cap:
+            failures[i] = f"{units[i]} parents with {off[i]} offspring exceed cap {cap}"
+    return off, failures
+
+
+EXACT_LANE_LAWS = [Poisson(1.5), Geometric(0.6), Binomial(3, 0.5), ExplicitPmf({2: 1.0}),
+                   ExplicitPmf({0: 0.25, 2: 0.75}), ExplicitPmf({0: 0.2, 1: 0.3, 3: 0.5})]
+
+
+@pytest.mark.parametrize("law", EXACT_LANE_LAWS, ids=repr)
+@pytest.mark.parametrize("case", ["int64", "roomy", "tight"])
+def test_batched_exact_lane_draws_like_one_sampler_call_per_trial(law, case):
+    bound = _block_size(law)
+    assert bound == 1 << 53
+    # the pieces of the long entries cross several chunk boundaries
+    if case == "int64":
+        units = [0, 5, bound, 3 * bound, bound + 7, 17] + [900 * bound + 11] * 10 + [1]
+        cap = BIG_CAP
+    else:
+        units = [0, 5, bound, 3 * bound, bound + 7, 17, 5000 * bound + 3, 0, 4500 * bound,
+                 5001 * bound, 3000 * bound, 7000 * bound, bound * (_SLAB + 1) + 1, 2,
+                 4097 * bound, 1]
+        cap = BIG_CAP if case == "roomy" else 6000 * bound
+    units = _counts(units)
+    assert units.dtype == (np.int64 if case == "int64" else object)
+    lane = (bound, _make_block_draw(law), _make_total_sampler(law, cap, False), cap)
+    gen, twin = np.random.default_rng(41), np.random.default_rng(41)
+    off, failures = _draw_offspring(units, gen, *lane)
+    want_off, want_failures = reference_offspring(units, twin, *lane)
+    assert off.tolist() == want_off
+    assert {i: str(exc) for i, exc in failures.items()} == want_failures
+    assert gen.bit_generator.state == twin.bit_generator.state
+    if case == "tight":
+        assert set(failures) >= {6, 8, 9, 11, 12}
+        assert str(failures[8]) == f"offspring total exceeded cap {cap}"
+        assert str(failures[11]) == f"parent count {units[11]} exceeds cap {cap}"
+
+
 # ------------------------------------------------------------------- step
 
 def test_step_without_policy_is_plain_offspring_total():
@@ -186,6 +244,23 @@ def test_reviving_phi_defers_extinction_to_the_horizon():
     assert traj.absorbed_at is None
     expected = 30 if traj.counts[-1] == 0 else None
     assert traj.extinction_generation() == expected
+
+
+def test_negative_phi_is_a_config_error_for_a_trajectory():
+    # phi(150) = -50 slips past the probe points of Phi, which are all below 100
+    policy = Phi(lambda x: 100 - x)
+    with pytest.raises(ConfigError, match="phi must be nonnegative"):
+        simulate_trajectory(Poisson(1.5), policy, 5, TrialStreams(1, 0), initial_size=150)
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_negative_phi_is_a_config_error_for_a_batch(coupled):
+    # a failure budget absorbs failed trials, never a fault of the config
+    cfg = Batch(Poisson(1.5), horizon=5, trials=10, master_seed=1,
+                policy=Phi(lambda x: 100 - x), initial_size=150, coupled=coupled,
+                failure_budget=10)
+    with pytest.raises(ConfigError, match="phi must be nonnegative"):
+        run_batch(cfg)
 
 
 def test_trajectory_extinction_generation_reports_horizon_zero():

@@ -15,8 +15,6 @@ from branchsim import (
     Geometric,
     Poisson,
     extinction_probability,
-    mean,
-    pgf,
 )
 from branchsim.law import TAIL_EPS
 
@@ -32,37 +30,37 @@ def table_pgf(law, s):
 
 def test_explicit_pmf_pgf_and_mean():
     law = ExplicitPmf({0: 0.25, 2: 0.75})
-    assert pgf(law, 0.0) == pytest.approx(0.25, abs=1e-15)
-    assert pgf(law, 1.0) == pytest.approx(1.0, abs=1e-15)
-    assert pgf(law, 0.5) == pytest.approx(0.25 + 0.75 * 0.25, abs=1e-15)
-    assert mean(law) == pytest.approx(1.5, abs=1e-15)
+    assert law.pgf(0.0) == pytest.approx(0.25, abs=1e-15)
+    assert law.pgf(1.0) == pytest.approx(1.0, abs=1e-15)
+    assert law.pgf(0.5) == pytest.approx(0.25 + 0.75 * 0.25, abs=1e-15)
+    assert law.mean() == pytest.approx(1.5, abs=1e-15)
 
 
 def test_poisson_pgf_and_mean():
     law = Poisson(2.0)
     for s in (0.0, 0.3, 0.9, 1.0):
-        assert pgf(law, s) == pytest.approx(math.exp(2.0 * (s - 1.0)), rel=1e-14)
-    assert mean(law) == 2.0
+        assert law.pgf(s) == pytest.approx(math.exp(2.0 * (s - 1.0)), rel=1e-14)
+    assert law.mean() == 2.0
 
 
 def test_geometric_pgf_and_mean():
     law = Geometric(0.6)
     for s in (0.0, 0.4, 1.0):
-        assert pgf(law, s) == pytest.approx(0.4 / (1.0 - 0.6 * s), rel=1e-14)
-    assert mean(law) == pytest.approx(0.6 / 0.4, rel=1e-14)
+        assert law.pgf(s) == pytest.approx(0.4 / (1.0 - 0.6 * s), rel=1e-14)
+    assert law.mean() == pytest.approx(0.6 / 0.4, rel=1e-14)
 
 
 def test_binomial_pgf_and_mean():
     law = Binomial(3, 0.4)
     for s in (0.0, 0.5, 1.0):
-        assert pgf(law, s) == pytest.approx((0.6 + 0.4 * s) ** 3, rel=1e-14)
-    assert mean(law) == pytest.approx(1.2, rel=1e-14)
+        assert law.pgf(s) == pytest.approx((0.6 + 0.4 * s) ** 3, rel=1e-14)
+    assert law.mean() == pytest.approx(1.2, rel=1e-14)
 
 
 @pytest.mark.parametrize("s", [-0.1, 1.1, math.nan])
 def test_pgf_rejects_arguments_outside_unit_interval(s):
     with pytest.raises(ValueError):
-        pgf(Poisson(1.0), s)
+        Poisson(1.0).pgf(s)
 
 
 @pytest.mark.parametrize("law", [
@@ -76,9 +74,9 @@ def test_pmf_table_consistent_with_closed_form(law):
     assert np.all(ps >= 0)
     assert abs(float(ps.sum()) - 1.0) <= 10 * TAIL_EPS
     for s in (0.2, 0.8, 1.0):
-        assert table_pgf(law, s) == pytest.approx(pgf(law, s), abs=1e-12)
+        assert table_pgf(law, s) == pytest.approx(law.pgf(s), abs=1e-12)
     got = float(np.sum(ks * ps))
-    assert got == pytest.approx(mean(law), abs=1e-12)
+    assert got == pytest.approx(law.mean(), abs=1e-12)
 
 
 def test_p0_property():
@@ -158,7 +156,7 @@ def test_extinction_probability_is_fixed_point():
                 Binomial(4, 0.6), Poisson(1.7)):
         res = extinction_probability(law)
         assert 0.0 < res.q < 1.0
-        assert pgf(law, res.q) == pytest.approx(res.q, abs=1e-9)
+        assert law.pgf(res.q) == pytest.approx(res.q, abs=1e-9)
 
 
 def test_subcritical_law_goes_extinct_surely():
