@@ -26,7 +26,7 @@ from .control import (Absorbing, CriterionVerdict, CustomAbsorption, Disaster,
                       zubkov_criterion)
 from .engine import (DEFAULT_POPULATION_CAP, BatchResult, Trajectory,
                      run_batch, sample_offspring_total,
-                     sample_offspring_totals, simulate_trajectory, step)
+                     sample_offspring_totals, simulate_trajectory)
 from .errors import (BatchTrialError, BranchsimError, BudgetExceedsMass,
                      ConfigError, InvalidRuleError, NumericFailure,
                      PopulationOverflow)

@@ -10,8 +10,7 @@ which is distributionally identical to assigning sexes one by one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -24,6 +23,7 @@ from .law import ExplicitPmf, OffspringLaw
 from .rng import STREAM_SEX, TrialStreams
 
 _GRID_MAX = 64  # custom mating functions are validated on [0, 64]^2
+_SPLIT_MAX = (1 << 63) - 1  # the sex split is an int64 binomial draw
 
 
 @dataclass(frozen=True)
@@ -32,10 +32,7 @@ class Min:
 
     name = "min"
 
-    def units(self, females: int, males: int) -> int:
-        return min(females, males)
-
-    def units_vector(self, females: np.ndarray, males: np.ndarray) -> np.ndarray:
+    def units(self, females, males):
         return np.minimum(females, males)
 
 
@@ -45,10 +42,7 @@ class DaleyMonogamy:
 
     name = "daley_monogamy"
 
-    def units(self, females: int, males: int) -> int:
-        return females * min(1, males)
-
-    def units_vector(self, females: np.ndarray, males: np.ndarray) -> np.ndarray:
+    def units(self, females, males):
         return females * np.minimum(1, males)
 
 
@@ -64,11 +58,10 @@ class DaleyPolygamy:
         if int(self.d) != self.d or self.d < 1:
             raise ConfigError(f"polygamy degree must be a positive integer, got {self.d}")
 
-    def units(self, females: int, males: int) -> int:
-        return min(females, self.d * males)
-
-    def units_vector(self, females: np.ndarray, males: np.ndarray) -> np.ndarray:
-        return np.minimum(females, self.d * males)
+    def units(self, females, males):
+        # males past females // d + 1 change nothing, and capping them first
+        # keeps d * males inside int64
+        return np.minimum(females, self.d * np.minimum(males, females // self.d + 1))
 
 
 @dataclass(frozen=True, init=False)
@@ -100,17 +93,11 @@ class CustomMating:
                     raise ConfigError(f"M(..., {y}) decreases at x = {x}")
             prev_row = row
 
-    def units(self, females: int, males: int) -> int:
-        return int(self.f(females, males))
-
-    def units_vector(self, females: np.ndarray, males: np.ndarray) -> np.ndarray:
-        out = np.empty(females.shape, dtype=np.int64)
-        flat_f = females.ravel()
-        flat_m = males.ravel()
-        flat_o = out.ravel()
-        for i in range(flat_f.size):
-            flat_o[i] = self.f(int(flat_f[i]), int(flat_m[i]))
-        return out
+    def units(self, females, males):
+        if np.ndim(females) == 0:
+            return int(self.f(int(females), int(males)))
+        return np.array([self.f(x, y) for x, y in zip(females.tolist(), males.tolist())],
+                        dtype=np.int64)
 
 
 MatingFunction = Min | DaleyMonogamy | DaleyPolygamy | CustomMating
@@ -143,13 +130,14 @@ def bisexual_step(state: BisexualState, law: OffspringLaw, alpha: float,
 
     The offspring total comes from the offspring stream and the sex split
     from the dedicated sex stream, so unit counts can be coupled against a
-    plain single-sex run driven by the same seed.
+    plain single-sex run driven by the same seed.  The split is an int64
+    draw, so a total past 2^63 - 1 overflows whatever ``population_cap`` is.
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie strictly inside (0, 1), got {alpha}")
     n = state.generation + 1
     total = sample_offspring_total(law, state.units, streams.offspring(n),
-                                   population_cap=population_cap)
+                                   population_cap=min(population_cap, _SPLIT_MAX))
     males = int(streams.sex(n).binomial(total, alpha)) if total else 0
     females = total - males
     return BisexualState(females=females, males=males,
@@ -220,7 +208,7 @@ def mean_reproduction_per_unit(k: int, law: OffspringLaw, alpha: float,
     totals = sample_offspring_totals(law, k, trials, rng)
     males = rng.binomial(totals, alpha)
     females = totals - males
-    units = mating.units_vector(females, males).astype(np.float64)
+    units = mating.units(females, males).astype(np.float64)
     est = float(units.mean()) / k
     sd = float(units.std(ddof=1)) if trials > 1 else 0.0
     halfwidth = Z99 * sd / math.sqrt(trials) / k
@@ -295,13 +283,17 @@ def run_bisexual_batch(config, threads: int = 1) -> BatchResult:
 
     Runs on the single-sex batch kernel: the offspring totals of the live
     units are drawn exactly as there, then split by sex on the block's sex
-    stream and mated.  Aggregation and the failure budget are the same.
+    stream and mated.  Aggregation and the failure budget are the same, and
+    as in ``bisexual_step`` a total past 2^63 - 1 overflows the cap.
     """
     alpha, mating = config.alpha, config.mating
 
     def finish(off, n, gens):
         males = gens[STREAM_SEX].binomial(off.astype(np.int64), alpha)
-        return mating.units_vector(off - males, males)
+        return mating.units(off - males, males)
 
-    return _run_batch(config, getattr(config, "initial_units", 1), False,
-                      partial(_run_vector_block, None, finish))
+    def run_block(batch, lo, hi):
+        return _run_vector_block(None, finish, replace(batch, cap=min(batch.cap, _SPLIT_MAX)),
+                                 lo, hi)
+
+    return _run_batch(config, getattr(config, "initial_units", 1), False, run_block)

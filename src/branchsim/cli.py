@@ -26,8 +26,7 @@ from .errors import (BatchTrialError, BranchsimError, BudgetExceedsMass,
 from .law import extinction_probability
 from .rng import STREAM_OFFSPRING, spawn_generator
 from .scenario import ScenarioConfig
-from .series import (_family_schedule, check_schedule, estimate_conditional_series,
-                     schedule_search)
+from .series import _family_schedule, estimate_conditional_series, schedule_search
 
 EXIT_OK = 0
 EXIT_OTHER = 1
@@ -110,7 +109,7 @@ def _execute(config: ScenarioConfig, provenance: dict):
         header = ["k", "t_k", "p_marginal", "p_conditional", "partial_sum"]
         if not result.trials:  # every trial failed within the failure budget
             return header, [[k + 1, t_k, math.nan, math.nan, math.nan]
-                            for k, t_k in enumerate(check_schedule(schedule, result.horizon))]
+                            for k, t_k in enumerate(schedule)]
         est = estimate_conditional_series(result, schedule)
         rows = []
         for k, t_k in enumerate(schedule):

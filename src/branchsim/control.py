@@ -21,6 +21,13 @@ from .errors import ConfigError, InvalidRuleError
 CLASSIFY_EPS = 0.05  # dead band around decay exponent 1 for the heuristic path
 
 
+def finite(x: float, name: str, n: int) -> float:
+    """x, the value of the function ``name`` at n, unless it left the float range."""
+    if not math.isfinite(x):
+        raise ConfigError(f"{name}({n}) = {x}; the form leaves the float range")
+    return x
+
+
 @dataclass(frozen=True)
 class GrowthFunction:
     """Integer-valued function of a nonnegative integer index.
@@ -85,11 +92,11 @@ class GrowthFunction:
         if self.form == "constant":
             return int(self.c)
         if self.form == "log":
-            x = self.a * math.log(n + 1) / math.log(self.base)
+            x = finite(self.a * math.log(n + 1) / math.log(self.base), "g", n)
             v = math.floor(x) if self.rounding == "floor" else math.ceil(x)
             return max(1, v)
         if self.form == "linear":
-            return int(self.a * n + self.c)
+            return int(finite(self.a * n + self.c, "g", n))
         if self.form == "table":
             return self.table[n] if n < len(self.table) else self.table[-1]
         v = self.fn(n)
@@ -140,11 +147,21 @@ class DisasterSchedule:
         return self.c
 
 
+# Each built-in rule has one apply(counts, generation, rng), which the batch
+# kernel and the scalar helpers share; it changes an int64 or object array of
+# offspring counts in place into what the rule leaves of them.
+
 @dataclass(frozen=True)
 class TruncationAsAbsorption:
     """Absorb the overshoot above g(n): A_n(l) = max(l - g(n), 0)."""
 
     g: GrowthFunction
+
+    def apply(self, counts, generation: int, rng=None):
+        cap = int(self.g(generation))
+        if cap < 1 << 63 or counts.dtype == object:  # no int64 count exceeds a larger cap
+            counts[counts > cap] = cap
+        return counts
 
 
 @dataclass(frozen=True)
@@ -153,12 +170,21 @@ class Disaster:
 
     delta: DisasterSchedule
 
+    def apply(self, counts, generation: int, rng):
+        # one uniform per count, independent of the population history
+        counts[rng.random(counts.size) < self.delta.prob(generation)] = 0
+        return counts
+
 
 @dataclass(frozen=True)
 class LowerBoundary:
     """Absorb everything once the offspring count drops below b(n)."""
 
     b: GrowthFunction
+
+    def apply(self, counts, generation: int, rng=None):
+        counts[counts < int(self.b(generation))] = 0
+        return counts
 
 
 @dataclass(frozen=True, init=False)
@@ -194,6 +220,8 @@ class Truncation:
         if self.g(0) < 1:
             raise ConfigError(f"truncation function must satisfy g(0) >= 1, got {self.g(0)}")
 
+    apply = TruncationAsAbsorption.apply  # both leave min(offspring, g(n))
+
 
 @dataclass(frozen=True)
 class Absorbing:
@@ -205,6 +233,9 @@ class Absorbing:
         kinds = (TruncationAsAbsorption, Disaster, LowerBoundary, CustomAbsorption)
         if not isinstance(self.rule, kinds):
             raise ConfigError(f"unknown absorbing rule {type(self.rule).__name__}")
+
+    def apply(self, counts, generation: int, rng):
+        return self.rule.apply(counts, generation, rng)  # no custom rule has one
 
 
 @dataclass(frozen=True)
@@ -234,23 +265,15 @@ ControlPolicy = Truncation | Absorbing | Phi
 
 def apply_truncation(offspring: int, generation: int, g) -> int:
     """Cap the offspring count at g(generation)."""
-    if generation < 1:
-        raise ValueError(f"generation must be >= 1, got {generation}")
-    return min(int(g(generation)), offspring)
+    return apply_absorption(offspring, generation, TruncationAsAbsorption(g), None, None)
 
 
 def apply_absorption(offspring: int, generation: int, rule, history, rng) -> int:
     """Return offspring minus the absorbed count A_n(offspring) in [0, offspring]."""
     if generation < 1:
         raise ValueError(f"generation must be >= 1, got {generation}")
-    if isinstance(rule, TruncationAsAbsorption):
-        absorbed = max(offspring - int(rule.g(generation)), 0)
-        return offspring - absorbed
-    if isinstance(rule, Disaster):
-        # one uniform per generation, independent of the population history
-        return 0 if rng.random() < rule.delta.prob(generation) else offspring
-    if isinstance(rule, LowerBoundary):
-        return 0 if offspring < int(rule.b(generation)) else offspring
+    if isinstance(rule, (TruncationAsAbsorption, Disaster, LowerBoundary)):
+        return int(rule.apply(np.array([offspring], dtype=object), generation, rng)[0])
     if isinstance(rule, CustomAbsorption):
         view = _history_view(history, generation)
         if rule._wants_rng:

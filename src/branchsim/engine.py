@@ -20,9 +20,8 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .control import (Absorbing, CustomAbsorption, Disaster, LowerBoundary, Phi,
-                      Truncation, TruncationAsAbsorption, apply_absorption,
-                      apply_phi, apply_truncation, phi_units)
+from .control import (Absorbing, CustomAbsorption, Phi, Truncation, apply_absorption,
+                      apply_phi, phi_units)
 from .errors import BatchTrialError, BranchsimError, ConfigError, PopulationOverflow
 from .law import Binomial, ExplicitPmf, Geometric, OffspringLaw, Poisson
 from .rng import STREAM_CONTROL, STREAM_OFFSPRING, TrialStreams, block_generators
@@ -98,12 +97,13 @@ def _make_total_sampler(law: OffspringLaw, population_cap: int, per_particle: bo
             done = 0
             while done < z:
                 take = min(z - done, _SLAB)
-                idx = np.searchsorted(cdf, rng.random(take), side="right")
+                # cdf.searchsorted and np.add.reduce skip dispatch layers: us per coupled step
+                idx = cdf.searchsorted(rng.random(take), side="right")
                 if top == 0:
                     total += int(ks[0]) * take
                 else:
                     np.minimum(idx, top, out=idx)  # residual tail mass maps to the last atom
-                    total += int(ks[idx].sum())
+                    total += int(np.add.reduce(ks[idx]))
                 done += take
                 if total > population_cap:
                     raise PopulationOverflow(f"offspring total exceeded cap {population_cap}")
@@ -206,8 +206,11 @@ def _make_stepper(law, policy, population_cap, per_particle):
         def advance(z, n, streams, counts):
             return draw(z, streams.offspring(n))
     elif isinstance(policy, Truncation):
+        box = np.empty(1, dtype=object)  # one count, for the array rule
+
         def advance(z, n, streams, counts):
-            return apply_truncation(draw(z, streams.offspring(n)), n, policy.g)
+            box[0] = draw(z, streams.offspring(n))
+            return policy.apply(box, n)[0]
     elif isinstance(policy, Absorbing):
         def advance(z, n, streams, counts):
             offspring = draw(z, streams.offspring(n))
@@ -219,24 +222,6 @@ def _make_stepper(law, policy, population_cap, per_particle):
     else:
         raise ConfigError(f"unknown control policy {type(policy).__name__}")
     return advance
-
-
-def step(state: int, law: OffspringLaw, policy, generation: int, history, rng,
-         population_cap: int = DEFAULT_POPULATION_CAP, per_particle: bool = False) -> int:
-    """Advance one generation from ``state`` under the optional policy.
-
-    ``rng`` is a TrialStreams bundle; ``history`` (a Trajectory, or any
-    object with a ``counts`` list) is consulted only by custom absorbing
-    rules.  Without a policy this is just the offspring total of ``state``
-    parents.
-    """
-    if generation < 1:
-        raise ValueError(f"generation must be >= 1, got {generation}")
-    if state < 0:
-        raise ValueError(f"state must be nonnegative, got {state}")
-    advance = _make_stepper(law, policy, population_cap, per_particle)
-    counts = getattr(history, "counts", history)
-    return advance(state, generation, rng, counts)
 
 
 def simulate_trajectory(law: OffspringLaw, policy, horizon: int, streams: TrialStreams,
@@ -328,26 +313,11 @@ def _vector_policy(policy):
     """
     if isinstance(policy, Phi):
         return (lambda z: _counts([phi_units(x, policy.phi) for x in z.tolist()])), None
-    rule = policy.rule if isinstance(policy, Absorbing) else policy
-    if rule is None:
-        finish = None
-    elif isinstance(rule, (Truncation, TruncationAsAbsorption)):
-        # absorbing the overshoot above g(n) leaves min(offspring, g(n))
-        def finish(off, n, gens):
-            cap = int(rule.g(n))
-            off[off > cap] = cap
-            return off
-    elif isinstance(rule, Disaster):
-        def finish(off, n, gens):
-            off[gens[STREAM_CONTROL].random(off.size) < rule.delta.prob(n)] = 0
-            return off
-    elif isinstance(rule, LowerBoundary):
-        def finish(off, n, gens):
-            off[off < int(rule.b(n))] = 0
-            return off
-    else:
+    if policy is None:
+        return None, None
+    if not isinstance(policy, (Truncation, Absorbing)):
         raise ConfigError(f"unknown control policy {type(policy).__name__}")
-    return None, finish
+    return None, lambda off, n, gens: policy.apply(off, n, gens[STREAM_CONTROL])
 
 
 _CHUNK = 4096  # parameters per sized draw of the exact lane: its temporaries

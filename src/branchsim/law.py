@@ -65,8 +65,9 @@ class OffspringLaw:
         raise NotImplementedError
 
     def pmf_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Support points and probabilities (tail below TAIL_EPS dropped)."""
-        raise NotImplementedError
+        """Support points and probabilities (tail below TAIL_EPS dropped), as
+        each subclass builds them once, in the cached property ``_table``."""
+        return self._table
 
     @property
     def p0(self) -> float:
@@ -99,7 +100,10 @@ class ExplicitPmf(OffspringLaw):
             if ki in seen:
                 raise ConfigError(f"duplicate support point k={ki}")
             seen[ki] = wf
-        total = math.fsum(seen.values())
+        try:
+            total = math.fsum(seen.values())
+        except OverflowError:
+            raise ConfigError("pmf weights sum past the float range") from None
         if not seen or total <= 0:
             raise ConfigError("pmf must carry positive total weight")
         atoms = tuple((k, w / total) for k, w in sorted(seen.items()) if w > 0)
@@ -119,9 +123,6 @@ class ExplicitPmf(OffspringLaw):
         ks = np.array([k for k, _ in self.atoms], dtype=np.int64)
         ps = np.array([p for _, p in self.atoms], dtype=np.float64)
         return ks, ps
-
-    def pmf_table(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._table
 
 
 @dataclass(frozen=True)
@@ -160,9 +161,6 @@ class Poisson(OffspringLaw):
                 break
         return np.arange(len(probs), dtype=np.int64), np.array(probs)
 
-    def pmf_table(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._table
-
 
 @dataclass(frozen=True)
 class Geometric(OffspringLaw):
@@ -192,9 +190,6 @@ class Geometric(OffspringLaw):
         ks = np.arange(k_max + 1, dtype=np.int64)
         ps = (1.0 - self.r) * self.r ** ks.astype(np.float64)
         return ks, ps
-
-    def pmf_table(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._table
 
 
 @dataclass(frozen=True)
@@ -230,9 +225,6 @@ class Binomial(OffspringLaw):
         for k in range(self.n):
             probs[k + 1] = probs[k] * (self.n - k) / (k + 1) * ratio
         return np.arange(self.n + 1, dtype=np.int64), probs
-
-    def pmf_table(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._table
 
 
 def extinction_probability(law: OffspringLaw, tol: float = 1e-12,

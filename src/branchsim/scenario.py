@@ -8,6 +8,7 @@ flows from ``master_seed``; nothing reads the clock or OS entropy.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from . import brs as brs_mod
@@ -16,19 +17,23 @@ from .bisexual import CustomMating, DaleyMonogamy, DaleyPolygamy, Min
 from .engine import DEFAULT_POPULATION_CAP
 from .errors import ConfigError
 from .law import Binomial, ExplicitPmf, Geometric, OffspringLaw, Poisson
+from .series import check_schedule
 
 SCHEMA_VERSION = 1
 EXPERIMENTS = ("gw", "controlled", "phi", "bisexual", "bcl_series", "brs")
 
 
 def _require(doc: dict, key: str, context: str):
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{context}: expected an object, got {doc!r}")
     if key not in doc:
         raise ConfigError(f"{context}: missing required key {key!r}")
     return doc[key]
 
 
 def _as_int(value, context: str, minimum=None) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or int(value) != value:
+    if isinstance(value, bool) or not (isinstance(value, int) or
+                                       isinstance(value, float) and value.is_integer()):
         raise ConfigError(f"{context}: expected an integer, got {value!r}")
     v = int(value)
     if minimum is not None and v < minimum:
@@ -37,22 +42,31 @@ def _as_int(value, context: str, minimum=None) -> int:
 
 
 def _as_number(value, context: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{context}: expected a number, got {value!r}")
+    # json reads NaN and Infinity; NaN fails every comparison, and Python
+    # compares an int past the float range with a float exactly
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{context}: expected a finite number, got {value!r}")
     return float(value)
 
 
+def _as_list(value, context: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{context}: expected a list, got {value!r}")
+    return value
+
+
 def parse_law(doc) -> OffspringLaw:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"law: expected an object, got {doc!r}")
     kind = _require(doc, "kind", "law")
     if kind == "explicit_pmf":
         pmf = _require(doc, "pmf", "law")
-        if isinstance(pmf, dict):
-            pairs = [(int(k), v) for k, v in pmf.items()]
-        else:
-            pairs = [(k, v) for k, v in pmf]
-        return ExplicitPmf(pairs)
+        if isinstance(pmf, dict):  # the keys of a json object are strings
+            pmf = [[int(k) if str(k).isdecimal() else k, v] for k, v in pmf.items()]
+        pairs = [_as_list(pair, "pmf pair") for pair in _as_list(pmf, "pmf")]
+        if any(len(pair) != 2 for pair in pairs):
+            raise ConfigError("pmf: each pair must be [k, weight]")
+        return ExplicitPmf([(_as_int(k, "pmf support point"), _as_number(w, f"pmf weight for k={k}"))
+                            for k, w in pairs])
     if kind == "poisson":
         return Poisson(_as_number(_require(doc, "lambda", "poisson law"), "lambda"))
     if kind == "geometric":
@@ -64,8 +78,6 @@ def parse_law(doc) -> OffspringLaw:
 
 
 def parse_growth(doc) -> control_mod.GrowthFunction:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"growth function: expected an object, got {doc!r}")
     form = _require(doc, "form", "growth function")
     if form == "constant":
         return control_mod.GrowthFunction.constant(_as_int(_require(doc, "c", "constant form"), "c", 0))
@@ -79,13 +91,13 @@ def parse_growth(doc) -> control_mod.GrowthFunction:
             _as_number(_require(doc, "a", "linear form"), "a"),
             _as_number(_require(doc, "c", "linear form"), "c"))
     if form == "table":
-        return control_mod.GrowthFunction.from_table(_require(doc, "values", "table form"))
+        return control_mod.GrowthFunction.from_table(
+            [_as_int(v, "table entry") for v in _as_list(_require(doc, "values", "table form"),
+                                                           "table form values")])
     raise ConfigError(f"growth function: unknown form {form!r}")
 
 
 def parse_phi(doc):
-    if not isinstance(doc, dict):
-        raise ConfigError(f"phi: expected an object, got {doc!r}")
     form = _require(doc, "form", "phi")
     if form == "identity":
         return lambda x: x
@@ -95,9 +107,10 @@ def parse_phi(doc):
     if form == "linear":
         a = _as_number(_require(doc, "a", "phi linear"), "a")
         c = _as_number(_require(doc, "c", "phi linear"), "c")
-        return lambda x: max(0, int(a * x + c))
+        return lambda x: max(0, int(control_mod.finite(a * x + c, "phi", x)))
     if form == "table":
-        values = [_as_int(v, "phi table entry", 0) for v in _require(doc, "values", "phi table")]
+        values = [_as_int(v, "phi table entry", 0)
+                  for v in _as_list(_require(doc, "values", "phi table"), "phi table values")]
         if not values:
             raise ConfigError("phi table needs at least one value")
         return lambda x: values[x] if x < len(values) else values[-1]
@@ -105,11 +118,11 @@ def parse_phi(doc):
 
 
 def parse_delta(doc) -> control_mod.DisasterSchedule:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"disaster schedule: expected an object, got {doc!r}")
     form = _require(doc, "form", "disaster schedule")
     if form == "table":
-        return control_mod.DisasterSchedule.from_table(_require(doc, "values", "disaster table"))
+        return control_mod.DisasterSchedule.from_table(
+            [_as_number(v, "disaster probability")
+             for v in _as_list(_require(doc, "values", "disaster table"), "disaster table values")])
     if form == "c_over_k":
         return control_mod.DisasterSchedule.c_over_k(_as_number(_require(doc, "c", "c/k schedule"), "c"))
     if form == "constant":
@@ -118,8 +131,6 @@ def parse_delta(doc) -> control_mod.DisasterSchedule:
 
 
 def parse_absorbing_rule(doc):
-    if not isinstance(doc, dict):
-        raise ConfigError(f"absorbing rule: expected an object, got {doc!r}")
     kind = _require(doc, "kind", "absorbing rule")
     if kind == "truncation_as_absorption":
         return control_mod.TruncationAsAbsorption(parse_growth(_require(doc, "g", "rule")))
@@ -132,8 +143,6 @@ def parse_absorbing_rule(doc):
 
 
 def parse_policy(doc):
-    if not isinstance(doc, dict):
-        raise ConfigError(f"policy: expected an object, got {doc!r}")
     kind = _require(doc, "kind", "policy")
     if kind == "truncation":
         return control_mod.Truncation(parse_growth(_require(doc, "g", "truncation policy")))
@@ -145,8 +154,6 @@ def parse_policy(doc):
 
 
 def parse_mating(doc):
-    if not isinstance(doc, dict):
-        raise ConfigError(f"mating: expected an object, got {doc!r}")
     kind = _require(doc, "kind", "mating function")
     if kind == "min":
         return Min()
@@ -159,8 +166,6 @@ def parse_mating(doc):
 
 
 def parse_claim_distribution(doc) -> brs_mod.ClaimDistribution:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"claim distribution: expected an object, got {doc!r}")
     kind = _require(doc, "kind", "claim distribution")
     if kind == "uniform":
         return brs_mod.Uniform(_as_number(_require(doc, "b", "uniform claims"), "b"))
@@ -171,13 +176,8 @@ def parse_claim_distribution(doc) -> brs_mod.ClaimDistribution:
 
 
 def parse_population(doc) -> brs_mod.Population:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"population: expected an object, got {doc!r}")
-    groups_doc = _require(doc, "groups", "population")
-    if not isinstance(groups_doc, list) or not groups_doc:
-        raise ConfigError("population: groups must be a nonempty list")
     groups = []
-    for g in groups_doc:
+    for g in _as_list(_require(doc, "groups", "population"), "population groups"):
         count = _as_int(_require(g, "count", "population group"), "count", 1)
         dist = parse_claim_distribution(_require(g, "dist", "population group"))
         groups.append((count, dist))
@@ -235,25 +235,15 @@ class ScenarioConfig:
 
         cfg = ScenarioConfig(version=version, experiment=experiment,
                              master_seed=master_seed, trials=trials)
-        if "horizon" in doc:
-            cfg.horizon = _as_int(doc["horizon"], "horizon", 1)
-        if "initial_size" in doc:
-            cfg.initial_size = _as_int(doc["initial_size"], "initial_size", 0)
-        if "initial_units" in doc:
-            cfg.initial_units = _as_int(doc["initial_units"], "initial_units", 0)
-        if "population_cap" in doc:
-            cfg.population_cap = _as_int(doc["population_cap"], "population_cap", 1)
+        for key, least in (("horizon", 1), ("initial_size", 0), ("initial_units", 0),
+                           ("population_cap", 1), ("failure_budget", 0),
+                           ("sample_trajectories", 0), ("n_max", 100)):
+            if key in doc:
+                setattr(cfg, key, _as_int(doc[key], key, least))
         if "coupled" in doc:
             if not isinstance(doc["coupled"], bool):
                 raise ConfigError(f"coupled: expected a boolean, got {doc['coupled']!r}")
             cfg.coupled = doc["coupled"]
-        if "failure_budget" in doc:
-            cfg.failure_budget = _as_int(doc["failure_budget"], "failure_budget", 0)
-        if "sample_trajectories" in doc:
-            cfg.sample_trajectories = _as_int(doc["sample_trajectories"],
-                                              "sample_trajectories", 0)
-        if "n_max" in doc:
-            cfg.n_max = _as_int(doc["n_max"], "n_max", 100)
         if "output" in doc:
             out = doc["output"]
             if not isinstance(out, dict):
@@ -261,7 +251,10 @@ class ScenarioConfig:
             fmt = out.get("format", "csv")
             if fmt not in ("csv", "json"):
                 raise ConfigError(f"output format must be csv or json, got {fmt!r}")
-            cfg.output = OutputSpec(format=fmt, path=out.get("path"))
+            path = out.get("path")
+            if path is not None and not isinstance(path, str):
+                raise ConfigError(f"output path must be a string, got {path!r}")
+            cfg.output = OutputSpec(format=fmt, path=path)
 
         needs_horizon = experiment in ("gw", "controlled", "phi", "bisexual", "bcl_series")
         if needs_horizon and cfg.horizon is None:
@@ -284,7 +277,12 @@ class ScenarioConfig:
                 if not isinstance(sched, dict):
                     raise ConfigError(f"schedule: expected an object, got {sched!r}")
                 if "values" in sched:
-                    values = [_as_int(v, "schedule value", 1) for v in sched["values"]]
+                    values = [_as_int(v, "schedule value", 1)
+                              for v in _as_list(sched["values"], "schedule values")]
+                    try:
+                        check_schedule(values, cfg.horizon)
+                    except ValueError as exc:
+                        raise ConfigError(str(exc)) from None
                     cfg.schedule = {"values": values}
                 else:
                     family = sched.get("family", "linear")

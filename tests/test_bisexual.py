@@ -76,8 +76,11 @@ def test_mating_vector_forms_match_scalar():
     ms = np.array([3, 0, 4, 2, 2])
     for mating in (Min(), DaleyMonogamy(), DaleyPolygamy(2),
                    CustomMating(lambda x, y: x + y)):
-        vec = mating.units_vector(fs, ms)
+        vec = mating.units(fs, ms)
         assert vec.tolist() == [mating.units(int(f), int(m)) for f, m in zip(fs, ms)]
+    # d * males would wrap in int64
+    big = np.array([1 << 62, 5])
+    assert DaleyPolygamy(3).units(big, big).tolist() == [1 << 62, 5]
 
 
 def test_polygamy_degree_validated():

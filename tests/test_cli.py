@@ -253,8 +253,54 @@ def test_series_with_every_trial_failed_still_checks_the_schedule(tmp_path, caps
     doc = {"version": 1, "experiment": "bcl_series", "master_seed": 1, "trials": 10,
            "horizon": 5, "population_cap": 1, "failure_budget": 10,
            "law": {"kind": "explicit_pmf", "pmf": {"2": 1}}, "schedule": {"values": [2, 9]}}
-    assert cli.run(str(write_config(tmp_path, doc))) != 0
+    assert cli.run(str(write_config(tmp_path, doc))) == 2
     assert "beyond horizon 5" in json.loads(capsys.readouterr().err)["message"]
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("doc", [
+    controlled_doc(policy={"kind": "truncation", "g": {"form": "linear", "a": NAN, "c": 1}}),
+    controlled_doc(experiment="phi", policy={"kind": "phi",
+                                             "phi": {"form": "linear", "a": NAN, "c": 1}}),
+    controlled_doc(policy={"kind": "absorbing", "rule": {
+        "kind": "disaster", "delta": {"form": "c_over_k", "c": NAN}}}),
+    controlled_doc(policy={"kind": "truncation", "g": {"form": "log", "a": INF, "base": 2}}),
+    controlled_doc(policy={"kind": "truncation", "g": {"form": "linear", "a": 1e308, "c": 1}}),
+    controlled_doc(policy={"kind": "truncation", "g": {"form": "log", "a": 1e308, "base": 1.5}}),
+    controlled_doc(experiment="phi", policy={"kind": "phi",
+                                             "phi": {"form": "linear", "a": 1e307, "c": 1}}),
+    gw_doc(law={"kind": "explicit_pmf", "pmf": {"x": 1}}),
+    gw_doc(law={"kind": "explicit_pmf", "pmf": {"0": 1e308, "2": 1e308}}),
+    gw_doc(law={"kind": "poisson", "lambda": -INF}),
+    gw_doc(horizon=INF),
+    {"version": 1, "experiment": "brs", "master_seed": 1, "trials": 10,
+     "population": {"groups": [5], "budget": 1.0}},
+], ids=["linear_g_nan", "linear_phi_nan", "disaster_c_nan", "log_g_inf", "linear_g_past_floats",
+        "log_g_past_floats", "linear_phi_past_floats", "pmf_key_x", "pmf_sum_past_floats", "poisson_minus_inf", "horizon_inf", "group_not_object"])
+def test_bad_documents_exit_with_config_error(tmp_path, capsys, doc):
+    assert cli.run(str(write_config(tmp_path, doc))) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("mating", [{"kind": "min"}, {"kind": "daley_polygamy", "d": 3}])
+def test_bisexual_totals_past_int64_overflow_the_cap(tmp_path, capsys, mating):
+    # the sex split is an int64 binomial, so a larger generation total fails
+    # its trial as an overflow, neither crashing the run nor, through an int64
+    # product that wraps, counting the trial as extinct
+    doc = {"version": 1, "experiment": "bisexual", "master_seed": 1, "trials": 3,
+           "horizon": 200, "initial_units": 50, "population_cap": 1 << 200,
+           "law": {"kind": "poisson", "lambda": 3.0}, "alpha": 0.5, "mating": mating}
+    assert cli.run(str(write_config(tmp_path, doc, "abort.json"))) == 4
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "BatchTrialError" and record["cause"] == "PopulationOverflow"
+    doc["failure_budget"] = 3
+    out = tmp_path / "report.csv"
+    assert cli.run(str(write_config(tmp_path, doc, "budget.json")), out=str(out)) == 0
+    lines = read_lines(out)
+    assert lines[0].endswith(",failed_trials=3")
+    assert lines[-1] == "200,nan,nan"
 
 
 def test_failed_trials_enter_provenance_only_with_a_budget(tmp_path):

@@ -205,6 +205,52 @@ def test_apply_absorption_validates_generation():
         apply_absorption(1, 0, LowerBoundary(GrowthFunction.constant(1)), None, None)
 
 
+# ------------------------------------------- array rules against the helpers
+
+BIG = 1 << 63
+GROWTHS = [GrowthFunction.constant(4), GrowthFunction.log(2, 3, "ceil"),
+           GrowthFunction.linear(3, 1), GrowthFunction.from_table([5, 2, 9]),
+           GrowthFunction.constant(BIG + 7), GrowthFunction.linear(float(BIG), 1)]
+INT64_COUNTS = np.array([0, 1, 2, 3, 4, 5, 7, 9, 13, 40, 1000, BIG - 1], dtype=np.int64)
+OBJECT_COUNTS = np.array([0, 1, 4, 9, BIG - 1, BIG, BIG + 6, BIG + 7, BIG + 8, 3 * BIG,
+                          1 << 200], dtype=object)
+
+
+def _scalar(rule, count, generation, rng):
+    if isinstance(rule, Truncation):
+        return apply_truncation(count, generation, rule.g)
+    return apply_absorption(count, generation, rule, None, rng)
+
+
+@pytest.mark.parametrize("counts", [INT64_COUNTS, OBJECT_COUNTS], ids=["int64", "object"])
+@pytest.mark.parametrize("make", [Truncation, TruncationAsAbsorption, LowerBoundary,
+                                  lambda g: Absorbing(TruncationAsAbsorption(g))],
+                         ids=["truncation", "as_absorption", "lower_boundary", "absorbing"])
+def test_deterministic_rules_apply_as_the_scalar_helpers(make, counts):
+    for g in GROWTHS:
+        rule = make(g)
+        scalar_rule = rule.rule if isinstance(rule, Absorbing) else rule
+        for generation in (1, 2, 3, 7, 50):
+            got = rule.apply(counts.copy(), generation, None)
+            assert got.dtype == counts.dtype
+            assert got.tolist() == [_scalar(scalar_rule, c, generation, None)
+                                    for c in counts.tolist()]
+
+
+@pytest.mark.parametrize("counts", [INT64_COUNTS, OBJECT_COUNTS], ids=["int64", "object"])
+@pytest.mark.parametrize("delta", [DisasterSchedule.constant(0.5),
+                                   DisasterSchedule.c_over_k(0.9),
+                                   DisasterSchedule.from_table([0.2, 1.0])])
+def test_disaster_applies_one_uniform_per_count_as_the_helper(delta, counts):
+    rule = Disaster(delta)
+    gen, twin = control_rng(4), control_rng(4)
+    for generation in (1, 2, 3, 9):
+        got = Absorbing(rule).apply(counts.copy(), generation, gen)
+        assert got.tolist() == [apply_absorption(c, generation, rule, None, twin)
+                                for c in counts.tolist()]
+        assert gen.bit_generator.state == twin.bit_generator.state
+
+
 # ------------------------------------------------------------------- phi
 
 def test_phi_identity_consumes_the_same_draws_as_plain_sampling():

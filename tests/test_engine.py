@@ -27,7 +27,6 @@ from branchsim import (
     sample_offspring_total,
     sample_offspring_totals,
     simulate_trajectory,
-    step,
 )
 from branchsim.engine import (_SLAB, _block_size, _counts, _draw_offspring,
                               _make_block_draw, _make_total_sampler)
@@ -184,27 +183,6 @@ def test_batched_exact_lane_draws_like_one_sampler_call_per_trial(law, case):
         assert str(failures[11]) == f"parent count {units[11]} exceeds cap {cap}"
 
 
-# ------------------------------------------------------------------- step
-
-def test_step_without_policy_is_plain_offspring_total():
-    law = ExplicitPmf({3: 1.0})
-    got = step(4, law, None, 1, None, TrialStreams(0, 0))
-    assert got == 12
-
-
-def test_step_applies_truncation_cap():
-    law = ExplicitPmf({3: 1.0})
-    policy = Truncation(GrowthFunction.constant(5))
-    assert step(4, law, policy, 1, None, TrialStreams(0, 0)) == 5
-
-
-def test_step_validates_arguments():
-    with pytest.raises(ValueError):
-        step(1, Poisson(1.0), None, 0, None, TrialStreams(0, 0))
-    with pytest.raises(ValueError):
-        step(-1, Poisson(1.0), None, 1, None, TrialStreams(0, 0))
-
-
 # -------------------------------------------------------------- trajectories
 
 def test_trajectory_shapes_and_zero_padding():
@@ -225,6 +203,19 @@ def test_trajectory_from_zero_initial_size():
                                initial_size=0)
     assert traj.absorbed_at == 0
     assert traj.counts == [0] * 11
+
+
+def test_trajectory_without_policy_steps_plain_offspring_totals():
+    traj = simulate_trajectory(ExplicitPmf({3: 1.0}), None, 3, TrialStreams(0, 0),
+                               initial_size=4)
+    assert traj.counts == [4, 12, 36, 108]
+
+
+def test_trajectory_truncation_caps_every_generation():
+    policy = Truncation(GrowthFunction.constant(5))
+    traj = simulate_trajectory(ExplicitPmf({3: 1.0}), policy, 3, TrialStreams(0, 0),
+                               initial_size=4)
+    assert traj.counts == [4, 5, 5, 5]
 
 
 def test_trajectory_validates_horizon_and_initial_size():

@@ -1,0 +1,99 @@
+"""Property test: every JSON document parses or fails as a ConfigError.
+
+Each example takes a valid document of one experiment and puts an arbitrary
+JSON value (NaN and the infinities included, as Python's json reads them)
+at one path of it.
+"""
+
+from __future__ import annotations
+
+import copy
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from branchsim import ConfigError, ScenarioConfig
+
+PMF = {"kind": "explicit_pmf", "pmf": {"0": 0.25, "2": 0.75}}
+
+
+def _doc(experiment, **extra):
+    doc = {"version": 1, "experiment": experiment, "master_seed": 3, "trials": 10,
+           "horizon": 8, "output": {"format": "csv", "path": "report.csv"}}
+    doc.update(extra)
+    return doc
+
+
+VALID = [
+    _doc("gw", law={"kind": "geometric", "r": 0.4}, initial_size=2, population_cap=1 << 40,
+         failure_budget=1, sample_trajectories=2, coupled=False),
+    _doc("gw", law={"kind": "explicit_pmf", "pmf": [[0, 1], [3, 2]]}),
+    _doc("controlled", law={"kind": "binomial", "n": 3, "p": 0.5},
+         policy={"kind": "truncation", "g": {"form": "log", "a": 2.0, "base": 3.0,
+                                             "rounding": "ceil"}}),
+    _doc("controlled", law=PMF, policy={"kind": "truncation",
+                                        "g": {"form": "table", "values": [2, 5, 3]}}),
+    _doc("controlled", law=PMF, policy={"kind": "absorbing", "rule": {
+        "kind": "truncation_as_absorption", "g": {"form": "linear", "a": 1.5, "c": 2}}}),
+    _doc("controlled", law={"kind": "poisson", "lambda": 1.5}, policy={
+        "kind": "absorbing", "rule": {"kind": "disaster",
+                                      "delta": {"form": "table", "values": [0.1, 0.5]}}}),
+    _doc("controlled", law=PMF, policy={"kind": "absorbing", "rule": {
+        "kind": "disaster", "delta": {"form": "c_over_k", "c": 0.5}}}),
+    _doc("controlled", law=PMF, policy={"kind": "absorbing", "rule": {
+        "kind": "lower_boundary", "b": {"form": "constant", "c": 2}}}),
+    _doc("phi", law=PMF, policy={"kind": "phi", "phi": {"form": "linear", "a": 0.5, "c": 1}}),
+    _doc("phi", law=PMF, policy={"kind": "phi", "phi": {"form": "table", "values": [1, 2]}}),
+    _doc("bisexual", law=PMF, alpha=0.4, initial_units=3,
+         mating={"kind": "daley_polygamy", "d": 3}),
+    _doc("bcl_series", law=PMF, schedule={"values": [1, 3, 8]}),
+    _doc("bcl_series", law=PMF, n_max=200, schedule={"family": "search", "max_points": 4}),
+    _doc("brs", population={"groups": [{"count": 2, "dist": {"kind": "uniform", "b": 1.0}},
+                                       {"count": 1, "dist": {"kind": "exponential", "rate": 2.0}}],
+                            "budget": 1.5},
+         modes=["independent", "comonotone"]),
+]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=8)
+
+
+def _paths(value, prefix=()):
+    yield prefix
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+CASES = [(doc, path) for doc in VALID for path in _paths(doc)]
+
+
+def test_every_valid_document_parses():
+    for doc in VALID:
+        assert isinstance(ScenarioConfig.from_dict(doc), ScenarioConfig)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(CASES), value=JSON_VALUES)
+def test_any_value_at_any_path_parses_or_is_a_config_error(case, value):
+    doc, path = case
+    try:
+        config = ScenarioConfig.from_dict(_replaced(doc, path, value))
+    except ConfigError:
+        return
+    assert isinstance(config, ScenarioConfig)
