@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .brs import Z99
+from .control import ControlPolicy
 from .engine import (DEFAULT_POPULATION_CAP, BatchResult, _run_batch, _run_vector_block,
                      sample_offspring_total, sample_offspring_totals)
 from .errors import ConfigError
@@ -142,6 +143,20 @@ def bisexual_step(state: BisexualState, law: OffspringLaw, alpha: float,
     females = total - males
     return BisexualState(females=females, males=males,
                          units=int(mating.units(females, males)), generation=n)
+
+
+@dataclass(frozen=True)
+class _MatingStep(ControlPolicy):
+    """The kernel's rule for mating units: split by sex on the sex stream, then mate."""
+
+    alpha: float
+    mating: MatingFunction
+
+    stream = STREAM_SEX
+
+    def apply(self, counts, generation: int, rng=None):
+        males = rng.binomial(counts.astype(np.int64), self.alpha)
+        return self.mating.units(counts - males, males)
 
 
 @dataclass(frozen=True)
@@ -286,14 +301,9 @@ def run_bisexual_batch(config, threads: int = 1) -> BatchResult:
     stream and mated.  Aggregation and the failure budget are the same, and
     as in ``bisexual_step`` a total past 2^63 - 1 overflows the cap.
     """
-    alpha, mating = config.alpha, config.mating
-
-    def finish(off, n, gens):
-        males = gens[STREAM_SEX].binomial(off.astype(np.int64), alpha)
-        return mating.units(off - males, males)
+    step = _MatingStep(config.alpha, config.mating)
 
     def run_block(batch, lo, hi):
-        return _run_vector_block(None, finish, replace(batch, cap=min(batch.cap, _SPLIT_MAX)),
-                                 lo, hi)
+        return _run_vector_block(step, replace(batch, cap=min(batch.cap, _SPLIT_MAX)), lo, hi)
 
-    return _run_batch(config, getattr(config, "initial_units", 1), False, run_block)
+    return _run_batch(config, getattr(config, "initial_units", 1), run_block)

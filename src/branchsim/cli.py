@@ -18,8 +18,8 @@ import sys
 from . import __version__
 from .bisexual import run_bisexual_batch
 from .brs import Z99, brs_bound, estimate_expected_stop, solve_threshold
-from .control import (Absorbing, Truncation, TruncationAsAbsorption,
-                      expectation_criterion, zubkov_criterion)
+from .control import (Truncation, TruncationAsAbsorption, expectation_criterion,
+                      zubkov_criterion)
 from .engine import run_batch
 from .errors import (BatchTrialError, BranchsimError, BudgetExceedsMass,
                      ConfigError, NumericFailure, PopulationOverflow)
@@ -142,17 +142,13 @@ def _compare(config: ScenarioConfig, provenance: dict):
     verdict = method = ""
     alpha_hat = None
     if 0.0 < q < 1.0 and config.policy is not None:
-        g = None
+        cv = None
         if isinstance(config.policy, Truncation):
-            g = config.policy.g
-            cv = zubkov_criterion(q, g, n_max=config.n_max)
-        elif (isinstance(config.policy, Absorbing)
-              and isinstance(config.policy.rule, TruncationAsAbsorption)):
-            g = config.policy.rule.g
-            cv = expectation_criterion(q, g, n_max=config.n_max, q=q)
-        if g is not None:
-            verdict, method = cv.verdict, cv.method
-            alpha_hat = cv.fitted_decay_exponent
+            cv = zubkov_criterion(q, config.policy.g, n_max=config.n_max)
+        elif isinstance(getattr(config.policy, "rule", None), TruncationAsAbsorption):
+            cv = expectation_criterion(q, config.policy.rule.g, n_max=config.n_max, q=q)
+        if cv is not None:
+            verdict, method, alpha_hat = cv.verdict, cv.method, cv.fitted_decay_exponent
     result = _simulate(config, provenance)
     frac = result.extinction_fraction
     ci = (Z99 * math.sqrt(max(frac * (1.0 - frac), 0.0) / result.trials)

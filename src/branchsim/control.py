@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, InvalidRuleError
+from .rng import STREAM_CONTROL
 
 CLASSIFY_EPS = 0.05  # dead band around decay exponent 1 for the heuristic path
 
@@ -147,12 +148,34 @@ class DisasterSchedule:
         return self.c
 
 
-# Each built-in rule has one apply(counts, generation, rng), which the batch
-# kernel and the scalar helpers share; it changes an int64 or object array of
-# offspring counts in place into what the rule leaves of them.
+def _counts(values) -> np.ndarray:
+    """Exact integer array: int64 when every value fits, object otherwise."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+class ControlPolicy:
+    """No control, and the protocol every policy follows: ``units(counts)``
+    reproduce, then ``apply(offspring, generation, rng)`` is what the rule
+    leaves, in place, for int64 or object arrays.  ``apply`` draws from the
+    generator of ``stream``, or from none when it is None; under a policy
+    that ``revives_zero``, a count of 0 is not absorbing.
+    """
+
+    stream = None
+    revives_zero = False
+
+    def units(self, counts):
+        return counts
+
+    def apply(self, counts, generation: int, rng=None):
+        return counts
+
 
 @dataclass(frozen=True)
-class TruncationAsAbsorption:
+class TruncationAsAbsorption(ControlPolicy):
     """Absorb the overshoot above g(n): A_n(l) = max(l - g(n), 0)."""
 
     g: GrowthFunction
@@ -165,19 +188,21 @@ class TruncationAsAbsorption:
 
 
 @dataclass(frozen=True)
-class Disaster:
+class Disaster(ControlPolicy):
     """With probability delta_n, absorb every particle this generation."""
 
     delta: DisasterSchedule
 
-    def apply(self, counts, generation: int, rng):
+    stream = STREAM_CONTROL
+
+    def apply(self, counts, generation: int, rng=None):
         # one uniform per count, independent of the population history
         counts[rng.random(counts.size) < self.delta.prob(generation)] = 0
         return counts
 
 
 @dataclass(frozen=True)
-class LowerBoundary:
+class LowerBoundary(ControlPolicy):
     """Absorb everything once the offspring count drops below b(n)."""
 
     b: GrowthFunction
@@ -207,11 +232,11 @@ class CustomAbsorption:
         if n_params not in (3, 4):
             raise ConfigError("custom absorbing rule must accept "
                               "(offspring, generation, history[, rng])")
-        object.__setattr__(self, "_wants_rng", n_params == 4)
+        object.__setattr__(self, "stream", STREAM_CONTROL if n_params == 4 else None)
 
 
 @dataclass(frozen=True)
-class Truncation:
+class Truncation(ControlPolicy):
     """Cap generation n at g(n) before it reproduces."""
 
     g: GrowthFunction
@@ -224,7 +249,7 @@ class Truncation:
 
 
 @dataclass(frozen=True)
-class Absorbing:
+class Absorbing(ControlPolicy):
     """Remove A_n(l) of the l offspring according to an absorbing rule."""
 
     rule: object
@@ -233,34 +258,84 @@ class Absorbing:
         kinds = (TruncationAsAbsorption, Disaster, LowerBoundary, CustomAbsorption)
         if not isinstance(self.rule, kinds):
             raise ConfigError(f"unknown absorbing rule {type(self.rule).__name__}")
+        object.__setattr__(self, "stream", self.rule.stream)
 
-    def apply(self, counts, generation: int, rng):
-        return self.rule.apply(counts, generation, rng)  # no custom rule has one
+    def apply(self, counts, generation: int, rng=None):
+        return self.rule.apply(counts, generation, rng)
 
 
 @dataclass(frozen=True)
-class Phi:
+class Phi(ControlPolicy):
     """Let phi(current size) units reproduce each generation.
 
-    phi(0) > 0 removes the absorbing state at 0 (immigration); runs under
-    such a policy report extinction only as a zero count at the horizon.
+    Forms: identity, a constant c, linear max(0, trunc(a * x + c)) with x
+    rounded to the nearest float, a table (holding its last value beyond
+    its end), or a callable ``fn``.  ``units`` maps whole arrays; only a
+    callable runs once per count.  phi(0) > 0 removes the absorbing state
+    at 0 (immigration); runs under such a policy report extinction only as
+    a zero count at the horizon.
     """
 
-    phi: Callable[[int], int]
+    fn: Callable[[int], int] | None = None
+    form: str = "callable"
+    a: float = 0.0
+    c: int | float = 0
+    table: tuple[int, ...] = ()
 
     def __post_init__(self):
         for x in (0, 1, 2, 5, 64):
-            v = self.phi(x)
+            v = (self.fn or self)(x)
             if v < 0 or int(v) != v:
                 raise ConfigError(f"phi({x}) = {v!r}; phi must map nonnegative "
                                   "integers to nonnegative integers")
 
+    @staticmethod
+    def identity() -> "Phi":
+        return Phi(form="identity")
+
+    @staticmethod
+    def constant(c: int) -> "Phi":
+        return Phi(form="constant", c=int(c))
+
+    @staticmethod
+    def linear(a: float, c: float) -> "Phi":
+        return Phi(form="linear", a=float(a), c=float(c))
+
+    @staticmethod
+    def from_table(values) -> "Phi":
+        if not values:
+            raise ConfigError("phi table needs at least one value")
+        return Phi(form="table", table=tuple(int(v) for v in values))
+
     @property
     def revives_zero(self) -> bool:
-        return self.phi(0) > 0
+        return self(0) > 0
 
+    def __call__(self, x: int) -> int:
+        return int(self.units(np.array([x], dtype=object))[0])
 
-ControlPolicy = Truncation | Absorbing | Phi
+    def units(self, counts):
+        if self.form == "identity":
+            return counts
+        if self.form == "constant":
+            return np.repeat(_counts([self.c]), counts.size)
+        if self.form == "table":
+            return _counts(self.table)[np.minimum(counts, len(self.table) - 1).astype(np.intp)]
+        if self.form == "linear":
+            with np.errstate(over="ignore"):
+                v = self.a * counts.astype(np.float64) + self.c
+            bad = np.flatnonzero(~np.isfinite(v))
+            if bad.size:  # raise finite's ConfigError for the first such count
+                finite(float(v[bad[0]]), "phi", counts[bad[0]])
+            v = np.maximum(np.trunc(v), 0.0)
+            if v.size and v.max() >= 2.0**63:
+                return np.array([int(x) for x in v.tolist()], dtype=object)
+            return v.astype(np.int64)
+        units = _counts([int(self.fn(x)) for x in counts.tolist()])
+        bad = np.flatnonzero(units < 0)  # the probes above cover a few points only
+        if bad.size:
+            raise ConfigError(f"phi({counts[bad[0]]}) = {units[bad[0]]}; phi must be nonnegative")
+        return units
 
 
 def apply_truncation(offspring: int, generation: int, g) -> int:
@@ -275,11 +350,12 @@ def apply_absorption(offspring: int, generation: int, rule, history, rng) -> int
     if isinstance(rule, (TruncationAsAbsorption, Disaster, LowerBoundary)):
         return int(rule.apply(np.array([offspring], dtype=object), generation, rng)[0])
     if isinstance(rule, CustomAbsorption):
-        view = _history_view(history, generation)
-        if rule._wants_rng:
-            absorbed = rule.rule(offspring, generation, view, rng)
-        else:
+        counts = getattr(history, "counts", history)
+        view = () if counts is None else tuple(counts[:generation])
+        if rule.stream is None:
             absorbed = rule.rule(offspring, generation, view)
+        else:
+            absorbed = rule.rule(offspring, generation, view, rng)
         if int(absorbed) != absorbed or not 0 <= absorbed <= offspring:
             raise InvalidRuleError(
                 f"custom rule returned {absorbed!r} for offspring={offspring} "
@@ -287,35 +363,6 @@ def apply_absorption(offspring: int, generation: int, rule, history, rng) -> int
             )
         return offspring - int(absorbed)
     raise ConfigError(f"unknown absorbing rule {type(rule).__name__}")
-
-
-def _history_view(history, generation: int) -> tuple[int, ...]:
-    counts = getattr(history, "counts", history)
-    if counts is None:
-        return ()
-    return tuple(counts[:generation])
-
-
-def phi_units(state: int, phi) -> int:
-    """phi(state), the number of reproducing units; a ConfigError if negative.
-
-    ``Phi`` probes phi at a few points only, so every use checks again.
-    """
-    units = int(phi(state))
-    if units < 0:
-        raise ConfigError(f"phi({state}) = {units}; phi must be nonnegative")
-    return units
-
-
-def apply_phi(state: int, phi, law, rng, **sampling) -> int:
-    """Total offspring of phi(state) reproducing units.
-
-    ``sampling`` passes ``population_cap`` and ``per_particle`` on to
-    ``sample_offspring_total``.
-    """
-    from .engine import sample_offspring_total
-
-    return sample_offspring_total(law, phi_units(state, phi), rng, **sampling)
 
 
 @dataclass(frozen=True)

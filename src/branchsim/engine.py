@@ -20,11 +20,10 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .control import (Absorbing, CustomAbsorption, Phi, Truncation, apply_absorption,
-                      apply_phi, phi_units)
+from .control import ControlPolicy, CustomAbsorption, _counts, apply_absorption
 from .errors import BatchTrialError, BranchsimError, ConfigError, PopulationOverflow
 from .law import Binomial, ExplicitPmf, Geometric, OffspringLaw, Poisson
-from .rng import STREAM_CONTROL, STREAM_OFFSPRING, TrialStreams, block_generators
+from .rng import STREAM_OFFSPRING, TrialStreams, block_generators
 
 DEFAULT_POPULATION_CAP = 1 << 48
 
@@ -199,31 +198,6 @@ class Trajectory:
         return None
 
 
-def _make_stepper(law, policy, population_cap, per_particle):
-    """Return advance(z, n, streams, counts) -> the next count of one trial."""
-    draw = _make_total_sampler(law, population_cap, per_particle)
-    if policy is None:
-        def advance(z, n, streams, counts):
-            return draw(z, streams.offspring(n))
-    elif isinstance(policy, Truncation):
-        box = np.empty(1, dtype=object)  # one count, for the array rule
-
-        def advance(z, n, streams, counts):
-            box[0] = draw(z, streams.offspring(n))
-            return policy.apply(box, n)[0]
-    elif isinstance(policy, Absorbing):
-        def advance(z, n, streams, counts):
-            offspring = draw(z, streams.offspring(n))
-            return apply_absorption(offspring, n, policy.rule, counts, streams.control(n))
-    elif isinstance(policy, Phi):
-        def advance(z, n, streams, counts):
-            return apply_phi(z, policy.phi, law, streams.offspring(n),
-                             population_cap=population_cap, per_particle=per_particle)
-    else:
-        raise ConfigError(f"unknown control policy {type(policy).__name__}")
-    return advance
-
-
 def simulate_trajectory(law: OffspringLaw, policy, horizon: int, streams: TrialStreams,
                         initial_size: int = 1,
                         population_cap: int = DEFAULT_POPULATION_CAP,
@@ -233,23 +207,27 @@ def simulate_trajectory(law: OffspringLaw, policy, horizon: int, streams: TrialS
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     if initial_size < 0 or initial_size > population_cap:
         raise ConfigError(f"initial size {initial_size} outside [0, cap]")
-    advance = _make_stepper(law, policy, population_cap, per_particle)
-    revive = isinstance(policy, Phi) and policy.revives_zero
+    policy = ControlPolicy() if policy is None else policy
+    draw = _make_total_sampler(law, population_cap, per_particle)
+    custom = getattr(policy, "rule", None)
+    custom = custom if isinstance(custom, CustomAbsorption) else None
+    revive = policy.revives_zero
+    box = np.empty(1, dtype=object)  # one count, for the array protocol
 
-    z = initial_size
-    counts = [z]
-    absorbed = None
-    if z == 0 and not revive:
-        absorbed = 0
-    else:
-        for n in range(1, horizon + 1):
-            z = advance(z, n, streams, counts)
-            counts.append(z)
-            if z == 0 and not revive:
-                absorbed = n
-                break
-    if len(counts) < horizon + 1:
-        counts.extend([0] * (horizon + 1 - len(counts)))
+    z, counts = initial_size, [initial_size]
+    for n in range(1, horizon + 1):
+        if z == 0 and not revive:
+            break
+        box[0] = z
+        box[0] = draw(int(policy.units(box)[0]), streams.offspring(n))
+        rng = None if policy.stream is None else streams.get(policy.stream, n)
+        if custom is None:
+            z = policy.apply(box, n, rng)[0]
+        else:  # the rule sees the trajectory so far
+            z = apply_absorption(box[0], n, custom, counts, rng)
+        counts.append(z)
+    absorbed = None if revive or z else len(counts) - 1
+    counts.extend([0] * (horizon + 1 - len(counts)))
     return Trajectory(counts=counts, absorbed_at=absorbed, horizon=horizon)
 
 
@@ -292,32 +270,6 @@ class _Batch:
     cap: int
     n_sample: int
     budget: int
-    revive: bool
-
-
-def _counts(values) -> np.ndarray:
-    """Exact integer array: int64 when every value fits, object otherwise."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
-def _vector_policy(policy):
-    """Return (units, finish) for the generation-synchronous kernel.
-
-    ``units`` maps the counts of the live trials to their reproducing units;
-    ``finish`` maps their offspring totals, the generation and the block's
-    generators (indexed by stream) to the next counts.  Both work on int64
-    and object arrays alike; None stands for the identity.
-    """
-    if isinstance(policy, Phi):
-        return (lambda z: _counts([phi_units(x, policy.phi) for x in z.tolist()])), None
-    if policy is None:
-        return None, None
-    if not isinstance(policy, (Truncation, Absorbing)):
-        raise ConfigError(f"unknown control policy {type(policy).__name__}")
-    return None, lambda off, n, gens: policy.apply(off, n, gens[STREAM_CONTROL])
 
 
 _CHUNK = 4096  # parameters per sized draw of the exact lane: its temporaries
@@ -401,13 +353,14 @@ def _draw_offspring(units, gen, bound, draw, sample, cap):
     return off, failures
 
 
-def _run_vector_block(units, finish, batch, lo, hi, counted=None):
+def _run_vector_block(policy, batch, lo, hi, counted=None):
     """Step trials [lo, hi) together, generation by generation, on the block's
-    streams; ``counted`` masks the trials that enter the aggregates."""
+    streams, ``policy.units`` before and ``policy.apply`` after each draw;
+    ``counted`` masks the trials that enter the aggregates."""
     gens = block_generators(batch.seed, lo // _TRIAL_BLOCK)
     lanes = (_block_size(batch.law), _make_block_draw(batch.law),
              _make_total_sampler(batch.law, batch.cap, False), batch.cap)
-    horizon, revive = batch.horizon, batch.revive
+    horizon, revive = batch.horizon, policy.revives_zero
     eg = np.full(hi - lo, -1, dtype=np.int64)
     alive_counts = [0] * (horizon + 1)
     alive_sums = [0] * (horizon + 1)
@@ -420,9 +373,8 @@ def _run_vector_block(units, finish, batch, lo, hi, counted=None):
         idx, z = idx[:0], z[:0]
     for n in range(horizon + 1):
         if n:
-            off, failed = _draw_offspring(z if units is None else units(z),
-                                          gens[STREAM_OFFSPRING], *lanes)
-            z = off if finish is None else finish(off, n, gens)
+            off, failed = _draw_offspring(policy.units(z), gens[STREAM_OFFSPRING], *lanes)
+            z = policy.apply(off, n, None if policy.stream is None else gens[policy.stream])
             drop = (z == 0) & (not revive)
             eg[idx[drop]] = n
             for i, exc in failed.items():
@@ -445,7 +397,7 @@ def _run_vector_block(units, finish, batch, lo, hi, counted=None):
         # draws do not depend on what is counted, leaving the failed trials out
         counted = np.ones(hi - lo, dtype=bool)
         counted[[f.trial_index - lo for f in failures]] = False
-        return _run_vector_block(units, finish, batch, lo, hi, counted)
+        return _run_vector_block(policy, batch, lo, hi, counted)
     if revive:
         eg[idx[z == 0]] = horizon
     failed_at = {f.trial_index for f in failures}
@@ -486,7 +438,7 @@ def _run_trials(policy, coupled, batch, lo, hi):
     return eg, alive_counts, alive_sums, sampled, failures
 
 
-def _run_batch(config, initial, revive, run_block) -> BatchResult:
+def _run_batch(config, initial, run_block) -> BatchResult:
     """Validate the shared settings, run every block and aggregate.
 
     ``run_block(batch, lo, hi)`` returns, for trials [lo, hi), their
@@ -498,7 +450,7 @@ def _run_batch(config, initial, revive, run_block) -> BatchResult:
                    seed=int(config.master_seed), initial=int(initial),
                    cap=int(getattr(config, "population_cap", DEFAULT_POPULATION_CAP)),
                    n_sample=int(getattr(config, "sample_trajectories", 0)),
-                   budget=int(getattr(config, "failure_budget", 0)), revive=revive)
+                   budget=int(getattr(config, "failure_budget", 0)))
     horizon, trials = batch.horizon, int(config.trials)
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
@@ -551,13 +503,10 @@ def run_batch(config, threads: int = 1) -> BatchResult:
     failures beyond ``config.failure_budget`` abort the batch.  ``threads``
     is accepted for compatibility and changes nothing.
     """
-    policy = getattr(config, "policy", None)
+    policy = getattr(config, "policy", None) or ControlPolicy()
     coupled = bool(getattr(config, "coupled", False))
-    initial = getattr(config, "initial_size", 1)
-    revive = isinstance(policy, Phi) and policy.revives_zero
-    if coupled or (isinstance(policy, Absorbing)
-                   and isinstance(policy.rule, CustomAbsorption)):
+    if coupled or isinstance(getattr(policy, "rule", None), CustomAbsorption):
         run_block = partial(_run_trials, policy, coupled)
     else:
-        run_block = partial(_run_vector_block, *_vector_policy(policy))
-    return _run_batch(config, initial, revive, run_block)
+        run_block = partial(_run_vector_block, policy)
+    return _run_batch(config, getattr(config, "initial_size", 1), run_block)

@@ -16,11 +16,6 @@ class NumericFailure(BranchsimError):
 class PopulationOverflow(BranchsimError):
     """Raised when a population count exceeds the configured cap."""
 
-    def __init__(self, message, trial_index=None, generation=None):
-        super().__init__(message)
-        self.trial_index = trial_index
-        self.generation = generation
-
 
 class InvalidRuleError(BranchsimError):
     """Raised when a custom absorbing rule returns an out-of-range count."""

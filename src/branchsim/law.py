@@ -18,7 +18,6 @@ from .errors import ConfigError, NumericFailure
 
 TAIL_EPS = 1e-15  # pmf tables drop a tail of at most this mass
 CRITICAL_EPS = 1e-9  # |m - 1| below this is treated as critical
-PMF_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)

@@ -47,15 +47,15 @@ class TrialStreams:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def offspring(self, generation: int) -> np.random.Generator:
-        return self._get(STREAM_OFFSPRING, generation)
+        return self.get(STREAM_OFFSPRING, generation)
 
     def control(self, generation: int) -> np.random.Generator:
-        return self._get(STREAM_CONTROL, generation)
+        return self.get(STREAM_CONTROL, generation)
 
     def sex(self, generation: int) -> np.random.Generator:
-        return self._get(STREAM_SEX, generation)
+        return self.get(STREAM_SEX, generation)
 
-    def _get(self, stream: int, generation: int) -> np.random.Generator:
+    def get(self, stream: int, generation: int) -> np.random.Generator:
         if self.coupled:
             return spawn_generator(self.master_seed, self.trial_index, stream, generation)
         gen = self._cache.get(stream)

@@ -21,6 +21,8 @@ from .series import check_schedule
 
 SCHEMA_VERSION = 1
 EXPERIMENTS = ("gw", "controlled", "phi", "bisexual", "bcl_series", "brs")
+MAX_TRIALS = 10_000_000  # a run allocates and loops per trial and per generation,
+MAX_HORIZON = 100_000    # so a config may ask for no more than these
 
 
 def _require(doc: dict, key: str, context: str):
@@ -31,13 +33,15 @@ def _require(doc: dict, key: str, context: str):
     return doc[key]
 
 
-def _as_int(value, context: str, minimum=None) -> int:
+def _as_int(value, context: str, minimum=None, maximum=None) -> int:
     if isinstance(value, bool) or not (isinstance(value, int) or
                                        isinstance(value, float) and value.is_integer()):
         raise ConfigError(f"{context}: expected an integer, got {value!r}")
     v = int(value)
     if minimum is not None and v < minimum:
         raise ConfigError(f"{context}: must be >= {minimum}, got {v}")
+    if maximum is not None and v > maximum:
+        raise ConfigError(f"{context}: must be <= {maximum}, got {v}")
     return v
 
 
@@ -97,23 +101,19 @@ def parse_growth(doc) -> control_mod.GrowthFunction:
     raise ConfigError(f"growth function: unknown form {form!r}")
 
 
-def parse_phi(doc):
+def parse_phi(doc) -> control_mod.Phi:
     form = _require(doc, "form", "phi")
     if form == "identity":
-        return lambda x: x
+        return control_mod.Phi.identity()
     if form == "constant":
-        c = _as_int(_require(doc, "c", "phi constant"), "c", 0)
-        return lambda x: c
+        return control_mod.Phi.constant(_as_int(_require(doc, "c", "phi constant"), "c", 0))
     if form == "linear":
-        a = _as_number(_require(doc, "a", "phi linear"), "a")
-        c = _as_number(_require(doc, "c", "phi linear"), "c")
-        return lambda x: max(0, int(control_mod.finite(a * x + c, "phi", x)))
+        return control_mod.Phi.linear(_as_number(_require(doc, "a", "phi linear"), "a"),
+                                      _as_number(_require(doc, "c", "phi linear"), "c"))
     if form == "table":
-        values = [_as_int(v, "phi table entry", 0)
-                  for v in _as_list(_require(doc, "values", "phi table"), "phi table values")]
-        if not values:
-            raise ConfigError("phi table needs at least one value")
-        return lambda x: values[x] if x < len(values) else values[-1]
+        return control_mod.Phi.from_table(
+            [_as_int(v, "phi table entry", 0)
+             for v in _as_list(_require(doc, "values", "phi table"), "phi table values")])
     raise ConfigError(f"phi: unknown form {form!r}")
 
 
@@ -149,7 +149,7 @@ def parse_policy(doc):
     if kind == "absorbing":
         return control_mod.Absorbing(parse_absorbing_rule(_require(doc, "rule", "absorbing policy")))
     if kind == "phi":
-        return control_mod.Phi(parse_phi(_require(doc, "phi", "phi policy")))
+        return parse_phi(_require(doc, "phi", "phi policy"))
     raise ConfigError(f"policy: unknown kind {kind!r}")
 
 
@@ -231,7 +231,7 @@ class ScenarioConfig:
         master_seed = _as_int(_require(doc, "master_seed", "config"), "master_seed", 0)
         if master_seed >= 1 << 64:
             raise ConfigError(f"master_seed must fit in 64 bits, got {master_seed}")
-        trials = _as_int(_require(doc, "trials", "config"), "trials", 1)
+        trials = _as_int(_require(doc, "trials", "config"), "trials", 1, MAX_TRIALS)
 
         cfg = ScenarioConfig(version=version, experiment=experiment,
                              master_seed=master_seed, trials=trials)
@@ -239,7 +239,11 @@ class ScenarioConfig:
                            ("population_cap", 1), ("failure_budget", 0),
                            ("sample_trajectories", 0), ("n_max", 100)):
             if key in doc:
-                setattr(cfg, key, _as_int(doc[key], key, least))
+                setattr(cfg, key, _as_int(doc[key], key, least,
+                                          MAX_HORIZON if key == "horizon" else None))
+        if cfg.sample_trajectories > trials:
+            raise ConfigError(f"sample_trajectories: must be <= trials, got "
+                              f"{cfg.sample_trajectories} > {trials}")
         if "coupled" in doc:
             if not isinstance(doc["coupled"], bool):
                 raise ConfigError(f"coupled: expected a boolean, got {doc['coupled']!r}")

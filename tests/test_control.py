@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,9 +22,9 @@ from branchsim import (
     Truncation,
     TruncationAsAbsorption,
     apply_absorption,
-    apply_phi,
     apply_truncation,
     expectation_criterion,
+    sample_offspring_total,
     zubkov_criterion,
 )
 from branchsim.rng import STREAM_CONTROL, spawn_generator
@@ -253,25 +254,104 @@ def test_disaster_applies_one_uniform_per_count_as_the_helper(delta, counts):
 
 # ------------------------------------------------------------------- phi
 
-def test_phi_identity_consumes_the_same_draws_as_plain_sampling():
-    from branchsim import sample_offspring_total
+def phi_total(phi, z, law, rng):
+    """Offspring total of the phi(z) units that a phi policy lets reproduce."""
+    return sample_offspring_total(law, int(phi.units(np.array([z]))[0]), rng)
 
+
+def test_phi_identity_consumes_the_same_draws_as_plain_sampling():
     law = ExplicitPmf({0: 0.25, 2: 0.75})
     a = spawn_generator(5, 1, 0)
     b = spawn_generator(5, 1, 0)
     for z in (1, 2, 5, 9):
-        assert apply_phi(z, lambda x: x, law, a) == sample_offspring_total(law, z, b)
+        assert phi_total(Phi(lambda x: x), z, law, a) == sample_offspring_total(law, z, b)
+        assert Phi.identity().units(np.array([z]))[0] == z
 
 
 def test_phi_constant_reproduces_fixed_unit_count():
     law = ExplicitPmf({2: 1.0})
-    assert apply_phi(0, lambda x: 3, law, control_rng()) == 6
-    assert apply_phi(50, lambda x: 3, law, control_rng()) == 6
+    for phi in (Phi(lambda x: 3), Phi.constant(3)):
+        assert phi_total(phi, 0, law, control_rng()) == 6
+        assert phi_total(phi, 50, law, control_rng()) == 6
 
 
 def test_phi_rejects_negative_values():
-    with pytest.raises(ConfigError):
-        apply_phi(1, lambda x: -2, ExplicitPmf({1: 1.0}), control_rng())
+    # x = 3 is no probe point of Phi, so only the run sees phi(3) = -2
+    phi = Phi(lambda x: -2 if x == 3 else x)
+    with pytest.raises(ConfigError, match=re.escape("phi(3) = -2; phi must be nonnegative")):
+        phi_total(phi, 3, ExplicitPmf({1: 1.0}), control_rng())
+
+
+def both_lanes(values):
+    """The counts as an int64 array (those that fit) and as an object array."""
+    small = [v for v in values if v < 1 << 63]
+    return [np.array(small, dtype=np.int64), np.array(values, dtype=object)]
+
+
+def scalar_linear(a, c, x):
+    return max(0, int(a * x + c))  # x rounds to the nearest float, as float(x)
+
+
+@pytest.mark.parametrize("a,c", [(1.0, 0.0), (0.5, 1.0), (3.0, 0.25), (1.7, -2.5),
+                                 (-0.5, 10.0), (-2.0, 2**62)])
+def test_phi_linear_units_match_the_scalar_form(a, c):
+    near = [2**53 - 1, 2**53, 2**53 + 1, 2**63 - 513, 2**63 - 512, 2**63 - 1,
+            2**63, 2**63 + 1, 2**64 + 3, 10**30]
+    phi = Phi.linear(a, c)
+    for counts in both_lanes([0, 1, 2, 7, 1000] + near):
+        units = phi.units(counts)
+        assert units.tolist() == [scalar_linear(a, c, x) for x in counts.tolist()]
+        assert units.dtype == (object if max(units.tolist()) >= 2**63 else np.int64)
+        assert [phi(x) for x in counts.tolist()] == units.tolist()
+
+
+def test_phi_linear_negative_slope_clamps_at_zero():
+    phi = Phi.linear(-1.0, 5.5)
+    for counts in both_lanes([0, 5, 6, 100, 2**63, 2**70]):
+        assert phi.units(counts).tolist()[:4] == [5, 0, 0, 0]
+        assert min(phi.units(counts).tolist()) == 0
+
+
+@pytest.mark.parametrize("a,value", [(1e296, "inf"), (-1e296, "-inf")])
+def test_phi_linear_past_the_float_range_names_the_first_count(a, value):
+    phi = Phi.linear(a, 1.0)
+    for counts in both_lanes([1, 2**40, 2**50, 2**51, 2**80]):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"phi({2**50}) = {value}; the form leaves the float range")):
+            phi.units(counts)
+
+
+def test_phi_table_units_hold_the_last_value_past_int64():
+    phi = Phi.from_table([5, 1, 0, 3])
+    for counts in both_lanes([0, 1, 2, 3, 4, 2**62, 2**63, 2**70]):
+        expected = [5, 1, 0, 3, 3, 3, 3, 3][:counts.size]
+        assert phi.units(counts).tolist() == expected
+        assert [phi(x) for x in counts.tolist()] == expected
+    big = Phi.from_table([0, 2**64])
+    assert big.units(np.array([0, 1, 9])).tolist() == [0, 2**64, 2**64]
+    with pytest.raises(ConfigError, match="at least one value"):
+        Phi.from_table([])
+
+
+def test_phi_custom_units_reject_a_negative_count_on_both_lanes():
+    phi = Phi(lambda x: 100 - x if x < 2**63 else x)
+    for counts in both_lanes([3, 99, 150, 2**63, 2**64]):
+        with pytest.raises(ConfigError, match=re.escape("phi(150) = -50; phi must be nonnegative")):
+            phi.units(counts)
+    assert phi.units(np.array([2**63, 2**64], dtype=object)).tolist() == [2**63, 2**64]
+
+
+def test_policies_name_the_stream_they_draw_from():
+    g = GrowthFunction.constant(3)
+    for policy in (Truncation(g), Absorbing(TruncationAsAbsorption(g)),
+                   Absorbing(LowerBoundary(g)), Phi.linear(1.0, 0.0)):
+        assert policy.stream is None
+    assert Absorbing(Disaster(DisasterSchedule.constant(0.5))).stream == STREAM_CONTROL
+    assert Absorbing(CustomAbsorption(lambda l, n, h, rng: 0)).stream == STREAM_CONTROL
+    assert Absorbing(CustomAbsorption(lambda l, n, h: 0)).stream is None
+    counts = np.array([4, 9])
+    assert Phi.constant(2).apply(counts, 1) is counts  # phi changes no offspring
+    assert Truncation(g).units(counts) is counts  # and the rules change no units
 
 
 def test_phi_policy_validation_and_revival_flag():

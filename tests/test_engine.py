@@ -11,9 +11,13 @@ import numpy as np
 import pytest
 
 from branchsim import (
+    Absorbing,
     BatchTrialError,
     Binomial,
     ConfigError,
+    CustomAbsorption,
+    Disaster,
+    DisasterSchedule,
     ExplicitPmf,
     Geometric,
     Phi,
@@ -23,11 +27,14 @@ from branchsim import (
     TrialStreams,
     Truncation,
     GrowthFunction,
+    LowerBoundary,
+    TruncationAsAbsorption,
     run_batch,
     sample_offspring_total,
     sample_offspring_totals,
     simulate_trajectory,
 )
+from branchsim.rng import STREAM_CONTROL
 from branchsim.engine import (_SLAB, _block_size, _counts, _draw_offspring,
                               _make_block_draw, _make_total_sampler)
 
@@ -252,6 +259,36 @@ def test_negative_phi_is_a_config_error_for_a_batch(coupled):
                 failure_budget=10)
     with pytest.raises(ConfigError, match="phi must be nonnegative"):
         run_batch(cfg)
+
+
+class RecordingStreams(TrialStreams):
+    """Trial streams that record which streams were asked for."""
+
+    def get(self, stream, generation):
+        self.asked.add(stream)
+        return super().get(stream, generation)
+
+
+FIVE = GrowthFunction.constant(5)
+
+
+@pytest.mark.parametrize("policy,draws", [
+    (Truncation(FIVE), False),
+    (Absorbing(TruncationAsAbsorption(FIVE)), False),
+    (Absorbing(LowerBoundary(GrowthFunction.constant(1))), False),
+    (Absorbing(CustomAbsorption(lambda offspring, n, history: 0)), False),
+    (Phi.linear(0.5, 1.0), False),
+    (Absorbing(Disaster(DisasterSchedule.constant(0.1))), True),
+    (Absorbing(CustomAbsorption(lambda offspring, n, history, rng: 0)), True),
+], ids=["truncation", "truncation_as_absorption", "lower_boundary", "custom_3_args", "phi",
+        "disaster", "custom_4_args"])
+def test_coupled_trajectory_builds_a_control_stream_only_for_rules_that_draw(policy, draws):
+    # each coupled control stream is a fresh generation-keyed spawn
+    streams = RecordingStreams(7, 0, coupled=True)
+    streams.asked = set()
+    simulate_trajectory(ExplicitPmf({0: 0.25, 2: 0.75}), policy, 20, streams,
+                        initial_size=5, per_particle=True)
+    assert (STREAM_CONTROL in streams.asked) is draws
 
 
 def test_trajectory_extinction_generation_reports_horizon_zero():

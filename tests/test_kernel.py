@@ -23,7 +23,6 @@ from branchsim import (
     Geometric,
     GrowthFunction,
     Min,
-    Phi,
     Poisson,
     TrialStreams,
     Truncation,
@@ -91,7 +90,7 @@ def ks_distance(a, b, top):
     Batch(Geometric(0.6), 60, 8000, 33,
           policy=Absorbing(Disaster(DisasterSchedule.c_over_k(0.5)))),
     Batch(Geometric(0.6), 60, 8000, 34,
-          policy=Phi(parse_phi({"form": "linear", "a": 0.8, "c": 0.5}))),
+          policy=parse_phi({"form": "linear", "a": 0.8, "c": 0.5})),
     Batch(Poisson(2.5), 60, 8000, 35, mating=Min(), initial_units=3),
 ], ids=["geometric", "log_truncation", "c_over_k_disaster", "linear_phi", "bisexual_min"])
 def test_kernel_extinction_generations_match_scalar_reference(cfg):
@@ -123,6 +122,36 @@ def test_extinct_curve_matches_iterated_pgf():
     exact = [0.0]
     for _ in range(60):
         exact.append(law.pgf(exact[-1]))  # f_n(0) = f(f_{n-1}(0))
+    assert_curve_matches(res, exact)
+
+
+def test_constant_phi_alive_curve_matches_exact_law():
+    # phi = 2: two units reproduce whatever the past, so each Z_n, n >= 1, is 0
+    # exactly when both have no offspring, with probability 1/16; phi(0) > 0
+    # revives, so the alive fractions carry the law
+    res = run_batch(Batch(ExplicitPmf({0: 0.25, 2: 0.75}), 80, 20_000, 43,
+                          policy=parse_phi({"form": "constant", "c": 2})))
+    alive = res.per_generation_alive_counts / res.trials
+    exact = [1.0] + [15 / 16] * 80
+    for n, p in enumerate(exact):
+        assert abs(alive[n] - p) <= bernstein_halfwidth(p, res.trials, len(exact)), n
+
+
+def test_table_phi_extinct_curve_matches_chain():
+    # phi = [0, 1, 2] over {0: 1/4, 2: 3/4}: a chain on {0, 2, 4} after the
+    # first generation; 0 stays absorbing since phi(0) = 0
+    kernel = np.zeros((5, 5))
+    for z in range(5):
+        units = [0, 1, 2][min(z, 2)]
+        for ones in range(units + 1):
+            kernel[z, 2 * ones] += math.comb(units, ones) * 0.75**ones * 0.25**(units - ones)
+    dist = np.array([0.0, 1.0, 0.0, 0.0, 0.0])
+    exact = [0.0]
+    for _ in range(80):
+        dist = dist @ kernel
+        exact.append(float(dist[0]))
+    res = run_batch(Batch(ExplicitPmf({0: 0.25, 2: 0.75}), 80, 20_000, 44,
+                          policy=parse_phi({"form": "table", "values": [0, 1, 2]})))
     assert_curve_matches(res, exact)
 
 

@@ -1,0 +1,148 @@
+"""Report bytes pinned for small configs of every experiment, policy and phi form.
+
+Each pin is the sha256 of a report's lines after its provenance line (the
+provenance line carries the config's own hash).  A change that alters any
+report value changes a pin; such a change must say so and re-record them.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from branchsim import cli
+
+PMF = {"kind": "explicit_pmf", "pmf": {"0": 0.25, "2": 0.75}}
+GEOMETRIC = {"kind": "geometric", "r": 0.4}
+
+
+def run_doc(policy=None, coupled=False, **extra):
+    doc = {"version": 1, "experiment": "gw", "master_seed": 17, "law": PMF,
+           "trials": 60 if coupled else 1000, "horizon": 30 if coupled else 60}
+    if policy is not None:
+        doc["experiment"] = "phi" if policy["kind"] == "phi" else "controlled"
+        doc["policy"] = policy
+    if coupled:
+        doc["coupled"] = True
+    doc.update(extra)
+    return doc
+
+
+def truncation(g):
+    return {"kind": "truncation", "g": g}
+
+
+def absorbing(rule):
+    return {"kind": "absorbing", "rule": rule}
+
+
+def phi(form):
+    return {"kind": "phi", "phi": form}
+
+
+POLICIES = {
+    "truncation_constant": truncation({"form": "constant", "c": 3}),
+    "truncation_log": truncation({"form": "log", "a": 2.0, "base": 3.0, "rounding": "ceil"}),
+    "truncation_as_absorption": absorbing({"kind": "truncation_as_absorption",
+                                           "g": {"form": "linear", "a": 0.5, "c": 2}}),
+    "disaster": absorbing({"kind": "disaster", "delta": {"form": "c_over_k", "c": 0.5}}),
+    "lower_boundary": absorbing({"kind": "lower_boundary",
+                                 "b": {"form": "table", "values": [1, 2, 2, 3]}}),
+    "phi_identity": phi({"form": "identity"}),
+    "phi_constant": phi({"form": "constant", "c": 2}),
+    "phi_linear": phi({"form": "linear", "a": 0.5, "c": 1.0}),
+    "phi_table": phi({"form": "table", "values": [0, 1, 2]}),
+}
+
+
+def bisexual_doc(mating):
+    return {"version": 1, "experiment": "bisexual", "master_seed": 3, "trials": 300,
+            "horizon": 30, "initial_units": 4, "law": {"kind": "poisson", "lambda": 2.2},
+            "alpha": 0.5, "mating": mating}
+
+
+def series_doc(schedule):
+    return {"version": 1, "experiment": "bcl_series", "master_seed": 11, "trials": 300,
+            "horizon": 40, "law": GEOMETRIC, "schedule": schedule}
+
+
+CASES = {
+    "gw_block": ("run", run_doc(law=GEOMETRIC)),
+    "gw_coupled": ("run", run_doc(law=GEOMETRIC, coupled=True)),
+    # counts past 2^63: the exact lane, and phi on object arrays
+    "gw_past_int64_block": ("run", run_doc(law={"kind": "geometric", "r": 0.6}, trials=200,
+                                           horizon=110, population_cap=1 << 200)),
+    "phi_linear_past_int64_block": ("run", run_doc(phi({"form": "linear", "a": 3.0, "c": 1.0}),
+                                                   trials=200, horizon=31,
+                                                   population_cap=1 << 200)),
+    **{f"{name}_block": ("run", run_doc(policy)) for name, policy in POLICIES.items()},
+    **{f"{name}_coupled": ("run", run_doc(policy, coupled=True))
+       for name, policy in POLICIES.items()},
+    "bisexual_min": ("run", bisexual_doc({"kind": "min"})),
+    "bisexual_daley_monogamy": ("run", bisexual_doc({"kind": "daley_monogamy"})),
+    "bisexual_daley_polygamy": ("run", bisexual_doc({"kind": "daley_polygamy", "d": 3})),
+    "series_search": ("run", series_doc({"family": "search", "max_points": 6})),
+    "series_linear": ("run", series_doc({"family": "linear", "max_points": 8})),
+    "series_explicit": ("run", series_doc({"values": [1, 3, 9, 27]})),
+    "brs": ("run", {"version": 1, "experiment": "brs", "master_seed": 2, "trials": 300,
+                    "modes": ["independent", "comonotone"],
+                    "population": {"budget": 4.0, "groups": [
+                        {"count": 6, "dist": {"kind": "uniform", "b": 2.0}},
+                        {"count": 4, "dist": {"kind": "exponential", "rate": 1.5}}]}}),
+    "compare_truncation": ("compare", run_doc(POLICIES["truncation_constant"])),
+    "compare_truncation_as_absorption": ("compare",
+                                         run_doc(POLICIES["truncation_as_absorption"])),
+    "compare_phi_linear": ("compare", run_doc(POLICIES["phi_linear"])),
+}
+
+PINS = {
+    "bisexual_daley_monogamy": "14d103e4d7224c57f0edfbc731fc355598d4143961554dd1033322d23d530e99",
+    "bisexual_daley_polygamy": "49c80491986d704e10b1fcef714a2b8a4986416bd7eafd8d7efea9dce5461a3c",
+    "bisexual_min": "a8c9cfb555de0be8f3c6fe7a8c31778dd8c6ba31eee2084a0957b531292c52d2",
+    "brs": "8dfa85bb19a8dc8e7e3a30a84930d7a31f874b908ae1b74b3329c96f6a929267",
+    "compare_phi_linear": "9f62da6ab56bb0787beb0768083e101460e3b58d18ff75ba0c7f1bcb88e3ebfb",
+    "compare_truncation": "3b04563345407d8e74bda4418cf4696ab3f90c03d3e27853c3d38da71c93f4d7",
+    "compare_truncation_as_absorption": "8a51e330b0b19692c0e2350293d3ef13e0ef4801304bf2314c9114616752ccef",
+    "disaster_block": "d6f3a164bcc4855cfc82d56e61ac20413c68d44b64b21f0ece4fc76faf4e5a64",
+    "disaster_coupled": "4e6baf3ea7a10a03e60a8cfb8830922f1f7c913ee9972207526c30decb075356",
+    "gw_block": "ba237598ddb9655c10e4a618c956898e157e732f169635296f6dba431cddb76b",
+    "gw_coupled": "f6f4f6f57078a2286927f360ba6c1c0e4888a7f7cad1972a9cff6a15b5ac6232",
+    "gw_past_int64_block": "ccb8fc9b3411571bc14945a39291fb89a1523fdbce403472eb1c71d40763f8a6",
+    "lower_boundary_block": "9f3ac3cb698820fe91e7d824d26374f99a6fcdcf3234019fa3459102afc136f7",
+    "lower_boundary_coupled": "42b7bce55d9e2fb0462e85129abd24ac1da7f6d583e0cb9abe8a6002fde0b15a",
+    "phi_constant_block": "06ecbf13f1fe23c0c44c623f57c231933fec2d673ed5c185f1dce812d1c1b8ae",
+    "phi_constant_coupled": "fbf68b014cb0f91452d1a4cea3fb8c4ea19e741f97298c95fdd3cf25cef0033a",
+    "phi_identity_block": "9d31ffde7075bc0cd66069ce1c996aa4623395191e63232dbef1bae02ce5750f",
+    "phi_identity_coupled": "d3ab471501bf74b63cd26dceb7cafa1d3ffbcb376ead64fd49705bca22bde3a5",
+    "phi_linear_block": "d436930bd5c54a9f9f9c2efc7f5a99df0c1a78d04ffeed79c118b9fa0cf3ef7c",
+    "phi_linear_coupled": "ed73d1f8788cd62f22e2646b2de30885bba3162259d75c6ea791af900b82da23",
+    "phi_linear_past_int64_block": "52105cd6c8b1b8c6b5ee42815aa9013d649218ac4c765c11bcc8f57331429e6b",
+    "phi_table_block": "52cf3be27203d6660ccc80ba376e912f3ac004c76779bf870ffacf74e5bc701e",
+    "phi_table_coupled": "8a31e6ce7c9e0547344695698ac59d1f1bab8b373cee14549a23d58af6a85528",
+    "series_explicit": "469a8691c7b79281294a71122738573621c9c19502653067bee0c031793a3ce9",
+    "series_linear": "7e4e5df56f33e090a21587e24b8aeabcbf7de59cb8fce57c8e9fad9709295c96",
+    "series_search": "d75d030da97061f6689986bb685d0db2cc4e853e77301b871425192312a883a3",
+    "truncation_as_absorption_block": "36beede5d0c8d34f7f661420334d714ee9312d22b4a711c1aa4e0971aa7de90c",
+    "truncation_as_absorption_coupled": "5cac5c56caa0db6ee370bf81bd21ecb5fdd627c7f72a8d52795a4bfe809af594",
+    "truncation_constant_block": "3132960bebff83effd7510328afab9cac75ffb42221098ae91eb780f21a6147f",
+    "truncation_constant_coupled": "188cfbaa48efc0b2c8dedece5e27626f12c62a99c5e5fe91a283deaa41e3f0f2",
+    "truncation_log_block": "4243427e7c89b8d2d6ca52ae1e9b7d5785687b6eb2aeea6be098165240745b0e",
+    "truncation_log_coupled": "da8bbf148cb0665743bfd34f9b0aa3122e495f73a6dee112dbf50f41be6b89e6",
+}
+
+
+def report_digest(tmp_path, command, doc):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "report.csv"
+    run = cli.run if command == "run" else cli.compare_criterion_vs_empirical
+    assert run(str(cfg), out=str(out)) == 0
+    _, _, body = out.read_bytes().partition(b"\n")
+    return hashlib.sha256(body).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_bytes_match_pin(tmp_path, name):
+    assert report_digest(tmp_path, *CASES[name]) == PINS[name]

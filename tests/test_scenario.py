@@ -19,6 +19,8 @@ from branchsim import (
 )
 from branchsim.engine import DEFAULT_POPULATION_CAP
 from branchsim.scenario import (
+    MAX_HORIZON,
+    MAX_TRIALS,
     parse_growth,
     parse_law,
     parse_mating,
@@ -83,7 +85,7 @@ def test_parse_growth_forms():
 
 def test_parse_phi_forms():
     ident = parse_phi({"form": "identity"})
-    assert ident(7) == 7
+    assert ident(7) == 7 and isinstance(ident, Phi) and ident.form == "identity"
     const = parse_phi({"form": "constant", "c": 2})
     assert const(100) == 2
     lin = parse_phi({"form": "linear", "a": 2.0, "c": 1.0})
@@ -175,6 +177,26 @@ def test_gw_config_rejections(mutate):
     mutate(doc)
     with pytest.raises(ConfigError):
         ScenarioConfig.from_dict(doc)
+
+
+def test_run_sizes_are_bounded_at_parse_time():
+    # parsed only: no config here is ever run
+    at_bounds = ScenarioConfig.from_dict(gw_doc(trials=MAX_TRIALS, horizon=MAX_HORIZON,
+                                                sample_trajectories=MAX_TRIALS))
+    assert (at_bounds.trials, at_bounds.horizon) == (MAX_TRIALS, MAX_HORIZON)
+    brs = {"version": 1, "experiment": "brs", "master_seed": 1, "trials": MAX_TRIALS + 1,
+           "population": {"groups": [{"count": 1, "dist": {"kind": "uniform", "b": 1.0}}],
+                          "budget": 0.5}}
+    bisexual = gw_doc(experiment="bisexual", horizon=MAX_HORIZON + 1, alpha=0.5,
+                      mating={"kind": "min"})
+    for doc, message in ((gw_doc(trials=MAX_TRIALS + 1), f"trials: must be <= {MAX_TRIALS}"),
+                         (gw_doc(horizon=MAX_HORIZON + 1), f"horizon: must be <= {MAX_HORIZON}"),
+                         (brs, "trials: must be <="), (bisexual, "horizon: must be <="),
+                         (gw_doc(trials=10, sample_trajectories=11),
+                          "sample_trajectories: must be <= trials, got 11 > 10")):
+        with pytest.raises(ConfigError, match=message):
+            ScenarioConfig.from_dict(doc)
+    assert ScenarioConfig.from_dict(gw_doc(trials=10, sample_trajectories=10)).trials == 10
 
 
 def test_controlled_experiment_policy_matrix():
