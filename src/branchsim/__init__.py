@@ -19,10 +19,9 @@ from .bisexual import (BisexualState, BoundednessReport, CustomMating,
 from .brs import (ClaimDistribution, CustomClaim, Exponential, Population,
                   StopEstimate, Uniform, brs_bound, estimate_expected_stop,
                   solve_threshold, stopping_time)
-from .control import (Absorbing, ControlPolicy, CriterionVerdict, CustomAbsorption,
-                      Disaster, DisasterSchedule, GrowthFunction, LowerBoundary, Phi,
-                      Truncation, TruncationAsAbsorption, apply_absorption,
-                      apply_truncation, expectation_criterion, zubkov_criterion)
+from .control import (ControlPolicy, CriterionVerdict, CustomAbsorption, Disaster,
+                      DisasterSchedule, GrowthFunction, LowerBoundary, Phi, Truncation,
+                      TruncationAsAbsorption, expectation_criterion, zubkov_criterion)
 from .engine import (DEFAULT_POPULATION_CAP, BatchResult, Trajectory,
                      run_batch, sample_offspring_total,
                      sample_offspring_totals, simulate_trajectory)

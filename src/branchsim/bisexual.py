@@ -20,11 +20,10 @@ from .control import ControlPolicy
 from .engine import (DEFAULT_POPULATION_CAP, BatchResult, _run_batch, _run_vector_block,
                      sample_offspring_total, sample_offspring_totals)
 from .errors import ConfigError
-from .law import ExplicitPmf, OffspringLaw
+from .law import INT64_MAX, ExplicitPmf, OffspringLaw
 from .rng import STREAM_SEX, TrialStreams
 
 _GRID_MAX = 64  # custom mating functions are validated on [0, 64]^2
-_SPLIT_MAX = (1 << 63) - 1  # the sex split is an int64 binomial draw
 
 
 @dataclass(frozen=True)
@@ -138,7 +137,7 @@ def bisexual_step(state: BisexualState, law: OffspringLaw, alpha: float,
         raise ConfigError(f"alpha must lie strictly inside (0, 1), got {alpha}")
     n = state.generation + 1
     total = sample_offspring_total(law, state.units, streams.offspring(n),
-                                   population_cap=min(population_cap, _SPLIT_MAX))
+                                   population_cap=min(population_cap, INT64_MAX))
     males = int(streams.sex(n).binomial(total, alpha)) if total else 0
     females = total - males
     return BisexualState(females=females, males=males,
@@ -304,6 +303,6 @@ def run_bisexual_batch(config, threads: int = 1) -> BatchResult:
     step = _MatingStep(config.alpha, config.mating)
 
     def run_block(batch, lo, hi):
-        return _run_vector_block(step, replace(batch, cap=min(batch.cap, _SPLIT_MAX)), lo, hi)
+        return _run_vector_block(step, replace(batch, cap=min(batch.cap, INT64_MAX)), lo, hi)
 
     return _run_batch(config, getattr(config, "initial_units", 1), run_block)

@@ -145,8 +145,8 @@ def _compare(config: ScenarioConfig, provenance: dict):
         cv = None
         if isinstance(config.policy, Truncation):
             cv = zubkov_criterion(q, config.policy.g, n_max=config.n_max)
-        elif isinstance(getattr(config.policy, "rule", None), TruncationAsAbsorption):
-            cv = expectation_criterion(q, config.policy.rule.g, n_max=config.n_max, q=q)
+        elif isinstance(config.policy, TruncationAsAbsorption):
+            cv = expectation_criterion(q, config.policy.g, n_max=config.n_max, q=q)
         if cv is not None:
             verdict, method, alpha_hat = cv.verdict, cv.method, cv.fitted_decay_exponent
     result = _simulate(config, provenance)

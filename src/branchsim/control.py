@@ -1,8 +1,10 @@
 """Control policies for branching runs and the series-based extinction criteria.
 
-Policies come in three families: truncation of each generation at a cap g(n),
-random absorption of offspring (including disasters and lower boundaries),
-and phi-control where phi(current size) units reproduce.  The criterion
+Every policy follows the ``ControlPolicy`` protocol.  Policies come in three
+families: truncation of each generation at a cap g(n), random absorption of
+offspring, where each absorbing rule (truncation as absorption, disaster,
+lower boundary, custom) is a policy of its own, and phi-control where
+phi(current size) units reproduce.  The criterion
 checkers classify sum_n q^g(n) as divergent or convergent, exactly for
 symbolic g and heuristically otherwise.
 """
@@ -148,6 +150,14 @@ class DisasterSchedule:
         return self.c
 
 
+def _float(count: int) -> float:
+    """The count rounded to the nearest float, or inf past the float range."""
+    try:
+        return float(count)
+    except OverflowError:
+        return math.inf
+
+
 def _counts(values) -> np.ndarray:
     """Exact integer array: int64 when every value fits, object otherwise."""
     try:
@@ -213,12 +223,12 @@ class LowerBoundary(ControlPolicy):
 
 
 @dataclass(frozen=True, init=False)
-class CustomAbsorption:
+class CustomAbsorption(ControlPolicy):
     """User rule mapping (offspring l, generation, history[, rng]) to an absorbed count.
 
     The rule sees a read-only copy of the trajectory so far and must return
     an integer in [0, l].  A rule that accepts four arguments also receives a
-    dedicated random substream.
+    dedicated random substream.  Batches run such a rule one trial at a time.
     """
 
     rule: Callable
@@ -234,6 +244,21 @@ class CustomAbsorption:
                               "(offspring, generation, history[, rng])")
         object.__setattr__(self, "stream", STREAM_CONTROL if n_params == 4 else None)
 
+    def apply(self, counts, generation: int, rng=None, history=()):
+        """Leave l - A_n(l) of each count l; ``history`` holds the counts of
+        generations 0 .. generation - 1."""
+        view = tuple(history[:generation])
+        extra = () if self.stream is None else (rng,)
+        for i, offspring in enumerate(counts.tolist()):
+            absorbed = self.rule(offspring, generation, view, *extra)
+            if int(absorbed) != absorbed or not 0 <= absorbed <= offspring:
+                raise InvalidRuleError(
+                    f"custom rule returned {absorbed!r} for offspring={offspring} "
+                    f"at generation {generation}; expected an integer in [0, {offspring}]"
+                )
+            counts[i] = offspring - int(absorbed)
+        return counts
+
 
 @dataclass(frozen=True)
 class Truncation(ControlPolicy):
@@ -246,22 +271,6 @@ class Truncation(ControlPolicy):
             raise ConfigError(f"truncation function must satisfy g(0) >= 1, got {self.g(0)}")
 
     apply = TruncationAsAbsorption.apply  # both leave min(offspring, g(n))
-
-
-@dataclass(frozen=True)
-class Absorbing(ControlPolicy):
-    """Remove A_n(l) of the l offspring according to an absorbing rule."""
-
-    rule: object
-
-    def __post_init__(self):
-        kinds = (TruncationAsAbsorption, Disaster, LowerBoundary, CustomAbsorption)
-        if not isinstance(self.rule, kinds):
-            raise ConfigError(f"unknown absorbing rule {type(self.rule).__name__}")
-        object.__setattr__(self, "stream", self.rule.stream)
-
-    def apply(self, counts, generation: int, rng=None):
-        return self.rule.apply(counts, generation, rng)
 
 
 @dataclass(frozen=True)
@@ -322,8 +331,12 @@ class Phi(ControlPolicy):
         if self.form == "table":
             return _counts(self.table)[np.minimum(counts, len(self.table) - 1).astype(np.intp)]
         if self.form == "linear":
-            with np.errstate(over="ignore"):
-                v = self.a * counts.astype(np.float64) + self.c
+            try:
+                x = counts.astype(np.float64)
+            except OverflowError:  # a count past the float range reads as inf
+                x = np.array([_float(c) for c in counts.tolist()])
+            with np.errstate(over="ignore", invalid="ignore"):
+                v = self.a * x + self.c
             bad = np.flatnonzero(~np.isfinite(v))
             if bad.size:  # raise finite's ConfigError for the first such count
                 finite(float(v[bad[0]]), "phi", counts[bad[0]])
@@ -336,33 +349,6 @@ class Phi(ControlPolicy):
         if bad.size:
             raise ConfigError(f"phi({counts[bad[0]]}) = {units[bad[0]]}; phi must be nonnegative")
         return units
-
-
-def apply_truncation(offspring: int, generation: int, g) -> int:
-    """Cap the offspring count at g(generation)."""
-    return apply_absorption(offspring, generation, TruncationAsAbsorption(g), None, None)
-
-
-def apply_absorption(offspring: int, generation: int, rule, history, rng) -> int:
-    """Return offspring minus the absorbed count A_n(offspring) in [0, offspring]."""
-    if generation < 1:
-        raise ValueError(f"generation must be >= 1, got {generation}")
-    if isinstance(rule, (TruncationAsAbsorption, Disaster, LowerBoundary)):
-        return int(rule.apply(np.array([offspring], dtype=object), generation, rng)[0])
-    if isinstance(rule, CustomAbsorption):
-        counts = getattr(history, "counts", history)
-        view = () if counts is None else tuple(counts[:generation])
-        if rule.stream is None:
-            absorbed = rule.rule(offspring, generation, view)
-        else:
-            absorbed = rule.rule(offspring, generation, view, rng)
-        if int(absorbed) != absorbed or not 0 <= absorbed <= offspring:
-            raise InvalidRuleError(
-                f"custom rule returned {absorbed!r} for offspring={offspring} "
-                f"at generation {generation}; expected an integer in [0, {offspring}]"
-            )
-        return offspring - int(absorbed)
-    raise ConfigError(f"unknown absorbing rule {type(rule).__name__}")
 
 
 @dataclass(frozen=True)

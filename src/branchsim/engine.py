@@ -9,7 +9,8 @@ per generation for the trials within the int64 bound, then chunked sized
 draws of the int64-safe pieces of the trials past it.  A per-particle
 inverse-CDF mode exists for monotone coupling: with generation-keyed
 streams, the draw for parent i is the same in two runs, so the offspring
-total is nondecreasing in the parent count.
+total is nondecreasing in the parent count.  Coupled mode and custom
+absorbing rules, which see each trajectory so far, step one trial at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .control import ControlPolicy, CustomAbsorption, _counts, apply_absorption
+from .control import ControlPolicy, CustomAbsorption, _counts
 from .errors import BatchTrialError, BranchsimError, ConfigError, PopulationOverflow
 from .law import Binomial, ExplicitPmf, Geometric, OffspringLaw, Poisson
 from .rng import STREAM_OFFSPRING, TrialStreams, block_generators
@@ -31,7 +32,13 @@ DEFAULT_POPULATION_CAP = 1 << 48
 # representable as float64 (<= 2^53) and keep block * mean well under 2^63.
 _MAX_BLOCK = 1 << 53
 _MEAN_BUDGET = 1 << 61
-_SLAB = 1 << 20  # numpy draws per vectorized slab when many blocks are needed
+_SLAB = 1 << 20  # draws per slab of the scalar sampler when many blocks are needed
+_MAX_BLOCKS = 1 << 40  # a trial of this many blocks or more fails: drawing it takes a day or more
+
+
+def _too_many_blocks(z: int, block: int) -> PopulationOverflow:
+    return PopulationOverflow(
+        f"parent count {z} needs {z // block} blocks of {block}, at most {_MAX_BLOCKS - 1}")
 
 HORIZON_NOTE = ("trajectories alive at the horizon count as surviving; "
                 "the extinction fraction therefore underestimates the "
@@ -122,6 +129,8 @@ def _make_total_sampler(law: OffspringLaw, population_cap: int, per_particle: bo
             total = int(draw(z, None, rng))
         else:
             full, rem = divmod(z, block)
+            if full >= _MAX_BLOCKS:
+                raise _too_many_blocks(z, block)
             total = int(draw(rem, None, rng)) if rem else 0
             while full > 0:
                 take = min(full, _SLAB)
@@ -209,8 +218,6 @@ def simulate_trajectory(law: OffspringLaw, policy, horizon: int, streams: TrialS
         raise ConfigError(f"initial size {initial_size} outside [0, cap]")
     policy = ControlPolicy() if policy is None else policy
     draw = _make_total_sampler(law, population_cap, per_particle)
-    custom = getattr(policy, "rule", None)
-    custom = custom if isinstance(custom, CustomAbsorption) else None
     revive = policy.revives_zero
     box = np.empty(1, dtype=object)  # one count, for the array protocol
 
@@ -221,10 +228,10 @@ def simulate_trajectory(law: OffspringLaw, policy, horizon: int, streams: TrialS
         box[0] = z
         box[0] = draw(int(policy.units(box)[0]), streams.offspring(n))
         rng = None if policy.stream is None else streams.get(policy.stream, n)
-        if custom is None:
+        if isinstance(policy, CustomAbsorption):  # the rule sees the trajectory so far
+            z = policy.apply(box, n, rng, counts)[0]
+        else:
             z = policy.apply(box, n, rng)[0]
-        else:  # the rule sees the trajectory so far
-            z = apply_absorption(box[0], n, custom, counts, rng)
         counts.append(z)
     absorbed = None if revive or z else len(counts) - 1
     counts.extend([0] * (horizon + 1 - len(counts)))
@@ -275,6 +282,8 @@ class _Batch:
 _CHUNK = 4096  # parameters per sized draw of the exact lane: its temporaries
                 # set the lane's share of a run's peak memory
 _LOW = (1 << 31) - 1
+_INT64_TERMS = 1 << 31  # an int64 sum of fewer 31-bit halves than this is exact;
+                        # Python-int sums throughout made _draw_offspring 30-60% slower
 
 
 def _draw_pieces(full, rem, bound, draw, gen) -> list:
@@ -284,15 +293,18 @@ def _draw_pieces(full, rem, bound, draw, gen) -> list:
     blocks of ``bound``, are drawn trial after trial in sized draws of at
     most ``_CHUNK`` parameters.  numpy draws an array of parameters as the
     same scalar draws made in sequence, so the stream moves exactly as with
-    one ``_make_total_sampler`` call per trial.  Pieces are summed as 31-bit
-    halves, which no int64 sum of up to ``_SLAB`` pieces overflows.
+    one scalar draw per piece.  Pieces are summed as 31-bit halves, in int64
+    below ``_INT64_TERMS`` pieces and in Python ints from there on.  Piece
+    counts stay in int64: a trial has fewer than ``_MAX_BLOCKS`` blocks and
+    a block of trials at most ``_TRIAL_BLOCK`` trials.
     """
     sizes = full + (rem > 0)
     starts = np.cumsum(sizes) - sizes
     pieces = int(sizes.sum())
     firsts, rems = starts[rem > 0], rem[rem > 0]
-    high = np.zeros(full.size, dtype=np.int64)
-    low = np.zeros(full.size, dtype=np.int64)
+    acc = np.int64 if pieces < _INT64_TERMS else object
+    high = np.zeros(full.size, dtype=acc)
+    low = np.zeros(full.size, dtype=acc)
     for lo in range(0, pieces, _CHUNK):
         hi = min(lo + _CHUNK, pieces)
         params = np.full(hi - lo, bound, dtype=np.int64)
@@ -304,19 +316,18 @@ def _draw_pieces(full, rem, bound, draw, gen) -> list:
         b = int(np.searchsorted(starts, hi))
         at = starts[a:b] - lo
         at[0] = 0
-        high[a:b] += np.add.reduceat(drawn >> 31, at)
-        low[a:b] += np.add.reduceat(drawn & _LOW, at)
+        high[a:b] += np.add.reduceat(drawn >> 31, at).astype(acc, copy=False)
+        low[a:b] += np.add.reduceat(drawn & _LOW, at).astype(acc, copy=False)
     return [(h << 31) + l for h, l in zip(high.tolist(), low.tolist())]
 
 
-def _draw_offspring(units, gen, bound, draw, sample, cap):
+def _draw_offspring(units, gen, bound, draw, cap):
     """Offspring totals for ``units`` parents each, and {position: failure}.
 
     Entries within the int64 bound take one sized draw, in ascending trial
     order.  Entries past it follow, in ascending order, their pieces drawn
-    together by ``_draw_pieces``.  An entry above the cap (which draws
-    nothing) or of more than ``_SLAB`` blocks (whose slabs stop at the first
-    that overflows) still calls ``sample``, at its place in that order.
+    together by ``_draw_pieces``; one above the cap, or of ``_MAX_BLOCKS``
+    blocks or more, fails and draws nothing.
     """
     big = units > bound
     any_big = bool(big.any())
@@ -329,24 +340,19 @@ def _draw_offspring(units, gen, bound, draw, sample, cap):
     if any_big:
         where = np.flatnonzero(big)
         z = units[where]
-        full, rem = z // bound, z % bound
-        alone = np.flatnonzero((z > cap) | (full > _SLAB)).tolist()
-        start = 0
-        for stop in alone + [where.size]:
-            totals = _draw_pieces(full[start:stop].astype(np.int64),
-                                  rem[start:stop].astype(np.int64), bound, draw, gen)
-            for i, total in zip(where[start:stop].tolist(), totals):
-                if total > cap:
-                    failures[i] = PopulationOverflow(f"offspring total exceeded cap {cap}")
-                else:
-                    off[i] = total
-            if stop < where.size:
-                i = int(where[stop])
-                try:
-                    off[i] = sample(int(units[i]), gen)
-                except PopulationOverflow as exc:
-                    failures[i] = exc
-            start = stop + 1
+        over, many = z > cap, z // bound >= _MAX_BLOCKS
+        for i, zi in zip(where[over].tolist(), z[over].tolist()):
+            failures[i] = PopulationOverflow(f"parent count {zi} exceeds cap {cap}")
+        for i, zi in zip(where[many & ~over].tolist(), z[many & ~over].tolist()):
+            failures[i] = _too_many_blocks(zi, bound)
+        where, z = where[~(over | many)], z[~(over | many)]
+        totals = _draw_pieces((z // bound).astype(np.int64), (z % bound).astype(np.int64),
+                              bound, draw, gen)
+        for i, total in zip(where.tolist(), totals):
+            if total > cap:
+                failures[i] = PopulationOverflow(f"offspring total exceeded cap {cap}")
+            else:
+                off[i] = total
     for i in np.flatnonzero(small & ((units > cap) | (off > cap))).tolist():
         failures[i] = PopulationOverflow(
             f"{units[i]} parents with {off[i]} offspring exceed cap {cap}")
@@ -358,8 +364,7 @@ def _run_vector_block(policy, batch, lo, hi, counted=None):
     streams, ``policy.units`` before and ``policy.apply`` after each draw;
     ``counted`` masks the trials that enter the aggregates."""
     gens = block_generators(batch.seed, lo // _TRIAL_BLOCK)
-    lanes = (_block_size(batch.law), _make_block_draw(batch.law),
-             _make_total_sampler(batch.law, batch.cap, False), batch.cap)
+    lanes = (_block_size(batch.law), _make_block_draw(batch.law), batch.cap)
     horizon, revive = batch.horizon, policy.revives_zero
     eg = np.full(hi - lo, -1, dtype=np.int64)
     alive_counts = [0] * (horizon + 1)
@@ -505,7 +510,7 @@ def run_batch(config, threads: int = 1) -> BatchResult:
     """
     policy = getattr(config, "policy", None) or ControlPolicy()
     coupled = bool(getattr(config, "coupled", False))
-    if coupled or isinstance(getattr(policy, "rule", None), CustomAbsorption):
+    if coupled or isinstance(policy, CustomAbsorption):
         run_block = partial(_run_trials, policy, coupled)
     else:
         run_block = partial(_run_vector_block, policy)

@@ -18,6 +18,7 @@ from .errors import ConfigError, NumericFailure
 
 TAIL_EPS = 1e-15  # pmf tables drop a tail of at most this mass
 CRITICAL_EPS = 1e-9  # |m - 1| below this is treated as critical
+INT64_MAX = (1 << 63) - 1  # the largest support point or binomial count a draw takes
 
 
 @dataclass(frozen=True)
@@ -94,6 +95,8 @@ class ExplicitPmf(OffspringLaw):
             wf = float(w)
             if ki < 0 or ki != k:
                 raise ConfigError(f"support points must be nonnegative integers, got {k}")
+            if ki > INT64_MAX:
+                raise ConfigError(f"support points must be at most 2^63 - 1, got {k}")
             if not math.isfinite(wf) or wf < 0:
                 raise ConfigError(f"weight for k={ki} must be finite and nonnegative, got {w}")
             if ki in seen:
@@ -203,6 +206,8 @@ class Binomial(OffspringLaw):
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 1:
             raise ConfigError(f"Binomial count must be a positive integer, got {self.n}")
+        if self.n > INT64_MAX:
+            raise ConfigError(f"Binomial count must be at most 2^63 - 1, got {self.n}")
         if not (0.0 < self.p < 1.0):
             raise ConfigError(f"Binomial probability must lie in (0, 1), got {self.p}")
         object.__setattr__(self, "n", int(self.n))

@@ -23,6 +23,7 @@ SCHEMA_VERSION = 1
 EXPERIMENTS = ("gw", "controlled", "phi", "bisexual", "bcl_series", "brs")
 MAX_TRIALS = 10_000_000  # a run allocates and loops per trial and per generation,
 MAX_HORIZON = 100_000    # so a config may ask for no more than these
+MAX_SAMPLED_COUNTS = 10_000_000  # counts the sampled trajectories hold in all
 
 
 def _require(doc: dict, key: str, context: str):
@@ -147,7 +148,7 @@ def parse_policy(doc):
     if kind == "truncation":
         return control_mod.Truncation(parse_growth(_require(doc, "g", "truncation policy")))
     if kind == "absorbing":
-        return control_mod.Absorbing(parse_absorbing_rule(_require(doc, "rule", "absorbing policy")))
+        return parse_absorbing_rule(_require(doc, "rule", "absorbing policy"))
     if kind == "phi":
         return parse_phi(_require(doc, "phi", "phi policy"))
     raise ConfigError(f"policy: unknown kind {kind!r}")
@@ -244,6 +245,10 @@ class ScenarioConfig:
         if cfg.sample_trajectories > trials:
             raise ConfigError(f"sample_trajectories: must be <= trials, got "
                               f"{cfg.sample_trajectories} > {trials}")
+        sampled = cfg.sample_trajectories * ((cfg.horizon or 0) + 1)
+        if sampled > MAX_SAMPLED_COUNTS:
+            raise ConfigError(f"sample_trajectories * (horizon + 1): must be <= "
+                              f"{MAX_SAMPLED_COUNTS}, got {sampled}")
         if "coupled" in doc:
             if not isinstance(doc["coupled"], bool):
                 raise ConfigError(f"coupled: expected a boolean, got {doc['coupled']!r}")
@@ -268,8 +273,8 @@ class ScenarioConfig:
             cfg.law = parse_law(_require(doc, "law", "config"))
             if "policy" in doc:
                 cfg.policy = parse_policy(doc["policy"])
-            if experiment == "controlled" and not isinstance(
-                    cfg.policy, (control_mod.Truncation, control_mod.Absorbing)):
+            if experiment == "controlled" and (cfg.policy is None or
+                                               isinstance(cfg.policy, control_mod.Phi)):
                 raise ConfigError("controlled experiment requires a truncation "
                                   "or absorbing policy")
             if experiment == "phi" and not isinstance(cfg.policy, control_mod.Phi):

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from branchsim import (
-    Absorbing,
     Disaster,
     DisasterSchedule,
     ExplicitPmf,
@@ -31,8 +30,6 @@ from branchsim import (
     Truncation,
     TruncationAsAbsorption,
     Uniform,
-    apply_absorption,
-    apply_truncation,
     brs_bound,
     estimate_conditional_series,
     estimate_expected_stop,
@@ -138,15 +135,16 @@ def test_criterion_05_absorption_and_truncation_agree_exactly():
                 GrowthFunction.log(2.0, 3.0, rounding="ceil"),
                 GrowthFunction.linear(2.0, 1.0))
     for g in families:
-        rule = TruncationAsAbsorption(g)
-        for generation in range(1, 101):
-            for offspring in range(101):
-                assert (apply_absorption(offspring, generation, rule, (), None)
-                        == apply_truncation(offspring, generation, g))
+        for rule in (TruncationAsAbsorption(g), Truncation(g)):
+            for generation in range(1, 101):
+                want = [min(offspring, g(generation)) for offspring in range(101)]
+                for dtype in (np.int64, object):
+                    counts = np.arange(101).astype(dtype)
+                    assert rule.apply(counts, generation).tolist() == want
 
 
 def test_criterion_06_divergent_disaster_schedule_kills_supercritical_law():
-    policy = Absorbing(Disaster(DisasterSchedule.c_over_k(1.0)))
+    policy = Disaster(DisasterSchedule.c_over_k(1.0))
     res = run_batch(Batch(Geometric(0.6), horizon=10_000, trials=1_000,
                           master_seed=606, policy=policy), threads=4)
     assert res.extinction_fraction >= 0.95
@@ -191,8 +189,7 @@ def test_criterion_09_conditional_chain_identity_and_monotone_marginals():
                   threads=4),
         run_batch(Batch(Geometric(0.6), horizon=64, trials=2_000,
                         master_seed=904,
-                        policy=Absorbing(Disaster(
-                            DisasterSchedule.c_over_k(0.5)))), threads=4),
+                        policy=Disaster(DisasterSchedule.c_over_k(0.5))), threads=4),
         run_bisexual_batch(Batch(Poisson(2.0), horizon=64, trials=3_000,
                                  master_seed=905, alpha=0.5, mating=Min()),
                            threads=4),

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from branchsim import (
-    Absorbing,
     ConfigError,
     CustomAbsorption,
     Disaster,
@@ -21,8 +20,6 @@ from branchsim import (
     Phi,
     Truncation,
     TruncationAsAbsorption,
-    apply_absorption,
-    apply_truncation,
     expectation_criterion,
     sample_offspring_total,
     zubkov_criterion,
@@ -90,16 +87,8 @@ def test_growth_function_constructor_validation(make):
 # ----------------------------------------------------------------- truncation
 
 def test_apply_truncation_caps_at_g():
-    g = GrowthFunction.constant(3)
-    assert apply_truncation(10, 1, g) == 3
-    assert apply_truncation(2, 1, g) == 2
-    assert apply_truncation(3, 1, g) == 3
-    assert apply_truncation(0, 1, g) == 0
-
-
-def test_apply_truncation_validates_generation():
-    with pytest.raises(ValueError):
-        apply_truncation(1, 0, GrowthFunction.constant(1))
+    rule = Truncation(GrowthFunction.constant(3))
+    assert rule.apply(np.array([10, 2, 3, 0]), 1).tolist() == [3, 2, 3, 0]
 
 
 def test_truncation_policy_requires_positive_cap_at_zero():
@@ -113,27 +102,24 @@ def test_truncation_policy_requires_positive_cap_at_zero():
 
 def test_truncation_as_absorption_matches_truncation():
     g = GrowthFunction.log(2, 3, "ceil")
-    rule = TruncationAsAbsorption(g)
+    offspring = np.arange(30)
     for gen in (1, 2, 7, 40):
-        for offspring in range(0, 30):
-            assert (apply_absorption(offspring, gen, rule, None, None)
-                    == apply_truncation(offspring, gen, g))
+        want = [min(l, g(gen)) for l in range(30)]
+        assert TruncationAsAbsorption(g).apply(offspring.copy(), gen).tolist() == want
+        assert Truncation(g).apply(offspring.copy(), gen).tolist() == want
 
 
 def test_disaster_rule_kills_all_or_none():
     rule = Disaster(DisasterSchedule.constant(0.5))
-    seen = set()
-    g = control_rng()
-    for _ in range(200):
-        seen.add(apply_absorption(7, 3, rule, None, g))
-    assert seen == {0, 7}
+    left = rule.apply(np.full(200, 7, dtype=object), 3, control_rng())
+    assert set(left.tolist()) == {0, 7}
 
 
 def test_disaster_certain_and_impossible_probabilities():
     always = Disaster(DisasterSchedule.constant(1.0))
     never = Disaster(DisasterSchedule.constant(0.0))
-    assert apply_absorption(5, 1, always, None, control_rng()) == 0
-    assert apply_absorption(5, 1, never, None, control_rng()) == 5
+    assert always.apply(np.array([5]), 1, control_rng()).tolist() == [0]
+    assert never.apply(np.array([5]), 1, control_rng()).tolist() == [5]
 
 
 def test_disaster_schedule_forms():
@@ -152,15 +138,13 @@ def test_disaster_schedule_forms():
 
 def test_lower_boundary_absorbs_below_threshold():
     rule = LowerBoundary(GrowthFunction.constant(4))
-    assert apply_absorption(3, 1, rule, None, None) == 0
-    assert apply_absorption(4, 1, rule, None, None) == 4
-    assert apply_absorption(9, 1, rule, None, None) == 9
+    assert rule.apply(np.array([3, 4, 9]), 1).tolist() == [0, 4, 9]
 
 
 def test_custom_rule_three_arguments():
     rule = CustomAbsorption(lambda l, n, hist: min(l, 2))
-    assert apply_absorption(7, 1, rule, [1], None) == 5
-    assert apply_absorption(1, 1, rule, [1], None) == 0
+    assert rule.apply(np.array([7, 1], dtype=object), 1, None, [1]).tolist() == [5, 0]
+    assert rule.apply(np.array([7, 1]), 1, None, [1]).tolist() == [5, 0]
 
 
 def test_custom_rule_receives_history_prefix():
@@ -171,14 +155,14 @@ def test_custom_rule_receives_history_prefix():
         return 0
 
     history = [1, 3, 9, 27, 81]
-    apply_absorption(5, 3, CustomAbsorption(rule), history, None)
+    CustomAbsorption(rule).apply(np.array([5]), 3, None, history)
     assert seen["hist"] == (1, 3, 9)
     assert isinstance(seen["hist"], tuple)
 
 
 def test_custom_rule_with_rng_argument():
     rule = CustomAbsorption(lambda l, n, hist, rng: int(rng.integers(0, l + 1)))
-    vals = {apply_absorption(6, 1, rule, [1], control_rng(s)) for s in range(30)}
+    vals = {int(rule.apply(np.array([6]), 1, control_rng(s), [1])[0]) for s in range(30)}
     assert vals <= set(range(7))
     assert len(vals) > 1
 
@@ -186,8 +170,8 @@ def test_custom_rule_with_rng_argument():
 @pytest.mark.parametrize("bad_return", [-1, 8, 2.5])
 def test_custom_rule_return_values_validated(bad_return):
     rule = CustomAbsorption(lambda l, n, hist: bad_return)
-    with pytest.raises(InvalidRuleError):
-        apply_absorption(7, 1, rule, [1], None)
+    with pytest.raises(InvalidRuleError, match="for offspring=7 at generation 1"):
+        rule.apply(np.array([7]), 1, None, [1])
 
 
 def test_custom_rule_arity_validated():
@@ -195,18 +179,7 @@ def test_custom_rule_arity_validated():
         CustomAbsorption(lambda l: 0)
 
 
-def test_absorbing_policy_validates_rule_type():
-    Absorbing(Disaster(DisasterSchedule.constant(0.1)))
-    with pytest.raises(ConfigError):
-        Absorbing("not a rule")
-
-
-def test_apply_absorption_validates_generation():
-    with pytest.raises(ValueError):
-        apply_absorption(1, 0, LowerBoundary(GrowthFunction.constant(1)), None, None)
-
-
-# ------------------------------------------- array rules against the helpers
+# --------------------------------------- array rules against scalar references
 
 BIG = 1 << 63
 GROWTHS = [GrowthFunction.constant(4), GrowthFunction.log(2, 3, "ceil"),
@@ -217,25 +190,29 @@ OBJECT_COUNTS = np.array([0, 1, 4, 9, BIG - 1, BIG, BIG + 6, BIG + 7, BIG + 8, 3
                           1 << 200], dtype=object)
 
 
-def _scalar(rule, count, generation, rng):
-    if isinstance(rule, Truncation):
-        return apply_truncation(count, generation, rule.g)
-    return apply_absorption(count, generation, rule, None, rng)
+def _scalar(rule, g, count, generation):
+    """What the rule built on g leaves of one count, written out from its definition."""
+    if isinstance(rule, LowerBoundary):
+        return 0 if count < g(generation) else count
+    return min(count, g(generation))  # a cap, by truncation or by absorption
+
+
+def _absorb_overshoot(g):
+    """Truncation as absorption written as a custom rule: A_n(l) = max(l - g(n), 0)."""
+    return CustomAbsorption(lambda l, n, history: max(l - g(n), 0))
 
 
 @pytest.mark.parametrize("counts", [INT64_COUNTS, OBJECT_COUNTS], ids=["int64", "object"])
 @pytest.mark.parametrize("make", [Truncation, TruncationAsAbsorption, LowerBoundary,
-                                  lambda g: Absorbing(TruncationAsAbsorption(g))],
+                                  _absorb_overshoot],
                          ids=["truncation", "as_absorption", "lower_boundary", "absorbing"])
 def test_deterministic_rules_apply_as_the_scalar_helpers(make, counts):
     for g in GROWTHS:
         rule = make(g)
-        scalar_rule = rule.rule if isinstance(rule, Absorbing) else rule
         for generation in (1, 2, 3, 7, 50):
             got = rule.apply(counts.copy(), generation, None)
             assert got.dtype == counts.dtype
-            assert got.tolist() == [_scalar(scalar_rule, c, generation, None)
-                                    for c in counts.tolist()]
+            assert got.tolist() == [_scalar(rule, g, c, generation) for c in counts.tolist()]
 
 
 @pytest.mark.parametrize("counts", [INT64_COUNTS, OBJECT_COUNTS], ids=["int64", "object"])
@@ -246,8 +223,9 @@ def test_disaster_applies_one_uniform_per_count_as_the_helper(delta, counts):
     rule = Disaster(delta)
     gen, twin = control_rng(4), control_rng(4)
     for generation in (1, 2, 3, 9):
-        got = Absorbing(rule).apply(counts.copy(), generation, gen)
-        assert got.tolist() == [apply_absorption(c, generation, rule, None, twin)
+        got = rule.apply(counts.copy(), generation, gen)
+        # the scalar reference: one uniform per count, in order
+        assert got.tolist() == [0 if twin.random() < delta.prob(generation) else c
                                 for c in counts.tolist()]
         assert gen.bit_generator.state == twin.bit_generator.state
 
@@ -343,12 +321,12 @@ def test_phi_custom_units_reject_a_negative_count_on_both_lanes():
 
 def test_policies_name_the_stream_they_draw_from():
     g = GrowthFunction.constant(3)
-    for policy in (Truncation(g), Absorbing(TruncationAsAbsorption(g)),
-                   Absorbing(LowerBoundary(g)), Phi.linear(1.0, 0.0)):
+    for policy in (Truncation(g), TruncationAsAbsorption(g), LowerBoundary(g),
+                   Phi.linear(1.0, 0.0)):
         assert policy.stream is None
-    assert Absorbing(Disaster(DisasterSchedule.constant(0.5))).stream == STREAM_CONTROL
-    assert Absorbing(CustomAbsorption(lambda l, n, h, rng: 0)).stream == STREAM_CONTROL
-    assert Absorbing(CustomAbsorption(lambda l, n, h: 0)).stream is None
+    assert Disaster(DisasterSchedule.constant(0.5)).stream == STREAM_CONTROL
+    assert CustomAbsorption(lambda l, n, h, rng: 0).stream == STREAM_CONTROL
+    assert CustomAbsorption(lambda l, n, h: 0).stream is None
     counts = np.array([4, 9])
     assert Phi.constant(2).apply(counts, 1) is counts  # phi changes no offspring
     assert Truncation(g).units(counts) is counts  # and the rules change no units

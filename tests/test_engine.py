@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from branchsim import (
-    Absorbing,
     BatchTrialError,
     Binomial,
     ConfigError,
@@ -35,8 +34,10 @@ from branchsim import (
     simulate_trajectory,
 )
 from branchsim.rng import STREAM_CONTROL
-from branchsim.engine import (_SLAB, _block_size, _counts, _draw_offspring,
-                              _make_block_draw, _make_total_sampler)
+from branchsim import engine
+from branchsim.engine import (_INT64_TERMS, _MAX_BLOCKS, _SLAB, _block_size, _counts,
+                              _draw_offspring, _draw_pieces, _make_block_draw,
+                              _make_total_sampler)
 
 BIG_CAP = 1 << 200
 
@@ -134,9 +135,11 @@ def test_vectorized_totals_validate_arguments():
     assert sample_offspring_totals(Poisson(1.0), 0, 5, rng()).tolist() == [0] * 5
 
 
-def reference_offspring(units, gen, bound, draw, sample, cap):
+def reference_offspring(units, gen, bound, draw, cap):
     """The exact lane drawn the plain way: one sized draw for the entries
-    within the bound, then one ``sample`` call per entry past it."""
+    within the bound, then, entry by entry past it, its remainder and its
+    blocks of ``bound`` parents, drawn in that order; an entry above the
+    cap, or of ``_MAX_BLOCKS`` blocks or more, draws nothing."""
     units = [int(u) for u in units]
     small = [i for i, u in enumerate(units) if 0 < u <= bound]
     off = [0] * len(units)
@@ -146,11 +149,21 @@ def reference_offspring(units, gen, bound, draw, sample, cap):
             off[i] = total
     failures = {}
     for i, u in enumerate(units):
-        if u > bound:
-            try:
-                off[i] = sample(u, gen)
-            except PopulationOverflow as exc:
-                failures[i] = str(exc)
+        if u <= bound:
+            continue
+        if u > cap:
+            failures[i] = f"parent count {u} exceeds cap {cap}"
+            continue
+        full, rem = divmod(u, bound)
+        if full >= _MAX_BLOCKS:
+            failures[i] = f"parent count {u} needs {full} blocks of {bound}, at most {(1 << 40) - 1}"
+            continue
+        total = int(draw(rem, None, gen)) if rem else 0
+        total += sum(draw(bound, full, gen).tolist())
+        if total > cap:
+            failures[i] = f"offspring total exceeded cap {cap}"
+        else:
+            off[i] = total
     for i in small:
         if units[i] > cap or off[i] > cap:
             failures[i] = f"{units[i]} parents with {off[i]} offspring exceed cap {cap}"
@@ -162,22 +175,31 @@ EXACT_LANE_LAWS = [Poisson(1.5), Geometric(0.6), Binomial(3, 0.5), ExplicitPmf({
 
 
 @pytest.mark.parametrize("law", EXACT_LANE_LAWS, ids=repr)
-@pytest.mark.parametrize("case", ["int64", "roomy", "tight"])
+@pytest.mark.parametrize("case", ["int64", "roomy", "tight", "long_overflow", "too_many"])
 def test_batched_exact_lane_draws_like_one_sampler_call_per_trial(law, case):
     bound = _block_size(law)
     assert bound == 1 << 53
+    long = bound * (_SLAB + 1) + 1  # more blocks than one slab of the scalar sampler
     # the pieces of the long entries cross several chunk boundaries
     if case == "int64":
         units = [0, 5, bound, 3 * bound, bound + 7, 17] + [900 * bound + 11] * 10 + [1]
         cap = BIG_CAP
+    elif case == "long_overflow":
+        # every law here has mean above 1, so the long entry's total passes
+        # the cap part way through its pieces, which are all drawn even so
+        units = [3, long, 2 * bound + 1, 4]
+        cap = long
+    elif case == "too_many":
+        # far more blocks than any run could draw: these fail, and draw nothing
+        units = [3, 1 << 115, 1 << 115, 2 * bound + 1, _MAX_BLOCKS * bound, 4]
+        cap = BIG_CAP
     else:
         units = [0, 5, bound, 3 * bound, bound + 7, 17, 5000 * bound + 3, 0, 4500 * bound,
-                 5001 * bound, 3000 * bound, 7000 * bound, bound * (_SLAB + 1) + 1, 2,
-                 4097 * bound, 1]
+                 5001 * bound, 3000 * bound, 7000 * bound, long, 2, 4097 * bound, 1]
         cap = BIG_CAP if case == "roomy" else 6000 * bound
     units = _counts(units)
     assert units.dtype == (np.int64 if case == "int64" else object)
-    lane = (bound, _make_block_draw(law), _make_total_sampler(law, cap, False), cap)
+    lane = (bound, _make_block_draw(law), cap)
     gen, twin = np.random.default_rng(41), np.random.default_rng(41)
     off, failures = _draw_offspring(units, gen, *lane)
     want_off, want_failures = reference_offspring(units, twin, *lane)
@@ -188,6 +210,48 @@ def test_batched_exact_lane_draws_like_one_sampler_call_per_trial(law, case):
         assert set(failures) >= {6, 8, 9, 11, 12}
         assert str(failures[8]) == f"offspring total exceeded cap {cap}"
         assert str(failures[11]) == f"parent count {units[11]} exceeds cap {cap}"
+    if case == "long_overflow":
+        assert {i: str(exc) for i, exc in failures.items()} == {
+            1: f"offspring total exceeded cap {cap}"}
+        assert off[2] > 0  # the entry after the long one is still drawn
+    if case == "too_many":
+        assert set(failures) == {1, 2, 4}
+        assert str(failures[1]) == (f"parent count {1 << 115} needs {1 << 62} blocks of "
+                                    f"{bound}, at most {(1 << 40) - 1}")
+        assert off[3] > 0 and off[5] > 0
+    if case in ("int64", "roomy"):
+        # the scalar sampler, called once per entry in the lane's order (the
+        # entries within the bound, then those past it), draws the same totals
+        sample, third = _make_total_sampler(law, cap, False), np.random.default_rng(41)
+        order = sorted(range(len(units)), key=lambda i: int(units[i]) > bound)
+        totals = {i: sample(int(units[i]), third) for i in order}
+        assert [totals[i] for i in range(len(units))] == off.tolist()
+        assert third.bit_generator.state == twin.bit_generator.state
+
+
+def test_scalar_sampler_fails_a_count_of_too_many_blocks():
+    law = Poisson(1.5)
+    bound = _block_size(law)
+    sample, gen = _make_total_sampler(law, BIG_CAP, False), rng(3)
+    before = gen.bit_generator.state
+    with pytest.raises(PopulationOverflow, match=f"needs {_MAX_BLOCKS} blocks of {bound}"):
+        sample(_MAX_BLOCKS * bound, gen)
+    assert gen.bit_generator.state == before
+
+
+def test_exact_lane_sums_stay_exact_past_the_int64_term_bound(monkeypatch):
+    # an int64 sum of 31-bit halves, each at most 2^32 - 1, cannot overflow
+    # below _INT64_TERMS terms; from there on the halves are Python ints
+    assert (_INT64_TERMS - 1) * ((1 << 32) - 1) <= (1 << 63) - 1
+    top = (1 << 63) - 1
+
+    def draw(params, size, gen):
+        return np.full(size, top, dtype=np.int64)
+
+    full, rem = np.array([3, 5000, 0]), np.array([0, 7, 2])
+    for terms in (_INT64_TERMS, 1):
+        monkeypatch.setattr(engine, "_INT64_TERMS", terms)
+        assert _draw_pieces(full, rem, 9, draw, None) == [3 * top, 5001 * top, top]
 
 
 # -------------------------------------------------------------- trajectories
@@ -274,12 +338,12 @@ FIVE = GrowthFunction.constant(5)
 
 @pytest.mark.parametrize("policy,draws", [
     (Truncation(FIVE), False),
-    (Absorbing(TruncationAsAbsorption(FIVE)), False),
-    (Absorbing(LowerBoundary(GrowthFunction.constant(1))), False),
-    (Absorbing(CustomAbsorption(lambda offspring, n, history: 0)), False),
+    (TruncationAsAbsorption(FIVE), False),
+    (LowerBoundary(GrowthFunction.constant(1)), False),
+    (CustomAbsorption(lambda offspring, n, history: 0), False),
     (Phi.linear(0.5, 1.0), False),
-    (Absorbing(Disaster(DisasterSchedule.constant(0.1))), True),
-    (Absorbing(CustomAbsorption(lambda offspring, n, history, rng: 0)), True),
+    (Disaster(DisasterSchedule.constant(0.1)), True),
+    (CustomAbsorption(lambda offspring, n, history, rng: 0), True),
 ], ids=["truncation", "truncation_as_absorption", "lower_boundary", "custom_3_args", "phi",
         "disaster", "custom_4_args"])
 def test_coupled_trajectory_builds_a_control_stream_only_for_rules_that_draw(policy, draws):
@@ -289,6 +353,25 @@ def test_coupled_trajectory_builds_a_control_stream_only_for_rules_that_draw(pol
     simulate_trajectory(ExplicitPmf({0: 0.25, 2: 0.75}), policy, 20, streams,
                         initial_size=5, per_particle=True)
     assert (STREAM_CONTROL in streams.asked) is draws
+
+
+def test_batch_runs_a_custom_rule_on_each_trajectory_so_far():
+    def rule(offspring, n, history):
+        assert len(history) == n  # generations 0 .. n - 1
+        return max(offspring - 2 * history[-1], 0)  # a population at most doubles
+
+    policy = CustomAbsorption(rule)
+    cfg = Batch(Geometric(0.75), horizon=30, trials=200, master_seed=12, policy=policy,
+                sample_trajectories=200)
+    res = run_batch(cfg)
+    assert res.trials == 200 and len(res.sampled_trajectories) == 200
+    for t, traj in enumerate(res.sampled_trajectories):
+        assert all(b <= 2 * a for a, b in zip(traj.counts, traj.counts[1:]))
+        assert traj.counts == simulate_trajectory(cfg.law, policy, 30, TrialStreams(12, t),
+                                                  population_cap=BIG_CAP).counts
+    bad = CustomAbsorption(lambda offspring, n, history: -1)
+    with pytest.raises(BatchTrialError, match="InvalidRuleError"):
+        run_batch(Batch(Geometric(0.75), horizon=5, trials=3, master_seed=1, policy=bad))
 
 
 def test_trajectory_extinction_generation_reports_horizon_zero():

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from branchsim import (
-    Absorbing,
     Disaster,
     DisasterSchedule,
     ExplicitPmf,
@@ -88,7 +87,7 @@ def ks_distance(a, b, top):
     Batch(ExplicitPmf({0: 0.25, 2: 0.75}), 150, 8000, 32,
           policy=Truncation(GrowthFunction.log(2.0, 3.0, rounding="ceil"))),
     Batch(Geometric(0.6), 60, 8000, 33,
-          policy=Absorbing(Disaster(DisasterSchedule.c_over_k(0.5)))),
+          policy=Disaster(DisasterSchedule.c_over_k(0.5))),
     Batch(Geometric(0.6), 60, 8000, 34,
           policy=parse_phi({"form": "linear", "a": 0.8, "c": 0.5})),
     Batch(Poisson(2.5), 60, 8000, 35, mating=Min(), initial_units=3),

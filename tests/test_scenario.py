@@ -2,24 +2,29 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from branchsim import (
-    Absorbing,
     Binomial,
     ConfigError,
     DaleyPolygamy,
+    Disaster,
     ExplicitPmf,
     Geometric,
+    LowerBoundary,
     Min,
     Phi,
     Poisson,
     ScenarioConfig,
     Truncation,
+    TruncationAsAbsorption,
 )
 from branchsim.engine import DEFAULT_POPULATION_CAP
 from branchsim.scenario import (
     MAX_HORIZON,
+    MAX_SAMPLED_COUNTS,
     MAX_TRIALS,
     parse_growth,
     parse_law,
@@ -103,13 +108,13 @@ def test_parse_policy_kinds():
     assert isinstance(trunc, Truncation)
     absorbing = parse_policy({"kind": "absorbing", "rule": {
         "kind": "disaster", "delta": {"form": "c_over_k", "c": 1.0}}})
-    assert isinstance(absorbing, Absorbing)
+    assert isinstance(absorbing, Disaster)
     boundary = parse_policy({"kind": "absorbing", "rule": {
         "kind": "lower_boundary", "b": {"form": "constant", "c": 2}}})
-    assert isinstance(boundary, Absorbing)
+    assert isinstance(boundary, LowerBoundary)
     as_absorption = parse_policy({"kind": "absorbing", "rule": {
         "kind": "truncation_as_absorption", "g": {"form": "linear", "a": 1.0, "c": 0.0}}})
-    assert isinstance(as_absorption, Absorbing)
+    assert isinstance(as_absorption, TruncationAsAbsorption)
     phi = parse_policy({"kind": "phi", "phi": {"form": "identity"}})
     assert isinstance(phi, Phi)
     with pytest.raises(ConfigError):
@@ -181,9 +186,13 @@ def test_gw_config_rejections(mutate):
 
 def test_run_sizes_are_bounded_at_parse_time():
     # parsed only: no config here is ever run
+    tracks = MAX_SAMPLED_COUNTS // (MAX_HORIZON + 1)
     at_bounds = ScenarioConfig.from_dict(gw_doc(trials=MAX_TRIALS, horizon=MAX_HORIZON,
-                                                sample_trajectories=MAX_TRIALS))
+                                                sample_trajectories=tracks))
     assert (at_bounds.trials, at_bounds.horizon) == (MAX_TRIALS, MAX_HORIZON)
+    every_track = ScenarioConfig.from_dict(gw_doc(trials=MAX_SAMPLED_COUNTS // 2, horizon=1,
+                                                  sample_trajectories=MAX_SAMPLED_COUNTS // 2))
+    assert every_track.sample_trajectories * 2 == MAX_SAMPLED_COUNTS
     brs = {"version": 1, "experiment": "brs", "master_seed": 1, "trials": MAX_TRIALS + 1,
            "population": {"groups": [{"count": 1, "dist": {"kind": "uniform", "b": 1.0}}],
                           "budget": 0.5}}
@@ -193,7 +202,14 @@ def test_run_sizes_are_bounded_at_parse_time():
                          (gw_doc(horizon=MAX_HORIZON + 1), f"horizon: must be <= {MAX_HORIZON}"),
                          (brs, "trials: must be <="), (bisexual, "horizon: must be <="),
                          (gw_doc(trials=10, sample_trajectories=11),
-                          "sample_trajectories: must be <= trials, got 11 > 10")):
+                          "sample_trajectories: must be <= trials, got 11 > 10"),
+                         (gw_doc(trials=MAX_TRIALS, horizon=MAX_HORIZON,
+                                 sample_trajectories=tracks + 1),
+                          re.escape(f"sample_trajectories * (horizon + 1): must be <= "
+                                    f"{MAX_SAMPLED_COUNTS}, got {(tracks + 1) * (MAX_HORIZON + 1)}")),
+                         (gw_doc(trials=MAX_TRIALS, horizon=1,
+                                 sample_trajectories=MAX_SAMPLED_COUNTS // 2 + 1),
+                          re.escape("sample_trajectories * (horizon + 1): must be <="))):
         with pytest.raises(ConfigError, match=message):
             ScenarioConfig.from_dict(doc)
     assert ScenarioConfig.from_dict(gw_doc(trials=10, sample_trajectories=10)).trials == 10
@@ -204,6 +220,9 @@ def test_controlled_experiment_policy_matrix():
                  policy={"kind": "truncation", "g": {"form": "constant", "c": 3}})
     cfg = ScenarioConfig.from_dict(doc)
     assert isinstance(cfg.policy, Truncation)
+    doc["policy"] = {"kind": "absorbing", "rule": {
+        "kind": "lower_boundary", "b": {"form": "constant", "c": 2}}}
+    assert isinstance(ScenarioConfig.from_dict(doc).policy, LowerBoundary)
     with pytest.raises(ConfigError):  # controlled needs truncation or absorbing
         ScenarioConfig.from_dict(gw_doc(experiment="controlled"))
     with pytest.raises(ConfigError):
