@@ -154,7 +154,7 @@ class _MatingStep(ControlPolicy):
     stream = STREAM_SEX
 
     def apply(self, counts, generation: int, rng=None):
-        males = rng.binomial(counts.astype(np.int64), self.alpha)
+        males = rng.binomial(counts.astype(np.int64, copy=False), self.alpha)
         return self.mating.units(counts - males, males)
 
 

@@ -192,8 +192,10 @@ class TruncationAsAbsorption(ControlPolicy):
 
     def apply(self, counts, generation: int, rng=None):
         cap = int(self.g(generation))
-        if cap < 1 << 63 or counts.dtype == object:  # no int64 count exceeds a larger cap
+        if counts.dtype == object:
             counts[counts > cap] = cap
+        elif cap < 1 << 63:  # no int64 count exceeds a larger cap
+            np.minimum(counts, cap, out=counts)
         return counts
 
 

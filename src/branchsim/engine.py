@@ -6,7 +6,9 @@ equivalents (Poisson, negative binomial, binomial, multinomial) in parent
 blocks small enough that every underlying numpy draw stays safely inside
 int64.  Batches step every live trial of a block together: one sized draw
 per generation for the trials within the int64 bound, then chunked sized
-draws of the int64-safe pieces of the trials past it.  A per-particle
+draws of the int64-safe pieces of the trials past it.  A block's counts
+are int64 whenever every count fits and Python integers otherwise; the
+dtype changes no drawn number and no report byte.  A per-particle
 inverse-CDF mode exists for monotone coupling: with generation-keyed
 streams, the draw for parent i is the same in two runs, so the offspring
 total is nondecreasing in the parent count.  Coupled mode and custom
@@ -327,18 +329,21 @@ def _draw_offspring(units, gen, bound, draw, cap):
     Entries within the int64 bound take one sized draw, in ascending trial
     order.  Entries past it follow, in ascending order, their pieces drawn
     together by ``_draw_pieces``; one above the cap, or of ``_MAX_BLOCKS``
-    blocks or more, fails and draws nothing.
+    blocks or more, fails and draws nothing.  The totals are int64 when
+    every one fits, object otherwise.
     """
-    big = units > bound
-    any_big = bool(big.any())
-    small = (units > 0) & ~big
-    off = np.zeros(units.size, dtype=object if any_big else np.int64)
-    if small.any():
-        parents = units[small].astype(np.int64)
-        off[small] = draw(parents, parents.size, gen)
     failures = {}
-    if any_big:
-        where = np.flatnonzero(big)
+    top = units.max(initial=0)
+    if top <= bound and units.min(initial=1) > 0:  # one draw over every entry, no masks
+        off = draw(units.astype(np.int64, copy=False), units.size, gen)
+    else:
+        small = (units > 0) & (units <= bound)
+        off = np.zeros(units.size, dtype=np.int64 if top <= bound else object)
+        if small.any():
+            parents = units[small].astype(np.int64)
+            off[small] = draw(parents, parents.size, gen)
+    if top > bound:
+        where = np.flatnonzero(units > bound)
         z = units[where]
         over, many = z > cap, z // bound >= _MAX_BLOCKS
         for i, zi in zip(where[over].tolist(), z[over].tolist()):
@@ -353,10 +358,11 @@ def _draw_offspring(units, gen, bound, draw, cap):
                 failures[i] = PopulationOverflow(f"offspring total exceeded cap {cap}")
             else:
                 off[i] = total
-    for i in np.flatnonzero(small & ((units > cap) | (off > cap))).tolist():
-        failures[i] = PopulationOverflow(
-            f"{units[i]} parents with {off[i]} offspring exceed cap {cap}")
-    return off, failures
+    if top > cap or off.max(initial=0) > cap:  # entries past the bound failed above
+        for i in np.flatnonzero(((units > cap) & (units <= bound)) | (off > cap)).tolist():
+            failures[i] = PopulationOverflow(
+                f"{units[i]} parents with {off[i]} offspring exceed cap {cap}")
+    return off if off.dtype == np.int64 else _counts(off.tolist()), failures
 
 
 def _run_vector_block(policy, batch, lo, hi, counted=None):
@@ -381,20 +387,25 @@ def _run_vector_block(policy, batch, lo, hi, counted=None):
             off, failed = _draw_offspring(policy.units(z), gens[STREAM_OFFSPRING], *lanes)
             z = policy.apply(off, n, None if policy.stream is None else gens[policy.stream])
             drop = (z == 0) & (not revive)
-            eg[idx[drop]] = n
-            for i, exc in failed.items():
-                eg[idx[i]] = -1
-                drop[i] = True
-                failures.append(BatchTrialError(lo + int(idx[i]), exc))
-            idx, z = idx[~drop], z[~drop]
+            if failed or drop.any():
+                eg[idx[drop]] = n
+                for i, exc in failed.items():
+                    eg[idx[i]] = -1
+                    drop[i] = True
+                    failures.append(BatchTrialError(lo + int(idx[i]), exc))
+                idx, z = idx[~drop], z[~drop]
         seen = z if counted is None else z[counted[idx]]
         if revive:
             seen = seen[seen > 0]
         alive_counts[n] = seen.size
-        alive_sums[n] = sum(seen.tolist())
-        k = int(np.searchsorted(idx, len(tracks)))
-        for t, zt in zip(idx[:k].tolist(), z[:k].tolist()):
-            tracks[t].append(zt)
+        if seen.dtype == np.int64 and int(seen.max(initial=0)) * seen.size < 1 << 63:
+            alive_sums[n] = int(seen.sum())
+        else:
+            alive_sums[n] = sum(seen.tolist())
+        if tracks:
+            k = int(np.searchsorted(idx, len(tracks)))
+            for t, zt in zip(idx[:k].tolist(), z[:k].tolist()):
+                tracks[t].append(zt)
         if not idx.size:
             break
     if counted is None and failures and len(failures) <= batch.budget:

@@ -175,13 +175,28 @@ EXACT_LANE_LAWS = [Poisson(1.5), Geometric(0.6), Binomial(3, 0.5), ExplicitPmf({
 
 
 @pytest.mark.parametrize("law", EXACT_LANE_LAWS, ids=repr)
-@pytest.mark.parametrize("case", ["int64", "roomy", "tight", "long_overflow", "too_many"])
+@pytest.mark.parametrize("case", ["within", "within_no_zero", "within_small_cap",
+                                  "within_total_over_cap", "int64", "roomy", "tight",
+                                  "long_overflow", "too_many"])
 def test_batched_exact_lane_draws_like_one_sampler_call_per_trial(law, case):
     bound = _block_size(law)
     assert bound == 1 << 53
     long = bound * (_SLAB + 1) + 1  # more blocks than one slab of the scalar sampler
     # the pieces of the long entries cross several chunk boundaries
-    if case == "int64":
+    if case == "within":  # every entry at or below the bound, some of them zero
+        units = [0, 5, bound, 17, 0, 1, bound - 1]
+        cap = BIG_CAP
+    elif case == "within_no_zero":
+        units = [5, bound, 17, 1, bound - 1]
+        cap = BIG_CAP
+    elif case == "within_small_cap":
+        # a unit above the cap, and a unit within it whose total passes it
+        units = [3, 151, 0, 140, 1]
+        cap = 150
+    elif case == "within_total_over_cap":  # no unit above the cap, one total above it
+        units = [3, 140, 1]
+        cap = 150
+    elif case == "int64":
         units = [0, 5, bound, 3 * bound, bound + 7, 17] + [900 * bound + 11] * 10 + [1]
         cap = BIG_CAP
     elif case == "long_overflow":
@@ -198,14 +213,24 @@ def test_batched_exact_lane_draws_like_one_sampler_call_per_trial(law, case):
                  5001 * bound, 3000 * bound, 7000 * bound, long, 2, 4097 * bound, 1]
         cap = BIG_CAP if case == "roomy" else 6000 * bound
     units = _counts(units)
-    assert units.dtype == (np.int64 if case == "int64" else object)
+    assert units.dtype == (object if case in ("roomy", "tight", "long_overflow", "too_many")
+                           else np.int64)
     lane = (bound, _make_block_draw(law), cap)
-    gen, twin = np.random.default_rng(41), np.random.default_rng(41)
-    off, failures = _draw_offspring(units, gen, *lane)
-    want_off, want_failures = reference_offspring(units, twin, *lane)
-    assert off.tolist() == want_off
-    assert {i: str(exc) for i, exc in failures.items()} == want_failures
-    assert gen.bit_generator.state == twin.bit_generator.state
+    for entries in (units, units.astype(object)):  # phi may hand small units as objects
+        gen, twin = np.random.default_rng(41), np.random.default_rng(41)
+        off, failures = _draw_offspring(entries, gen, *lane)
+        want_off, want_failures = reference_offspring(entries, twin, *lane)
+        assert off.tolist() == want_off
+        assert {i: str(exc) for i, exc in failures.items()} == want_failures
+        assert gen.bit_generator.state == twin.bit_generator.state
+        assert off.dtype == (np.int64 if max(want_off) < 1 << 63 else object)
+    if case == "within_small_cap":
+        assert {i: str(exc) for i, exc in failures.items()} == {
+            1: f"151 parents with {off[1]} offspring exceed cap 150",
+            3: f"140 parents with {off[3]} offspring exceed cap 150"}
+    if case == "within_total_over_cap":
+        assert {i: str(exc) for i, exc in failures.items()} == {
+            1: f"140 parents with {off[1]} offspring exceed cap 150"}
     if case == "tight":
         assert set(failures) >= {6, 8, 9, 11, 12}
         assert str(failures[8]) == f"offspring total exceeded cap {cap}"
@@ -390,6 +415,14 @@ def test_batch_instant_extinction():
     assert np.all(res.extinction_generations == 1)
     assert int(res.per_generation_extinct_counts[1]) == 64
     assert math.isnan(res.mean_final_size_given_survival)
+
+
+def test_alive_sums_stay_exact_for_int64_counts_near_the_int64_limit():
+    # every count is 2^62, an int64 whose sum over the block is 2^74
+    res = run_batch(Batch(ExplicitPmf({1: 1.0}), horizon=2, trials=4096, master_seed=5,
+                          initial_size=1 << 62))
+    assert res.per_generation_alive_size_sums == [4096 * 2**62] * 3
+    assert res.mean_final_size_given_survival == 2.0**62
 
 
 def test_batch_immortal_process():

@@ -72,11 +72,25 @@ CASES = {
     "gw_block": ("run", run_doc(law=GEOMETRIC)),
     "gw_coupled": ("run", run_doc(law=GEOMETRIC, coupled=True)),
     # counts past 2^63: the exact lane, and phi on object arrays
+    "gw_exact_lane_int64": "01169a3df8df773406b7504908819012c0f9e9bb5fc0f0b95f435d3707a59eee",
+    "gw_exact_lane_overflow": "b256ecce6fb707bd6e31a71080bd2905fd87b003d54e9e8fded0534cfcaa68ee",
+    "gw_exact_lane_past_int64": "376cef6ec15a1e756ca35bd3f6c579841a497ca6e239e4985504aa41e7e01c40",
     "gw_past_int64_block": ("run", run_doc(law={"kind": "geometric", "r": 0.6}, trials=200,
                                            horizon=110, population_cap=1 << 200)),
     "phi_linear_past_int64_block": ("run", run_doc(phi({"form": "linear", "a": 3.0, "c": 1.0}),
                                                    trials=200, horizon=31,
                                                    population_cap=1 << 200)),
+    # the exact lane: counts between 2^53 and 2^63, which return to int64
+    # blocks; counts crossing 2^63 from a larger start; trials overflowing a
+    # 2^60 cap on the lane within a budget
+    "gw_exact_lane_int64": ("run", run_doc(law={"kind": "geometric", "r": 0.6}, trials=200,
+                                           horizon=100, population_cap=1 << 200)),
+    "gw_exact_lane_past_int64": ("run", run_doc(law={"kind": "geometric", "r": 0.6},
+                                                trials=200, horizon=100, initial_size=40,
+                                                population_cap=1 << 200)),
+    "gw_exact_lane_overflow": ("run", run_doc(law={"kind": "geometric", "r": 0.6}, trials=200,
+                                              horizon=100, population_cap=1 << 60,
+                                              failure_budget=200)),
     **{f"{name}_block": ("run", run_doc(policy)) for name, policy in POLICIES.items()},
     **{f"{name}_coupled": ("run", run_doc(policy, coupled=True))
        for name, policy in POLICIES.items()},
@@ -109,6 +123,9 @@ PINS = {
     "disaster_coupled": "4e6baf3ea7a10a03e60a8cfb8830922f1f7c913ee9972207526c30decb075356",
     "gw_block": "ba237598ddb9655c10e4a618c956898e157e732f169635296f6dba431cddb76b",
     "gw_coupled": "f6f4f6f57078a2286927f360ba6c1c0e4888a7f7cad1972a9cff6a15b5ac6232",
+    "gw_exact_lane_int64": "01169a3df8df773406b7504908819012c0f9e9bb5fc0f0b95f435d3707a59eee",
+    "gw_exact_lane_overflow": "b256ecce6fb707bd6e31a71080bd2905fd87b003d54e9e8fded0534cfcaa68ee",
+    "gw_exact_lane_past_int64": "376cef6ec15a1e756ca35bd3f6c579841a497ca6e239e4985504aa41e7e01c40",
     "gw_past_int64_block": "ccb8fc9b3411571bc14945a39291fb89a1523fdbce403472eb1c71d40763f8a6",
     "lower_boundary_block": "9f3ac3cb698820fe91e7d824d26374f99a6fcdcf3234019fa3459102afc136f7",
     "lower_boundary_coupled": "42b7bce55d9e2fb0462e85129abd24ac1da7f6d583e0cb9abe8a6002fde0b15a",
