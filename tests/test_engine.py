@@ -35,9 +35,9 @@ from branchsim import (
 )
 from branchsim.rng import STREAM_CONTROL
 from branchsim import engine
-from branchsim.engine import (_INT64_TERMS, _MAX_BLOCKS, _SLAB, _block_size, _counts,
+from branchsim.engine import (_INT64_TERMS, _MAX_BLOCKS, _block_size, _counts,
                               _draw_offspring, _draw_pieces, _make_block_draw,
-                              _make_total_sampler)
+                              _make_past_draw, _make_total_sampler, _poisson_exact)
 
 BIG_CAP = 1 << 200
 
@@ -135,11 +135,25 @@ def test_vectorized_totals_validate_arguments():
     assert sample_offspring_totals(Poisson(1.0), 0, 5, rng()).tolist() == [0] * 5
 
 
-def reference_offspring(units, gen, bound, draw, cap):
+def exact_lane(law, cap):
+    """The (bound, draw, past, cap) arguments of ``_draw_offspring`` for a law."""
+    bound, draw = _block_size(law), _make_block_draw(law)
+    return bound, draw, _make_past_draw(law, bound, draw), cap
+
+
+def reference_offspring(law, units, gen, bound, cap):
     """The exact lane drawn the plain way: one sized draw for the entries
-    within the bound, then, entry by entry past it, its remainder and its
-    blocks of ``bound`` parents, drawn in that order; an entry above the
-    cap, or of ``_MAX_BLOCKS`` blocks or more, draws nothing."""
+    within the bound, then the entries past it in ascending order; an entry
+    above the cap, or of ``_MAX_BLOCKS`` blocks or more, draws nothing.
+
+    Entry by entry past the bound, a law draws its remainder and its blocks
+    of ``bound`` parents, in that order.  A Geometric law instead draws,
+    entry by entry, G as the gammas of the shapes z - z mod 2^40 and
+    z mod 2^40, and takes lam = m G; then, round by round while a lam is
+    above 2^32, entry by entry, it counts n = floor(lam - 16 sqrt(lam))
+    arrivals and takes lam - Gamma(n), or 0 if that is negative; then,
+    entry by entry, one Poisson(lam)."""
+    draw = _make_block_draw(law)
     units = [int(u) for u in units]
     small = [i for i, u in enumerate(units) if 0 < u <= bound]
     off = [0] * len(units)
@@ -148,18 +162,36 @@ def reference_offspring(units, gen, bound, draw, cap):
         for i, total in zip(small, draw(parents, parents.size, gen).tolist()):
             off[i] = total
     failures = {}
+    past = []
     for i, u in enumerate(units):
         if u <= bound:
             continue
         if u > cap:
             failures[i] = f"parent count {u} exceeds cap {cap}"
-            continue
-        full, rem = divmod(u, bound)
-        if full >= _MAX_BLOCKS:
-            failures[i] = f"parent count {u} needs {full} blocks of {bound}, at most {(1 << 40) - 1}"
-            continue
-        total = int(draw(rem, None, gen)) if rem else 0
-        total += sum(draw(bound, full, gen).tolist())
+        elif u // bound >= _MAX_BLOCKS:
+            failures[i] = (f"parent count {u} needs {u // bound} blocks of {bound}, "
+                           f"at most {(1 << 40) - 1}")
+        else:
+            past.append(i)
+    totals = dict.fromkeys(past, 0)
+    if isinstance(law, Geometric):
+        m = law.r / (1 - law.r)
+        lam = {i: m * (gen.standard_gamma(float(units[i] - units[i] % 2**40))
+                       + gen.standard_gamma(float(units[i] % 2**40))) for i in past}
+        while any(lam[i] > 2**32 for i in past):
+            for i in past:
+                if lam[i] > 2**32:
+                    n = math.floor(lam[i] - 16 * math.sqrt(lam[i]))
+                    lam[i] = max(lam[i] - gen.standard_gamma(float(n)), 0.0)
+                    totals[i] += n
+        for i in past:
+            totals[i] += int(gen.poisson(lam[i]))
+    else:
+        for i in past:
+            full, rem = divmod(units[i], bound)
+            totals[i] = int(draw(rem, None, gen)) if rem else 0
+            totals[i] += sum(draw(bound, full, gen).tolist())
+    for i, total in totals.items():
         if total > cap:
             failures[i] = f"offspring total exceeded cap {cap}"
         else:
@@ -170,19 +202,20 @@ def reference_offspring(units, gen, bound, draw, cap):
     return off, failures
 
 
+# the last law has mean 999, past 256, so its block size is 2^61 / 999, not 2^53
 EXACT_LANE_LAWS = [Poisson(1.5), Geometric(0.6), Binomial(3, 0.5), ExplicitPmf({2: 1.0}),
-                   ExplicitPmf({0: 0.25, 2: 0.75}), ExplicitPmf({0: 0.2, 1: 0.3, 3: 0.5})]
+                   ExplicitPmf({0: 0.25, 2: 0.75}), ExplicitPmf({0: 0.2, 1: 0.3, 3: 0.5}),
+                   Geometric(0.999)]
 
 
 @pytest.mark.parametrize("law", EXACT_LANE_LAWS, ids=repr)
 @pytest.mark.parametrize("case", ["within", "within_no_zero", "within_small_cap",
                                   "within_total_over_cap", "int64", "roomy", "tight",
-                                  "long_overflow", "too_many"])
+                                  "long_overflow", "too_many", "past_small_totals"])
 def test_batched_exact_lane_draws_like_one_sampler_call_per_trial(law, case):
     bound = _block_size(law)
-    assert bound == 1 << 53
-    long = bound * (_SLAB + 1) + 1  # more blocks than one slab of the scalar sampler
-    # the pieces of the long entries cross several chunk boundaries
+    assert bound == (1 << 53 if law.mean() <= 256 else int(2**61 / law.mean()))
+    long = bound * ((1 << 20) + 1) + 1  # its pieces cross many chunk boundaries
     if case == "within":  # every entry at or below the bound, some of them zero
         units = [0, 5, bound, 17, 0, 1, bound - 1]
         cap = BIG_CAP
@@ -201,9 +234,13 @@ def test_batched_exact_lane_draws_like_one_sampler_call_per_trial(law, case):
         cap = BIG_CAP
     elif case == "long_overflow":
         # every law here has mean above 1, so the long entry's total passes
-        # the cap part way through its pieces, which are all drawn even so
+        # the cap, and the entry after it is still drawn
         units = [3, long, 2 * bound + 1, 4]
         cap = long
+    elif case == "past_small_totals":
+        # past the bound, with every total of every law here below 2^62
+        units = [bound + 7, 0, 5, bound + bound // 2]
+        cap = BIG_CAP
     elif case == "too_many":
         # far more blocks than any run could draw: these fail, and draw nothing
         units = [3, 1 << 115, 1 << 115, 2 * bound + 1, _MAX_BLOCKS * bound, 4]
@@ -215,20 +252,21 @@ def test_batched_exact_lane_draws_like_one_sampler_call_per_trial(law, case):
     units = _counts(units)
     assert units.dtype == (object if case in ("roomy", "tight", "long_overflow", "too_many")
                            else np.int64)
-    lane = (bound, _make_block_draw(law), cap)
+    lane = exact_lane(law, cap)
     for entries in (units, units.astype(object)):  # phi may hand small units as objects
         gen, twin = np.random.default_rng(41), np.random.default_rng(41)
         off, failures = _draw_offspring(entries, gen, *lane)
-        want_off, want_failures = reference_offspring(entries, twin, *lane)
+        want_off, want_failures = reference_offspring(law, entries, twin, bound, cap)
         assert off.tolist() == want_off
         assert {i: str(exc) for i, exc in failures.items()} == want_failures
         assert gen.bit_generator.state == twin.bit_generator.state
         assert off.dtype == (np.int64 if max(want_off) < 1 << 63 else object)
-    if case == "within_small_cap":
+    small_mean = law.mean() <= 2  # a mean-999 law passes a cap of 150 from 1 parent on
+    if case == "within_small_cap" and small_mean:
         assert {i: str(exc) for i, exc in failures.items()} == {
             1: f"151 parents with {off[1]} offspring exceed cap 150",
             3: f"140 parents with {off[3]} offspring exceed cap 150"}
-    if case == "within_total_over_cap":
+    if case == "within_total_over_cap" and small_mean:
         assert {i: str(exc) for i, exc in failures.items()} == {
             1: f"140 parents with {off[1]} offspring exceed cap 150"}
     if case == "tight":
@@ -238,30 +276,69 @@ def test_batched_exact_lane_draws_like_one_sampler_call_per_trial(law, case):
     if case == "long_overflow":
         assert {i: str(exc) for i, exc in failures.items()} == {
             1: f"offspring total exceeded cap {cap}"}
-        assert off[2] > 0  # the entry after the long one is still drawn
+        assert off[2] > 0
     if case == "too_many":
         assert set(failures) == {1, 2, 4}
-        assert str(failures[1]) == (f"parent count {1 << 115} needs {1 << 62} blocks of "
-                                    f"{bound}, at most {(1 << 40) - 1}")
+        assert str(failures[1]) == (f"parent count {1 << 115} needs {(1 << 115) // bound} "
+                                    f"blocks of {bound}, at most {(1 << 40) - 1}")
         assert off[3] > 0 and off[5] > 0
     if case in ("int64", "roomy"):
-        # the scalar sampler, called once per entry in the lane's order (the
-        # entries within the bound, then those past it), draws the same totals
-        sample, third = _make_total_sampler(law, cap, False), np.random.default_rng(41)
-        order = sorted(range(len(units)), key=lambda i: int(units[i]) > bound)
-        totals = {i: sample(int(units[i]), third) for i in order}
-        assert [totals[i] for i in range(len(units))] == off.tolist()
-        assert third.bit_generator.state == twin.bit_generator.state
+        sample = _make_total_sampler(law, cap, False)
+        if isinstance(law, Geometric):
+            # the lane draws every gamma before any Poisson draw, so the
+            # one-trial sampler matches it one entry at a time
+            for u in units.tolist():
+                gen, third = np.random.default_rng(41), np.random.default_rng(41)
+                one, failed = _draw_offspring(_counts([u]), gen, *lane)
+                assert not failed and sample(u, third) == one[0]
+                assert third.bit_generator.state == gen.bit_generator.state
+        else:
+            # the one-trial sampler, called once per entry in the lane's order
+            # (the entries within the bound, then those past it), draws the
+            # same totals
+            third = np.random.default_rng(41)
+            order = sorted(range(len(units)), key=lambda i: int(units[i]) > bound)
+            totals = {i: sample(int(units[i]), third) for i in order}
+            assert [totals[i] for i in range(len(units))] == off.tolist()
+            assert third.bit_generator.state == twin.bit_generator.state
+
+
+def test_large_poisson_means_draw_exact_moments_and_low_bits():
+    # numpy's own poisson(1.5 * 2**53) draws have 1.39 times the variance,
+    # and every one is even
+    lam, n = 1.5 * 2**53, 40_000
+    counts = _poisson_exact(np.full(n, lam), rng(5))
+    dev = np.array([c - int(lam) for c in counts], dtype=np.float64)
+    assert float(dev.mean()) == pytest.approx(0.0, abs=5 * math.sqrt(lam / n))
+    assert float(dev.var()) == pytest.approx(lam, rel=0.05)
+    share = np.bincount([c % 4 for c in counts], minlength=4) / n
+    assert np.abs(share - 0.25).max() < 5 * math.sqrt(0.25 * 0.75 / n)
+
+
+@pytest.mark.parametrize("r", [0.6, 0.999])
+def test_geometric_totals_past_the_bound_match_law_mean_and_variance(r):
+    # no other test draws Geometric totals past the block bound in bulk
+    law = Geometric(r)
+    m, var = r / (1 - r), r / (1 - r) ** 2
+    z, n = 3 * 2**53 + 7, 40_000
+    lane = exact_lane(law, BIG_CAP)
+    assert z > 2 * lane[0]
+    off, failures = _draw_offspring(np.full(n, z, dtype=np.int64), rng(12), *lane)
+    assert not failures
+    dev = np.array(off.tolist(), dtype=np.float64) - z * m
+    se = math.sqrt(z * var / n)
+    assert float(dev.mean()) == pytest.approx(0.0, abs=5 * se)
+    assert float(dev.var()) == pytest.approx(z * var, rel=0.1)
 
 
 def test_scalar_sampler_fails_a_count_of_too_many_blocks():
-    law = Poisson(1.5)
-    bound = _block_size(law)
-    sample, gen = _make_total_sampler(law, BIG_CAP, False), rng(3)
-    before = gen.bit_generator.state
-    with pytest.raises(PopulationOverflow, match=f"needs {_MAX_BLOCKS} blocks of {bound}"):
-        sample(_MAX_BLOCKS * bound, gen)
-    assert gen.bit_generator.state == before
+    for law in (Poisson(1.5), Geometric(0.6)):
+        bound = _block_size(law)
+        sample, gen = _make_total_sampler(law, BIG_CAP, False), rng(3)
+        before = gen.bit_generator.state
+        with pytest.raises(PopulationOverflow, match=f"needs {_MAX_BLOCKS} blocks of {bound}"):
+            sample(_MAX_BLOCKS * bound, gen)
+        assert gen.bit_generator.state == before
 
 
 def test_exact_lane_sums_stay_exact_past_the_int64_term_bound(monkeypatch):

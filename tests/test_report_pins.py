@@ -72,9 +72,6 @@ CASES = {
     "gw_block": ("run", run_doc(law=GEOMETRIC)),
     "gw_coupled": ("run", run_doc(law=GEOMETRIC, coupled=True)),
     # counts past 2^63: the exact lane, and phi on object arrays
-    "gw_exact_lane_int64": "01169a3df8df773406b7504908819012c0f9e9bb5fc0f0b95f435d3707a59eee",
-    "gw_exact_lane_overflow": "b256ecce6fb707bd6e31a71080bd2905fd87b003d54e9e8fded0534cfcaa68ee",
-    "gw_exact_lane_past_int64": "376cef6ec15a1e756ca35bd3f6c579841a497ca6e239e4985504aa41e7e01c40",
     "gw_past_int64_block": ("run", run_doc(law={"kind": "geometric", "r": 0.6}, trials=200,
                                            horizon=110, population_cap=1 << 200)),
     "phi_linear_past_int64_block": ("run", run_doc(phi({"form": "linear", "a": 3.0, "c": 1.0}),
@@ -123,10 +120,10 @@ PINS = {
     "disaster_coupled": "4e6baf3ea7a10a03e60a8cfb8830922f1f7c913ee9972207526c30decb075356",
     "gw_block": "ba237598ddb9655c10e4a618c956898e157e732f169635296f6dba431cddb76b",
     "gw_coupled": "f6f4f6f57078a2286927f360ba6c1c0e4888a7f7cad1972a9cff6a15b5ac6232",
-    "gw_exact_lane_int64": "01169a3df8df773406b7504908819012c0f9e9bb5fc0f0b95f435d3707a59eee",
-    "gw_exact_lane_overflow": "b256ecce6fb707bd6e31a71080bd2905fd87b003d54e9e8fded0534cfcaa68ee",
-    "gw_exact_lane_past_int64": "376cef6ec15a1e756ca35bd3f6c579841a497ca6e239e4985504aa41e7e01c40",
-    "gw_past_int64_block": "ccb8fc9b3411571bc14945a39291fb89a1523fdbce403472eb1c71d40763f8a6",
+    "gw_exact_lane_int64": "d9498f136998cf77dab8b73e009c80b4c09a2f9e0a39e68082b1b65c615f5f93",
+    "gw_exact_lane_overflow": "7028d080e5a1560370bdbdc059167bdbbf3ab0b0db7ce3400361c49c2e74b463",
+    "gw_exact_lane_past_int64": "ef3144514fdbd4677b2084ff9c0f0ff22ba7ae3a72a879746d293cf48d59c18c",
+    "gw_past_int64_block": "ec95579e5f1d01ab95aa8b888f0f12fc936dfb14af7063980e9e2797af269eb2",
     "lower_boundary_block": "9f3ac3cb698820fe91e7d824d26374f99a6fcdcf3234019fa3459102afc136f7",
     "lower_boundary_coupled": "42b7bce55d9e2fb0462e85129abd24ac1da7f6d583e0cb9abe8a6002fde0b15a",
     "phi_constant_block": "06ecbf13f1fe23c0c44c623f57c231933fec2d673ed5c185f1dce812d1c1b8ae",
