@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .brs import Z99
-from .control import ControlPolicy
+from .control import ControlPolicy, _counts
 from .engine import (DEFAULT_POPULATION_CAP, BatchResult, _run_batch, _run_vector_block,
                      sample_offspring_total, sample_offspring_totals)
 from .errors import ConfigError
@@ -96,8 +96,8 @@ class CustomMating:
     def units(self, females, males):
         if np.ndim(females) == 0:
             return int(self.f(int(females), int(males)))
-        return np.array([self.f(x, y) for x, y in zip(females.tolist(), males.tolist())],
-                        dtype=np.int64)
+        # M(x, y) = x * y passes the grid check and goes past int64 from 2^32 on
+        return _counts([int(self.f(x, y)) for x, y in zip(females.tolist(), males.tolist())])
 
 
 MatingFunction = Min | DaleyMonogamy | DaleyPolygamy | CustomMating
@@ -152,6 +152,8 @@ class _MatingStep(ControlPolicy):
     mating: MatingFunction
 
     stream = STREAM_SEX
+
+    grows = property(lambda self: isinstance(self.mating, CustomMating))
 
     def apply(self, counts, generation: int, rng=None):
         males = rng.binomial(counts.astype(np.int64, copy=False), self.alpha)

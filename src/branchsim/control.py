@@ -176,6 +176,7 @@ class ControlPolicy:
 
     stream = None
     revives_zero = False
+    grows = False  # whether apply may leave more than the offspring it is given
 
     def units(self, counts):
         return counts

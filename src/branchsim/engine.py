@@ -6,18 +6,20 @@ equivalents (Poisson, negative binomial, binomial, multinomial) in parent
 blocks small enough that every underlying numpy draw stays safely inside
 int64.  Batches step every live trial of a block together: one sized draw
 per generation for the trials within the int64 bound, then chunked sized
-draws of the int64-safe pieces of the trials past it.  A Geometric trial
-past the bound is drawn instead as the gamma-mixed Poisson form of its
-negative binomial: one Gamma(z) per trial, then Poisson(m G).  numpy's
-Poisson sampler is inexact past a mean of about 2^48, so larger means are
-first cut down with gamma-distributed Poisson arrival times.  That is a
-few draws per trial, whatever its size.  A block's counts are int64
-whenever every count fits and Python integers otherwise; the dtype
-changes no drawn number and no report byte.  A per-particle
-inverse-CDF mode exists for monotone coupling: with generation-keyed
-streams, the draw for parent i is the same in two runs, so the offspring
-total is nondecreasing in the parent count.  Coupled mode and custom
-absorbing rules, which see each trajectory so far, step one trial at a time.
+draws of the int64-safe pieces of the trials past it.  A Poisson trial
+past the bound is drawn instead as one Poisson(lam z), and a Geometric
+trial as the gamma-mixed Poisson form of its negative binomial: one
+Gamma(z) per trial, then Poisson(m G).  numpy's Poisson sampler is
+inexact past a mean of about 2^48, so larger means are first cut down
+with gamma-distributed Poisson arrival times.  That is a few draws per
+trial, whatever its size.  The exact lane returns arrays, and a block's
+counts are int64 whenever every count fits and Python integers (object
+arrays) otherwise; the dtype changes no drawn number and no report byte.
+A per-particle inverse-CDF mode exists for monotone coupling: with
+generation-keyed streams, the draw for parent i is the same in two runs, so
+the offspring total is nondecreasing in the parent count.  Coupled mode and
+custom absorbing rules, which see each trajectory so far, step one trial at
+a time.
 """
 
 from __future__ import annotations
@@ -41,11 +43,6 @@ _MAX_BLOCK = 1 << 53
 _MEAN_BUDGET = 1 << 61
 _SLAB = 1 << 20  # uniforms per slab of the per-particle sampler
 _MAX_BLOCKS = 1 << 40  # a trial of this many blocks or more fails: drawing it takes a day or more
-
-
-def _too_many_blocks(z: int, block: int) -> PopulationOverflow:
-    return PopulationOverflow(
-        f"parent count {z} needs {z // block} blocks of {block}, at most {_MAX_BLOCKS - 1}")
 
 HORIZON_NOTE = ("trajectories alive at the horizon count as surviving; "
                 "the extinction fraction therefore underestimates the "
@@ -89,6 +86,8 @@ def _make_block_draw(law: OffspringLaw):
         # a two-atom pmf needs only one binomial count
         k_lo, k_hi = (int(k) for k in ks_np)
         p_hi = float(pvals[1])
+        if k_lo == 0:
+            return lambda z, size, rng: k_hi * rng.binomial(z, p_hi, size=size)
         return lambda z, size, rng: k_lo * z + (k_hi - k_lo) * rng.binomial(z, p_hi, size=size)
     return lambda z, size, rng: rng.multinomial(z, pvals, size=size) @ ks_np
 
@@ -97,8 +96,8 @@ _POISSON_EXACT = 1 << 32  # largest mean handed to numpy's Poisson sampler
 _ARRIVAL_MARGIN = 16.0  # in standard deviations: Gamma(n) passes lam about once in 10^57 draws
 
 
-def _poisson_exact(lam, rng) -> list:
-    """Poisson(lam) counts, as Python ints, for an array of float64 means.
+def _poisson_exact(lam, rng) -> np.ndarray:
+    """Poisson(lam) counts for float64 means, int64 when all fit, object otherwise.
 
     numpy draws Poisson variates in double precision, and from a mean of
     about 2^48 on their variance is off by up to three quarters and their
@@ -124,39 +123,44 @@ def _poisson_exact(lam, rng) -> list:
     if fits:  # int64 sums: a tenth less gw_supercritical run time than Python ints
         for big, n in arrivals:
             counts[big] += n.astype(np.int64)
-        return counts.tolist()
+        return counts
     totals = counts.tolist()
     for big, n in arrivals:
         for i, k in zip(big.tolist(), n.tolist()):
             totals[i] += int(k)
-    return totals
+    return _counts(totals)
 
 
 def _make_past_draw(law: OffspringLaw, bound: int, draw):
-    """Return past(z, rng): the exact totals, as a list, of the counts in the
-    array z, each past ``bound`` and of fewer than ``_MAX_BLOCKS`` blocks,
-    drawn in ascending order.
+    """Return past(z, rng): the exact totals of the counts in the array z,
+    each past ``bound`` and of fewer than ``_MAX_BLOCKS`` blocks, drawn in
+    ascending order, as an int64 array when every total fits and an object
+    array otherwise.
 
     A count is cut into its z mod bound parents, when nonzero, and z // bound
-    blocks of ``bound``, one ``draw`` per piece.  A Geometric total, a
-    negative binomial, is instead drawn as the gamma-mixed Poisson it is:
-    first, count by count, G ~ Gamma(z) as the gammas of the float64-exact
-    shapes z - z mod 2^40 and z mod 2^40 (a zero shape draws nothing), then
-    Poisson(m G), m = r / (1 - r), by ``_poisson_exact``.
+    blocks of ``bound``, one ``draw`` per piece.  A Poisson or Geometric
+    total is instead one ``_poisson_exact`` draw, whatever z is.  Both split z
+    into the float64-exact parts z - z mod 2^40 and z mod 2^40.  A Poisson
+    mean is lam times their sum.  A Geometric total, a negative binomial, is
+    the gamma-mixed Poisson it is: first, count by count, G ~ Gamma(z) as
+    the gammas of the two parts (a zero part draws nothing), then
+    Poisson(m G), m = r / (1 - r).
     """
-    if not isinstance(law, Geometric):
+    if not isinstance(law, (Poisson, Geometric)):
         def past(z, rng):
             return _draw_pieces((z // bound).astype(np.int64), (z % bound).astype(np.int64),
                                 bound, draw, rng)
         return past
-    m = law.mean()
+    mixed, scale = isinstance(law, Geometric), law.mean()
 
     def past(z, rng):
         # z < _MAX_BLOCKS * bound <= 2^93, so z - z mod 2^40 has at most 53
         # significant bits
         low = z % _MAX_BLOCKS
-        g = rng.standard_gamma(np.stack((z - low, low), axis=1).astype(np.float64))
-        return _poisson_exact(m * (g[:, 0] + g[:, 1]), rng)
+        parts = np.stack((z - low, low), axis=1).astype(np.float64)
+        if mixed:
+            parts = rng.standard_gamma(parts)
+        return _poisson_exact(scale * (parts[:, 0] + parts[:, 1]), rng)
     return past
 
 
@@ -201,7 +205,8 @@ def _make_total_sampler(law: OffspringLaw, population_cap: int, per_particle: bo
         if z > population_cap:
             raise PopulationOverflow(f"parent count {z} exceeds cap {population_cap}")
         if z > block:  # the batch kernel's exact lane, on one entry
-            off, failed = _draw_offspring(_counts([z]), rng, block, draw, past, population_cap)
+            off, failed = _draw_offspring(_counts([z]), rng, block, draw, past, population_cap,
+                                          law.max_k())
             if failed:
                 raise failed[0]
             return int(off[0])
@@ -354,8 +359,9 @@ _INT64_TERMS = 1 << 31  # an int64 sum of fewer 31-bit halves than this is exact
                         # Python-int sums throughout made _draw_offspring 30-60% slower
 
 
-def _draw_pieces(full, rem, bound, draw, gen) -> list:
-    """Exact totals of trials of ``rem`` + ``full`` * ``bound`` parents each.
+def _draw_pieces(full, rem, bound, draw, gen) -> np.ndarray:
+    """Exact totals of trials of ``rem`` + ``full`` * ``bound`` parents each,
+    in an array typed by ``_counts``.
 
     Each trial's pieces, its ``rem`` parents when nonzero and then ``full``
     blocks of ``bound``, are drawn trial after trial in sized draws of at
@@ -386,24 +392,25 @@ def _draw_pieces(full, rem, bound, draw, gen) -> list:
         at[0] = 0
         high[a:b] += np.add.reduceat(drawn >> 31, at).astype(acc, copy=False)
         low[a:b] += np.add.reduceat(drawn & _LOW, at).astype(acc, copy=False)
-    return [(h << 31) + l for h, l in zip(high.tolist(), low.tolist())]
+    return _counts([(h << 31) + l for h, l in zip(high.tolist(), low.tolist())])
 
 
-def _draw_offspring(units, gen, bound, draw, past, cap):
+def _draw_offspring(units, gen, bound, draw, past, cap, max_k):
     """Offspring totals for ``units`` parents each, and {position: failure}.
 
     Entries within the int64 bound take one sized ``draw``, in ascending
     trial order.  Entries past it follow, drawn together by ``past``; one
     above the cap, or of ``_MAX_BLOCKS`` blocks or more, fails and draws
     nothing.  The totals are int64 when every one fits, object otherwise.
+    The law's ``max_k`` (None: unbounded) can spare the last cap check.
     """
     failures = {}
     top = units.max(initial=0)
-    if top <= bound and units.min(initial=1) > 0:  # one draw over every entry, no masks
+    if top <= bound and np.count_nonzero(units) == units.size:  # one draw, no masks
         off = draw(units.astype(np.int64, copy=False), units.size, gen)
     else:
         small = (units > 0) & (units <= bound)
-        off = np.zeros(units.size, dtype=np.int64 if top <= bound else object)
+        off = np.zeros(units.size, dtype=np.int64)
         if small.any():
             parents = units[small].astype(np.int64)
             off[small] = draw(parents, parents.size, gen)
@@ -414,19 +421,23 @@ def _draw_offspring(units, gen, bound, draw, past, cap):
         for i, zi in zip(where[over].tolist(), z[over].tolist()):
             failures[i] = PopulationOverflow(f"parent count {zi} exceeds cap {cap}")
         for i, zi in zip(where[many & ~over].tolist(), z[many & ~over].tolist()):
-            failures[i] = _too_many_blocks(zi, bound)
+            failures[i] = PopulationOverflow(f"parent count {zi} needs {zi // bound} blocks "
+                                             f"of {bound}, at most {_MAX_BLOCKS - 1}")
         where, z = where[~(over | many)], z[~(over | many)]
         totals = past(z, gen)
-        for i, total in zip(where.tolist(), totals):
-            if total > cap:
-                failures[i] = PopulationOverflow(f"offspring total exceeded cap {cap}")
-            else:
-                off[i] = total
-    if top > cap or off.max(initial=0) > cap:  # entries past the bound failed above
+        over = totals > cap
+        for i in where[over].tolist():
+            failures[i] = PopulationOverflow(f"offspring total exceeded cap {cap}")
+        if over.any():  # the failed totals may be the only ones past int64
+            where, totals = where[~over], _counts(totals[~over].tolist())
+        off = off.astype(totals.dtype, copy=False)
+        off[where] = totals
+    ceiling = (1 << 63) - 1 if max_k is None else int(min(top, bound)) * max(max_k, 1)
+    if ceiling > cap and (top > cap or off.max(initial=0) > cap):
         for i in np.flatnonzero(((units > cap) & (units <= bound)) | (off > cap)).tolist():
             failures[i] = PopulationOverflow(
                 f"{units[i]} parents with {off[i]} offspring exceed cap {cap}")
-    return off if off.dtype == np.int64 else _counts(off.tolist()), failures
+    return off, failures
 
 
 def _run_vector_block(policy, batch, lo, hi, counted=None):
@@ -435,8 +446,9 @@ def _run_vector_block(policy, batch, lo, hi, counted=None):
     ``counted`` masks the trials that enter the aggregates."""
     gens = block_generators(batch.seed, lo // _TRIAL_BLOCK)
     bound, draw = _block_size(batch.law), _make_block_draw(batch.law)
-    lanes = (bound, draw, _make_past_draw(batch.law, bound, draw), batch.cap)
+    lanes = (bound, draw, _make_past_draw(batch.law, bound, draw), batch.cap, batch.law.max_k())
     horizon, revive = batch.horizon, policy.revives_zero
+    small_sums = not policy.grows and batch.cap * (hi - lo) < 1 << 63  # each count <= cap
     eg = np.full(hi - lo, -1, dtype=np.int64)
     alive_counts = [0] * (horizon + 1)
     alive_sums = [0] * (horizon + 1)
@@ -451,8 +463,8 @@ def _run_vector_block(policy, batch, lo, hi, counted=None):
         if n:
             off, failed = _draw_offspring(policy.units(z), gens[STREAM_OFFSPRING], *lanes)
             z = policy.apply(off, n, None if policy.stream is None else gens[policy.stream])
-            drop = (z == 0) & (not revive)
-            if failed or drop.any():
+            if failed or not revive and np.count_nonzero(z) < z.size:
+                drop = (z == 0) & (not revive)
                 eg[idx[drop]] = n
                 for i, exc in failed.items():
                     eg[idx[i]] = -1
@@ -463,10 +475,10 @@ def _run_vector_block(policy, batch, lo, hi, counted=None):
         if revive:
             seen = seen[seen > 0]
         alive_counts[n] = seen.size
-        if seen.dtype == np.int64 and int(seen.max(initial=0)) * seen.size < 1 << 63:
-            alive_sums[n] = int(seen.sum())
-        else:
+        if seen.dtype == object or not small_sums and int(seen.max(initial=0)) * seen.size >> 63:
             alive_sums[n] = sum(seen.tolist())
+        else:
+            alive_sums[n] = int(seen.sum())
         if tracks:
             k = int(np.searchsorted(idx, len(tracks)))
             for t, zt in zip(idx[:k].tolist(), z[:k].tolist()):

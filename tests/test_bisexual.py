@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from branchsim import (
+    BatchTrialError,
     BisexualState,
     ConfigError,
     CustomMating,
@@ -18,6 +19,7 @@ from branchsim import (
     Geometric,
     Min,
     Poisson,
+    PopulationOverflow,
     TrialStreams,
     bisexual_step,
     initial_state,
@@ -39,6 +41,8 @@ class Batch:
     initial_units: int = 1
     initial_size: int = 1
     population_cap: int = 1 << 200
+    sample_trajectories: int = 0
+    failure_budget: int = 0
 
 
 def rng(seed=0):
@@ -305,6 +309,41 @@ def test_bisexual_batch_with_additive_mating_equals_gwp():
     gwp = run_batch(Batch(Geometric(0.4), horizon=50, trials=600, master_seed=11))
     assert np.array_equal(bis.extinction_generations, gwp.extinction_generations)
     assert bis.per_generation_alive_size_sums == gwp.per_generation_alive_size_sums
+
+
+def test_custom_mating_past_int64_fails_its_trial_within_the_budget():
+    # 10^6 x y passes 2^63 - 1 from about 3 * 10^6 offspring of each sex; the
+    # trial fails when those units, past the cap, are drawn from
+    mating = CustomMating(lambda x, y: 10**6 * x * y)
+    cfg = Batch(Poisson(3.0), horizon=30, trials=10, master_seed=1, mating=mating,
+                initial_units=5, failure_budget=10)
+    res = run_bisexual_batch(cfg)
+    assert res.failed_trials
+    assert res.trials + len(res.failed_trials) == 10
+    for f in res.failed_trials:
+        assert isinstance(f, BatchTrialError)
+        assert isinstance(f.cause, PopulationOverflow)
+    cfg.failure_budget = 0
+    with pytest.raises(BatchTrialError) as err:
+        run_bisexual_batch(cfg)
+    assert isinstance(err.value.cause, PopulationOverflow)
+
+
+def test_alive_sums_stay_exact_when_mating_pairs_more_units_than_offspring():
+    # x y units of about 2^31 females and 2^31 males: each count is near 2^62,
+    # past the 2^48 cap that bounds every offspring total, and the block's
+    # sum passes 2^63
+    cfg = Batch(ExplicitPmf({2: 1.0}), horizon=1, trials=8, master_seed=3,
+                mating=CustomMating(lambda x, y: x * y), initial_units=1 << 31,
+                population_cap=1 << 48, sample_trajectories=8)
+    res = run_bisexual_batch(cfg)
+    assert not res.failed_trials and res.trials == 8
+    finals = [t.counts[1] for t in res.sampled_trajectories]
+    assert all(1 << 61 < c < 1 << 63 for c in finals)
+    assert sum(finals) > 1 << 63
+    for n in range(2):
+        assert res.per_generation_alive_size_sums[n] == sum(
+            t.counts[n] for t in res.sampled_trajectories)
 
 
 def test_bisexual_batch_thread_independent():

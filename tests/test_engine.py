@@ -136,9 +136,9 @@ def test_vectorized_totals_validate_arguments():
 
 
 def exact_lane(law, cap):
-    """The (bound, draw, past, cap) arguments of ``_draw_offspring`` for a law."""
+    """The (bound, draw, past, cap, max_k) arguments of ``_draw_offspring`` for a law."""
     bound, draw = _block_size(law), _make_block_draw(law)
-    return bound, draw, _make_past_draw(law, bound, draw), cap
+    return bound, draw, _make_past_draw(law, bound, draw), cap, law.max_k()
 
 
 def reference_offspring(law, units, gen, bound, cap):
@@ -147,12 +147,13 @@ def reference_offspring(law, units, gen, bound, cap):
     above the cap, or of ``_MAX_BLOCKS`` blocks or more, draws nothing.
 
     Entry by entry past the bound, a law draws its remainder and its blocks
-    of ``bound`` parents, in that order.  A Geometric law instead draws,
-    entry by entry, G as the gammas of the shapes z - z mod 2^40 and
-    z mod 2^40, and takes lam = m G; then, round by round while a lam is
-    above 2^32, entry by entry, it counts n = floor(lam - 16 sqrt(lam))
-    arrivals and takes lam - Gamma(n), or 0 if that is negative; then,
-    entry by entry, one Poisson(lam)."""
+    of ``bound`` parents, in that order.  A Poisson or Geometric law instead
+    takes, entry by entry, the parts z - z mod 2^40 and z mod 2^40, and
+    lam = lam_law (a + b) for a Poisson law, while a Geometric law draws a
+    and b as the gammas of those shapes and takes lam = m (a + b); then,
+    round by round while a lam is above 2^32, entry by entry, it counts
+    n = floor(lam - 16 sqrt(lam)) arrivals and takes lam - Gamma(n), or 0 if
+    that is negative; then, entry by entry, one Poisson(lam)."""
     draw = _make_block_draw(law)
     units = [int(u) for u in units]
     small = [i for i, u in enumerate(units) if 0 < u <= bound]
@@ -174,10 +175,14 @@ def reference_offspring(law, units, gen, bound, cap):
         else:
             past.append(i)
     totals = dict.fromkeys(past, 0)
-    if isinstance(law, Geometric):
-        m = law.r / (1 - law.r)
-        lam = {i: m * (gen.standard_gamma(float(units[i] - units[i] % 2**40))
-                       + gen.standard_gamma(float(units[i] % 2**40))) for i in past}
+    if isinstance(law, (Poisson, Geometric)):
+        lam = {}
+        for i in past:
+            a, b = float(units[i] - units[i] % 2**40), float(units[i] % 2**40)
+            if isinstance(law, Poisson):
+                lam[i] = law.lam * (a + b)
+            else:
+                lam[i] = law.r / (1 - law.r) * (gen.standard_gamma(a) + gen.standard_gamma(b))
         while any(lam[i] > 2**32 for i in past):
             for i in past:
                 if lam[i] > 2**32:
@@ -284,9 +289,9 @@ def test_batched_exact_lane_draws_like_one_sampler_call_per_trial(law, case):
         assert off[3] > 0 and off[5] > 0
     if case in ("int64", "roomy"):
         sample = _make_total_sampler(law, cap, False)
-        if isinstance(law, Geometric):
-            # the lane draws every gamma before any Poisson draw, so the
-            # one-trial sampler matches it one entry at a time
+        if isinstance(law, (Poisson, Geometric)):
+            # the lane draws every arrival time before any Poisson draw, so
+            # the one-trial sampler matches it one entry at a time
             for u in units.tolist():
                 gen, third = np.random.default_rng(41), np.random.default_rng(41)
                 one, failed = _draw_offspring(_counts([u]), gen, *lane)
@@ -312,6 +317,22 @@ def test_large_poisson_means_draw_exact_moments_and_low_bits():
     assert float(dev.mean()) == pytest.approx(0.0, abs=5 * math.sqrt(lam / n))
     assert float(dev.var()) == pytest.approx(lam, rel=0.05)
     share = np.bincount([c % 4 for c in counts], minlength=4) / n
+    assert np.abs(share - 0.25).max() < 5 * math.sqrt(0.25 * 0.75 / n)
+
+
+@pytest.mark.parametrize("lam", [1.5, 999.0])
+def test_poisson_totals_past_the_bound_match_law_moments_and_low_bits(lam):
+    # a Poisson(lam z) total past the block bound is one _poisson_exact draw;
+    # at lam = 999 the block is 2^61 / 999 and the totals pass 2^62
+    law = Poisson(lam)
+    lane = exact_lane(law, BIG_CAP)
+    z, n = 3 * lane[0] + 7, 40_000
+    off, failures = _draw_offspring(np.full(n, z, dtype=np.int64), rng(12), *lane)
+    assert not failures and off.dtype == np.int64
+    dev = off.astype(np.float64) - z * lam
+    assert float(dev.mean()) == pytest.approx(0.0, abs=5 * math.sqrt(z * lam / n))
+    assert float(dev.var()) == pytest.approx(z * lam, rel=0.05)
+    share = np.bincount(off % 4, minlength=4) / n
     assert np.abs(share - 0.25).max() < 5 * math.sqrt(0.25 * 0.75 / n)
 
 
@@ -353,7 +374,7 @@ def test_exact_lane_sums_stay_exact_past_the_int64_term_bound(monkeypatch):
     full, rem = np.array([3, 5000, 0]), np.array([0, 7, 2])
     for terms in (_INT64_TERMS, 1):
         monkeypatch.setattr(engine, "_INT64_TERMS", terms)
-        assert _draw_pieces(full, rem, 9, draw, None) == [3 * top, 5001 * top, top]
+        assert _draw_pieces(full, rem, 9, draw, None).tolist() == [3 * top, 5001 * top, top]
 
 
 # -------------------------------------------------------------- trajectories
@@ -500,6 +521,33 @@ def test_alive_sums_stay_exact_for_int64_counts_near_the_int64_limit():
                           initial_size=1 << 62))
     assert res.per_generation_alive_size_sums == [4096 * 2**62] * 3
     assert res.mean_final_size_given_survival == 2.0**62
+
+
+def test_alive_sums_stay_exact_when_int64_counts_sum_past_the_int64_limit():
+    # Geometric counts near 2^60 fit int64 while a generation's sum over 64
+    # trials passes 2^63
+    res = run_batch(Batch(Geometric(0.6), horizon=3, trials=64, master_seed=5,
+                          initial_size=1 << 58, sample_trajectories=64))
+    tracks = res.sampled_trajectories
+    assert max(t.counts[-1] for t in tracks) < 1 << 63
+    assert res.per_generation_alive_size_sums[-1] > 1 << 63
+    for n in range(4):
+        assert res.per_generation_alive_size_sums[n] == sum(t.counts[n] for t in tracks)
+
+
+@pytest.mark.parametrize("pmf", [{0: 1.0}, {0: 0.25, 2: 0.75}])
+def test_phi_units_above_the_cap_fail_every_trial(pmf):
+    # phi(x) = 101 units over a cap of 100: no total passes the cap for
+    # {0: 1} (max_k 0), yet the units do
+    cfg = Batch(ExplicitPmf(pmf), horizon=5, trials=30, master_seed=2, policy=Phi.constant(101),
+                population_cap=100, failure_budget=30, sample_trajectories=30)
+    res = run_batch(cfg)
+    assert len(res.failed_trials) == 30 and res.trials == 0
+    for f in res.failed_trials:
+        assert isinstance(f.cause, PopulationOverflow)
+        assert str(f.cause).startswith("101 parents with")
+    assert res.sampled_trajectories == []
+    assert res.per_generation_alive_size_sums == [0] * 6
 
 
 def test_batch_immortal_process():

@@ -88,6 +88,10 @@ CASES = {
     "gw_exact_lane_overflow": ("run", run_doc(law={"kind": "geometric", "r": 0.6}, trials=200,
                                               horizon=100, population_cap=1 << 60,
                                               failure_budget=200)),
+    # Poisson totals past the block bound: one _poisson_exact draw a trial
+    "poisson_past_int64_block": ("run", run_doc(law={"kind": "poisson", "lambda": 1.5},
+                                                trials=200, horizon=110,
+                                                population_cap=1 << 200)),
     **{f"{name}_block": ("run", run_doc(policy)) for name, policy in POLICIES.items()},
     **{f"{name}_coupled": ("run", run_doc(policy, coupled=True))
        for name, policy in POLICIES.items()},
@@ -135,6 +139,7 @@ PINS = {
     "phi_linear_past_int64_block": "52105cd6c8b1b8c6b5ee42815aa9013d649218ac4c765c11bcc8f57331429e6b",
     "phi_table_block": "52cf3be27203d6660ccc80ba376e912f3ac004c76779bf870ffacf74e5bc701e",
     "phi_table_coupled": "8a31e6ce7c9e0547344695698ac59d1f1bab8b373cee14549a23d58af6a85528",
+    "poisson_past_int64_block": "fe84a04f54edc0c83adea521e6bb2d60ab539424dae66f614f7a313f1b422240",
     "series_explicit": "469a8691c7b79281294a71122738573621c9c19502653067bee0c031793a3ce9",
     "series_linear": "7e4e5df56f33e090a21587e24b8aeabcbf7de59cb8fce57c8e9fad9709295c96",
     "series_search": "d75d030da97061f6689986bb685d0db2cc4e853e77301b871425192312a883a3",
