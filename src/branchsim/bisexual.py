@@ -15,7 +15,6 @@ from typing import Callable
 
 import numpy as np
 
-from .brs import Z99
 from .control import ControlPolicy, _counts
 from .engine import (DEFAULT_POPULATION_CAP, BatchResult, _run_batch, _run_vector_block,
                      sample_offspring_total, sample_offspring_totals)
@@ -221,6 +220,7 @@ def mean_reproduction_per_unit(k: int, law: OffspringLaw, alpha: float,
         return MeanReproduction(k=k, estimate=value, halfwidth=0.0,
                                 trials=0, exact=True)
 
+    from .brs import Z99
     totals = sample_offspring_totals(law, k, trials, rng)
     males = rng.binomial(totals, alpha)
     females = totals - males

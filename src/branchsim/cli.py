@@ -9,7 +9,6 @@ overflow, 1 anything else.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import math
@@ -17,7 +16,6 @@ import sys
 
 from . import __version__
 from .bisexual import run_bisexual_batch
-from .brs import Z99, brs_bound, estimate_expected_stop, solve_threshold
 from .control import (Truncation, TruncationAsAbsorption, expectation_criterion,
                       zubkov_criterion)
 from .engine import run_batch
@@ -26,7 +24,6 @@ from .errors import (BatchTrialError, BranchsimError, BudgetExceedsMass,
 from .law import extinction_probability
 from .rng import STREAM_OFFSPRING, spawn_generator
 from .scenario import ScenarioConfig
-from .series import _family_schedule, estimate_conditional_series, schedule_search
 
 EXIT_OK = 0
 EXIT_OTHER = 1
@@ -92,6 +89,7 @@ def _execute(config: ScenarioConfig, provenance: dict):
         return (["generation", "extinct_fraction", f"mean_{size}_given_survival"],
                 _batch_rows(_simulate(config, provenance)))
     if config.experiment == "bcl_series":
+        from .series import _family_schedule, estimate_conditional_series, schedule_search
         result = _simulate(config, provenance)
         family = config.schedule.get("family", "linear")
         if "values" in config.schedule:
@@ -119,6 +117,7 @@ def _execute(config: ScenarioConfig, provenance: dict):
                          float(est.partial_sums[k])])
         return header, rows
     if config.experiment == "brs":
+        from .brs import brs_bound, estimate_expected_stop, solve_threshold
         pop = config.population
         try:
             t = solve_threshold(pop)
@@ -149,6 +148,7 @@ def _compare(config: ScenarioConfig, provenance: dict):
             cv = expectation_criterion(q, config.policy.g, n_max=config.n_max, q=q)
         if cv is not None:
             verdict, method, alpha_hat = cv.verdict, cv.method, cv.fitted_decay_exponent
+    from .brs import Z99
     result = _simulate(config, provenance)
     frac = result.extinction_fraction
     ci = (Z99 * math.sqrt(max(frac * (1.0 - frac), 0.0) / result.trials)
@@ -233,6 +233,7 @@ def compare_criterion_vs_empirical(config_path: str, out: str | None = None,
 
 
 def main(argv=None) -> int:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="branchsim",
         description="Branching-process simulation experiments from JSON configs.")

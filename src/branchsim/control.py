@@ -176,7 +176,7 @@ class ControlPolicy:
 
     stream = None
     revives_zero = False
-    grows = False  # whether apply may leave more than the offspring it is given
+    grows = False  # whether apply may leave more than it is given; the kernel caps it then
 
     def units(self, counts):
         return counts

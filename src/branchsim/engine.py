@@ -1,21 +1,21 @@
 """Core simulation: offspring-sum sampling, trajectory stepping, Monte Carlo batches.
 
-Population counts are Python integers, so runs may exceed 2^63 when the
-configured cap allows it.  Offspring sums are drawn from exact closed-form
-equivalents (Poisson, negative binomial, binomial, multinomial) in parent
-blocks small enough that every underlying numpy draw stays safely inside
-int64.  Batches step every live trial of a block together: one sized draw
-per generation for the trials within the int64 bound, then chunked sized
-draws of the int64-safe pieces of the trials past it.  A Poisson trial
-past the bound is drawn instead as one Poisson(lam z), and a Geometric
-trial as the gamma-mixed Poisson form of its negative binomial: one
-Gamma(z) per trial, then Poisson(m G).  numpy's Poisson sampler is
-inexact past a mean of about 2^48, so larger means are first cut down
-with gamma-distributed Poisson arrival times.  That is a few draws per
-trial, whatever its size.  The exact lane returns arrays, and a block's
-counts are int64 whenever every count fits and Python integers (object
-arrays) otherwise; the dtype changes no drawn number and no report byte.
-A per-particle inverse-CDF mode exists for monotone coupling: with
+Population counts are exact integers, so runs may pass 2^63 when the
+configured cap allows it.  Batches step every live trial of a block
+together.  Offspring sums are exact closed-form equivalents (Poisson,
+negative binomial, binomial, multinomial): one sized draw per generation
+for the trials within the block bound, which keeps every numpy draw inside
+int64, then chunked sized draws of int64-safe pieces for the binomial and
+pmf trials past it.  A Poisson trial past the bound is one Poisson(lam z),
+a Geometric one the gamma-mixed Poisson form of its negative binomial,
+Gamma(z) then Poisson(m G); means past about 2^48, where numpy's Poisson
+sampler is inexact, are first cut down with gamma-distributed Poisson
+arrival times: a few draws per trial, whatever its size.  Counts are int64
+whenever all fit and Python integers (object arrays) otherwise.  Python
+ints sum only the arrival rounds of means of 2^62 or more and the alive
+sizes of object blocks; an int64 alive sum that may pass 2^63 adds 32-bit
+halves.  The dtype changes no drawn number and no report byte.  A
+per-particle inverse-CDF mode exists for monotone coupling: with
 generation-keyed streams, the draw for parent i is the same in two runs, so
 the offspring total is nondecreasing in the parent count.  Coupled mode and
 custom absorbing rules, which see each trajectory so far, step one trial at
@@ -108,9 +108,10 @@ def _poisson_exact(lam, rng) -> np.ndarray:
     S past lam, about once in 10^57 draws, counts as n).  Each round draws
     one gamma for every mean still above ``_POISSON_EXACT``, in ascending
     order; then every mean takes one Poisson draw, in ascending order.
+    Only the rounds of means of 2^62 or more, which may pass int64, sum as Python ints.
     """
     lam = lam.copy()
-    fits = lam.max(initial=0.0) < 2.0**62  # then every count fits in int64
+    wide = lam >= 2.0**62  # only these counts can pass int64
     arrivals = []
     while True:
         big = np.flatnonzero(lam > _POISSON_EXACT)
@@ -120,15 +121,20 @@ def _poisson_exact(lam, rng) -> np.ndarray:
         lam[big] = np.maximum(lam[big] - rng.standard_gamma(n), 0.0)
         arrivals.append((big, n))
     counts = rng.poisson(lam)
-    if fits:  # int64 sums: a tenth less gw_supercritical run time than Python ints
-        for big, n in arrivals:
-            counts[big] += n.astype(np.int64)
-        return counts
-    totals = counts.tolist()
+    at = np.flatnonzero(wide)
+    totals = counts[at].tolist()
     for big, n in arrivals:
-        for i, k in zip(big.tolist(), n.tolist()):
-            totals[i] += int(k)
-    return _counts(totals)
+        if at.size:
+            w = wide[big]
+            for j, k in zip(np.searchsorted(at, big[w]).tolist(), n[w].tolist()):
+                totals[j] += int(k)
+            big, n = big[~w], n[~w]
+        counts[big] += n.astype(np.int64)
+    if at.size:
+        totals = _counts(totals)
+        counts = counts.astype(totals.dtype, copy=False)
+        counts[at] = totals
+    return counts
 
 
 def _make_past_draw(law: OffspringLaw, bound: int, draw):
@@ -463,6 +469,9 @@ def _run_vector_block(policy, batch, lo, hi, counted=None):
         if n:
             off, failed = _draw_offspring(policy.units(z), gens[STREAM_OFFSPRING], *lanes)
             z = policy.apply(off, n, None if policy.stream is None else gens[policy.stream])
+            if policy.grows:  # no draw bounded the counts the rule leaves
+                for i in np.flatnonzero(z > batch.cap).tolist():
+                    failed.setdefault(i, PopulationOverflow(f"{z[i]} units exceed cap {batch.cap}"))
             if failed or not revive and np.count_nonzero(z) < z.size:
                 drop = (z == 0) & (not revive)
                 eg[idx[drop]] = n
@@ -475,10 +484,10 @@ def _run_vector_block(policy, batch, lo, hi, counted=None):
         if revive:
             seen = seen[seen > 0]
         alive_counts[n] = seen.size
-        if seen.dtype == object or not small_sums and int(seen.max(initial=0)) * seen.size >> 63:
-            alive_sums[n] = sum(seen.tolist())
-        else:
-            alive_sums[n] = int(seen.sum())
+        if seen.dtype == object or small_sums or not int(seen.max(initial=0)) * seen.size >> 63:
+            alive_sums[n] = int(seen.sum())  # of Python ints for an object block
+        else:  # 32-bit halves of at most _TRIAL_BLOCK nonnegative counts sum exactly
+            alive_sums[n] = (int((seen >> 32).sum()) << 32) + int((seen & 0xFFFFFFFF).sum())
         if tracks:
             k = int(np.searchsorted(idx, len(tracks)))
             for t, zt in zip(idx[:k].tolist(), z[:k].tolist()):

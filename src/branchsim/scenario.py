@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from . import brs as brs_mod
 from . import control as control_mod
 from .bisexual import CustomMating, DaleyMonogamy, DaleyPolygamy, Min
 from .engine import DEFAULT_POPULATION_CAP
 from .errors import ConfigError
 from .law import Binomial, ExplicitPmf, Geometric, OffspringLaw, Poisson
-from .series import check_schedule
+
+if TYPE_CHECKING:  # the parsers below import brs only for a brs experiment
+    from . import brs as brs_mod
 
 SCHEMA_VERSION = 1
 EXPERIMENTS = ("gw", "controlled", "phi", "bisexual", "bcl_series", "brs")
@@ -167,6 +169,7 @@ def parse_mating(doc):
 
 
 def parse_claim_distribution(doc) -> brs_mod.ClaimDistribution:
+    from . import brs as brs_mod
     kind = _require(doc, "kind", "claim distribution")
     if kind == "uniform":
         return brs_mod.Uniform(_as_number(_require(doc, "b", "uniform claims"), "b"))
@@ -177,6 +180,7 @@ def parse_claim_distribution(doc) -> brs_mod.ClaimDistribution:
 
 
 def parse_population(doc) -> brs_mod.Population:
+    from . import brs as brs_mod
     groups = []
     for g in _as_list(_require(doc, "groups", "population"), "population groups"):
         count = _as_int(_require(g, "count", "population group"), "count", 1)
@@ -288,6 +292,7 @@ class ScenarioConfig:
                 if "values" in sched:
                     values = [_as_int(v, "schedule value", 1)
                               for v in _as_list(sched["values"], "schedule values")]
+                    from .series import check_schedule
                     try:
                         check_schedule(values, cfg.horizon)
                     except ValueError as exc:

@@ -28,6 +28,8 @@ from branchsim import (
     run_bisexual_batch,
     theorem4_check,
 )
+from branchsim.engine import _TRIAL_BLOCK
+from branchsim.law import INT64_MAX
 
 
 @dataclass
@@ -329,14 +331,17 @@ def test_custom_mating_past_int64_fails_its_trial_within_the_budget():
     assert isinstance(err.value.cause, PopulationOverflow)
 
 
+def xy_units(cap, budget=0):
+    """x y units of about 2^31 females and 2^31 males: each count is near
+    2^62, far more than the 2^32 offspring of a trial."""
+    return Batch(ExplicitPmf({2: 1.0}), horizon=1, trials=8, master_seed=3,
+                 mating=CustomMating(lambda x, y: x * y), initial_units=1 << 31,
+                 population_cap=cap, sample_trajectories=8, failure_budget=budget)
+
+
 def test_alive_sums_stay_exact_when_mating_pairs_more_units_than_offspring():
-    # x y units of about 2^31 females and 2^31 males: each count is near 2^62,
-    # past the 2^48 cap that bounds every offspring total, and the block's
-    # sum passes 2^63
-    cfg = Batch(ExplicitPmf({2: 1.0}), horizon=1, trials=8, master_seed=3,
-                mating=CustomMating(lambda x, y: x * y), initial_units=1 << 31,
-                population_cap=1 << 48, sample_trajectories=8)
-    res = run_bisexual_batch(cfg)
+    # the cap is 2^63 - 1, so no trial fails, and the block's sum passes 2^63
+    res = run_bisexual_batch(xy_units(INT64_MAX))
     assert not res.failed_trials and res.trials == 8
     finals = [t.counts[1] for t in res.sampled_trajectories]
     assert all(1 << 61 < c < 1 << 63 for c in finals)
@@ -344,6 +349,43 @@ def test_alive_sums_stay_exact_when_mating_pairs_more_units_than_offspring():
     for n in range(2):
         assert res.per_generation_alive_size_sums[n] == sum(
             t.counts[n] for t in res.sampled_trajectories)
+
+
+def test_mated_units_past_the_cap_fail_their_trials():
+    # with a cap among the x y units, a trial whose units pass it fails as
+    # when its offspring pass it; the other trials keep their counts
+    finals = [t.counts[1] for t in run_bisexual_batch(xy_units(INT64_MAX)).sampled_trajectories]
+    cap = sorted(finals)[3]
+    over = [i for i, c in enumerate(finals) if c > cap]
+    assert 0 < len(over) < 8
+    res = run_bisexual_batch(xy_units(cap, budget=8))
+    assert [f.trial_index for f in res.failed_trials] == over
+    for f in res.failed_trials:
+        assert isinstance(f.cause, PopulationOverflow)
+        assert str(f.cause) == f"{finals[f.trial_index]} units exceed cap {cap}"
+    kept = [c for i, c in enumerate(finals) if i not in over]
+    assert [t.counts[1] for t in res.sampled_trajectories] == kept
+    assert res.per_generation_alive_size_sums[1] == sum(kept)
+    assert res.trials == len(kept) and res.extinction_fraction == 0.0
+    with pytest.raises(BatchTrialError) as err:
+        run_bisexual_batch(xy_units(cap))
+    assert err.value.trial_index == over[0]
+    assert isinstance(err.value.cause, PopulationOverflow)
+
+
+def test_alive_sums_of_a_full_block_near_the_int64_limit_stay_exact():
+    # a block of _TRIAL_BLOCK int64 counts just below 2^63 - 1, with varied
+    # low bits: their sum passes 2^63 many times over
+    top = INT64_MAX - (1 << 21)
+    mating = CustomMating(lambda x, y: top + min(x, y) if min(x, y) else 0)
+    cfg = Batch(ExplicitPmf({2: 1.0}), horizon=1, trials=_TRIAL_BLOCK, master_seed=4,
+                mating=mating, initial_units=1 << 20, population_cap=INT64_MAX,
+                sample_trajectories=_TRIAL_BLOCK)
+    res = run_bisexual_batch(cfg)
+    finals = [t.counts[1] for t in res.sampled_trajectories]
+    assert len(finals) == _TRIAL_BLOCK and len({c % (1 << 32) for c in finals}) > 100
+    assert all(top < c < INT64_MAX for c in finals)
+    assert res.per_generation_alive_size_sums == [_TRIAL_BLOCK << 20, sum(finals)]
 
 
 def test_bisexual_batch_thread_independent():

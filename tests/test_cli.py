@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
+import inspect
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import branchsim
 from branchsim import (
     BatchTrialError,
     ConfigError,
@@ -385,3 +391,25 @@ def test_main_compare_subcommand(tmp_path):
 def test_main_requires_subcommand():
     with pytest.raises(SystemExit):
         cli.main([])
+
+
+def test_importing_the_cli_loads_no_module_a_batch_run_does_not_use():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(branchsim.__file__)))
+    code = ("import sys, branchsim.cli; print(sorted(m for m in ('branchsim.brs', "
+            "'branchsim.series', 'argparse', 'fractions') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60)
+    assert out.stdout == "[]\n"
+
+
+def test_every_public_name_resolves_to_its_defining_module():
+    assert len(branchsim.__all__) == len(set(branchsim.__all__)) == 66
+    for name in branchsim.__all__:
+        module = importlib.import_module(f"branchsim.{branchsim._SOURCES[name]}")
+        obj = getattr(branchsim, name)
+        assert obj is getattr(module, name)
+        if inspect.isclass(obj) or inspect.isfunction(obj):
+            assert obj.__module__ == module.__name__
+    with pytest.raises(AttributeError):
+        branchsim.not_a_public_name

@@ -320,6 +320,39 @@ def test_large_poisson_means_draw_exact_moments_and_low_bits():
     assert np.abs(share - 0.25).max() < 5 * math.sqrt(0.25 * 0.75 / n)
 
 
+def poisson_exact_reference(lam, gen):
+    """``_poisson_exact``'s draws in its order, every total summed as a Python int."""
+    lam, arrivals = lam.copy(), []
+    while (big := np.flatnonzero(lam > 2.0**32)).size:
+        n = np.floor(lam[big] - 16.0 * np.sqrt(lam[big]))
+        lam[big] = np.maximum(lam[big] - gen.standard_gamma(n), 0.0)
+        arrivals.append((big, n))
+    totals = gen.poisson(lam).tolist()
+    for big, n in arrivals:
+        for i, k in zip(big.tolist(), n.tolist()):
+            totals[i] += int(k)
+    return totals
+
+
+@pytest.mark.parametrize("lam, past_int64", [
+    ([3.0, 2.0**40, 1.9 * 2.0**63, 2.0**61, 2.0**62, 2.0**70, 0.5, 1.5 * 2.0**63, 2.0**62.5]
+     + [2.0**63 - 2.0**20] * 6, True),
+    ([2.0**62, 7.0, 2.0**61 + 2.0**50, 2.0**62 + 2.0**40, 2.0**35], False),
+    ([3.0, 2.0**40, 2.0**61.9, 0.0], False),
+])
+def test_poisson_exact_sums_wide_means_apart_and_matches_python_sums(lam, past_int64):
+    # means below 2^62 sum their arrival rounds in int64, the others as
+    # Python ints; the totals, their dtype and the stream match summing all
+    # of them as Python ints
+    lam, gen, twin = np.array(lam), rng(17), rng(17)
+    counts = _poisson_exact(lam, gen)
+    expected = poisson_exact_reference(lam, twin)
+    assert counts.tolist() == expected
+    assert gen.bit_generator.state == twin.bit_generator.state
+    assert (max(expected) >= 1 << 63) == past_int64
+    assert counts.dtype == (object if past_int64 else np.int64)
+
+
 @pytest.mark.parametrize("lam", [1.5, 999.0])
 def test_poisson_totals_past_the_bound_match_law_moments_and_low_bits(lam):
     # a Poisson(lam z) total past the block bound is one _poisson_exact draw;
