@@ -3,8 +3,8 @@
 Each generation the mating units reproduce independently; every offspring is
 male with probability alpha, female otherwise; the next generation's units
 are M(females, males) for a mating function M that is nondecreasing in each
-argument.  The sex split is drawn as one binomial over the generation total,
-which is distributionally identical to assigning sexes one by one.
+argument.  The sex split is drawn as one exact binomial over the generation
+total, which is distributionally identical to assigning sexes one by one.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .control import ControlPolicy, _counts
-from .engine import (DEFAULT_POPULATION_CAP, BatchResult, _run_batch, _run_vector_block,
-                     sample_offspring_total, sample_offspring_totals)
+from .engine import (DEFAULT_POPULATION_CAP, BatchResult, _binomial_exact, _run_batch,
+                     _run_vector_block, sample_offspring_total, sample_offspring_totals)
 from .errors import ConfigError
 from .law import INT64_MAX, ExplicitPmf, OffspringLaw
 from .rng import STREAM_SEX, TrialStreams
@@ -129,15 +129,15 @@ def bisexual_step(state: BisexualState, law: OffspringLaw, alpha: float,
 
     The offspring total comes from the offspring stream and the sex split
     from the dedicated sex stream, so unit counts can be coupled against a
-    plain single-sex run driven by the same seed.  The split is an int64
-    draw, so a total past 2^63 - 1 overflows whatever ``population_cap`` is.
+    plain single-sex run driven by the same seed.  As in the batch kernel,
+    a total past 2^63 - 1 overflows whatever ``population_cap`` is.
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie strictly inside (0, 1), got {alpha}")
     n = state.generation + 1
     total = sample_offspring_total(law, state.units, streams.offspring(n),
                                    population_cap=min(population_cap, INT64_MAX))
-    males = int(streams.sex(n).binomial(total, alpha)) if total else 0
+    males = int(_binomial_exact(_counts([total]), alpha, streams.sex(n))[0]) if total else 0
     females = total - males
     return BisexualState(females=females, males=males,
                          units=int(mating.units(females, males)), generation=n)
@@ -155,7 +155,7 @@ class _MatingStep(ControlPolicy):
     grows = property(lambda self: isinstance(self.mating, CustomMating))
 
     def apply(self, counts, generation: int, rng=None):
-        males = rng.binomial(counts.astype(np.int64, copy=False), self.alpha)
+        males = _binomial_exact(counts, self.alpha, rng)
         return self.mating.units(counts - males, males)
 
 
@@ -222,7 +222,7 @@ def mean_reproduction_per_unit(k: int, law: OffspringLaw, alpha: float,
 
     from .brs import Z99
     totals = sample_offspring_totals(law, k, trials, rng)
-    males = rng.binomial(totals, alpha)
+    males = _binomial_exact(totals, alpha, rng)
     females = totals - males
     units = mating.units(females, males).astype(np.float64)
     est = float(units.mean()) / k

@@ -5,21 +5,21 @@ configured cap allows it.  Batches step every live trial of a block
 together.  Offspring sums are exact closed-form equivalents (Poisson,
 negative binomial, binomial, multinomial): one sized draw per generation
 for the trials within the block bound, which keeps every numpy draw inside
-int64, then chunked sized draws of int64-safe pieces for the binomial and
-pmf trials past it.  A Poisson trial past the bound is one Poisson(lam z),
-a Geometric one the gamma-mixed Poisson form of its negative binomial,
-Gamma(z) then Poisson(m G); means past about 2^48, where numpy's Poisson
-sampler is inexact, are first cut down with gamma-distributed Poisson
-arrival times: a few draws per trial, whatever its size.  Counts are int64
-whenever all fit and Python integers (object arrays) otherwise.  Python
-ints sum only the arrival rounds of means of 2^62 or more and the alive
-sizes of object blocks; an int64 alive sum that may pass 2^63 adds 32-bit
-halves.  The dtype changes no drawn number and no report byte.  A
-per-particle inverse-CDF mode exists for monotone coupling: with
-generation-keyed streams, the draw for parent i is the same in two runs, so
-the offspring total is nondecreasing in the parent count.  Coupled mode and
-custom absorbing rules, which see each trajectory so far, step one trial at
-a time.
+int64 and every binomial count within 2^53, then a few vectorized draws per
+trial past it, whatever its size.  There a Binomial trial is one binomial,
+halved at beta order statistics down to 2^53 trials, and a pmf trial one
+per atom but the last; a Poisson trial is one Poisson(lam z), a Geometric
+one Gamma(z) then Poisson(m G), and means past 2^32 are first cut down with
+gamma-distributed Poisson arrival times.  Binomial counts and means past
+2^90 fail the trial.  Counts are int64 whenever all fit and Python integers
+(object arrays) otherwise.  Python ints sum only the arrival rounds of means
+of 2^62 or more and the alive sizes of object blocks; an int64 alive sum
+that may pass 2^63 adds 32-bit halves.  The dtype changes no drawn number
+and no report byte.  A per-particle inverse-CDF mode exists for monotone
+coupling: with generation-keyed streams, the draw for parent i is the same
+in two runs, so the offspring total is nondecreasing in the parent count.
+Coupled mode and custom absorbing rules, which see each trajectory so far,
+step one trial at a time.
 """
 
 from __future__ import annotations
@@ -37,29 +37,19 @@ from .rng import STREAM_OFFSPRING, TrialStreams, block_generators
 
 DEFAULT_POPULATION_CAP = 1 << 48
 
-# Largest parent block handed to one numpy draw.  Blocks must be exactly
-# representable as float64 (<= 2^53) and keep block * mean well under 2^63.
+# Largest parent block, and binomial count, handed to one numpy draw.  Blocks
+# must be exactly representable as float64 (<= 2^53) and keep block * mean
+# well under 2^63; numpy's binomial draws are all even from 2^56 trials.
 _MAX_BLOCK = 1 << 53
 _MEAN_BUDGET = 1 << 61
 _SLAB = 1 << 20  # uniforms per slab of the per-particle sampler
-_MAX_BLOCKS = 1 << 40  # a trial of this many blocks or more fails: drawing it takes a day or more
+# largest binomial count and Poisson mean of the exact lane: its draws hold
+# their moments there, while Poisson means of 2^96 lost 2% of their variance
+_EXACT_LIMIT = 1 << 90
 
 HORIZON_NOTE = ("trajectories alive at the horizon count as surviving; "
                 "the extinction fraction therefore underestimates the "
                 "limiting extinction probability")
-
-
-def _block_size(law: OffspringLaw) -> int:
-    m = law.mean()
-    block = _MAX_BLOCK
-    if m > 1.0:
-        block = min(block, int(_MEAN_BUDGET / m))
-    mk = law.max_k()
-    if mk is not None and mk > 0:
-        block = min(block, _MEAN_BUDGET // mk)
-    if isinstance(law, Binomial):
-        block = min(block, _MEAN_BUDGET // law.n)
-    return max(block, 1)
 
 
 def _make_block_draw(law: OffspringLaw):
@@ -137,37 +127,99 @@ def _poisson_exact(lam, rng) -> np.ndarray:
     return counts
 
 
-def _make_past_draw(law: OffspringLaw, bound: int, draw):
-    """Return past(z, rng): the exact totals of the counts in the array z,
-    each past ``bound`` and of fewer than ``_MAX_BLOCKS`` blocks, drawn in
-    ascending order, as an int64 array when every total fits and an object
-    array otherwise.
+def _binomial_exact(n, p: float, rng) -> np.ndarray:
+    """Bin(n, p) counts for an int64 or object array n of counts, each below
+    2^101: int64 when every count fits, object otherwise.
 
-    A count is cut into its z mod bound parents, when nonzero, and z // bound
-    blocks of ``bound``, one ``draw`` per piece.  A Poisson or Geometric
-    total is instead one ``_poisson_exact`` draw, whatever z is.  Both split z
-    into the float64-exact parts z - z mod 2^40 and z mod 2^40.  A Poisson
-    mean is lam times their sum.  A Geometric total, a negative binomial, is
-    the gamma-mixed Poisson it is: first, count by count, G ~ Gamma(z) as
-    the gammas of the two parts (a zero part draws nothing), then
-    Poisson(m G), m = r / (1 - r).
+    A count above ``_MAX_BLOCK`` is halved at order statistics (Knuth, TAOCP
+    vol. 2, 3.4.1; Devroye, 1986, ch. X).  Its (n + 1) mod 2^s trials, s the
+    bit length of n + 1 less 53, are one numpy draw, and the 2k - 1 trials
+    left have a float64-exact k.  Their k-th uniform is U ~ Beta(k, k), two
+    Gamma(k) draws: the count is k + Bin(k - 1, (p - U) / (1 - U)) if U < p
+    and Bin(k - 1, p / U) otherwise, and k - 1 trials halve the same way down
+    to 2^53.  Draw order: the remainders, then one beta a round, for the
+    counts past 2^53; then one binomial for every count; each ascending.
     """
-    if not isinstance(law, (Poisson, Geometric)):
-        def past(z, rng):
-            return _draw_pieces((z // bound).astype(np.int64), (z % bound).astype(np.int64),
-                                bound, draw, rng)
-        return past
+    wide = np.flatnonzero(n > _MAX_BLOCK)
+    if not wide.size:
+        return rng.binomial(n.astype(np.int64, copy=False), p)
+    succ = [v + 1 for v in n[wide].tolist()]
+    rems = [v % (1 << v.bit_length() - 53) for v in succ]
+    two_k = np.array([float(v - r) for v, r in zip(succ, rems)])  # 2k, float64-exact
+    probs = np.full(n.size, p)
+    q, bits = probs[wide], np.zeros(wide.size, dtype=np.int64)
+    head = rng.binomial(rems, q)
+    live = np.arange(wide.size)
+    while live.size:  # a round halves two_k: the k-th uniform of the 2k - 1 trials left
+        k = two_k[live] = two_k[live] / 2
+        u, ql = rng.beta(k, k), q[live]
+        low = u < ql
+        q[live] = np.where(low, (ql - u) / (1.0 - u), ql / u)
+        bits[live] = 2 * bits[live] + low
+        live = live[k > _MAX_BLOCK]
+    trials = np.minimum(n, _MAX_BLOCK).astype(np.int64)
+    trials[wide] = two_k.astype(np.int64) - 1
+    probs[wide] = q
+    out = rng.binomial(trials, probs).astype(object)
+    out[wide] += head + two_k.astype(np.int64).astype(object) * bits  # the k of U < p rounds
+    return _counts(out.tolist())
+
+
+def _multinomial_exact(z, ps, rng) -> list:
+    """Multinomial(z, ps) counts of an array z of counts, one object array
+    per atom, by the chain rule: atom i takes Bin(left, p_i / (p_i + ... +
+    p_j)) of the counts that atoms 1 to i - 1 left, one ``_binomial_exact``
+    call for every count, and the last atom takes what is left."""
+    left, hits = z.astype(object), []
+    for q in (ps / np.cumsum(ps[::-1])[::-1])[:-1].tolist():
+        hits.append(_binomial_exact(left, q, rng).astype(object))
+        left = left - hits[-1]
+    return hits + [left]
+
+
+def _make_past_draw(law: OffspringLaw):
+    """Return past(z, rng): the exact totals of the counts in the array z,
+    each past the block bound and at most the lane's limit, int64 when every
+    total fits and object otherwise.
+
+    A Binomial(n, p) total is Bin(n z, p), and a pmf total weighs its atom
+    counts.  A Poisson or Geometric total is one ``_poisson_exact`` draw,
+    with z split into the float64-exact parts z - z mod 2^40 and z mod 2^40.
+    A Poisson mean is lam times their sum.  A Geometric total, a negative
+    binomial, is Poisson(m G) for the law's mean m and G ~ Gamma(z), drawn
+    count by count as the gammas of the two parts (a zero part draws none).
+    """
+    if isinstance(law, Binomial):
+        return lambda z, rng: _binomial_exact(z.astype(object) * law.n, law.p, rng)
+    if isinstance(law, ExplicitPmf):
+        ks, ps = law.pmf_table()
+        return lambda z, rng: _counts(sum(k * hits for k, hits in
+                                          zip(ks.tolist(), _multinomial_exact(z, ps, rng))).tolist())
     mixed, scale = isinstance(law, Geometric), law.mean()
 
     def past(z, rng):
-        # z < _MAX_BLOCKS * bound <= 2^93, so z - z mod 2^40 has at most 53
-        # significant bits
-        low = z % _MAX_BLOCKS
+        # z <= _EXACT_LIMIT, so z - z mod 2^40 has at most 50 significant bits
+        low = z % (1 << 40)
         parts = np.stack((z - low, low), axis=1).astype(np.float64)
         if mixed:
             parts = rng.standard_gamma(parts)
         return _poisson_exact(scale * (parts[:, 0] + parts[:, 1]), rng)
     return past
+
+
+def _lanes(law: OffspringLaw, cap: int):
+    """The (bound, draw, past, limit, cap, max_k) arguments of ``_draw_offspring``
+    for a law.  ``bound``, the block size, keeps the int64 lane's totals
+    within int64; ``limit``, the largest parent count the exact lane draws,
+    keeps its binomial counts and means within ``_EXACT_LIMIT``."""
+    m, mk = law.mean(), law.max_k()
+    bound = min(_MAX_BLOCK, int(_MEAN_BUDGET / m)) if m > 1.0 else _MAX_BLOCK
+    if mk:
+        bound = min(bound, _MEAN_BUDGET // mk)
+    limit = int(_EXACT_LIMIT / max(m, 1.0))
+    if isinstance(law, Binomial):
+        bound, limit = min(bound, _MAX_BLOCK // law.n), _EXACT_LIMIT // law.n
+    return bound, _make_block_draw(law), _make_past_draw(law), limit, cap, mk
 
 
 @lru_cache(maxsize=256)
@@ -201,9 +253,8 @@ def _make_total_sampler(law: OffspringLaw, population_cap: int, per_particle: bo
 
         return sample
 
-    block = _block_size(law)
-    draw = _make_block_draw(law)
-    past = _make_past_draw(law, block, draw)
+    lanes = _lanes(law, population_cap)
+    block, draw = lanes[:2]
 
     def sample(z, rng):
         if z == 0:
@@ -211,8 +262,7 @@ def _make_total_sampler(law: OffspringLaw, population_cap: int, per_particle: bo
         if z > population_cap:
             raise PopulationOverflow(f"parent count {z} exceeds cap {population_cap}")
         if z > block:  # the batch kernel's exact lane, on one entry
-            off, failed = _draw_offspring(_counts([z]), rng, block, draw, past, population_cap,
-                                          law.max_k())
+            off, failed = _draw_offspring(_counts([z]), rng, *lanes)
             if failed:
                 raise failed[0]
             return int(off[0])
@@ -239,22 +289,15 @@ def sample_offspring_total(law: OffspringLaw, z: int, rng,
 
 def sample_offspring_totals(law: OffspringLaw, z: int, size: int, rng,
                             population_cap: int = DEFAULT_POPULATION_CAP) -> np.ndarray:
-    """Vector of ``size`` independent copies of the z-parent offspring total.
-
-    Intended for estimators with moderate z; z must fit into one sampling
-    block so each total is a single int64-safe draw.
-    """
+    """Vector of ``size`` independent copies of the z-parent offspring total,
+    drawn as the batch kernel draws ``size`` trials of z parents."""
     if z < 0:
         raise ValueError(f"parent count must be nonnegative, got {z}")
     if size < 0:
         raise ValueError(f"size must be nonnegative, got {size}")
-    if z == 0:
-        return np.zeros(size, dtype=np.int64)
-    if z > _block_size(law):
-        raise ValueError(f"parent count {z} too large for vectorized sampling")
-    totals = np.asarray(_make_block_draw(law)(z, size, rng), dtype=np.int64)
-    if totals.size and int(totals.max()) > population_cap:
-        raise PopulationOverflow(f"offspring total exceeds cap {population_cap}")
+    totals, failed = _draw_offspring(_counts([z]).repeat(size), rng, *_lanes(law, population_cap))
+    if failed:
+        raise failed[min(failed)]
     return totals
 
 
@@ -358,56 +401,13 @@ class _Batch:
     budget: int
 
 
-_CHUNK = 4096  # parameters per sized draw of the exact lane: its temporaries
-                # set the lane's share of a run's peak memory
-_LOW = (1 << 31) - 1
-_INT64_TERMS = 1 << 31  # an int64 sum of fewer 31-bit halves than this is exact;
-                        # Python-int sums throughout made _draw_offspring 30-60% slower
-
-
-def _draw_pieces(full, rem, bound, draw, gen) -> np.ndarray:
-    """Exact totals of trials of ``rem`` + ``full`` * ``bound`` parents each,
-    in an array typed by ``_counts``.
-
-    Each trial's pieces, its ``rem`` parents when nonzero and then ``full``
-    blocks of ``bound``, are drawn trial after trial in sized draws of at
-    most ``_CHUNK`` parameters.  numpy draws an array of parameters as the
-    same scalar draws made in sequence, so the stream moves exactly as with
-    one scalar draw per piece.  Pieces are summed as 31-bit halves, in int64
-    below ``_INT64_TERMS`` pieces and in Python ints from there on.  Piece
-    counts stay in int64: a trial has fewer than ``_MAX_BLOCKS`` blocks and
-    a block of trials at most ``_TRIAL_BLOCK`` trials.
-    """
-    sizes = full + (rem > 0)
-    starts = np.cumsum(sizes) - sizes
-    pieces = int(sizes.sum())
-    firsts, rems = starts[rem > 0], rem[rem > 0]
-    acc = np.int64 if pieces < _INT64_TERMS else object
-    high = np.zeros(full.size, dtype=acc)
-    low = np.zeros(full.size, dtype=acc)
-    for lo in range(0, pieces, _CHUNK):
-        hi = min(lo + _CHUNK, pieces)
-        params = np.full(hi - lo, bound, dtype=np.int64)
-        a, b = np.searchsorted(firsts, (lo, hi))
-        params[firsts[a:b] - lo] = rems[a:b]
-        drawn = draw(params, hi - lo, gen)
-        # the trials with pieces in [lo, hi); the first may have begun earlier
-        a = int(np.searchsorted(starts, lo, side="right")) - 1
-        b = int(np.searchsorted(starts, hi))
-        at = starts[a:b] - lo
-        at[0] = 0
-        high[a:b] += np.add.reduceat(drawn >> 31, at).astype(acc, copy=False)
-        low[a:b] += np.add.reduceat(drawn & _LOW, at).astype(acc, copy=False)
-    return _counts([(h << 31) + l for h, l in zip(high.tolist(), low.tolist())])
-
-
-def _draw_offspring(units, gen, bound, draw, past, cap, max_k):
+def _draw_offspring(units, gen, bound, draw, past, limit, cap, max_k):
     """Offspring totals for ``units`` parents each, and {position: failure}.
 
     Entries within the int64 bound take one sized ``draw``, in ascending
     trial order.  Entries past it follow, drawn together by ``past``; one
-    above the cap, or of ``_MAX_BLOCKS`` blocks or more, fails and draws
-    nothing.  The totals are int64 when every one fits, object otherwise.
+    above the cap or ``limit`` fails and draws nothing.  The totals are
+    int64 when every one fits, object otherwise.
     The law's ``max_k`` (None: unbounded) can spare the last cap check.
     """
     failures = {}
@@ -423,12 +423,12 @@ def _draw_offspring(units, gen, bound, draw, past, cap, max_k):
     if top > bound:
         where = np.flatnonzero(units > bound)
         z = units[where]
-        over, many = z > cap, z // bound >= _MAX_BLOCKS
+        over, many = z > cap, z > limit
         for i, zi in zip(where[over].tolist(), z[over].tolist()):
             failures[i] = PopulationOverflow(f"parent count {zi} exceeds cap {cap}")
         for i, zi in zip(where[many & ~over].tolist(), z[many & ~over].tolist()):
-            failures[i] = PopulationOverflow(f"parent count {zi} needs {zi // bound} blocks "
-                                             f"of {bound}, at most {_MAX_BLOCKS - 1}")
+            failures[i] = PopulationOverflow(f"parent count {zi} exceeds {limit}, "
+                                             f"the largest the exact lane draws")
         where, z = where[~(over | many)], z[~(over | many)]
         totals = past(z, gen)
         over = totals > cap
@@ -451,8 +451,7 @@ def _run_vector_block(policy, batch, lo, hi, counted=None):
     streams, ``policy.units`` before and ``policy.apply`` after each draw;
     ``counted`` masks the trials that enter the aggregates."""
     gens = block_generators(batch.seed, lo // _TRIAL_BLOCK)
-    bound, draw = _block_size(batch.law), _make_block_draw(batch.law)
-    lanes = (bound, draw, _make_past_draw(batch.law, bound, draw), batch.cap, batch.law.max_k())
+    lanes = _lanes(batch.law, batch.cap)
     horizon, revive = batch.horizon, policy.revives_zero
     small_sums = not policy.grows and batch.cap * (hi - lo) < 1 << 63  # each count <= cap
     eg = np.full(hi - lo, -1, dtype=np.int64)

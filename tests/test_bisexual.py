@@ -28,6 +28,7 @@ from branchsim import (
     run_bisexual_batch,
     theorem4_check,
 )
+from branchsim.bisexual import _MatingStep
 from branchsim.engine import _TRIAL_BLOCK
 from branchsim.law import INT64_MAX
 
@@ -329,6 +330,26 @@ def test_custom_mating_past_int64_fails_its_trial_within_the_budget():
     with pytest.raises(BatchTrialError) as err:
         run_bisexual_batch(cfg)
     assert isinstance(err.value.cause, PopulationOverflow)
+
+
+@pytest.mark.parametrize("path", ["kernel", "bisexual_step"])
+def test_sex_split_of_totals_near_2_60_keeps_its_low_bits(path):
+    # numpy's own binomial split of 2^60 offspring is always a multiple of 16
+    total, males_only = (1 << 60) + 3, CustomMating(lambda x, y: y)
+    if path == "kernel":
+        n = 20_000
+        step = _MatingStep(0.5, males_only)
+        males = step.apply(np.full(n, total, dtype=np.int64), 1, rng(5)).tolist()
+    else:
+        n = 2_000
+        males = [bisexual_step(initial_state(total), ExplicitPmf({1: 1.0}), 0.5, males_only,
+                               TrialStreams(5, t), population_cap=1 << 62).units
+                 for t in range(n)]
+    dev = np.array([m - total // 2 for m in males], dtype=np.float64) - 0.5
+    assert abs(dev.mean()) < 4 * math.sqrt(total / 4 / n)
+    assert abs(dev.var() - total / 4) < 4 * (total / 4) * math.sqrt(2 / n)
+    share = np.bincount([m % 4 for m in males], minlength=4) / n
+    assert np.abs(share - 0.25).max() < 5 * math.sqrt(0.25 * 0.75 / n)
 
 
 def xy_units(cap, budget=0):

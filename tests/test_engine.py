@@ -6,6 +6,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,10 +35,9 @@ from branchsim import (
     simulate_trajectory,
 )
 from branchsim.rng import STREAM_CONTROL
-from branchsim import engine
-from branchsim.engine import (_INT64_TERMS, _MAX_BLOCKS, _block_size, _counts,
-                              _draw_offspring, _draw_pieces, _make_block_draw,
-                              _make_past_draw, _make_total_sampler, _poisson_exact)
+from branchsim.engine import (_EXACT_LIMIT, _binomial_exact, _counts,
+                              _draw_offspring, _lanes, _make_block_draw, _make_total_sampler,
+                              _multinomial_exact, _poisson_exact)
 
 BIG_CAP = 1 << 200
 
@@ -135,19 +135,44 @@ def test_vectorized_totals_validate_arguments():
     assert sample_offspring_totals(Poisson(1.0), 0, 5, rng()).tolist() == [0] * 5
 
 
-def exact_lane(law, cap):
-    """The (bound, draw, past, cap, max_k) arguments of ``_draw_offspring`` for a law."""
-    bound, draw = _block_size(law), _make_block_draw(law)
-    return bound, draw, _make_past_draw(law, bound, draw), cap, law.max_k()
+def binomial_reference(counts, p, gen):
+    """``_binomial_exact`` drawn the plain way, in Python ints.  Entry by
+    entry for the counts n past 2^53: Bin((n + 1) mod 2^s, p), s the bit
+    length of n + 1 less 53, leaving 2k - 1 trials.  Then, round by round
+    while more than 2^53 trials are left, entry by entry: U, the k-th of
+    them, as A / (A + B) for two Gamma(k) draws; if U < p, k successes and
+    p = (p - U) / (1 - U), otherwise p = p / U; k - 1 trials are left.
+    Then, entry by entry, one numpy binomial of the trials left."""
+    totals, left, probs = [0] * len(counts), [int(n) for n in counts], [p] * len(counts)
+    wide = [i for i, n in enumerate(left) if n > 2**53]
+    for i in wide:
+        rem = (left[i] + 1) % 2 ** ((left[i] + 1).bit_length() - 53)
+        totals[i] += int(gen.binomial(rem, p))
+        left[i] -= rem
+    while live := [i for i in wide if left[i] > 2**53]:
+        for i in live:
+            k = (left[i] + 1) // 2
+            a, b = gen.standard_gamma(float(k)), gen.standard_gamma(float(k))
+            u = a / (a + b)
+            if u < probs[i]:
+                totals[i] += k
+                probs[i] = (probs[i] - u) / (1.0 - u)
+            else:
+                probs[i] /= u
+            left[i] = k - 1
+    return [t + int(gen.binomial(n, q)) for t, n, q in zip(totals, left, probs)]
 
 
-def reference_offspring(law, units, gen, bound, cap):
+def reference_offspring(law, units, gen, bound, limit, cap):
     """The exact lane drawn the plain way: one sized draw for the entries
     within the bound, then the entries past it in ascending order; an entry
-    above the cap, or of ``_MAX_BLOCKS`` blocks or more, draws nothing.
+    above the cap, or above ``limit``, draws nothing.
 
-    Entry by entry past the bound, a law draws its remainder and its blocks
-    of ``bound`` parents, in that order.  A Poisson or Geometric law instead
+    Past the bound, a Binomial(n, p) law draws Bin(n z, p) entry by entry
+    as ``binomial_reference`` does.  A pmf law of atoms k_1 .. k_j draws,
+    for i = 1 .. j - 1, Bin(left, p_i / (p_i + ... + p_j)), the sum taken
+    from p_j down, of every entry's parents that atoms 1 .. i - 1 left, as
+    ``binomial_reference``; the last atom takes what is left.  A Poisson or Geometric law instead
     takes, entry by entry, the parts z - z mod 2^40 and z mod 2^40, and
     lam = lam_law (a + b) for a Poisson law, while a Geometric law draws a
     and b as the gammas of those shapes and takes lam = m (a + b); then,
@@ -169,9 +194,8 @@ def reference_offspring(law, units, gen, bound, cap):
             continue
         if u > cap:
             failures[i] = f"parent count {u} exceeds cap {cap}"
-        elif u // bound >= _MAX_BLOCKS:
-            failures[i] = (f"parent count {u} needs {u // bound} blocks of {bound}, "
-                           f"at most {(1 << 40) - 1}")
+        elif u > limit:
+            failures[i] = f"parent count {u} exceeds {limit}, the largest the exact lane draws"
         else:
             past.append(i)
     totals = dict.fromkeys(past, 0)
@@ -191,11 +215,19 @@ def reference_offspring(law, units, gen, bound, cap):
                     totals[i] += n
         for i in past:
             totals[i] += int(gen.poisson(lam[i]))
+    elif isinstance(law, Binomial):
+        drawn = binomial_reference([units[i] * law.n for i in past], law.p, gen)
+        totals = dict(zip(past, drawn))
     else:
-        for i in past:
-            full, rem = divmod(units[i], bound)
-            totals[i] = int(draw(rem, None, gen)) if rem else 0
-            totals[i] += sum(draw(bound, full, gen).tolist())
+        ks, ps = (a.tolist() for a in law.pmf_table())
+        left = [units[i] for i in past]
+        for j, k in enumerate(ks[:-1]):
+            hits = binomial_reference(left, ps[j] / sum(reversed(ps[j:])), gen)
+            for i, hit in zip(past, hits):
+                totals[i] += k * hit
+            left = [n - hit for n, hit in zip(left, hits)]
+        for i, n in zip(past, left):
+            totals[i] += ks[-1] * n
     for i, total in totals.items():
         if total > cap:
             failures[i] = f"offspring total exceeded cap {cap}"
@@ -216,11 +248,15 @@ EXACT_LANE_LAWS = [Poisson(1.5), Geometric(0.6), Binomial(3, 0.5), ExplicitPmf({
 @pytest.mark.parametrize("law", EXACT_LANE_LAWS, ids=repr)
 @pytest.mark.parametrize("case", ["within", "within_no_zero", "within_small_cap",
                                   "within_total_over_cap", "int64", "roomy", "tight",
-                                  "long_overflow", "too_many", "past_small_totals"])
+                                  "long_overflow", "past_limit", "past_small_totals"])
 def test_batched_exact_lane_draws_like_one_sampler_call_per_trial(law, case):
-    bound = _block_size(law)
-    assert bound == (1 << 53 if law.mean() <= 256 else int(2**61 / law.mean()))
-    long = bound * ((1 << 20) + 1) + 1  # its pieces cross many chunk boundaries
+    lane = _lanes(law, BIG_CAP)
+    bound, limit = lane[0], lane[3]
+    if isinstance(law, Binomial):  # numpy's binomial is exact up to 2^53 trials
+        assert bound == (1 << 53) // law.n and limit == _EXACT_LIMIT // law.n
+    else:
+        assert bound == (1 << 53 if law.mean() <= 256 else int(2**61 / law.mean()))
+    long = bound * ((1 << 20) + 1) + 1
     if case == "within":  # every entry at or below the bound, some of them zero
         units = [0, 5, bound, 17, 0, 1, bound - 1]
         cap = BIG_CAP
@@ -246,22 +282,22 @@ def test_batched_exact_lane_draws_like_one_sampler_call_per_trial(law, case):
         # past the bound, with every total of every law here below 2^62
         units = [bound + 7, 0, 5, bound + bound // 2]
         cap = BIG_CAP
-    elif case == "too_many":
-        # far more blocks than any run could draw: these fail, and draw nothing
-        units = [3, 1 << 115, 1 << 115, 2 * bound + 1, _MAX_BLOCKS * bound, 4]
+    elif case == "past_limit":
+        # counts above the limit fail and draw nothing; the limit itself draws
+        units = [3, 1 << 115, 1 << 115, 2 * bound + 1, limit + 1, limit, 4]
         cap = BIG_CAP
     else:
         units = [0, 5, bound, 3 * bound, bound + 7, 17, 5000 * bound + 3, 0, 4500 * bound,
                  5001 * bound, 3000 * bound, 7000 * bound, long, 2, 4097 * bound, 1]
         cap = BIG_CAP if case == "roomy" else 6000 * bound
     units = _counts(units)
-    assert units.dtype == (object if case in ("roomy", "tight", "long_overflow", "too_many")
+    assert units.dtype == (object if case in ("roomy", "tight", "long_overflow", "past_limit")
                            else np.int64)
-    lane = exact_lane(law, cap)
+    lane = _lanes(law, cap)
     for entries in (units, units.astype(object)):  # phi may hand small units as objects
         gen, twin = np.random.default_rng(41), np.random.default_rng(41)
         off, failures = _draw_offspring(entries, gen, *lane)
-        want_off, want_failures = reference_offspring(law, entries, twin, bound, cap)
+        want_off, want_failures = reference_offspring(law, entries, twin, bound, limit, cap)
         assert off.tolist() == want_off
         assert {i: str(exc) for i, exc in failures.items()} == want_failures
         assert gen.bit_generator.state == twin.bit_generator.state
@@ -282,30 +318,21 @@ def test_batched_exact_lane_draws_like_one_sampler_call_per_trial(law, case):
         assert {i: str(exc) for i, exc in failures.items()} == {
             1: f"offspring total exceeded cap {cap}"}
         assert off[2] > 0
-    if case == "too_many":
+    if case == "past_limit":
         assert set(failures) == {1, 2, 4}
-        assert str(failures[1]) == (f"parent count {1 << 115} needs {(1 << 115) // bound} "
-                                    f"blocks of {bound}, at most {(1 << 40) - 1}")
-        assert off[3] > 0 and off[5] > 0
+        assert str(failures[1]) == (f"parent count {1 << 115} exceeds {limit}, "
+                                    "the largest the exact lane draws")
+        assert off[3] > 0 and off[5] > 0 and off[6] > 0
     if case in ("int64", "roomy"):
+        # the lane draws every entry's first-stage draws (arrival times,
+        # gammas, remainders) before any final draw, so the one-trial sampler
+        # matches it one entry at a time
         sample = _make_total_sampler(law, cap, False)
-        if isinstance(law, (Poisson, Geometric)):
-            # the lane draws every arrival time before any Poisson draw, so
-            # the one-trial sampler matches it one entry at a time
-            for u in units.tolist():
-                gen, third = np.random.default_rng(41), np.random.default_rng(41)
-                one, failed = _draw_offspring(_counts([u]), gen, *lane)
-                assert not failed and sample(u, third) == one[0]
-                assert third.bit_generator.state == gen.bit_generator.state
-        else:
-            # the one-trial sampler, called once per entry in the lane's order
-            # (the entries within the bound, then those past it), draws the
-            # same totals
-            third = np.random.default_rng(41)
-            order = sorted(range(len(units)), key=lambda i: int(units[i]) > bound)
-            totals = {i: sample(int(units[i]), third) for i in order}
-            assert [totals[i] for i in range(len(units))] == off.tolist()
-            assert third.bit_generator.state == twin.bit_generator.state
+        for u in units.tolist():
+            gen, third = np.random.default_rng(41), np.random.default_rng(41)
+            one, failed = _draw_offspring(_counts([u]), gen, *lane)
+            assert not failed and sample(u, third) == one[0]
+            assert third.bit_generator.state == gen.bit_generator.state
 
 
 def test_large_poisson_means_draw_exact_moments_and_low_bits():
@@ -358,7 +385,7 @@ def test_poisson_totals_past_the_bound_match_law_moments_and_low_bits(lam):
     # a Poisson(lam z) total past the block bound is one _poisson_exact draw;
     # at lam = 999 the block is 2^61 / 999 and the totals pass 2^62
     law = Poisson(lam)
-    lane = exact_lane(law, BIG_CAP)
+    lane = _lanes(law, BIG_CAP)
     z, n = 3 * lane[0] + 7, 40_000
     off, failures = _draw_offspring(np.full(n, z, dtype=np.int64), rng(12), *lane)
     assert not failures and off.dtype == np.int64
@@ -375,7 +402,7 @@ def test_geometric_totals_past_the_bound_match_law_mean_and_variance(r):
     law = Geometric(r)
     m, var = r / (1 - r), r / (1 - r) ** 2
     z, n = 3 * 2**53 + 7, 40_000
-    lane = exact_lane(law, BIG_CAP)
+    lane = _lanes(law, BIG_CAP)
     assert z > 2 * lane[0]
     off, failures = _draw_offspring(np.full(n, z, dtype=np.int64), rng(12), *lane)
     assert not failures
@@ -385,29 +412,109 @@ def test_geometric_totals_past_the_bound_match_law_mean_and_variance(r):
     assert float(dev.var()) == pytest.approx(z * var, rel=0.1)
 
 
-def test_scalar_sampler_fails_a_count_of_too_many_blocks():
-    for law in (Poisson(1.5), Geometric(0.6)):
-        bound = _block_size(law)
-        sample, gen = _make_total_sampler(law, BIG_CAP, False), rng(3)
-        before = gen.bit_generator.state
-        with pytest.raises(PopulationOverflow, match=f"needs {_MAX_BLOCKS} blocks of {bound}"):
-            sample(_MAX_BLOCKS * bound, gen)
-        assert gen.bit_generator.state == before
+def assert_moments(counts, mean, var):
+    """Exact counts with mean ``mean`` (a Fraction) and variance ``var``:
+    their mean and variance within 4 standard errors, and their residues
+    mod 4 within 5 standard errors of uniform."""
+    n, base = len(counts), int(mean)
+    dev = np.array([c - base for c in counts], dtype=np.float64) - float(mean - base)
+    assert abs(float(dev.mean())) < 4 * math.sqrt(var / n)
+    assert abs(float(dev.var()) - var) < 4 * var * math.sqrt(2 / n)
+    share = np.bincount([c % 4 for c in counts], minlength=4) / n
+    assert np.abs(share - 0.25).max() < 5 * math.sqrt(0.25 * 0.75 / n)
 
 
-def test_exact_lane_sums_stay_exact_past_the_int64_term_bound(monkeypatch):
-    # an int64 sum of 31-bit halves, each at most 2^32 - 1, cannot overflow
-    # below _INT64_TERMS terms; from there on the halves are Python ints
-    assert (_INT64_TERMS - 1) * ((1 << 32) - 1) <= (1 << 63) - 1
-    top = (1 << 63) - 1
+@pytest.mark.parametrize("counts", [
+    [5, 2**53, 0, 17],
+    [3, 2**53, 2**53 + 1, 0, 2**62 + 5, 2**63 - 1, 2**56, 1],
+    [2**90, 7, 2**70 + 3, 2**53 + 2, 0, 2**63 + 1, 2**100 + 12345],
+])
+def test_exact_binomial_matches_its_plain_reference(counts):
+    # int64 counts up to 2^63 - 1, whose n + 1 passes int64, and object
+    # counts past it: equal draws, stream and dtype
+    gen, twin = rng(23), rng(23)
+    drawn = _binomial_exact(_counts(counts), 0.3, gen)
+    assert drawn.tolist() == binomial_reference(counts, 0.3, twin)
+    assert gen.bit_generator.state == twin.bit_generator.state
+    assert drawn.dtype == (np.int64 if max(drawn.tolist()) < 1 << 63 else object)
 
-    def draw(params, size, gen):
-        return np.full(size, top, dtype=np.int64)
 
-    full, rem = np.array([3, 5000, 0]), np.array([0, 7, 2])
-    for terms in (_INT64_TERMS, 1):
-        monkeypatch.setattr(engine, "_INT64_TERMS", terms)
-        assert _draw_pieces(full, rem, 9, draw, None).tolist() == [3 * top, 5001 * top, top]
+@pytest.mark.parametrize("n, p", [(2**60, 0.6), (2**80, 0.3), (_EXACT_LIMIT, 0.6)],
+                         ids=["2^60", "2^80", "limit"])
+def test_exact_binomial_draws_exact_moments_and_low_bits(n, p):
+    # numpy's own binomial(2**60, p) draws are all multiples of 16
+    counts = _binomial_exact(_counts([n] * 100_000), p, rng(7)).tolist()
+    assert_moments(counts, Fraction(p) * n, n * p * (1 - p))
+
+
+def test_binomial_law_past_2_53_trials_takes_the_exact_lane_from_one_parent():
+    law = Binomial(2**60, 0.5)
+    lane = _lanes(law, BIG_CAP)
+    assert lane[0] == 0
+    drawn, failures = _draw_offspring(np.ones(20_000, dtype=np.int64), rng(5), *lane)
+    assert not failures
+    assert_moments(drawn.tolist(), Fraction(2**59), 2**58)
+
+
+def piecewise_totals(law, z, size, gen):
+    """``size`` totals of z parents each, drawn trial after trial the plain
+    piecewise way: z mod bound parents, then z // bound blocks of bound
+    parents, one numpy draw per piece."""
+    bound, draw = _lanes(law, BIG_CAP)[:2]
+    full, rem = divmod(z, bound)
+    return [int(draw(rem, None, gen)) + sum(draw(bound, full, gen).tolist())
+            for _ in range(size)]
+
+
+@pytest.mark.parametrize("law", [Binomial(3, 0.5), ExplicitPmf({0: 0.2, 1: 0.3, 3: 0.5})],
+                         ids=repr)
+def test_exact_lane_matches_the_piecewise_reference_in_distribution(law):
+    # two samples, the lane's and the piecewise one's: means, variances and
+    # residues mod 4 agree
+    z, n = 3 * 2**53 + 7, 40_000
+    drawn, failures = _draw_offspring(np.full(n, z, dtype=np.int64), rng(12),
+                                      *_lanes(law, BIG_CAP))
+    assert not failures
+    base = int(z * law.mean())
+    a = (drawn - base).astype(np.float64)
+    b = (np.array(piecewise_totals(law, z, n, rng(13))) - base).astype(np.float64)
+    var = (a.var() + b.var()) / 2
+    assert abs(a.mean() - b.mean()) < 4 * math.sqrt(2 * var / n)
+    assert abs(a.var() - b.var()) < 4 * 2 * var / math.sqrt(n)
+    shares = [np.bincount(x.astype(np.int64) % 4, minlength=4) / n for x in (a, b)]
+    assert np.abs(shares[0] - shares[1]).max() < 5 * math.sqrt(2 * 0.25 * 0.75 / n)
+
+
+def test_multinomial_chain_counts_sum_to_z_and_match_each_atom():
+    ps = ExplicitPmf({0: 0.2, 1: 0.3, 3: 0.5}).pmf_table()[1]
+    z, n = 2**70 + 3, 20_000
+    hits = [h.tolist() for h in _multinomial_exact(_counts([z] * n), ps, rng(31))]
+    assert len(hits) == 3
+    assert all(sum(col) == z for col in zip(*hits))
+    for counts, p in zip(hits, ps.tolist()):
+        assert_moments(counts, Fraction(p) * z, z * p * (1 - p))
+
+
+@pytest.mark.parametrize("law", [Poisson(999.0), Geometric(0.6)], ids=repr)
+def test_poisson_lane_holds_its_moments_at_the_top_of_its_range(law):
+    # numpy's gamma draws lose variance at huge shapes: totals of mean 2^100
+    # came out about 4% short, and Poisson(999) admitted means up to 2^101
+    lane = _lanes(law, BIG_CAP)
+    z = lane[3]
+    var = z * (law.lam if isinstance(law, Poisson) else law.r / (1 - law.r) ** 2)
+    drawn, failures = _draw_offspring(_counts([z] * 100_000), rng(7), *lane)
+    assert not failures
+    assert_moments(drawn.tolist(), Fraction(law.mean()) * z, var)
+
+
+@pytest.mark.parametrize("law", EXACT_LANE_LAWS, ids=repr)
+def test_scalar_sampler_fails_a_count_past_the_exact_lane_limit(law):
+    limit = _lanes(law, BIG_CAP)[3]
+    sample, gen = _make_total_sampler(law, BIG_CAP, False), rng(3)
+    before = gen.bit_generator.state
+    with pytest.raises(PopulationOverflow, match=f"parent count {limit + 1} exceeds {limit}"):
+        sample(limit + 1, gen)
+    assert gen.bit_generator.state == before
 
 
 # -------------------------------------------------------------- trajectories

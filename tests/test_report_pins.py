@@ -88,6 +88,13 @@ CASES = {
     "gw_exact_lane_overflow": ("run", run_doc(law={"kind": "geometric", "r": 0.6}, trials=200,
                                               horizon=100, population_cap=1 << 60,
                                               failure_budget=200)),
+    # Binomial and 3-atom pmf totals past the block bound: exact binomials
+    "binomial_past_int64_block": ("run", run_doc(law={"kind": "binomial", "n": 3, "p": 0.6},
+                                                 trials=200, horizon=75,
+                                                 population_cap=1 << 200)),
+    "pmf3_past_int64_block": ("run", run_doc(law={"kind": "explicit_pmf",
+                                                  "pmf": {"0": 0.2, "1": 0.3, "3": 0.5}},
+                                             trials=200, horizon=75, population_cap=1 << 200)),
     # Poisson totals past the block bound: one _poisson_exact draw a trial
     "poisson_past_int64_block": ("run", run_doc(law={"kind": "poisson", "lambda": 1.5},
                                                 trials=200, horizon=110,
@@ -113,6 +120,7 @@ CASES = {
 }
 
 PINS = {
+    "binomial_past_int64_block": "2824235c48fb8913aed2aa62fcf187f6bd5368dff0393ac8d3f440e3aaa9adcc",
     "bisexual_daley_monogamy": "14d103e4d7224c57f0edfbc731fc355598d4143961554dd1033322d23d530e99",
     "bisexual_daley_polygamy": "49c80491986d704e10b1fcef714a2b8a4986416bd7eafd8d7efea9dce5461a3c",
     "bisexual_min": "a8c9cfb555de0be8f3c6fe7a8c31778dd8c6ba31eee2084a0957b531292c52d2",
@@ -136,9 +144,10 @@ PINS = {
     "phi_identity_coupled": "d3ab471501bf74b63cd26dceb7cafa1d3ffbcb376ead64fd49705bca22bde3a5",
     "phi_linear_block": "d436930bd5c54a9f9f9c2efc7f5a99df0c1a78d04ffeed79c118b9fa0cf3ef7c",
     "phi_linear_coupled": "ed73d1f8788cd62f22e2646b2de30885bba3162259d75c6ea791af900b82da23",
-    "phi_linear_past_int64_block": "52105cd6c8b1b8c6b5ee42815aa9013d649218ac4c765c11bcc8f57331429e6b",
+    "phi_linear_past_int64_block": "00b4f0e6ebd49bf65016b46810cfc9ac217615565a42c4c6b6778c642d34d5cc",
     "phi_table_block": "52cf3be27203d6660ccc80ba376e912f3ac004c76779bf870ffacf74e5bc701e",
     "phi_table_coupled": "8a31e6ce7c9e0547344695698ac59d1f1bab8b373cee14549a23d58af6a85528",
+    "pmf3_past_int64_block": "51f14792eb86d821d423e2ace7247857dc0f0702c163050849274a437f090dea",
     "poisson_past_int64_block": "fe84a04f54edc0c83adea521e6bb2d60ab539424dae66f614f7a313f1b422240",
     "series_explicit": "469a8691c7b79281294a71122738573621c9c19502653067bee0c031793a3ce9",
     "series_linear": "7e4e5df56f33e090a21587e24b8aeabcbf7de59cb8fce57c8e9fad9709295c96",
