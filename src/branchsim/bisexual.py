@@ -10,14 +10,14 @@ total, which is distributionally identical to assigning sexes one by one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .control import ControlPolicy, _counts
 from .engine import (DEFAULT_POPULATION_CAP, BatchResult, _binomial_exact, _run_batch,
-                     _run_vector_block, sample_offspring_total, sample_offspring_totals)
+                     sample_offspring_total, sample_offspring_totals)
 from .errors import ConfigError
 from .law import INT64_MAX, ExplicitPmf, OffspringLaw
 from .rng import STREAM_SEX, TrialStreams
@@ -302,9 +302,7 @@ def run_bisexual_batch(config, threads: int = 1) -> BatchResult:
     stream and mated.  Aggregation and the failure budget are the same, and
     as in ``bisexual_step`` a total past 2^63 - 1 overflows the cap.
     """
-    step = _MatingStep(config.alpha, config.mating)
-
-    def run_block(batch, lo, hi):
-        return _run_vector_block(step, replace(batch, cap=min(batch.cap, INT64_MAX)), lo, hi)
-
-    return _run_batch(config, getattr(config, "initial_units", 1), run_block)
+    if getattr(config, "coupled", False):
+        raise ConfigError("bisexual batches have no coupled mode")
+    return _run_batch(config, getattr(config, "initial_units", 1),
+                      _MatingStep(config.alpha, config.mating), INT64_MAX)

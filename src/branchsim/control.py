@@ -231,7 +231,8 @@ class CustomAbsorption(ControlPolicy):
 
     The rule sees a read-only copy of the trajectory so far and must return
     an integer in [0, l].  A rule that accepts four arguments also receives a
-    dedicated random substream.  Batches run such a rule one trial at a time.
+    generator.  Batches apply the rule to one live trial at a time, in
+    ascending order; a BranchsimError other than ConfigError fails that trial.
     """
 
     rule: Callable

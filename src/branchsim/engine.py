@@ -18,22 +18,22 @@ that may pass 2^63 adds 32-bit halves.  The dtype changes no drawn number
 and no report byte.  A per-particle inverse-CDF mode exists for monotone
 coupling: with generation-keyed streams, the draw for parent i is the same
 in two runs, so the offspring total is nondecreasing in the parent count.
-Coupled mode and custom absorbing rules, which see each trajectory so far,
-step one trial at a time.
+Coupled batches step on the same kernel, each trial on such streams; custom
+absorbing rules, which see each trajectory so far, apply trial by trial.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .control import ControlPolicy, CustomAbsorption, _counts
 from .errors import BatchTrialError, BranchsimError, ConfigError, PopulationOverflow
 from .law import Binomial, ExplicitPmf, Geometric, OffspringLaw, Poisson
-from .rng import STREAM_OFFSPRING, TrialStreams, block_generators
+from .rng import STREAM_OFFSPRING, TrialStreams, block_generators, spawn_generator
 
 DEFAULT_POPULATION_CAP = 1 << 48
 
@@ -43,6 +43,7 @@ DEFAULT_POPULATION_CAP = 1 << 48
 _MAX_BLOCK = 1 << 53
 _MEAN_BUDGET = 1 << 61
 _SLAB = 1 << 20  # uniforms per slab of the per-particle sampler
+_COUPLED_CAP = 1 << 24  # per-particle counts: one uniform, about 25 ns, per parent
 # largest binomial count and Poisson mean of the exact lane: its draws hold
 # their moments there, while Poisson means of 2^96 lost 2% of their variance
 _EXACT_LIMIT = 1 << 90
@@ -226,6 +227,7 @@ def _lanes(law: OffspringLaw, cap: int):
 def _make_total_sampler(law: OffspringLaw, population_cap: int, per_particle: bool):
     """Build fn(z, rng) -> int distributed as the sum of z draws from law."""
     if per_particle:
+        population_cap = min(population_cap, _COUPLED_CAP)
         ks, ps = law.pmf_table()
         cdf = np.cumsum(ps)
         top = len(ks) - 1
@@ -280,7 +282,7 @@ def sample_offspring_total(law: OffspringLaw, z: int, rng,
     """Total offspring of z independent parents drawn from the law.
 
     ``rng`` is a numpy Generator.  Raises PopulationOverflow when the total
-    (or the parent count itself) exceeds ``population_cap``.
+    (or the parent count itself) exceeds ``population_cap`` (2^24 per particle).
     """
     if z < 0:
         raise ValueError(f"parent count must be nonnegative, got {z}")
@@ -399,6 +401,7 @@ class _Batch:
     cap: int
     n_sample: int
     budget: int
+    coupled: bool
 
 
 def _draw_offspring(units, gen, bound, draw, past, limit, cap, max_k):
@@ -446,18 +449,34 @@ def _draw_offspring(units, gen, bound, draw, past, limit, cap, max_k):
     return off, failures
 
 
+def _draw_coupled(sample, units, seed, trials, n):
+    """``_draw_offspring`` per particle, on each trial's generation-keyed stream."""
+    off, failures = [0] * len(units), {}
+    for i, (t, u) in enumerate(zip(trials.tolist(), units.tolist())):
+        try:
+            off[i] = sample(u, spawn_generator(seed, t, STREAM_OFFSPRING, n)) if u else 0
+        except PopulationOverflow as exc:
+            failures[i] = exc
+    return _counts(off), failures
+
+
 def _run_vector_block(policy, batch, lo, hi, counted=None):
-    """Step trials [lo, hi) together, generation by generation, on the block's
-    streams, ``policy.units`` before and ``policy.apply`` after each draw;
-    ``counted`` masks the trials that enter the aggregates."""
+    """Step trials [lo, hi) together, generation by generation, ``policy.units``
+    before and ``policy.apply`` after each draw; ``counted`` masks the trials
+    that enter the aggregates.  A custom rule, given each trial's counts so
+    far, or a coupled rule that draws applies to one live trial at a time.
+    Returns (extinction generations, alive counts, alive sums, samples, failures)."""
     gens = block_generators(batch.seed, lo // _TRIAL_BLOCK)
     lanes = _lanes(batch.law, batch.cap)
-    horizon, revive = batch.horizon, policy.revives_zero
+    horizon, revive, stream = batch.horizon, policy.revives_zero, policy.stream
+    custom = isinstance(policy, CustomAbsorption)
+    each = custom or batch.coupled and stream is not None
+    sample = batch.coupled and _make_total_sampler(batch.law, batch.cap, True)
     small_sums = not policy.grows and batch.cap * (hi - lo) < 1 << 63  # each count <= cap
     eg = np.full(hi - lo, -1, dtype=np.int64)
     alive_counts = [0] * (horizon + 1)
     alive_sums = [0] * (horizon + 1)
-    tracks = [[] for _ in range(min(max(batch.n_sample - lo, 0), hi - lo))]
+    tracks = [[] for _ in range(hi - lo if custom else min(max(batch.n_sample - lo, 0), hi - lo))]
     failures = []
     idx = np.arange(hi - lo)  # live trials, ascending, with their counts z
     z = np.repeat(_counts([batch.initial]), hi - lo)
@@ -466,8 +485,22 @@ def _run_vector_block(policy, batch, lo, hi, counted=None):
         idx, z = idx[:0], z[:0]
     for n in range(horizon + 1):
         if n:
-            off, failed = _draw_offspring(policy.units(z), gens[STREAM_OFFSPRING], *lanes)
-            z = policy.apply(off, n, None if policy.stream is None else gens[policy.stream])
+            off, failed = (_draw_coupled(sample, policy.units(z), batch.seed, lo + idx, n)
+                           if batch.coupled else
+                           _draw_offspring(policy.units(z), gens[STREAM_OFFSPRING], *lanes))
+            rng = None if stream is None else gens[stream]
+            for i, t in enumerate(idx.tolist() if each else ()):
+                if batch.coupled and rng is not None:  # the trial's own stream
+                    rng = spawn_generator(batch.seed, lo + t, stream, n)
+                try:
+                    if i not in failed:
+                        off[i:i + 1] = policy.apply(off[i:i + 1], n, rng,
+                                                    *((tracks[t],) if custom else ()))
+                except ConfigError:
+                    raise
+                except BranchsimError as exc:
+                    failed[i] = exc
+            z = off if each else policy.apply(off, n, rng)
             if policy.grows:  # no draw bounded the counts the rule leaves
                 for i in np.flatnonzero(z > batch.cap).tolist():
                     failed.setdefault(i, PopulationOverflow(f"{z[i]} units exceed cap {batch.cap}"))
@@ -503,7 +536,7 @@ def _run_vector_block(policy, batch, lo, hi, counted=None):
         eg[idx[z == 0]] = horizon
     failed_at = {f.trial_index for f in failures}
     sampled = []
-    for t, counts in enumerate(tracks):
+    for t, counts in enumerate(tracks[:max(batch.n_sample - lo, 0)]):
         if lo + t not in failed_at:
             counts.extend([0] * (horizon + 1 - len(counts)))
             absorbed = None if revive or eg[t] < 0 else int(eg[t])
@@ -511,47 +544,17 @@ def _run_vector_block(policy, batch, lo, hi, counted=None):
     return eg, alive_counts, alive_sums, sampled, failures
 
 
-def _run_trials(policy, coupled, batch, lo, hi):
-    """Step trials [lo, hi) one at a time, each on its own streams."""
-    eg = np.full(hi - lo, -1, dtype=np.int64)
-    alive_counts = [0] * (batch.horizon + 1)
-    alive_sums = [0] * (batch.horizon + 1)
-    sampled = []
-    failures = []
-    for t in range(lo, hi):
-        try:
-            traj = simulate_trajectory(batch.law, policy, batch.horizon,
-                                       TrialStreams(batch.seed, t, coupled),
-                                       batch.initial, batch.cap, coupled)
-        except ConfigError:
-            raise  # a fault of the config, as in the block kernel, not of one trial
-        except BranchsimError as exc:  # a failed trial joins no aggregate
-            failures.append(BatchTrialError(t, exc))
-            continue
-        extinct_at = traj.extinction_generation()
-        eg[t - lo] = -1 if extinct_at is None else extinct_at
-        for n, zn in enumerate(traj.counts):
-            if zn:
-                alive_counts[n] += 1
-                alive_sums[n] += zn
-        if t < batch.n_sample:
-            sampled.append(traj)
-    return eg, alive_counts, alive_sums, sampled, failures
-
-
-def _run_batch(config, initial, run_block) -> BatchResult:
-    """Validate the shared settings, run every block and aggregate.
-
-    ``run_block(batch, lo, hi)`` returns, for trials [lo, hi), their
-    extinction generations, the alive counts and alive size sums per
-    generation, their sampled trajectories and their failures.  Trial
-    failures beyond ``config.failure_budget`` abort the batch.
+def _run_batch(config, initial, policy, cap_limit=math.inf) -> BatchResult:
+    """Validate the shared settings, run every block and aggregate.  Blocks
+    hold their counts to the configured cap, or to ``cap_limit`` if lower.
+    Trial failures beyond ``config.failure_budget`` abort the batch.
     """
     batch = _Batch(law=config.law, horizon=int(config.horizon),
                    seed=int(config.master_seed), initial=int(initial),
                    cap=int(getattr(config, "population_cap", DEFAULT_POPULATION_CAP)),
                    n_sample=int(getattr(config, "sample_trajectories", 0)),
-                   budget=int(getattr(config, "failure_budget", 0)))
+                   budget=int(getattr(config, "failure_budget", 0)),
+                   coupled=bool(getattr(config, "coupled", False)))
     horizon, trials = batch.horizon, int(config.trials)
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
@@ -563,7 +566,8 @@ def _run_batch(config, initial, run_block) -> BatchResult:
     # blocks run one after another: a thread pool over blocks made the
     # 2-thread benchmark workload slower, since the exact lane and the
     # per-generation bookkeeping hold the interpreter lock
-    results = [run_block(batch, lo, min(lo + _TRIAL_BLOCK, trials))
+    batch = replace(batch, cap=min(batch.cap, cap_limit))
+    results = [_run_vector_block(policy, batch, lo, min(lo + _TRIAL_BLOCK, trials))
                for lo in range(0, trials, _TRIAL_BLOCK)]
     failures = sorted((f for r in results for f in r[4]), key=lambda f: f.trial_index)
     if len(failures) > batch.budget:
@@ -597,17 +601,11 @@ def _run_batch(config, initial, run_block) -> BatchResult:
 def run_batch(config, threads: int = 1) -> BatchResult:
     """Run ``config.trials`` independent trajectories and aggregate them.
 
-    Trials run in blocks of ``_TRIAL_BLOCK``, each block stepping all its
-    live trials together on streams keyed by the block, so the result is a
-    pure function of the config.  Coupled per-particle mode and custom
-    absorbing rules step one trial at a time on per-trial streams.  Trial
+    Trials run in blocks of ``_TRIAL_BLOCK``; a block steps all its live
+    trials together on streams keyed by the block or, coupled, by trial and
+    generation, so the result is a pure function of the config.  Trial
     failures beyond ``config.failure_budget`` abort the batch.  ``threads``
     is accepted for compatibility and changes nothing.
     """
     policy = getattr(config, "policy", None) or ControlPolicy()
-    coupled = bool(getattr(config, "coupled", False))
-    if coupled or isinstance(policy, CustomAbsorption):
-        run_block = partial(_run_trials, policy, coupled)
-    else:
-        run_block = partial(_run_vector_block, policy)
-    return _run_batch(config, getattr(config, "initial_size", 1), run_block)
+    return _run_batch(config, getattr(config, "initial_size", 1), policy)

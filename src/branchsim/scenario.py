@@ -256,6 +256,8 @@ class ScenarioConfig:
         if "coupled" in doc:
             if not isinstance(doc["coupled"], bool):
                 raise ConfigError(f"coupled: expected a boolean, got {doc['coupled']!r}")
+            if doc["coupled"] and experiment in ("bisexual", "brs"):
+                raise ConfigError(f"coupled: experiment {experiment!r} has no coupled mode")
             cfg.coupled = doc["coupled"]
         if "output" in doc:
             out = doc["output"]

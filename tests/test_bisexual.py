@@ -46,6 +46,7 @@ class Batch:
     population_cap: int = 1 << 200
     sample_trajectories: int = 0
     failure_budget: int = 0
+    coupled: bool = False
 
 
 def rng(seed=0):
@@ -332,6 +333,15 @@ def test_custom_mating_past_int64_fails_its_trial_within_the_budget():
     assert isinstance(err.value.cause, PopulationOverflow)
 
 
+def test_generation_totals_past_int64_fail_whatever_the_cap():
+    # 2^62 units of two offspring each make 2^63, past the int64 ceiling of
+    # mating runs, though the configured cap is 2^200
+    cfg = Batch(ExplicitPmf({2: 1.0}), horizon=1, trials=2, master_seed=1, mating=Min(),
+                initial_units=1 << 62, failure_budget=2)
+    assert [str(f.cause) for f in run_bisexual_batch(cfg).failed_trials] == \
+        [f"offspring total exceeded cap {INT64_MAX}"] * 2
+
+
 @pytest.mark.parametrize("path", ["kernel", "bisexual_step"])
 def test_sex_split_of_totals_near_2_60_keeps_its_low_bits(path):
     # numpy's own binomial split of 2^60 offspring is always a multiple of 16
@@ -434,3 +444,6 @@ def test_bisexual_batch_validates_config():
     with pytest.raises(ConfigError):
         run_bisexual_batch(Batch(Poisson(1.0), horizon=5, trials=0,
                                  master_seed=0, mating=Min()))
+    with pytest.raises(ConfigError, match="no coupled mode"):
+        run_bisexual_batch(Batch(Poisson(1.0), horizon=5, trials=5,
+                                 master_seed=0, mating=Min(), coupled=True))

@@ -20,6 +20,7 @@ from branchsim import (
     DisasterSchedule,
     ExplicitPmf,
     Geometric,
+    InvalidRuleError,
     Phi,
     Poisson,
     PopulationOverflow,
@@ -35,7 +36,7 @@ from branchsim import (
     simulate_trajectory,
 )
 from branchsim.rng import STREAM_CONTROL
-from branchsim.engine import (_EXACT_LIMIT, _binomial_exact, _counts,
+from branchsim.engine import (_EXACT_LIMIT, _TRIAL_BLOCK, _binomial_exact, _counts,
                               _draw_offspring, _lanes, _make_block_draw, _make_total_sampler,
                               _multinomial_exact, _poisson_exact)
 
@@ -618,23 +619,78 @@ def test_coupled_trajectory_builds_a_control_stream_only_for_rules_that_draw(pol
     assert (STREAM_CONTROL in streams.asked) is draws
 
 
+def assert_same_result(a, b):
+    """Two BatchResults agree field for field, array for array."""
+    for name, value in vars(a).items():
+        other = getattr(b, name)
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(value, other), name
+        elif isinstance(value, float) and math.isnan(value):
+            assert math.isnan(other), name
+        else:
+            assert value == other, name
+
+
 def test_batch_runs_a_custom_rule_on_each_trajectory_so_far():
+    seen = {}
+
     def rule(offspring, n, history):
         assert len(history) == n  # generations 0 .. n - 1
+        seen.setdefault(n, []).append(history)
         return max(offspring - 2 * history[-1], 0)  # a population at most doubles
 
-    policy = CustomAbsorption(rule)
-    cfg = Batch(Geometric(0.75), horizon=30, trials=200, master_seed=12, policy=policy,
-                sample_trajectories=200)
+    cfg = Batch(Geometric(0.75), horizon=30, trials=200, master_seed=12,
+                policy=CustomAbsorption(rule), sample_trajectories=200)
     res = run_batch(cfg)
     assert res.trials == 200 and len(res.sampled_trajectories) == 200
-    for t, traj in enumerate(res.sampled_trajectories):
+    for traj in res.sampled_trajectories:
         assert all(b <= 2 * a for a, b in zip(traj.counts, traj.counts[1:]))
-        assert traj.counts == simulate_trajectory(cfg.law, policy, 30, TrialStreams(12, t),
-                                                  population_cap=BIG_CAP).counts
-    bad = CustomAbsorption(lambda offspring, n, history: -1)
+    # each generation, the rule sees every live trial's counts so far, in trial order
+    assert sorted(seen) == list(range(1, len(seen) + 1))
+    for n, histories in seen.items():
+        assert histories == [tuple(traj.counts[:n]) for traj in res.sampled_trajectories
+                             if traj.counts[n - 1]]
+
+
+G = GrowthFunction.linear(0.5, 2.0)
+
+
+@pytest.mark.parametrize("rule,builtin", [
+    (lambda offspring, n, history: max(offspring - G(n), 0), TruncationAsAbsorption(G)),
+    (lambda offspring, n, history, rng: offspring if rng.random() < 0.1 else 0,
+     Disaster(DisasterSchedule.constant(0.1))),
+], ids=["truncation_as_absorption", "disaster"])
+def test_custom_rule_batch_equals_the_builtin_policy(rule, builtin):
+    # on block streams a custom rule is applied to the live trials in ascending
+    # order, drawing from the control stream as the built-in rule draws
+    def run(policy):
+        return run_batch(Batch(Geometric(0.6), horizon=30, trials=4500, master_seed=21,
+                               policy=policy, sample_trajectories=50))
+    assert_same_result(run(CustomAbsorption(rule)), run(builtin))
+
+
+def test_a_bad_custom_rule_fails_only_its_own_trials():
+    policy = CustomAbsorption(lambda offspring, n, history: -1 if offspring == 7 else 0)
+    cfg = Batch(Geometric(0.6), horizon=20, trials=300, master_seed=3, policy=policy,
+                failure_budget=300, sample_trajectories=300)
+    res = run_batch(cfg)
+    assert 0 < len(res.failed_trials) < 300
+    assert all(isinstance(f.cause, InvalidRuleError) for f in res.failed_trials)
+    kept = res.sampled_trajectories
+    assert len(kept) == res.trials == 300 - len(res.failed_trials)
+    for n in range(21):
+        assert sum(t.counts[n] for t in kept) == res.per_generation_alive_size_sums[n]
+    assert all(7 not in t.counts[1:] for t in kept)
+
+    def config_fault(offspring, n, history):
+        raise ConfigError("a fault of the config, not of one trial")
+
+    with pytest.raises(ConfigError, match="a fault of the config"):
+        run_batch(Batch(Geometric(0.6), horizon=20, trials=300, master_seed=3,
+                        policy=CustomAbsorption(config_fault), failure_budget=300))
+    cfg.failure_budget = len(res.failed_trials) - 1
     with pytest.raises(BatchTrialError, match="InvalidRuleError"):
-        run_batch(Batch(Geometric(0.75), horizon=5, trials=3, master_seed=1, policy=bad))
+        run_batch(cfg)
 
 
 def test_trajectory_extinction_generation_reports_horizon_zero():
@@ -762,10 +818,16 @@ def test_batch_failure_budget_excludes_failed_trials():
         assert isinstance(f.cause, PopulationOverflow)
 
 
-def test_batch_failed_trials_leave_no_trace_in_aggregates():
+def within_cap(offspring, n, history):
+    assert offspring <= 200  # a trial whose draw failed never reaches the rule
+    return 0
+
+
+@pytest.mark.parametrize("policy", [None, CustomAbsorption(within_cap)], ids=["none", "custom"])
+def test_batch_failed_trials_leave_no_trace_in_aggregates(policy):
     cfg = Batch(ExplicitPmf({0: 0.25, 2: 0.75}), horizon=40, trials=300,
                 master_seed=2, population_cap=200, failure_budget=300,
-                sample_trajectories=300)
+                sample_trajectories=300, policy=policy)
     res = run_batch(cfg)
     assert 0 < len(res.failed_trials) < 300
     kept = res.sampled_trajectories  # failed trials are never sampled
@@ -838,8 +900,57 @@ def test_coupled_runs_are_monotone_in_initial_size():
             assert a <= b
 
 
+@pytest.mark.parametrize("policy", [
+    Disaster(DisasterSchedule.constant(0.1)),
+    CustomAbsorption(lambda offspring, n, history, rng: offspring if rng.random() < 0.1 else 0),
+], ids=["disaster", "custom_4_args"])
+def test_coupled_batch_trajectories_match_the_one_trial_reference(policy):
+    law = ExplicitPmf({0: 0.25, 2: 0.75})
+    res = run_batch(Batch(law, horizon=30, trials=60, master_seed=6, policy=policy,
+                          coupled=True, sample_trajectories=60))
+    assert len(res.sampled_trajectories) == 60
+    for t, traj in enumerate(res.sampled_trajectories):
+        assert traj == simulate_trajectory(law, policy, 30, TrialStreams(6, t, coupled=True),
+                                           population_cap=BIG_CAP, per_particle=True)
+
+
+@pytest.mark.parametrize("policy", [None, Disaster(DisasterSchedule.constant(0.1))],
+                         ids=["none", "disaster"])
+def test_coupled_batches_are_monotone_in_initial_size(policy):
+    small, large = (run_batch(Batch(ExplicitPmf({0: 0.3, 1: 0.4, 2: 0.3}), horizon=40,
+                                    trials=200, master_seed=31, policy=policy,
+                                    initial_size=k, coupled=True, sample_trajectories=200))
+                    for k in (1, 4))
+    for a, b in zip(small.sampled_trajectories, large.sampled_trajectories):
+        assert all(x <= y for x, y in zip(a.counts, b.counts))
+    assert np.all(large.per_generation_extinct_counts <= small.per_generation_extinct_counts)
+    assert np.any(large.per_generation_extinct_counts < small.per_generation_extinct_counts)
+
+
+def test_coupled_batch_fails_trials_past_the_per_particle_cap():
+    # per-particle sampling holds populations to 2^24 whatever the configured cap
+    cfg = Batch(ExplicitPmf({2: 1.0}), horizon=1, trials=3, master_seed=1,
+                initial_size=(1 << 24) + 1, coupled=True, failure_budget=3)
+    res = run_batch(cfg)
+    assert res.trials == 0 and len(res.failed_trials) == 3
+    assert all(isinstance(f.cause, PopulationOverflow) for f in res.failed_trials)
+    cfg.coupled = False
+    sums = run_batch(cfg).per_generation_alive_size_sums
+    assert sums == [3 * cfg.initial_size, 6 * cfg.initial_size]
+
+
 def test_coupled_batch_is_reproducible_and_thread_independent():
     cfg = Batch(Geometric(0.5), horizon=30, trials=500, master_seed=8, coupled=True)
     r1 = run_batch(cfg, threads=1)
     r8 = run_batch(cfg, threads=8)
     assert np.array_equal(r1.extinction_generations, r8.extinction_generations)
+
+
+def test_coupled_streams_are_keyed_by_the_trial_in_every_block():
+    law, policy = ExplicitPmf({0: 0.25, 2: 0.75}), Disaster(DisasterSchedule.constant(0.1))
+    res = run_batch(Batch(law, horizon=6, trials=_TRIAL_BLOCK + 3, master_seed=6,
+                          policy=policy, coupled=True))
+    for t in range(_TRIAL_BLOCK - 3, _TRIAL_BLOCK + 3):
+        ref = simulate_trajectory(law, policy, 6, TrialStreams(6, t, coupled=True),
+                                  per_particle=True).extinction_generation()
+        assert res.extinction_generations[t] == (-1 if ref is None else ref)

@@ -175,6 +175,10 @@ def test_minimal_gw_config_and_defaults():
     lambda d: d.pop("law"),
     lambda d: d.update(policy={"kind": "truncation", "g": {"form": "constant", "c": 3}}),
     lambda d: d.update(coupled="yes"),
+    # coupled runs nothing differently in these experiments
+    lambda d: d.update(experiment="bisexual", alpha=0.5, mating={"kind": "min"}, coupled=True),
+    lambda d: d.update(experiment="brs", coupled=True, population={
+        "budget": 1.0, "groups": [{"count": 2, "dist": {"kind": "uniform", "b": 1.0}}]}),
     lambda d: d.update(output={"format": "xml"}),
 ])
 def test_gw_config_rejections(mutate):
