@@ -32,7 +32,7 @@ import numpy as np
 
 from .control import ControlPolicy, CustomAbsorption, _counts
 from .errors import BatchTrialError, BranchsimError, ConfigError, PopulationOverflow
-from .law import Binomial, ExplicitPmf, Geometric, OffspringLaw, Poisson
+from .law import INT64_MAX, Binomial, ExplicitPmf, Geometric, OffspringLaw, Poisson
 from .rng import STREAM_OFFSPRING, TrialStreams, block_generators, spawn_generator
 
 DEFAULT_POPULATION_CAP = 1 << 48
@@ -69,10 +69,6 @@ def _make_block_draw(law: OffspringLaw):
     pvals = ps.astype(np.float64).copy()
     # multinomial rejects pvals whose head sums a few ulp above 1
     pvals[-1] = max(0.0, 1.0 - pvals[:-1].sum())
-    if len(ks_np) == 1:
-        k0 = int(ks_np[0])
-        return lambda z, size, rng: np.full(() if size is None else size, k0 * z,
-                                            dtype=np.int64)
     if len(ks_np) == 2:
         # a two-atom pmf needs only one binomial count
         k_lo, k_hi = (int(k) for k in ks_np)
@@ -229,26 +225,20 @@ def _make_total_sampler(law: OffspringLaw, population_cap: int, per_particle: bo
     if per_particle:
         population_cap = min(population_cap, _COUPLED_CAP)
         ks, ps = law.pmf_table()
+        # one clipped atom passes the cap, and a slab of them sums far below 2^63
+        ks = np.minimum(ks, population_cap + 1)
         cdf = np.cumsum(ps)
         top = len(ks) - 1
 
         def sample(z, rng):
-            if z == 0:
-                return 0
             if z > population_cap:
                 raise PopulationOverflow(f"parent count {z} exceeds cap {population_cap}")
             total = 0
-            done = 0
-            while done < z:
-                take = min(z - done, _SLAB)
+            for done in range(0, z, _SLAB):
                 # cdf.searchsorted and np.add.reduce skip dispatch layers: us per coupled step
-                idx = cdf.searchsorted(rng.random(take), side="right")
-                if top == 0:
-                    total += int(ks[0]) * take
-                else:
-                    np.minimum(idx, top, out=idx)  # residual tail mass maps to the last atom
-                    total += int(np.add.reduce(ks[idx]))
-                done += take
+                idx = cdf.searchsorted(rng.random(min(z - done, _SLAB)), side="right")
+                np.minimum(idx, top, out=idx)  # residual tail mass maps to the last atom
+                total += int(np.add.reduce(ks[idx]))
                 if total > population_cap:
                     raise PopulationOverflow(f"offspring total exceeded cap {population_cap}")
             return total
@@ -441,7 +431,7 @@ def _draw_offspring(units, gen, bound, draw, past, limit, cap, max_k):
             where, totals = where[~over], _counts(totals[~over].tolist())
         off = off.astype(totals.dtype, copy=False)
         off[where] = totals
-    ceiling = (1 << 63) - 1 if max_k is None else int(min(top, bound)) * max(max_k, 1)
+    ceiling = INT64_MAX if max_k is None else int(min(top, bound)) * max(max_k, 1)
     if ceiling > cap and (top > cap or off.max(initial=0) > cap):
         for i in np.flatnonzero(((units > cap) & (units <= bound)) | (off > cap)).tolist():
             failures[i] = PopulationOverflow(

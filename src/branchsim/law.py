@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ConfigError, NumericFailure
 
 TAIL_EPS = 1e-15  # pmf tables drop a tail of at most this mass
+TABLE_MAX = 1 << 20  # atoms a pmf table may hold; a law that needs more is a ConfigError
 CRITICAL_EPS = 1e-9  # |m - 1| below this is treated as critical
 INT64_MAX = (1 << 63) - 1  # the largest support point or binomial count a draw takes
 
@@ -39,9 +40,10 @@ class ExtinctionResult:
 class OffspringLaw:
     """Base class for offspring distributions.
 
-    Subclasses provide the exact pgf and mean in closed form plus a pmf table
-    truncated so the dropped tail mass is below ``TAIL_EPS``.  Instances are
-    immutable and safe to share across workers.
+    Subclasses provide the exact pgf and mean in closed form, and either a
+    ``_table`` of their own or, for laws of Panjer's (a, b, 0) class (Panjer,
+    ASTIN Bulletin 12, 1981), their ``(a, b, log p_0)`` in p_k = p_{k-1} (a +
+    b / k).  Instances are immutable and safe to share across workers.
     """
 
     kind: str = "abstract"
@@ -62,12 +64,40 @@ class OffspringLaw:
 
     def max_k(self) -> int | None:
         """Largest support point, or None for infinite support."""
-        raise NotImplementedError
+        return None
 
     def pmf_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Support points and probabilities (tail below TAIL_EPS dropped), as
-        each subclass builds them once, in the cached property ``_table``."""
+        """Support points and probabilities (tail below TAIL_EPS dropped),
+        built once, in the cached property ``_table``."""
         return self._table
+
+    def _panjer(self) -> tuple[float, float, float]:
+        """(a, b, log p_0) of the recurrence p_k = p_{k-1} (a + b / k)."""
+        raise NotImplementedError
+
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Panjer's recurrence from p_0, summed in logs, to max_k or to the
+        first k past the mode whose tail bound p_k q / (1 - q), q = a + b /
+        (k + 1) < 1, is below TAIL_EPS (the ratios a + b / k fall with k, so
+        the tail is at most that geometric series); past TABLE_MAX atoms, a
+        ConfigError."""
+        a, b, log_p0 = self._panjer()
+        mk, size = self.max_k(), 64
+        while True:  # a few table lengths, the last TABLE_MAX
+            size = min(16 * size, TABLE_MAX)
+            n = size if mk is None else min(size, mk + 1)
+            ratio = a + b / np.arange(1, n + 1.0)  # ratio[k] = p_{k+1} / p_k
+            steps = np.log(ratio[:-1])
+            # partial sums of multiples of 2^-26 are exact; the rest sum below 2^-7
+            coarse = np.round(steps * 2.0**26) / 2.0**26
+            ps = np.exp(np.concatenate(([log_p0], log_p0 + np.cumsum(coarse)
+                                        + np.cumsum(steps - coarse))))
+            ends = np.flatnonzero((ratio < 1) & (ps * ratio < TAIL_EPS * (1 - ratio)))
+            if ends.size:
+                return np.arange(ends[0] + 1, dtype=np.int64), ps[:ends[0] + 1]
+            if n == TABLE_MAX:
+                raise ConfigError(f"the pmf table of {self} passes {TABLE_MAX} atoms")
 
     @property
     def p0(self) -> float:
@@ -145,23 +175,8 @@ class Poisson(OffspringLaw):
     def mean(self) -> float:
         return self.lam
 
-    def max_k(self) -> None:
-        return None
-
-    @cached_property
-    def _table(self) -> tuple[np.ndarray, np.ndarray]:
-        probs = []
-        p = math.exp(-self.lam)
-        cum = 0.0
-        k = 0
-        while cum < 1.0 - TAIL_EPS:
-            probs.append(p)
-            cum += p
-            k += 1
-            p *= self.lam / k
-            if k > 100_000:  # unreachable for sane rates; guards nonterminating loops
-                break
-        return np.arange(len(probs), dtype=np.int64), np.array(probs)
+    def _panjer(self) -> tuple[float, float, float]:
+        return 0.0, self.lam, -self.lam
 
 
 @dataclass(frozen=True)
@@ -182,16 +197,8 @@ class Geometric(OffspringLaw):
     def mean(self) -> float:
         return self.r / (1.0 - self.r)
 
-    def max_k(self) -> None:
-        return None
-
-    @cached_property
-    def _table(self) -> tuple[np.ndarray, np.ndarray]:
-        # tail mass beyond k_max is r^(k_max + 1)
-        k_max = int(math.ceil(math.log(TAIL_EPS) / math.log(self.r)))
-        ks = np.arange(k_max + 1, dtype=np.int64)
-        ps = (1.0 - self.r) * self.r ** ks.astype(np.float64)
-        return ks, ps
+    def _panjer(self) -> tuple[float, float, float]:
+        return self.r, 0.0, math.log1p(-self.r)
 
 
 @dataclass(frozen=True)
@@ -221,14 +228,9 @@ class Binomial(OffspringLaw):
     def max_k(self) -> int:
         return self.n
 
-    @cached_property
-    def _table(self) -> tuple[np.ndarray, np.ndarray]:
-        probs = np.empty(self.n + 1)
-        probs[0] = (1.0 - self.p) ** self.n
-        ratio = self.p / (1.0 - self.p)
-        for k in range(self.n):
-            probs[k + 1] = probs[k] * (self.n - k) / (k + 1) * ratio
-        return np.arange(self.n + 1, dtype=np.int64), probs
+    def _panjer(self) -> tuple[float, float, float]:
+        odds = self.p / (1.0 - self.p)
+        return -odds, (self.n + 1) * odds, self.n * math.log1p(-self.p)
 
 
 def extinction_probability(law: OffspringLaw, tol: float = 1e-12,

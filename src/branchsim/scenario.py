@@ -240,6 +240,10 @@ class ScenarioConfig:
 
         cfg = ScenarioConfig(version=version, experiment=experiment,
                              master_seed=master_seed, trials=trials)
+        for key, takes in (("initial_size", ("gw", "controlled", "phi", "bcl_series")),
+                           ("initial_units", ("bisexual",))):
+            if key in doc and experiment not in takes:
+                raise ConfigError(f"experiment {experiment!r} takes no {key}")
         for key, least in (("horizon", 1), ("initial_size", 0), ("initial_units", 0),
                            ("population_cap", 1), ("failure_budget", 0),
                            ("sample_trajectories", 0), ("n_max", 100)):

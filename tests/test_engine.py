@@ -939,6 +939,24 @@ def test_coupled_batch_fails_trials_past_the_per_particle_cap():
     assert sums == [3 * cfg.initial_size, 6 * cfg.initial_size]
 
 
+def test_coupled_atoms_past_the_cap_fail_their_trial_and_never_wrap():
+    # four parents of 2^62 would sum past 2^63 without the clip at the cap
+    cfg = Batch(ExplicitPmf({0: 0.5, 1 << 62: 0.5}), horizon=3, trials=20, master_seed=4,
+                initial_size=4, coupled=True, failure_budget=20, sample_trajectories=20)
+    res = run_batch(cfg)
+    assert res.failed_trials
+    assert all(isinstance(f.cause, PopulationOverflow) for f in res.failed_trials)
+    assert min(res.per_generation_alive_size_sums) >= 0
+    assert all(min(t.counts) >= 0 for t in res.sampled_trajectories)
+
+
+def test_coupled_poisson_far_from_zero_keeps_its_mean():
+    # p_0 = e^-800 underflows: the table is summed in logs
+    res = run_batch(Batch(Poisson(800.0), horizon=1, trials=200, master_seed=1, coupled=True))
+    se = math.sqrt(800.0 / res.trials)
+    assert abs(res.mean_final_size_given_survival - 800.0) <= 5 * se
+
+
 def test_coupled_batch_is_reproducible_and_thread_independent():
     cfg = Batch(Geometric(0.5), horizon=30, trials=500, master_seed=8, coupled=True)
     r1 = run_batch(cfg, threads=1)

@@ -79,6 +79,34 @@ def test_pmf_table_consistent_with_closed_form(law):
     assert got == pytest.approx(law.mean(), abs=1e-12)
 
 
+@pytest.mark.parametrize("law", [Poisson(800.0), Binomial(1100, 0.5)])
+def test_pmf_tables_of_laws_far_from_zero_keep_their_mass(law):
+    # p_0 underflows here: the recurrence runs in logs
+    ks, ps = law.pmf_table()
+    assert abs(math.fsum(ps.tolist()) - 1.0) <= 1e-12
+    assert math.fsum((ks * ps).tolist()) == pytest.approx(law.mean(), rel=1e-9)
+
+
+@pytest.mark.parametrize("law,closed_form", [
+    (Poisson(1.5), lambda k: math.exp(-1.5) * 1.5**k / math.factorial(k)),
+    (Geometric(0.6), lambda k: 0.4 * 0.6**k),
+    (Binomial(40, 0.3), lambda k: math.comb(40, k) * 0.3**k * 0.7**(40 - k)),
+])
+def test_pmf_table_entries_match_the_closed_form(law, closed_form):
+    ks, ps = law.pmf_table()
+    assert ks.tolist() == list(range(len(ks)))
+    for k, p in zip(ks.tolist(), ps.tolist()):
+        assert p == pytest.approx(closed_form(k), rel=1e-13)
+
+
+@pytest.mark.parametrize("law", [Geometric(0.999999999999), Binomial(10**15, 0.5)])
+def test_pmf_tables_past_the_atom_bound_are_config_errors(law):
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="atoms"):
+        law.pmf_table()
+    assert time.perf_counter() - start < 3.0
+
+
 def test_p0_property():
     assert ExplicitPmf({0: 0.25, 2: 0.75}).p0 == pytest.approx(0.25)
     assert ExplicitPmf({1: 1.0}).p0 == 0.0

@@ -180,6 +180,11 @@ def test_minimal_gw_config_and_defaults():
     lambda d: d.update(experiment="brs", coupled=True, population={
         "budget": 1.0, "groups": [{"count": 2, "dist": {"kind": "uniform", "b": 1.0}}]}),
     lambda d: d.update(output={"format": "xml"}),
+    # each experiment starts from one initial key: a misplaced one is not ignored
+    lambda d: d.update(initial_units=50),
+    lambda d: d.update(experiment="bisexual", alpha=0.5, mating={"kind": "min"}, initial_size=50),
+    lambda d: d.update(experiment="brs", initial_size=2, population={
+        "budget": 1.0, "groups": [{"count": 2, "dist": {"kind": "uniform", "b": 1.0}}]}),
 ])
 def test_gw_config_rejections(mutate):
     doc = gw_doc()
