@@ -88,11 +88,9 @@ class OffspringLaw:
             size = min(16 * size, TABLE_MAX)
             n = size if mk is None else min(size, mk + 1)
             ratio = a + b / np.arange(1, n + 1.0)  # ratio[k] = p_{k+1} / p_k
-            steps = np.log(ratio[:-1])
-            # partial sums of multiples of 2^-26 are exact; the rest sum below 2^-7
-            coarse = np.round(steps * 2.0**26) / 2.0**26
-            ps = np.exp(np.concatenate(([log_p0], log_p0 + np.cumsum(coarse)
-                                        + np.cumsum(steps - coarse))))
+            ps = np.exp(np.concatenate(([log_p0], log_p0 + np.cumsum(np.log(ratio[:-1])))))
+            if mk is not None and n == mk + 1:
+                ratio[-1] = 0.0  # p_{max_k + 1} = 0, which a rounded a + b / k can miss
             ends = np.flatnonzero((ratio < 1) & (ps * ratio < TAIL_EPS * (1 - ratio)))
             if ends.size:
                 return np.arange(ends[0] + 1, dtype=np.int64), ps[:ends[0] + 1]

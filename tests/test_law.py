@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import signal
 import time
 
 import numpy as np
@@ -105,6 +106,24 @@ def test_pmf_tables_past_the_atom_bound_are_config_errors(law):
     with pytest.raises(ConfigError, match="atoms"):
         law.pmf_table()
     assert time.perf_counter() - start < 3.0
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs an interval timer")
+@pytest.mark.parametrize("n", [2, 5])
+def test_binomial_tables_near_p_one_end_at_n(n):
+    # for some p near 1 the rounded ratio a + b / (n + 1) sits an ulp above 0
+    def stop(*_):
+        raise TimeoutError(f"a Binomial({n}, p) table did not end")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        for p in np.linspace(0.9, 1.0, 2000, endpoint=False).tolist():
+            ks, ps = Binomial(n, p).pmf_table()
+            assert ks[-1] <= n
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_p0_property():
