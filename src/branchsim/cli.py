@@ -183,7 +183,7 @@ def _emit(config: ScenarioConfig, provenance: dict, header, rows,
     fmt = fmt or config.output.format
     text = (_render_csv if fmt == "csv" else _render_json)(provenance, header, rows)
     path = out or config.output.path
-    if path:
+    if path and path != "-":
         with open(path, "w", newline="\n", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -242,7 +242,9 @@ def main(argv=None) -> int:
                             ("compare", "analytic criterion vs empirical extinction")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to the JSON scenario config")
-        p.add_argument("--out", default=None, help="output path (default: config or stdout)")
+        p.add_argument("--out", default=None,
+                       help="output path, or - for stdout (default: the config's "
+                            "path, else stdout)")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; trials run in one thread")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None,

@@ -376,8 +376,14 @@ class BatchResult:
     horizon_note: str = HORIZON_NOTE
 
 
-_TRIAL_BLOCK = 4096  # trials that share one set of block streams; trial t always
-                     # belongs to block t // _TRIAL_BLOCK, whatever the trial count
+# Trials that share one set of block streams; trial t always belongs to block
+# t // _TRIAL_BLOCK, whatever the trial count.  A block pays a fixed cost per
+# generation (numpy's argument checks, the exact lane's array work, its
+# straggler generations), so larger blocks pay it less often, but a failure
+# within the budget replays the whole block and a custom rule keeps every
+# trial's history in it.  2^14 is the largest block whose alive sum at the
+# default cap is one int64 sum: 2^48 * 2^14 = 2^62.
+_TRIAL_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -508,7 +514,7 @@ def _run_vector_block(policy, batch, lo, hi, counted=None):
         alive_counts[n] = seen.size
         if seen.dtype == object or small_sums or not int(seen.max(initial=0)) * seen.size >> 63:
             alive_sums[n] = int(seen.sum())  # of Python ints for an object block
-        else:  # 32-bit halves of at most _TRIAL_BLOCK nonnegative counts sum exactly
+        else:  # 32-bit halves of at most 2^14 nonnegative counts each sum below 2^46
             alive_sums[n] = (int((seen >> 32).sum()) << 32) + int((seen & 0xFFFFFFFF).sum())
         if tracks:
             k = int(np.searchsorted(idx, len(tracks)))
@@ -591,11 +597,13 @@ def _run_batch(config, initial, policy, cap_limit=math.inf) -> BatchResult:
 def run_batch(config, threads: int = 1) -> BatchResult:
     """Run ``config.trials`` independent trajectories and aggregate them.
 
-    Trials run in blocks of ``_TRIAL_BLOCK``; a block steps all its live
-    trials together on streams keyed by the block or, coupled, by trial and
-    generation, so the result is a pure function of the config.  Trial
-    failures beyond ``config.failure_budget`` abort the batch.  ``threads``
-    is accepted for compatibility and changes nothing.
+    Trials run in blocks of ``_TRIAL_BLOCK`` (2^14), trial t in block
+    t // ``_TRIAL_BLOCK`` whatever the trial count, so every full block of a
+    batch repeats in any longer batch of the same config.  A block steps
+    all its live trials together on streams keyed by the block or, coupled,
+    by trial and generation, so the result is a pure function of the
+    config.  Trial failures beyond ``config.failure_budget`` abort the
+    batch.  ``threads`` is accepted for compatibility and changes nothing.
     """
     policy = getattr(config, "policy", None) or ControlPolicy()
     return _run_batch(config, getattr(config, "initial_size", 1), policy)

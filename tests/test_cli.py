@@ -155,6 +155,20 @@ def test_stdout_when_no_output_path(tmp_path, capsys):
     assert captured[1] == "generation,extinct_fraction,mean_size_given_survival"
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_out_dash_writes_the_file_bytes_to_stdout(tmp_path, monkeypatch, capsys, command):
+    cfg = write_config(tmp_path, controlled_doc(trials=50, horizon=10))
+    out = tmp_path / "report.csv"
+    assert cli.main([command, str(cfg), "--out", str(out)]) == 0
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    capsys.readouterr()
+    assert cli.main([command, str(cfg), "--out", "-"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+    assert not (work / "-").exists()
+
+
 # -------------------------------------------------------------- determinism
 
 def test_reruns_and_thread_counts_are_byte_identical(tmp_path):

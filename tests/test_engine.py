@@ -35,6 +35,7 @@ from branchsim import (
     sample_offspring_totals,
     simulate_trajectory,
 )
+from branchsim import engine
 from branchsim.rng import STREAM_CONTROL
 from branchsim.engine import (_EXACT_LIMIT, _TRIAL_BLOCK, _binomial_exact, _counts,
                               _draw_offspring, _lanes, _make_block_draw, _make_total_sampler,
@@ -712,10 +713,10 @@ def test_batch_instant_extinction():
 
 
 def test_alive_sums_stay_exact_for_int64_counts_near_the_int64_limit():
-    # every count is 2^62, an int64 whose sum over the block is 2^74
-    res = run_batch(Batch(ExplicitPmf({1: 1.0}), horizon=2, trials=4096, master_seed=5,
+    # every count is 2^62, an int64 whose sum over a full block is 2^76
+    res = run_batch(Batch(ExplicitPmf({1: 1.0}), horizon=2, trials=_TRIAL_BLOCK, master_seed=5,
                           initial_size=1 << 62))
-    assert res.per_generation_alive_size_sums == [4096 * 2**62] * 3
+    assert res.per_generation_alive_size_sums == [_TRIAL_BLOCK * 2**62] * 3
     assert res.mean_final_size_given_survival == 2.0**62
 
 
@@ -964,11 +965,22 @@ def test_coupled_batch_is_reproducible_and_thread_independent():
     assert np.array_equal(r1.extinction_generations, r8.extinction_generations)
 
 
-def test_coupled_streams_are_keyed_by_the_trial_in_every_block():
+def test_coupled_streams_are_keyed_by_the_trial_in_every_block(monkeypatch):
+    # small blocks, so that the batch crosses several block boundaries
+    block = 8
+    monkeypatch.setattr(engine, "_TRIAL_BLOCK", block)
     law, policy = ExplicitPmf({0: 0.25, 2: 0.75}), Disaster(DisasterSchedule.constant(0.1))
-    res = run_batch(Batch(law, horizon=6, trials=_TRIAL_BLOCK + 3, master_seed=6,
+    res = run_batch(Batch(law, horizon=6, trials=3 * block + 3, master_seed=6,
                           policy=policy, coupled=True))
-    for t in range(_TRIAL_BLOCK - 3, _TRIAL_BLOCK + 3):
+    for t in range(3 * block + 3):
         ref = simulate_trajectory(law, policy, 6, TrialStreams(6, t, coupled=True),
                                   per_particle=True).extinction_generation()
         assert res.extinction_generations[t] == (-1 if ref is None else ref)
+
+
+def test_trials_keep_their_block_whatever_the_trial_count():
+    law = ExplicitPmf({0: 0.25, 2: 0.75})
+    full = run_batch(Batch(law, horizon=8, trials=_TRIAL_BLOCK, master_seed=12))
+    longer = run_batch(Batch(law, horizon=8, trials=_TRIAL_BLOCK + 37, master_seed=12))
+    assert np.array_equal(longer.extinction_generations[:_TRIAL_BLOCK],
+                          full.extinction_generations)

@@ -71,6 +71,8 @@ def series_doc(schedule):
 CASES = {
     "gw_block": ("run", run_doc(law=GEOMETRIC)),
     "gw_coupled": ("run", run_doc(law=GEOMETRIC, coupled=True)),
+    # two trial blocks, the second partial: pins the block size and layout
+    "gw_two_blocks": ("run", run_doc(trials=16421, horizon=8)),
     # counts past 2^63: the exact lane, and phi on object arrays
     "gw_past_int64_block": ("run", run_doc(law={"kind": "geometric", "r": 0.6}, trials=200,
                                            horizon=110, population_cap=1 << 200)),
@@ -136,6 +138,7 @@ PINS = {
     "gw_exact_lane_overflow": "7028d080e5a1560370bdbdc059167bdbbf3ab0b0db7ce3400361c49c2e74b463",
     "gw_exact_lane_past_int64": "ef3144514fdbd4677b2084ff9c0f0ff22ba7ae3a72a879746d293cf48d59c18c",
     "gw_past_int64_block": "ec95579e5f1d01ab95aa8b888f0f12fc936dfb14af7063980e9e2797af269eb2",
+    "gw_two_blocks": "cc9694d52f3f4ef048eb48ba08cc45cc99d3617ec30b31d94a1e6e24467176d1",
     "lower_boundary_block": "9f3ac3cb698820fe91e7d824d26374f99a6fcdcf3234019fa3459102afc136f7",
     "lower_boundary_coupled": "42b7bce55d9e2fb0462e85129abd24ac1da7f6d583e0cb9abe8a6002fde0b15a",
     "phi_constant_block": "06ecbf13f1fe23c0c44c623f57c231933fec2d673ed5c185f1dce812d1c1b8ae",
