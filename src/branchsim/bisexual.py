@@ -19,7 +19,7 @@ from .control import ControlPolicy, _counts
 from .engine import (DEFAULT_POPULATION_CAP, BatchResult, _binomial_exact, _run_batch,
                      sample_offspring_total, sample_offspring_totals)
 from .errors import ConfigError
-from .law import INT64_MAX, ExplicitPmf, OffspringLaw
+from .law import ExplicitPmf, OffspringLaw
 from .rng import STREAM_SEX, TrialStreams
 
 _GRID_MAX = 64  # custom mating functions are validated on [0, 64]^2
@@ -129,18 +129,15 @@ def bisexual_step(state: BisexualState, law: OffspringLaw, alpha: float,
 
     The offspring total comes from the offspring stream and the sex split
     from the dedicated sex stream, so unit counts can be coupled against a
-    plain single-sex run driven by the same seed.  As in the batch kernel,
-    a total past 2^63 - 1 overflows whatever ``population_cap`` is.
+    plain single-sex run driven by the same seed.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie strictly inside (0, 1), got {alpha}")
+    step = _MatingStep(alpha, mating)
     n = state.generation + 1
-    total = sample_offspring_total(law, state.units, streams.offspring(n),
-                                   population_cap=min(population_cap, INT64_MAX))
-    males = int(_binomial_exact(_counts([total]), alpha, streams.sex(n))[0]) if total else 0
-    females = total - males
-    return BisexualState(females=females, males=males,
-                         units=int(mating.units(females, males)), generation=n)
+    total = _counts([sample_offspring_total(law, state.units, streams.offspring(n),
+                                            population_cap=population_cap)])
+    females, males = step.split(total, streams.sex(n))
+    return BisexualState(females=int(females[0]), males=int(males[0]),
+                         units=int(mating.units(females, males)[0]), generation=n)
 
 
 @dataclass(frozen=True)
@@ -154,9 +151,17 @@ class _MatingStep(ControlPolicy):
 
     grows = property(lambda self: isinstance(self.mating, CustomMating))
 
-    def apply(self, counts, generation: int, rng=None):
+    def __post_init__(self):
+        if not 0.0 < self.alpha < 1.0:
+            raise ConfigError(f"alpha must lie strictly inside (0, 1), got {self.alpha}")
+
+    def split(self, counts, rng):
+        """(females, males) of each count, the males one exact binomial each."""
         males = _binomial_exact(counts, self.alpha, rng)
-        return self.mating.units(counts - males, males)
+        return counts - males, males
+
+    def apply(self, counts, generation: int, rng=None):
+        return self.mating.units(*self.split(counts, rng))
 
 
 @dataclass(frozen=True)
@@ -206,8 +211,7 @@ def mean_reproduction_per_unit(k: int, law: OffspringLaw, alpha: float,
         raise ConfigError(f"k must be >= 1, got {k}")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie strictly inside (0, 1), got {alpha}")
+    step = _MatingStep(alpha, mating)
     mk = law.max_k()
     can_enumerate = isinstance(law, ExplicitPmf) and mk is not None and k * mk <= 24
     if exact is None:
@@ -221,10 +225,7 @@ def mean_reproduction_per_unit(k: int, law: OffspringLaw, alpha: float,
                                 trials=0, exact=True)
 
     from .brs import Z99
-    totals = sample_offspring_totals(law, k, trials, rng)
-    males = _binomial_exact(totals, alpha, rng)
-    females = totals - males
-    units = mating.units(females, males).astype(np.float64)
+    units = step.apply(sample_offspring_totals(law, k, trials, rng), 1, rng).astype(np.float64)
     est = float(units.mean()) / k
     sd = float(units.std(ddof=1)) if trials > 1 else 0.0
     halfwidth = Z99 * sd / math.sqrt(trials) / k
@@ -299,10 +300,9 @@ def run_bisexual_batch(config, threads: int = 1) -> BatchResult:
 
     Runs on the single-sex batch kernel: the offspring totals of the live
     units are drawn exactly as there, then split by sex on the block's sex
-    stream and mated.  Aggregation and the failure budget are the same, and
-    as in ``bisexual_step`` a total past 2^63 - 1 overflows the cap.
+    stream and mated.  Aggregation, the cap and the failure budget are the same.
     """
     if getattr(config, "coupled", False):
         raise ConfigError("bisexual batches have no coupled mode")
     return _run_batch(config, getattr(config, "initial_units", 1),
-                      _MatingStep(config.alpha, config.mating), INT64_MAX)
+                      _MatingStep(config.alpha, config.mating))

@@ -25,7 +25,7 @@ absorbing rules, which see each trajectory so far, apply trial by trial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -323,15 +323,14 @@ class Trajectory:
 
 def simulate_trajectory(law: OffspringLaw, policy, horizon: int, streams: TrialStreams,
                         initial_size: int = 1,
-                        population_cap: int = DEFAULT_POPULATION_CAP,
-                        per_particle: bool = False) -> Trajectory:
-    """Run one trajectory to the horizon (or to absorption)."""
+                        population_cap: int = DEFAULT_POPULATION_CAP) -> Trajectory:
+    """Run one trajectory to the horizon (or to absorption), per particle on coupled streams."""
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     if initial_size < 0 or initial_size > population_cap:
         raise ConfigError(f"initial size {initial_size} outside [0, cap]")
     policy = ControlPolicy() if policy is None else policy
-    draw = _make_total_sampler(law, population_cap, per_particle)
+    draw = _make_total_sampler(law, population_cap, streams.coupled)
     revive = policy.revives_zero
     box = np.empty(1, dtype=object)  # one count, for the array protocol
 
@@ -540,10 +539,10 @@ def _run_vector_block(policy, batch, lo, hi, counted=None):
     return eg, alive_counts, alive_sums, sampled, failures
 
 
-def _run_batch(config, initial, policy, cap_limit=math.inf) -> BatchResult:
-    """Validate the shared settings, run every block and aggregate.  Blocks
-    hold their counts to the configured cap, or to ``cap_limit`` if lower.
-    Trial failures beyond ``config.failure_budget`` abort the batch.
+def _run_batch(config, initial, policy) -> BatchResult:
+    """Validate the shared settings, run the blocks and aggregate.  Trial
+    failures beyond ``config.failure_budget`` abort the batch at the block
+    that passes it, with the failure of the lowest trial index.
     """
     batch = _Batch(law=config.law, horizon=int(config.horizon),
                    seed=int(config.master_seed), initial=int(initial),
@@ -562,12 +561,12 @@ def _run_batch(config, initial, policy, cap_limit=math.inf) -> BatchResult:
     # blocks run one after another: a thread pool over blocks made the
     # 2-thread benchmark workload slower, since the exact lane and the
     # per-generation bookkeeping hold the interpreter lock
-    batch = replace(batch, cap=min(batch.cap, cap_limit))
-    results = [_run_vector_block(policy, batch, lo, min(lo + _TRIAL_BLOCK, trials))
-               for lo in range(0, trials, _TRIAL_BLOCK)]
-    failures = sorted((f for r in results for f in r[4]), key=lambda f: f.trial_index)
-    if len(failures) > batch.budget:
-        raise failures[0]
+    results, failures = [], []
+    for lo in range(0, trials, _TRIAL_BLOCK):
+        results.append(_run_vector_block(policy, batch, lo, min(lo + _TRIAL_BLOCK, trials)))
+        failures += sorted(results[-1][4], key=lambda f: f.trial_index)
+        if len(failures) > batch.budget:  # later blocks hold only later trials
+            raise failures[0]
     eg = np.delete(np.concatenate([r[0] for r in results]),
                    [f.trial_index for f in failures])
     alive_counts = np.sum([r[1] for r in results], axis=0, dtype=np.int64)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from . import control as control_mod
-from .bisexual import CustomMating, DaleyMonogamy, DaleyPolygamy, Min
+from .bisexual import DaleyMonogamy, DaleyPolygamy, Min, _MatingStep
 from .engine import DEFAULT_POPULATION_CAP
 from .errors import ConfigError
 from .law import Binomial, ExplicitPmf, Geometric, OffspringLaw, Poisson
@@ -22,7 +22,15 @@ if TYPE_CHECKING:  # the parsers below import brs only for a brs experiment
     from . import brs as brs_mod
 
 SCHEMA_VERSION = 1
-EXPERIMENTS = ("gw", "controlled", "phi", "bisexual", "bcl_series", "brs")
+# the keys each experiment reads besides version, experiment, master_seed, trials and output
+_RUN = {"horizon", "law", "initial_size", "population_cap", "coupled", "failure_budget",
+        "sample_trajectories"}
+KEYS = {"gw": _RUN | {"n_max"},
+        "controlled": _RUN | {"n_max", "policy"},
+        "phi": _RUN | {"n_max", "policy"},
+        "bisexual": _RUN - {"initial_size", "coupled"} | {"alpha", "mating", "initial_units"},
+        "bcl_series": _RUN | {"policy", "schedule"},
+        "brs": {"population", "modes"}}
 MAX_TRIALS = 10_000_000  # a run allocates and loops per trial and per generation,
 MAX_HORIZON = 100_000    # so a config may ask for no more than these
 MAX_SAMPLED_COUNTS = 10_000_000  # counts the sampled trajectories hold in all
@@ -230,9 +238,13 @@ class ScenarioConfig:
             raise ConfigError(f"unsupported config version {version}; "
                               f"this artifact reads version {SCHEMA_VERSION}")
         experiment = _require(doc, "experiment", "config")
-        if experiment not in EXPERIMENTS:
+        if not isinstance(experiment, str) or experiment not in KEYS:
             raise ConfigError(f"unknown experiment {experiment!r}; "
-                              f"expected one of {', '.join(EXPERIMENTS)}")
+                              f"expected one of {', '.join(KEYS)}")
+        unread = doc.keys() - {"version", "experiment", "master_seed", "trials", "output"}
+        unread -= KEYS[experiment]
+        if unread:
+            raise ConfigError(f"experiment {experiment!r} takes no {min(unread, key=str)}")
         master_seed = _as_int(_require(doc, "master_seed", "config"), "master_seed", 0)
         if master_seed >= 1 << 64:
             raise ConfigError(f"master_seed must fit in 64 bits, got {master_seed}")
@@ -240,10 +252,6 @@ class ScenarioConfig:
 
         cfg = ScenarioConfig(version=version, experiment=experiment,
                              master_seed=master_seed, trials=trials)
-        for key, takes in (("initial_size", ("gw", "controlled", "phi", "bcl_series")),
-                           ("initial_units", ("bisexual",))):
-            if key in doc and experiment not in takes:
-                raise ConfigError(f"experiment {experiment!r} takes no {key}")
         for key, least in (("horizon", 1), ("initial_size", 0), ("initial_units", 0),
                            ("population_cap", 1), ("failure_budget", 0),
                            ("sample_trajectories", 0), ("n_max", 100)):
@@ -260,8 +268,6 @@ class ScenarioConfig:
         if "coupled" in doc:
             if not isinstance(doc["coupled"], bool):
                 raise ConfigError(f"coupled: expected a boolean, got {doc['coupled']!r}")
-            if doc["coupled"] and experiment in ("bisexual", "brs"):
-                raise ConfigError(f"coupled: experiment {experiment!r} has no coupled mode")
             cfg.coupled = doc["coupled"]
         if "output" in doc:
             out = doc["output"]
@@ -275,49 +281,43 @@ class ScenarioConfig:
                 raise ConfigError(f"output path must be a string, got {path!r}")
             cfg.output = OutputSpec(format=fmt, path=path)
 
-        needs_horizon = experiment in ("gw", "controlled", "phi", "bisexual", "bcl_series")
-        if needs_horizon and cfg.horizon is None:
+        if "horizon" in KEYS[experiment] and cfg.horizon is None:
             raise ConfigError(f"experiment {experiment!r} requires a horizon")
-
-        if experiment in ("gw", "controlled", "phi", "bcl_series"):
+        if "law" in KEYS[experiment]:
             cfg.law = parse_law(_require(doc, "law", "config"))
-            if "policy" in doc:
-                cfg.policy = parse_policy(doc["policy"])
-            if experiment == "controlled" and (cfg.policy is None or
-                                               isinstance(cfg.policy, control_mod.Phi)):
-                raise ConfigError("controlled experiment requires a truncation "
-                                  "or absorbing policy")
-            if experiment == "phi" and not isinstance(cfg.policy, control_mod.Phi):
-                raise ConfigError("phi experiment requires a phi policy")
-            if experiment == "gw" and cfg.policy is not None:
-                raise ConfigError("gw experiment takes no policy")
-            if experiment == "bcl_series":
-                sched = doc.get("schedule", {"family": "linear", "max_points": 50})
-                if not isinstance(sched, dict):
-                    raise ConfigError(f"schedule: expected an object, got {sched!r}")
-                if "values" in sched:
-                    values = [_as_int(v, "schedule value", 1)
-                              for v in _as_list(sched["values"], "schedule values")]
-                    from .series import check_schedule
-                    try:
-                        check_schedule(values, cfg.horizon)
-                    except ValueError as exc:
-                        raise ConfigError(str(exc)) from None
-                    cfg.schedule = {"values": values}
-                else:
-                    family = sched.get("family", "linear")
-                    if family not in ("linear", "powers", "squares", "search"):
-                        raise ConfigError(f"schedule family must be linear, powers, "
-                                          f"squares or search, got {family!r}")
-                    cfg.schedule = {"family": family,
-                                    "max_points": _as_int(sched.get("max_points", 50),
-                                                          "max_points", 2)}
+        if "policy" in doc:
+            cfg.policy = parse_policy(doc["policy"])
+        if experiment == "controlled" and (cfg.policy is None or
+                                           isinstance(cfg.policy, control_mod.Phi)):
+            raise ConfigError("controlled experiment requires a truncation "
+                              "or absorbing policy")
+        if experiment == "phi" and not isinstance(cfg.policy, control_mod.Phi):
+            raise ConfigError("phi experiment requires a phi policy")
+        if experiment == "bcl_series":
+            sched = doc.get("schedule", {"family": "linear", "max_points": 50})
+            if not isinstance(sched, dict):
+                raise ConfigError(f"schedule: expected an object, got {sched!r}")
+            if "values" in sched:
+                values = [_as_int(v, "schedule value", 1)
+                          for v in _as_list(sched["values"], "schedule values")]
+                from .series import check_schedule
+                try:
+                    check_schedule(values, cfg.horizon)
+                except ValueError as exc:
+                    raise ConfigError(str(exc)) from None
+                cfg.schedule = {"values": values}
+            else:
+                family = sched.get("family", "linear")
+                if family not in ("linear", "powers", "squares", "search"):
+                    raise ConfigError(f"schedule family must be linear, powers, "
+                                      f"squares or search, got {family!r}")
+                cfg.schedule = {"family": family,
+                                "max_points": _as_int(sched.get("max_points", 50),
+                                                      "max_points", 2)}
         elif experiment == "bisexual":
-            cfg.law = parse_law(_require(doc, "law", "config"))
             cfg.alpha = _as_number(_require(doc, "alpha", "config"), "alpha")
-            if not 0.0 < cfg.alpha < 1.0:
-                raise ConfigError(f"alpha must lie strictly inside (0, 1), got {cfg.alpha}")
             cfg.mating = parse_mating(_require(doc, "mating", "config"))
+            _MatingStep(cfg.alpha, cfg.mating)  # checks alpha
         elif experiment == "brs":
             cfg.population = parse_population(_require(doc, "population", "config"))
             modes = doc.get("modes", ["independent"])

@@ -333,13 +333,34 @@ def test_custom_mating_past_int64_fails_its_trial_within_the_budget():
     assert isinstance(err.value.cause, PopulationOverflow)
 
 
-def test_generation_totals_past_int64_fail_whatever_the_cap():
-    # 2^62 units of two offspring each make 2^63, past the int64 ceiling of
-    # mating runs, though the configured cap is 2^200
-    cfg = Batch(ExplicitPmf({2: 1.0}), horizon=1, trials=2, master_seed=1, mating=Min(),
-                initial_units=1 << 62, failure_budget=2)
-    assert [str(f.cause) for f in run_bisexual_batch(cfg).failed_trials] == \
-        [f"offspring total exceeded cap {INT64_MAX}"] * 2
+@pytest.mark.parametrize("mating", [Min(), DaleyMonogamy(), DaleyPolygamy(3),
+                                    CustomMating(lambda x, y: x + y)],
+                         ids=["min", "monogamy", "polygamy", "x_plus_y"])
+def test_generation_totals_past_int64_follow_the_cap(mating):
+    # 2^62 units of two offspring each make 2^63, past int64 but within the
+    # configured cap of 2^200: the sex split and the mating stay exact
+    cfg = Batch(ExplicitPmf({2: 1.0}), horizon=1, trials=2, master_seed=1, mating=mating,
+                initial_units=1 << 62, failure_budget=2, sample_trajectories=2)
+    res = run_bisexual_batch(cfg)
+    assert not res.failed_trials and res.trials == 2
+    for n in range(2):
+        assert res.per_generation_alive_size_sums[n] == sum(
+            t.counts[n] for t in res.sampled_trajectories)
+    assert all(t.counts[1] > 0 for t in res.sampled_trajectories)
+    state = bisexual_step(initial_state(1 << 62), cfg.law, 0.5, mating, TrialStreams(1, 0),
+                          population_cap=1 << 200)
+    assert state.females + state.males == 1 << 63
+    assert 0 < state.units <= 1 << 63
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.5])
+def test_mating_step_rejects_alpha_outside_the_unit_interval(alpha):
+    # alpha 0.0 ran and counted every trial extinct; 1.5 leaked numpy's ValueError
+    cfg = Batch(Poisson(2.0), horizon=5, trials=10, master_seed=1, alpha=alpha, mating=Min())
+    with pytest.raises(ConfigError, match="alpha must lie strictly inside"):
+        run_bisexual_batch(cfg)
+    with pytest.raises(ConfigError, match="alpha must lie strictly inside"):
+        _MatingStep(alpha, Min())
 
 
 @pytest.mark.parametrize("path", ["kernel", "bisexual_step"])

@@ -310,10 +310,19 @@ def test_bad_documents_exit_with_config_error(tmp_path, capsys, doc):
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
+def test_a_key_the_experiment_does_not_read_exits_with_config_error(tmp_path, capsys):
+    # a truncation policy would leave a bisexual run untruncated
+    doc = gw_doc(experiment="bisexual", alpha=0.5, mating={"kind": "min"},
+                 policy={"kind": "truncation", "g": {"form": "constant", "c": 3}})
+    assert cli.run(str(write_config(tmp_path, doc))) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ConfigError", "message": "experiment 'bisexual' takes no policy"}
+
+
 @pytest.mark.parametrize("mating", [{"kind": "min"}, {"kind": "daley_polygamy", "d": 3}])
-def test_bisexual_totals_past_int64_overflow_the_cap(tmp_path, capsys, mating):
-    # the sex split is an int64 binomial, so a larger generation total fails
-    # its trial as an overflow, neither crashing the run nor, through an int64
+def test_bisexual_totals_past_the_exact_lane_fail_their_trials(tmp_path, capsys, mating):
+    # units past 2^90 / 3, the most the exact lane draws from, fail their
+    # trial as an overflow, neither crashing the run nor, through an int64
     # product that wraps, counting the trial as extinct
     doc = {"version": 1, "experiment": "bisexual", "master_seed": 1, "trials": 3,
            "horizon": 200, "initial_units": 50, "population_cap": 1 << 200,

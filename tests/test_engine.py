@@ -615,8 +615,7 @@ def test_coupled_trajectory_builds_a_control_stream_only_for_rules_that_draw(pol
     # each coupled control stream is a fresh generation-keyed spawn
     streams = RecordingStreams(7, 0, coupled=True)
     streams.asked = set()
-    simulate_trajectory(ExplicitPmf({0: 0.25, 2: 0.75}), policy, 20, streams,
-                        initial_size=5, per_particle=True)
+    simulate_trajectory(ExplicitPmf({0: 0.25, 2: 0.75}), policy, 20, streams, initial_size=5)
     assert (STREAM_CONTROL in streams.asked) is draws
 
 
@@ -871,6 +870,24 @@ def test_batch_raises_when_failures_exceed_budget():
     assert isinstance(err.value.cause, PopulationOverflow)
 
 
+def test_batch_past_its_budget_stops_at_the_block_that_passed_it(monkeypatch):
+    monkeypatch.setattr(engine, "_TRIAL_BLOCK", 8)
+    cfg = Batch(ExplicitPmf({0: 0.25, 2: 0.75}), horizon=100, trials=40,
+                master_seed=1, population_cap=10_000, failure_budget=40)
+    every_block = run_batch(cfg).failed_trials
+    assert every_block[0].trial_index < 8 and every_block[-1].trial_index >= 32
+    calls = []
+    run_block = engine._run_vector_block
+    monkeypatch.setattr(engine, "_run_vector_block",
+                        lambda *args: calls.append(args[2]) or run_block(*args))
+    cfg.failure_budget = 0
+    with pytest.raises(BatchTrialError) as err:
+        run_batch(cfg)
+    assert calls == [0]
+    assert err.value.trial_index == every_block[0].trial_index
+    assert str(err.value.cause) == str(every_block[0].cause)
+
+
 def test_batch_validates_config():
     with pytest.raises(ConfigError):
         run_batch(Batch(Poisson(1.0), horizon=0, trials=10, master_seed=0))
@@ -894,9 +911,9 @@ def test_coupled_runs_are_monotone_in_initial_size():
     law = ExplicitPmf({0: 0.3, 1: 0.4, 2: 0.3})
     for t in range(60):
         small = simulate_trajectory(law, None, 40, TrialStreams(31, t, coupled=True),
-                                    initial_size=1, per_particle=True)
+                                    initial_size=1)
         large = simulate_trajectory(law, None, 40, TrialStreams(31, t, coupled=True),
-                                    initial_size=4, per_particle=True)
+                                    initial_size=4)
         for a, b in zip(small.counts, large.counts):
             assert a <= b
 
@@ -912,7 +929,7 @@ def test_coupled_batch_trajectories_match_the_one_trial_reference(policy):
     assert len(res.sampled_trajectories) == 60
     for t, traj in enumerate(res.sampled_trajectories):
         assert traj == simulate_trajectory(law, policy, 30, TrialStreams(6, t, coupled=True),
-                                           population_cap=BIG_CAP, per_particle=True)
+                                           population_cap=BIG_CAP)
 
 
 @pytest.mark.parametrize("policy", [None, Disaster(DisasterSchedule.constant(0.1))],
@@ -973,8 +990,8 @@ def test_coupled_streams_are_keyed_by_the_trial_in_every_block(monkeypatch):
     res = run_batch(Batch(law, horizon=6, trials=3 * block + 3, master_seed=6,
                           policy=policy, coupled=True))
     for t in range(3 * block + 3):
-        ref = simulate_trajectory(law, policy, 6, TrialStreams(6, t, coupled=True),
-                                  per_particle=True).extinction_generation()
+        ref = simulate_trajectory(law, policy, 6,
+                                  TrialStreams(6, t, coupled=True)).extinction_generation()
         assert res.extinction_generations[t] == (-1 if ref is None else ref)
 
 

@@ -193,6 +193,36 @@ def test_gw_config_rejections(mutate):
         ScenarioConfig.from_dict(doc)
 
 
+BRS_DOC = {"version": 1, "experiment": "brs", "master_seed": 1, "trials": 10,
+           "population": {"groups": [{"count": 2, "dist": {"kind": "uniform", "b": 1.0}}],
+                          "budget": 1.0}}
+BISEXUAL = {"experiment": "bisexual", "alpha": 0.5, "mating": {"kind": "min"}}
+
+
+@pytest.mark.parametrize("doc, key", [
+    (gw_doc(**BISEXUAL, policy={"kind": "truncation", "g": {"form": "constant", "c": 3}}),
+     "policy"),
+    (gw_doc(**BISEXUAL, coupled=False), "coupled"),
+    ({**BRS_DOC, "horizon": 5}, "horizon"),
+    (gw_doc(schedule={"values": [1, 2]}), "schedule"),
+    (gw_doc(experiment="bcl_series", n_max=200), "n_max"),
+    (gw_doc(failure_budgt=3), "failure_budgt"),
+], ids=["bisexual_policy", "bisexual_coupled", "brs_horizon", "gw_schedule", "bcl_series_n_max",
+        "misspelt_failure_budget"])
+def test_each_experiment_rejects_the_keys_it_does_not_read(doc, key):
+    # a valid key that an experiment never reads changes nothing, so it is an error
+    with pytest.raises(ConfigError, match=f"^experiment '{doc['experiment']}' takes no {key}$"):
+        ScenarioConfig.from_dict(doc)
+    rest = {k: v for k, v in doc.items() if k != key}
+    assert ScenarioConfig.from_dict(rest).experiment == doc["experiment"]
+
+
+def test_a_non_string_experiment_is_a_config_error():
+    for experiment in (["gw"], {"gw": 1}, 1, None):
+        with pytest.raises(ConfigError, match="unknown experiment"):
+            ScenarioConfig.from_dict(gw_doc(experiment=experiment))
+
+
 def test_run_sizes_are_bounded_at_parse_time():
     # parsed only: no config here is ever run
     tracks = MAX_SAMPLED_COUNTS // (MAX_HORIZON + 1)

@@ -19,7 +19,9 @@ PMF = {"kind": "explicit_pmf", "pmf": {"0": 0.25, "2": 0.75}}
 
 def _doc(experiment, **extra):
     doc = {"version": 1, "experiment": experiment, "master_seed": 3, "trials": 10,
-           "horizon": 8, "output": {"format": "csv", "path": "report.csv"}}
+           "output": {"format": "csv", "path": "report.csv"}}
+    if experiment != "brs":  # the one experiment without generations
+        doc["horizon"] = 8
     doc.update(extra)
     return doc
 
@@ -47,7 +49,7 @@ VALID = [
     _doc("bisexual", law=PMF, alpha=0.4, initial_units=3,
          mating={"kind": "daley_polygamy", "d": 3}),
     _doc("bcl_series", law=PMF, schedule={"values": [1, 3, 8]}),
-    _doc("bcl_series", law=PMF, n_max=200, schedule={"family": "search", "max_points": 4}),
+    _doc("bcl_series", law=PMF, schedule={"family": "search", "max_points": 4}),
     _doc("brs", population={"groups": [{"count": 2, "dist": {"kind": "uniform", "b": 1.0}},
                                        {"count": 1, "dist": {"kind": "exponential", "rate": 2.0}}],
                             "budget": 1.5},
