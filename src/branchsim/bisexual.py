@@ -29,8 +29,6 @@ _GRID_MAX = 64  # custom mating functions are validated on [0, 64]^2
 class Min:
     """M(x, y) = min(x, y): every union needs one female and one male."""
 
-    name = "min"
-
     def units(self, females, males):
         return np.minimum(females, males)
 
@@ -38,8 +36,6 @@ class Min:
 @dataclass(frozen=True)
 class DaleyMonogamy:
     """M(x, y) = x * min(1, y): all females mate as soon as one male exists."""
-
-    name = "daley_monogamy"
 
     def units(self, females, males):
         return females * np.minimum(1, males)
@@ -50,8 +46,6 @@ class DaleyPolygamy:
     """M(x, y) = min(x, d * y): each male serves up to d females."""
 
     d: int
-
-    name = "daley_polygamy"
 
     def __post_init__(self):
         if int(self.d) != self.d or self.d < 1:
@@ -73,8 +67,6 @@ class CustomMating:
     """
 
     f: Callable[[int, int], int]
-
-    name = "custom"
 
     def __init__(self, f: Callable[[int, int], int]):
         object.__setattr__(self, "f", f)

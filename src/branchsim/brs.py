@@ -25,11 +25,8 @@ class ClaimDistribution:
     """Absolutely continuous claim distribution on (0, inf).
 
     Subclasses provide the cdf F, the partial mean PM(t) = integral_0^t x dF,
-    the total mean (may be inf), a quantile function, and vectorized
-    sampling.
+    the total mean (may be inf) and a vectorized quantile function.
     """
-
-    kind: str = "abstract"
 
     def cdf(self, t: float) -> float:
         raise NotImplementedError
@@ -44,17 +41,12 @@ class ClaimDistribution:
     def ppf(self, u):
         raise NotImplementedError
 
-    def sample(self, rng, size) -> np.ndarray:
-        return self.ppf(rng.random(size))
-
 
 @dataclass(frozen=True)
 class Uniform(ClaimDistribution):
     """Uniform claims on (0, b)."""
 
     b: float
-
-    kind = "uniform"
 
     def __post_init__(self):
         if not (math.isfinite(self.b) and self.b > 0):
@@ -81,8 +73,6 @@ class Exponential(ClaimDistribution):
     """Exponential claims with the given rate."""
 
     rate: float
-
-    kind = "exponential"
 
     def __post_init__(self):
         if not (math.isfinite(self.rate) and self.rate > 0):
@@ -121,8 +111,6 @@ class CustomClaim(ClaimDistribution):
     total_mean: float
     ppf_fn: Callable | None
     scale: float
-
-    kind = "custom"
 
     def __init__(self, cdf, partial_mean, mean, ppf=None, scale: float = 1.0):
         object.__setattr__(self, "cdf_fn", cdf)

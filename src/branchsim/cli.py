@@ -101,9 +101,7 @@ def _execute(config: ScenarioConfig, provenance: dict):
             # its choice on ties
             schedule = _family_schedule("linear" if family == "search" else family,
                                         result.horizon,
-                                        config.schedule.get("max_points", 50))
-            if not schedule:
-                raise ConfigError("schedule family produced no points inside the horizon")
+                                        config.schedule["max_points"])
         header = ["k", "t_k", "p_marginal", "p_conditional", "partial_sum"]
         if not result.trials:  # every trial failed within the failure budget
             return header, [[k + 1, t_k, math.nan, math.nan, math.nan]

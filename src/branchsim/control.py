@@ -31,6 +31,16 @@ def finite(x: float, name: str, n: int) -> float:
     return x
 
 
+def _table(values, name: str) -> tuple[int, ...]:
+    """The entries of a table form, each a nonnegative integer."""
+    vals = tuple(int(v) for v in values)
+    if not vals:
+        raise ConfigError(f"{name} needs at least one value")
+    if any(v < 0 for v in vals) or any(v != w for v, w in zip(vals, values)):
+        raise ConfigError(f"{name} entries must be nonnegative integers")
+    return vals
+
+
 @dataclass(frozen=True)
 class GrowthFunction:
     """Integer-valued function of a nonnegative integer index.
@@ -76,12 +86,7 @@ class GrowthFunction:
 
     @staticmethod
     def from_table(values) -> "GrowthFunction":
-        vals = tuple(int(v) for v in values)
-        if not vals:
-            raise ConfigError("table form needs at least one value")
-        if any(v < 0 for v in vals) or any(v != w for v, w in zip(vals, values)):
-            raise ConfigError("table entries must be nonnegative integers")
-        return GrowthFunction(form="table", table=vals)
+        return GrowthFunction(form="table", table=_table(values, "table form"))
 
     @staticmethod
     def from_callable(fn: Callable[[int], int]) -> "GrowthFunction":
@@ -316,9 +321,7 @@ class Phi(ControlPolicy):
 
     @staticmethod
     def from_table(values) -> "Phi":
-        if not values:
-            raise ConfigError("phi table needs at least one value")
-        return Phi(form="table", table=tuple(int(v) for v in values))
+        return Phi(form="table", table=_table(values, "phi table"))
 
     @property
     def revives_zero(self) -> bool:

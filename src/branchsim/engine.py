@@ -48,10 +48,6 @@ _COUPLED_CAP = 1 << 24  # per-particle counts: one uniform, about 25 ns, per par
 # their moments there, while Poisson means of 2^96 lost 2% of their variance
 _EXACT_LIMIT = 1 << 90
 
-HORIZON_NOTE = ("trajectories alive at the horizon count as surviving; "
-                "the extinction fraction therefore underestimates the "
-                "limiting extinction probability")
-
 
 def _make_block_draw(law: OffspringLaw):
     """Return draw(z, size, rng): ``size`` offspring totals of z parents each,
@@ -358,7 +354,9 @@ class BatchResult:
     ``extinction_generations[i]`` is the generation at which trial i was
     first counted extinct, or -1 if it survived to the horizon.  Counts are
     exact integers, so identical configs reproduce identical results no
-    matter how trials were scheduled.
+    matter how trials were scheduled.  Trajectories alive at the horizon
+    count as surviving, so the extinction fraction underestimates the
+    limiting extinction probability.
     """
 
     trials: int
@@ -372,7 +370,6 @@ class BatchResult:
     extinction_generations: np.ndarray = field(repr=False)
     sampled_trajectories: list = field(repr=False)
     failed_trials: list = field(repr=False)
-    horizon_note: str = HORIZON_NOTE
 
 
 # Trials that share one set of block streams; trial t always belongs to block

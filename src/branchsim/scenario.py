@@ -12,8 +12,9 @@ import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from . import control as control_mod
 from .bisexual import DaleyMonogamy, DaleyPolygamy, Min, _MatingStep
+from .control import (Disaster, DisasterSchedule, GrowthFunction, LowerBoundary, Phi,
+                      Truncation, TruncationAsAbsorption)
 from .engine import DEFAULT_POPULATION_CAP
 from .errors import ConfigError
 from .law import Binomial, ExplicitPmf, Geometric, OffspringLaw, Poisson
@@ -23,17 +24,15 @@ if TYPE_CHECKING:  # the parsers below import brs only for a brs experiment
 
 SCHEMA_VERSION = 1
 # the keys each experiment reads besides version, experiment, master_seed, trials and output
-_RUN = {"horizon", "law", "initial_size", "population_cap", "coupled", "failure_budget",
-        "sample_trajectories"}
-KEYS = {"gw": _RUN | {"n_max"},
+_RUN = {"horizon", "law", "initial_size", "population_cap", "coupled", "failure_budget"}
+KEYS = {"gw": _RUN,
         "controlled": _RUN | {"n_max", "policy"},
-        "phi": _RUN | {"n_max", "policy"},
+        "phi": _RUN | {"policy"},
         "bisexual": _RUN - {"initial_size", "coupled"} | {"alpha", "mating", "initial_units"},
         "bcl_series": _RUN | {"policy", "schedule"},
         "brs": {"population", "modes"}}
 MAX_TRIALS = 10_000_000  # a run allocates and loops per trial and per generation,
 MAX_HORIZON = 100_000    # so a config may ask for no more than these
-MAX_SAMPLED_COUNTS = 10_000_000  # counts the sampled trajectories hold in all
 
 
 def _require(doc: dict, key: str, context: str):
@@ -42,6 +41,39 @@ def _require(doc: dict, key: str, context: str):
     if key not in doc:
         raise ConfigError(f"{context}: missing required key {key!r}")
     return doc[key]
+
+
+def _fields(doc, context: str, spec, tag=None) -> list:
+    """The value of each ``(key, convert[, default])`` of ``spec``: ``convert(doc[key],
+    key)``, or the default when ``doc`` lacks the key.  A key of ``doc`` outside
+    ``spec`` and ``tag`` would change nothing, so it is a ConfigError."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{context}: expected an object, got {doc!r}")
+    unread = doc.keys() - {key for key, *_ in spec} - {tag}
+    if unread:
+        raise ConfigError(f"{context} takes no {min(unread, key=str)}")
+    values = []
+    for key, convert, *default in spec:
+        if key in doc:
+            values.append(convert(doc[key], key))
+        elif default:
+            values.append(default[0])
+        else:
+            raise ConfigError(f"{context}: missing required key {key!r}")
+    return values
+
+
+def _read(kinds: dict, context: str, tag: str, hint: str = ""):
+    """A parser of the sub-documents whose ``tag`` names their kind: ``kinds``
+    maps each kind to ``(build, spec)``, and the parser returns ``build`` of the
+    kind's ``_fields``.  It takes a converter's arguments, so a spec may name it."""
+    def read(doc, key=None):
+        kind = _require(doc, tag, context)
+        if not isinstance(kind, str) or kind not in kinds:
+            raise ConfigError(f"{context}: unknown {tag} {kind!r}{hint}")
+        build, spec = kinds[kind]
+        return build(*_fields(doc, f"{context} {kind!r}", spec, tag))
+    return read
 
 
 def _as_int(value, context: str, minimum=None, maximum=None) -> int:
@@ -54,6 +86,10 @@ def _as_int(value, context: str, minimum=None, maximum=None) -> int:
     if maximum is not None and v > maximum:
         raise ConfigError(f"{context}: must be <= {maximum}, got {v}")
     return v
+
+
+def _int(minimum=None):
+    return lambda value, key: _as_int(value, key, minimum)
 
 
 def _as_number(value, context: str) -> float:
@@ -71,130 +107,88 @@ def _as_list(value, context: str) -> list:
     return value
 
 
-def parse_law(doc) -> OffspringLaw:
-    kind = _require(doc, "kind", "law")
-    if kind == "explicit_pmf":
-        pmf = _require(doc, "pmf", "law")
-        if isinstance(pmf, dict):  # the keys of a json object are strings
-            pmf = [[int(k) if str(k).isdecimal() else k, v] for k, v in pmf.items()]
-        pairs = [_as_list(pair, "pmf pair") for pair in _as_list(pmf, "pmf")]
-        if any(len(pair) != 2 for pair in pairs):
-            raise ConfigError("pmf: each pair must be [k, weight]")
-        return ExplicitPmf([(_as_int(k, "pmf support point"), _as_number(w, f"pmf weight for k={k}"))
-                            for k, w in pairs])
-    if kind == "poisson":
-        return Poisson(_as_number(_require(doc, "lambda", "poisson law"), "lambda"))
-    if kind == "geometric":
-        return Geometric(_as_number(_require(doc, "r", "geometric law"), "r"))
-    if kind == "binomial":
-        return Binomial(_as_int(_require(doc, "n", "binomial law"), "n", 1),
-                        _as_number(_require(doc, "p", "binomial law"), "p"))
-    raise ConfigError(f"law: unknown kind {kind!r}")
+def _list_of(convert):
+    return lambda value, key: [convert(v, f"{key} entry") for v in _as_list(value, key)]
 
 
-def parse_growth(doc) -> control_mod.GrowthFunction:
-    form = _require(doc, "form", "growth function")
-    if form == "constant":
-        return control_mod.GrowthFunction.constant(_as_int(_require(doc, "c", "constant form"), "c", 0))
-    if form == "log":
-        return control_mod.GrowthFunction.log(
-            _as_number(_require(doc, "a", "log form"), "a"),
-            _as_number(_require(doc, "base", "log form"), "base"),
-            doc.get("rounding", "floor"))
-    if form == "linear":
-        return control_mod.GrowthFunction.linear(
-            _as_number(_require(doc, "a", "linear form"), "a"),
-            _as_number(_require(doc, "c", "linear form"), "c"))
-    if form == "table":
-        return control_mod.GrowthFunction.from_table(
-            [_as_int(v, "table entry") for v in _as_list(_require(doc, "values", "table form"),
-                                                           "table form values")])
-    raise ConfigError(f"growth function: unknown form {form!r}")
+def _one_of(*choices):
+    def convert(value, key):
+        if not isinstance(value, str) or value not in choices:
+            raise ConfigError(f"{key} must be one of {', '.join(choices)}, got {value!r}")
+        return value
+    return convert
 
 
-def parse_phi(doc) -> control_mod.Phi:
-    form = _require(doc, "form", "phi")
-    if form == "identity":
-        return control_mod.Phi.identity()
-    if form == "constant":
-        return control_mod.Phi.constant(_as_int(_require(doc, "c", "phi constant"), "c", 0))
-    if form == "linear":
-        return control_mod.Phi.linear(_as_number(_require(doc, "a", "phi linear"), "a"),
-                                      _as_number(_require(doc, "c", "phi linear"), "c"))
-    if form == "table":
-        return control_mod.Phi.from_table(
-            [_as_int(v, "phi table entry", 0)
-             for v in _as_list(_require(doc, "values", "phi table"), "phi table values")])
-    raise ConfigError(f"phi: unknown form {form!r}")
+def _as_path(value, key):
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
 
 
-def parse_delta(doc) -> control_mod.DisasterSchedule:
-    form = _require(doc, "form", "disaster schedule")
-    if form == "table":
-        return control_mod.DisasterSchedule.from_table(
-            [_as_number(v, "disaster probability")
-             for v in _as_list(_require(doc, "values", "disaster table"), "disaster table values")])
-    if form == "c_over_k":
-        return control_mod.DisasterSchedule.c_over_k(_as_number(_require(doc, "c", "c/k schedule"), "c"))
-    if form == "constant":
-        return control_mod.DisasterSchedule.constant(_as_number(_require(doc, "c", "constant schedule"), "c"))
-    raise ConfigError(f"disaster schedule: unknown form {form!r}")
+def _same(value, key=None):
+    return value
 
 
-def parse_absorbing_rule(doc):
-    kind = _require(doc, "kind", "absorbing rule")
-    if kind == "truncation_as_absorption":
-        return control_mod.TruncationAsAbsorption(parse_growth(_require(doc, "g", "rule")))
-    if kind == "disaster":
-        return control_mod.Disaster(parse_delta(_require(doc, "delta", "disaster rule")))
-    if kind == "lower_boundary":
-        return control_mod.LowerBoundary(parse_growth(_require(doc, "b", "lower boundary rule")))
-    raise ConfigError(f"absorbing rule: unknown kind {kind!r} "
-                      "(custom rules are API-only)")
+def _as_pmf(value, key) -> list:
+    if isinstance(value, dict):  # the keys of a json object are strings
+        value = [[int(k) if str(k).isdecimal() else k, v] for k, v in value.items()]
+    pairs = [_as_list(pair, "pmf pair") for pair in _as_list(value, key)]
+    if any(len(pair) != 2 for pair in pairs):
+        raise ConfigError("pmf: each pair must be [k, weight]")
+    return [(_as_int(k, "pmf support point"), _as_number(w, f"pmf weight for k={k}"))
+            for k, w in pairs]
 
 
-def parse_policy(doc):
-    kind = _require(doc, "kind", "policy")
-    if kind == "truncation":
-        return control_mod.Truncation(parse_growth(_require(doc, "g", "truncation policy")))
-    if kind == "absorbing":
-        return parse_absorbing_rule(_require(doc, "rule", "absorbing policy"))
-    if kind == "phi":
-        return parse_phi(_require(doc, "phi", "phi policy"))
-    raise ConfigError(f"policy: unknown kind {kind!r}")
+parse_law = _read({"explicit_pmf": (ExplicitPmf, (("pmf", _as_pmf),)),
+                   "poisson": (Poisson, (("lambda", _as_number),)),
+                   "geometric": (Geometric, (("r", _as_number),)),
+                   "binomial": (Binomial, (("n", _int(1)), ("p", _as_number)))},
+                  "law", "kind")
 
+parse_growth = _read({"constant": (GrowthFunction.constant, (("c", _int(0)),)),
+                      "log": (GrowthFunction.log, (("a", _as_number), ("base", _as_number),
+                                                   ("rounding", _same, "floor"))),
+                      "linear": (GrowthFunction.linear, (("a", _as_number), ("c", _as_number))),
+                      "table": (GrowthFunction.from_table, (("values", _list_of(_int())),))},
+                     "growth function", "form")
 
-def parse_mating(doc):
-    kind = _require(doc, "kind", "mating function")
-    if kind == "min":
-        return Min()
-    if kind == "daley_monogamy":
-        return DaleyMonogamy()
-    if kind == "daley_polygamy":
-        return DaleyPolygamy(_as_int(_require(doc, "d", "polygamy"), "d", 1))
-    raise ConfigError(f"mating function: unknown kind {kind!r} "
-                      "(custom mating functions are API-only)")
+parse_phi = _read({"identity": (Phi.identity, ()),
+                   "constant": (Phi.constant, (("c", _int(0)),)),
+                   "linear": (Phi.linear, (("a", _as_number), ("c", _as_number))),
+                   "table": (Phi.from_table, (("values", _list_of(_int(0))),))},
+                  "phi", "form")
 
+parse_delta = _read({"table": (DisasterSchedule.from_table, (("values", _list_of(_as_number)),)),
+                     "c_over_k": (DisasterSchedule.c_over_k, (("c", _as_number),)),
+                     "constant": (DisasterSchedule.constant, (("c", _as_number),))},
+                    "disaster schedule", "form")
 
-def parse_claim_distribution(doc) -> brs_mod.ClaimDistribution:
-    from . import brs as brs_mod
-    kind = _require(doc, "kind", "claim distribution")
-    if kind == "uniform":
-        return brs_mod.Uniform(_as_number(_require(doc, "b", "uniform claims"), "b"))
-    if kind == "exponential":
-        return brs_mod.Exponential(_as_number(_require(doc, "rate", "exponential claims"), "rate"))
-    raise ConfigError(f"claim distribution: unknown kind {kind!r} "
-                      "(custom distributions are API-only)")
+parse_absorbing_rule = _read(
+    {"truncation_as_absorption": (TruncationAsAbsorption, (("g", parse_growth),)),
+     "disaster": (Disaster, (("delta", parse_delta),)),
+     "lower_boundary": (LowerBoundary, (("b", parse_growth),))},
+    "absorbing rule", "kind", " (custom rules are API-only)")
+
+# an absorbing policy is its rule, and a phi policy its phi
+parse_policy = _read({"truncation": (Truncation, (("g", parse_growth),)),
+                      "absorbing": (_same, (("rule", parse_absorbing_rule),)),
+                      "phi": (_same, (("phi", parse_phi),))},
+                     "policy", "kind")
+
+parse_mating = _read({"min": (Min, ()), "daley_monogamy": (DaleyMonogamy, ()),
+                      "daley_polygamy": (DaleyPolygamy, (("d", _int(1)),))},
+                     "mating function", "kind", " (custom mating functions are API-only)")
 
 
 def parse_population(doc) -> brs_mod.Population:
     from . import brs as brs_mod
-    groups = []
-    for g in _as_list(_require(doc, "groups", "population"), "population groups"):
-        count = _as_int(_require(g, "count", "population group"), "count", 1)
-        dist = parse_claim_distribution(_require(g, "dist", "population group"))
-        groups.append((count, dist))
-    budget = _as_number(_require(doc, "budget", "population"), "budget")
+    claims = _read({"uniform": (brs_mod.Uniform, (("b", _as_number),)),
+                    "exponential": (brs_mod.Exponential, (("rate", _as_number),))},
+                   "claim distribution", "kind", " (custom distributions are API-only)")
+    group = (("count", _int(1)), ("dist", claims))
+    groups, budget = _fields(doc, "population", (
+        ("groups", _list_of(lambda g, key: tuple(_fields(g, "population group", group)))),
+        ("budget", _as_number)))
     return brs_mod.Population(groups, budget)
 
 
@@ -222,7 +216,6 @@ class ScenarioConfig:
     population_cap: int = DEFAULT_POPULATION_CAP
     coupled: bool = False
     failure_budget: int = 0
-    sample_trajectories: int = 0
     population: brs_mod.Population | None = None
     modes: tuple[str, ...] = ("independent",)
     schedule: dict = field(default_factory=dict)
@@ -253,33 +246,17 @@ class ScenarioConfig:
         cfg = ScenarioConfig(version=version, experiment=experiment,
                              master_seed=master_seed, trials=trials)
         for key, least in (("horizon", 1), ("initial_size", 0), ("initial_units", 0),
-                           ("population_cap", 1), ("failure_budget", 0),
-                           ("sample_trajectories", 0), ("n_max", 100)):
+                           ("population_cap", 1), ("failure_budget", 0), ("n_max", 100)):
             if key in doc:
                 setattr(cfg, key, _as_int(doc[key], key, least,
                                           MAX_HORIZON if key == "horizon" else None))
-        if cfg.sample_trajectories > trials:
-            raise ConfigError(f"sample_trajectories: must be <= trials, got "
-                              f"{cfg.sample_trajectories} > {trials}")
-        sampled = cfg.sample_trajectories * ((cfg.horizon or 0) + 1)
-        if sampled > MAX_SAMPLED_COUNTS:
-            raise ConfigError(f"sample_trajectories * (horizon + 1): must be <= "
-                              f"{MAX_SAMPLED_COUNTS}, got {sampled}")
         if "coupled" in doc:
             if not isinstance(doc["coupled"], bool):
                 raise ConfigError(f"coupled: expected a boolean, got {doc['coupled']!r}")
             cfg.coupled = doc["coupled"]
         if "output" in doc:
-            out = doc["output"]
-            if not isinstance(out, dict):
-                raise ConfigError(f"output: expected an object, got {out!r}")
-            fmt = out.get("format", "csv")
-            if fmt not in ("csv", "json"):
-                raise ConfigError(f"output format must be csv or json, got {fmt!r}")
-            path = out.get("path")
-            if path is not None and not isinstance(path, str):
-                raise ConfigError(f"output path must be a string, got {path!r}")
-            cfg.output = OutputSpec(format=fmt, path=path)
+            cfg.output = OutputSpec(*_fields(doc["output"], "output", (
+                ("format", _one_of("csv", "json"), "csv"), ("path", _as_path, None))))
 
         if "horizon" in KEYS[experiment] and cfg.horizon is None:
             raise ConfigError(f"experiment {experiment!r} requires a horizon")
@@ -287,33 +264,30 @@ class ScenarioConfig:
             cfg.law = parse_law(_require(doc, "law", "config"))
         if "policy" in doc:
             cfg.policy = parse_policy(doc["policy"])
-        if experiment == "controlled" and (cfg.policy is None or
-                                           isinstance(cfg.policy, control_mod.Phi)):
+        if experiment == "controlled" and (cfg.policy is None or isinstance(cfg.policy, Phi)):
             raise ConfigError("controlled experiment requires a truncation "
                               "or absorbing policy")
-        if experiment == "phi" and not isinstance(cfg.policy, control_mod.Phi):
+        if experiment == "phi" and not isinstance(cfg.policy, Phi):
             raise ConfigError("phi experiment requires a phi policy")
         if experiment == "bcl_series":
-            sched = doc.get("schedule", {"family": "linear", "max_points": 50})
-            if not isinstance(sched, dict):
-                raise ConfigError(f"schedule: expected an object, got {sched!r}")
-            if "values" in sched:
-                values = [_as_int(v, "schedule value", 1)
-                          for v in _as_list(sched["values"], "schedule values")]
-                from .series import check_schedule
+            from .series import _family_schedule, check_schedule
+            sched = doc.get("schedule", {})
+            if isinstance(sched, dict) and "values" in sched:
+                values = _fields(sched, "schedule", (("values", _list_of(_int(1))),))[0]
                 try:
                     check_schedule(values, cfg.horizon)
                 except ValueError as exc:
                     raise ConfigError(str(exc)) from None
                 cfg.schedule = {"values": values}
             else:
-                family = sched.get("family", "linear")
-                if family not in ("linear", "powers", "squares", "search"):
-                    raise ConfigError(f"schedule family must be linear, powers, "
-                                      f"squares or search, got {family!r}")
-                cfg.schedule = {"family": family,
-                                "max_points": _as_int(sched.get("max_points", 50),
-                                                      "max_points", 2)}
+                family, max_points = _fields(sched, "schedule", (
+                    ("family", _one_of("linear", "powers", "squares", "search"), "linear"),
+                    ("max_points", _int(2), 50)))
+                # a search that ranks no family keeps t_k = k, and t_1 = 1 always fits
+                if family != "search" and not _family_schedule(family, cfg.horizon, 1):
+                    raise ConfigError(f"schedule family {family} has no point inside "
+                                      f"horizon {cfg.horizon}")
+                cfg.schedule = {"family": family, "max_points": max_points}
         elif experiment == "bisexual":
             cfg.alpha = _as_number(_require(doc, "alpha", "config"), "alpha")
             cfg.mating = parse_mating(_require(doc, "mating", "config"))

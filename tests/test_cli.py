@@ -310,13 +310,20 @@ def test_bad_documents_exit_with_config_error(tmp_path, capsys, doc):
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
-def test_a_key_the_experiment_does_not_read_exits_with_config_error(tmp_path, capsys):
+@pytest.mark.parametrize("doc, message", [
     # a truncation policy would leave a bisexual run untruncated
-    doc = gw_doc(experiment="bisexual", alpha=0.5, mating={"kind": "min"},
-                 policy={"kind": "truncation", "g": {"form": "constant", "c": 3}})
+    (gw_doc(experiment="bisexual", alpha=0.5, mating={"kind": "min"},
+            policy={"kind": "truncation", "g": {"form": "constant", "c": 3}}),
+     "experiment 'bisexual' takes no policy"),
+    # a misspelt rounding would run a floor-rounded cap
+    (controlled_doc(policy={"kind": "truncation", "g": {"form": "log", "a": 2.0, "base": 3.0,
+                                                        "roundng": "ceil"}}),
+     "growth function 'log' takes no roundng"),
+], ids=["experiment", "sub_document"])
+def test_a_key_the_experiment_does_not_read_exits_with_config_error(tmp_path, capsys, doc,
+                                                                     message):
     assert cli.run(str(write_config(tmp_path, doc))) == 2
-    assert json.loads(capsys.readouterr().err) == {
-        "error": "ConfigError", "message": "experiment 'bisexual' takes no policy"}
+    assert json.loads(capsys.readouterr().err) == {"error": "ConfigError", "message": message}
 
 
 @pytest.mark.parametrize("mating", [{"kind": "min"}, {"kind": "daley_polygamy", "d": 3}])

@@ -311,6 +311,12 @@ def test_phi_table_units_hold_the_last_value_past_int64():
         Phi.from_table([])
 
 
+def test_phi_table_rejects_a_negative_entry_between_the_probe_points():
+    # Phi probes 0, 1, 2, 5 and 64 only; a run from 10 units would read phi(10) = -3
+    with pytest.raises(ConfigError, match="phi table entries must be nonnegative integers"):
+        Phi.from_table([1] * 10 + [-3] + [1] * 60)
+
+
 def test_phi_custom_units_reject_a_negative_count_on_both_lanes():
     phi = Phi(lambda x: 100 - x if x < 2**63 else x)
     for counts in both_lanes([3, 99, 150, 2**63, 2**64]):

@@ -24,7 +24,6 @@ from branchsim import (
 from branchsim.engine import DEFAULT_POPULATION_CAP
 from branchsim.scenario import (
     MAX_HORIZON,
-    MAX_SAMPLED_COUNTS,
     MAX_TRIALS,
     parse_growth,
     parse_law,
@@ -117,7 +116,8 @@ def test_parse_policy_kinds():
     assert isinstance(as_absorption, TruncationAsAbsorption)
     phi = parse_policy({"kind": "phi", "phi": {"form": "identity"}})
     assert isinstance(phi, Phi)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=re.escape("unknown kind 'custom' (custom rules are "
+                                                    "API-only)")):
         parse_policy({"kind": "absorbing", "rule": {"kind": "custom"}})
     with pytest.raises(ConfigError):
         parse_policy({"kind": "resampling"})
@@ -127,7 +127,7 @@ def test_parse_mating_kinds():
     assert isinstance(parse_mating({"kind": "min"}), Min)
     poly = parse_mating({"kind": "daley_polygamy", "d": 3})
     assert isinstance(poly, DaleyPolygamy) and poly.d == 3
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=re.escape("(custom mating functions are API-only)")):
         parse_mating({"kind": "custom"})
     with pytest.raises(ConfigError):
         parse_mating({"kind": "daley_polygamy", "d": 0})
@@ -180,6 +180,11 @@ def test_minimal_gw_config_and_defaults():
     lambda d: d.update(experiment="brs", coupled=True, population={
         "budget": 1.0, "groups": [{"count": 2, "dist": {"kind": "uniform", "b": 1.0}}]}),
     lambda d: d.update(output={"format": "xml"}),
+    # a path, rounding or family that is no string is not coerced into one
+    lambda d: d.update(output={"path": 5}),
+    lambda d: d.update(experiment="controlled", policy={"kind": "truncation", "g": {
+        "form": "log", "a": 2.0, "base": 3.0, "rounding": ["ceil"]}}),
+    lambda d: d.update(experiment="bcl_series", schedule={"family": 5}),
     # each experiment starts from one initial key: a misplaced one is not ignored
     lambda d: d.update(initial_units=50),
     lambda d: d.update(experiment="bisexual", alpha=0.5, mating={"kind": "min"}, initial_size=50),
@@ -207,14 +212,66 @@ BISEXUAL = {"experiment": "bisexual", "alpha": 0.5, "mating": {"kind": "min"}}
     (gw_doc(schedule={"values": [1, 2]}), "schedule"),
     (gw_doc(experiment="bcl_series", n_max=200), "n_max"),
     (gw_doc(failure_budgt=3), "failure_budgt"),
+    (gw_doc(n_max=200), "n_max"),
+    (gw_doc(experiment="phi", policy={"kind": "phi", "phi": {"form": "identity"}}, n_max=200),
+     "n_max"),
 ], ids=["bisexual_policy", "bisexual_coupled", "brs_horizon", "gw_schedule", "bcl_series_n_max",
-        "misspelt_failure_budget"])
+        "misspelt_failure_budget", "gw_n_max", "phi_n_max"])
 def test_each_experiment_rejects_the_keys_it_does_not_read(doc, key):
     # a valid key that an experiment never reads changes nothing, so it is an error
     with pytest.raises(ConfigError, match=f"^experiment '{doc['experiment']}' takes no {key}$"):
         ScenarioConfig.from_dict(doc)
     rest = {k: v for k, v in doc.items() if k != key}
     assert ScenarioConfig.from_dict(rest).experiment == doc["experiment"]
+
+
+def controlled(policy):
+    return gw_doc(experiment="controlled", policy=policy)
+
+
+LOG = {"form": "log", "a": 2.0, "base": 3.0}
+POPULATION = {"groups": [{"count": 2, "dist": {"kind": "uniform", "b": 1.0}}], "budget": 1.0}
+
+
+@pytest.mark.parametrize("doc, path, key, context", [
+    (gw_doc(law={"kind": "poisson", "lambda": 1.5, "r": 0.4}), ("law",), "r", "law 'poisson'"),
+    (controlled({"kind": "truncation", "g": {**LOG, "roundng": "ceil"}}), ("policy", "g"),
+     "roundng", "growth function 'log'"),
+    (gw_doc(experiment="phi", policy={"kind": "phi", "phi": {"form": "identity", "c": 2}}),
+     ("policy", "phi"), "c", "phi 'identity'"),
+    (controlled({"kind": "absorbing", "rule": {"kind": "disaster", "delta": {
+        "form": "c_over_k", "c": 0.5, "values": [0.1]}}}), ("policy", "rule", "delta"), "values",
+     "disaster schedule 'c_over_k'"),
+    (controlled({"kind": "absorbing", "rule": {"kind": "disaster", "g": LOG, "delta": {
+        "form": "constant", "c": 0.5}}}), ("policy", "rule"), "g", "absorbing rule 'disaster'"),
+    (controlled({"kind": "truncation", "g": LOG, "rule": {"kind": "lower_boundary"}}),
+     ("policy",), "rule", "policy 'truncation'"),
+    (gw_doc(**{**BISEXUAL, "mating": {"kind": "min", "d": 2}}), ("mating",), "d",
+     "mating function 'min'"),
+    ({**BRS_DOC, "population": {**POPULATION, "groups": [
+        {"count": 2, "dist": {"kind": "uniform", "b": 1.0, "rate": 2.0}}]}},
+     ("population", "groups", 0, "dist"), "rate", "claim distribution 'uniform'"),
+    ({**BRS_DOC, "population": {**POPULATION, "budgt": 2.0}}, ("population",), "budgt",
+     "population"),
+    ({**BRS_DOC, "population": {**POPULATION, "groups": [
+        {"count": 2, "weight": 0.5, "dist": {"kind": "uniform", "b": 1.0}}]}},
+     ("population", "groups", 0), "weight", "population group"),
+    (gw_doc(experiment="bcl_series", schedule={"values": [1, 2], "family": "powers"}),
+     ("schedule",), "family", "schedule"),
+    (gw_doc(experiment="bcl_series", schedule={"family": "powers", "max_point": 3}),
+     ("schedule",), "max_point", "schedule"),
+    (gw_doc(output={"fromat": "json"}), ("output",), "fromat", "output"),
+], ids=["law", "growth", "phi", "delta", "rule", "policy", "mating", "claims", "population",
+        "group", "schedule_values", "schedule_family", "output"])
+def test_each_sub_document_rejects_the_keys_it_does_not_read(doc, path, key, context):
+    # a misspelt optional key would take its default, and any other changes nothing
+    with pytest.raises(ConfigError, match=f"^{re.escape(context)} takes no {key}$"):
+        ScenarioConfig.from_dict(doc)
+    sub = doc
+    for step in path:
+        sub = sub[step]
+    del sub[key]
+    ScenarioConfig.from_dict(doc)
 
 
 def test_a_non_string_experiment_is_a_config_error():
@@ -225,13 +282,10 @@ def test_a_non_string_experiment_is_a_config_error():
 
 def test_run_sizes_are_bounded_at_parse_time():
     # parsed only: no config here is ever run
-    tracks = MAX_SAMPLED_COUNTS // (MAX_HORIZON + 1)
-    at_bounds = ScenarioConfig.from_dict(gw_doc(trials=MAX_TRIALS, horizon=MAX_HORIZON,
-                                                sample_trajectories=tracks))
+    at_bounds = ScenarioConfig.from_dict(gw_doc(trials=MAX_TRIALS, horizon=MAX_HORIZON))
     assert (at_bounds.trials, at_bounds.horizon) == (MAX_TRIALS, MAX_HORIZON)
-    every_track = ScenarioConfig.from_dict(gw_doc(trials=MAX_SAMPLED_COUNTS // 2, horizon=1,
-                                                  sample_trajectories=MAX_SAMPLED_COUNTS // 2))
-    assert every_track.sample_trajectories * 2 == MAX_SAMPLED_COUNTS
+    # no report writes sampled trajectories, so a JSON config asks for none
+    unread = "^experiment 'gw' takes no sample_trajectories$"
     brs = {"version": 1, "experiment": "brs", "master_seed": 1, "trials": MAX_TRIALS + 1,
            "population": {"groups": [{"count": 1, "dist": {"kind": "uniform", "b": 1.0}}],
                           "budget": 0.5}}
@@ -240,18 +294,14 @@ def test_run_sizes_are_bounded_at_parse_time():
     for doc, message in ((gw_doc(trials=MAX_TRIALS + 1), f"trials: must be <= {MAX_TRIALS}"),
                          (gw_doc(horizon=MAX_HORIZON + 1), f"horizon: must be <= {MAX_HORIZON}"),
                          (brs, "trials: must be <="), (bisexual, "horizon: must be <="),
-                         (gw_doc(trials=10, sample_trajectories=11),
-                          "sample_trajectories: must be <= trials, got 11 > 10"),
+                         (gw_doc(trials=10, sample_trajectories=11), unread),
                          (gw_doc(trials=MAX_TRIALS, horizon=MAX_HORIZON,
-                                 sample_trajectories=tracks + 1),
-                          re.escape(f"sample_trajectories * (horizon + 1): must be <= "
-                                    f"{MAX_SAMPLED_COUNTS}, got {(tracks + 1) * (MAX_HORIZON + 1)}")),
-                         (gw_doc(trials=MAX_TRIALS, horizon=1,
-                                 sample_trajectories=MAX_SAMPLED_COUNTS // 2 + 1),
-                          re.escape("sample_trajectories * (horizon + 1): must be <="))):
+                                 sample_trajectories=100), unread),
+                         (gw_doc(trials=10, sample_trajectories=10), unread),
+                         ({**bisexual, "horizon": 5, "sample_trajectories": 10},
+                          "^experiment 'bisexual' takes no sample_trajectories$")):
         with pytest.raises(ConfigError, match=message):
             ScenarioConfig.from_dict(doc)
-    assert ScenarioConfig.from_dict(gw_doc(trials=10, sample_trajectories=10)).trials == 10
 
 
 def test_controlled_experiment_policy_matrix():
@@ -314,6 +364,13 @@ def test_bcl_series_schedule_forms():
     with pytest.raises(ConfigError):
         ScenarioConfig.from_dict(gw_doc(experiment="bcl_series",
                                         schedule={"max_points": 1}))
+    # t_1 = 2 lies past a horizon of 1: the batch would run for a report it cannot write
+    with pytest.raises(ConfigError, match="^schedule family powers has no point inside horizon 1$"):
+        ScenarioConfig.from_dict(gw_doc(experiment="bcl_series", horizon=1,
+                                        schedule={"family": "powers"}))
+    for family in ("linear", "squares", "search"):
+        assert ScenarioConfig.from_dict(gw_doc(experiment="bcl_series", horizon=1, schedule={
+            "family": family})).schedule == {"family": family, "max_points": 50}
 
 
 def test_brs_config():

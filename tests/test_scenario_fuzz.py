@@ -8,6 +8,10 @@ at one path of it.
 from __future__ import annotations
 
 import copy
+import functools
+import operator
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +32,7 @@ def _doc(experiment, **extra):
 
 VALID = [
     _doc("gw", law={"kind": "geometric", "r": 0.4}, initial_size=2, population_cap=1 << 40,
-         failure_budget=1, sample_trajectories=2, coupled=False),
+         failure_budget=1, coupled=False),
     _doc("gw", law={"kind": "explicit_pmf", "pmf": [[0, 1], [3, 2]]}),
     _doc("controlled", law={"kind": "binomial", "n": 3, "p": 0.5},
          policy={"kind": "truncation", "g": {"form": "log", "a": 2.0, "base": 3.0,
@@ -88,6 +92,15 @@ CASES = [(doc, path) for doc in VALID for path in _paths(doc)]
 def test_every_valid_document_parses():
     for doc in VALID:
         assert isinstance(ScenarioConfig.from_dict(doc), ScenarioConfig)
+
+
+def test_a_key_that_no_object_reads_is_a_config_error():
+    # every JSON object of a document, the root included, names the unread key
+    for doc, path in CASES:
+        obj = functools.reduce(operator.getitem, path, doc)
+        if isinstance(obj, dict):
+            with pytest.raises(ConfigError, match=r"\bzz\b"):
+                ScenarioConfig.from_dict(_replaced(doc, path, {**obj, "zz": 0}))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
