@@ -15,7 +15,15 @@ gamma-distributed Poisson arrival times.  Binomial counts and means past
 (object arrays) otherwise.  Python ints sum only the arrival rounds of means
 of 2^62 or more and the alive sizes of object blocks; an int64 alive sum
 that may pass 2^63 adds 32-bit halves.  The dtype changes no drawn number
-and no report byte.  A per-particle inverse-CDF mode exists for monotone
+and no report byte.  A sized binomial draw (a Binomial law, a two-atom pmf)
+whose counts are all from 1 to 32 trials, with 0 < p < 1, on a PCG64, looks
+each count up in a table of the thresholds of numpy's inversion draw,
+replayed with numpy's float64 operations, on the top 53 bits of one raw
+output, which is numpy's uniform: the counts, the generator's position and
+so every report byte are numpy's.  Counts past 32 (``_TABLE_COUNTS``),
+other generators, and the restart of numpy's loop, about once in 10^16
+draws, which steps the generator back first, call numpy.  The bisexual sex
+split stays on numpy.  A per-particle inverse-CDF mode exists for monotone
 coupling: with generation-keyed streams, the draw for parent i is the same
 in two runs, so the offspring total is nondecreasing in the parent count.
 Coupled batches step on the same kernel, each trial on such streams; custom
@@ -47,6 +55,120 @@ _COUPLED_CAP = 1 << 24  # per-particle counts: one uniform, about 25 ns, per par
 # largest binomial count and Poisson mean of the exact lane: its draws hold
 # their moments there, while Poisson means of 2^96 lost 2% of their variance
 _EXACT_LIMIT = 1 << 90
+# largest binomial count drawn by table lookup: 32 rows of at most 34 int64
+# keys and values each, under 10 kB per probability
+_TABLE_COUNTS = 32
+_WINDOW = 16  # candidates on each side of a cumulative sum, in units of 2^-53
+
+
+def _inversion_row(n: int, p: float) -> list[int]:
+    """The thresholds K_1 .. K_{b+1} of numpy's inversion draw of Bin(n, p),
+    p <= 1/2: a 53-bit uniform m gives X = #{k <= b : K_k <= m}, or a
+    restart when m >= K_{b+1}, for numpy's bound b.
+
+    ``random_binomial_inversion`` (Kachitvichyanukul & Schmeiser, CACM 31,
+    1988) takes U = m 2^-53 and, while U > px, moves X on, subtracting px
+    from U and stepping px by the pmf ratio.  Its results are replayed here
+    with the same float64 operations, so the thresholds are exact: the loop
+    is monotone in U, and the first passing m of a bracketing window of
+    candidates around each cumulative sum, narrowed by bisection when the
+    window does not bracket it, is K_k.
+    """
+    q = 1.0 - p
+    mean = n * p
+    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
+    px = [math.exp(n * math.log(q))]
+    for x in range(1, bound + 1):
+        px.append(((n - x + 1) * p * px[-1]) / (x * q))
+    px = np.array(px)
+
+    def passes(m):  # row i of m: candidates for K_{i+1}
+        u = m * 2.0**-53
+        for j in range(bound + 1):
+            u[j:] -= px[j]
+        # U > px iff U - px > 0 in float64, and a U that failed stays at or below 0;
+        # K = 2^53 is past every draw
+        return (u > 0) | (m >= 1 << 53)
+
+    rows = np.arange(bound + 1)
+    centre = np.rint(np.cumsum(px) * 2.0**53).astype(np.int64)
+    m = np.clip(centre[:, None] + np.arange(-_WINDOW, _WINDOW + 1), 0, 1 << 53)
+    ok = passes(m)
+    first = ok.argmax(axis=1)
+    keys = m[rows, first]
+    # an m of 0 never passes (U = 0 > px fails), and 2^53 always does
+    lo = np.where(ok[:, 0], 0, np.where(ok[:, -1], m[rows, first - 1], m[:, -1]))
+    hi = np.where(ok[:, -1], keys, 1 << 53)
+    while (hi - lo > 1).any():
+        mid = (lo + hi) // 2
+        up = passes(mid[:, None])[:, 0]
+        hi, lo = np.where(up, mid, hi), np.where(up, lo, mid)
+    return hi.tolist()
+
+
+class _BinomialDraw:
+    """draw(n, size, rng): ``scale`` times Bin(n_i, p) counts for an int64
+    array n of ``size`` counts (or one count when size is None), from the
+    very numbers ``rng.binomial(n, p, size=size)`` gives.
+
+    numpy draws a count of n <= 32 trials by inversion, since n min(p, 1 - p)
+    <= 16 is below its switch at 30, on the smaller of p and 1 - p (and
+    returns n - X for p > 1/2), one 53-bit uniform per count unless it
+    restarts.  When every count is between 1 and ``_TABLE_COUNTS``, 0 < p < 1
+    and the generator is a PCG64, this draws one raw output per count, whose
+    top 53 bits are numpy's uniform, and finds each X with one searchsorted
+    of (n << 53) + m in a flat table of ``_inversion_row`` thresholds, built
+    row by row up to the largest count seen.  A count in the restart region
+    (about once in 10^16 draws) steps the generator back and hands the whole
+    call to numpy, as does every other case.
+    """
+
+    def __init__(self, p: float, scale: int = 1):
+        self.p, self.scale = p, scale
+        self._flip = p > 0.5
+        self._lookup = 0.0 < p < 1.0
+        # each row n: a sentinel key n << 53, then (n << 53) + K_k; a
+        # searchsorted index into ``values`` gives scale X (scale (n - X) for
+        # p > 1/2), or -1 for a restart, a count of 0 and a count past the table
+        self._table = (np.zeros(0, dtype=np.int64), np.full(1, -1, dtype=np.int64), 0)
+
+    def _grow(self, top: int):
+        keys, values, built = self._table
+        p = 1.0 - self.p if self._flip else self.p
+        new_keys, new_values = [keys], [values]
+        for n in range(built + 1, top + 1):
+            row = _inversion_row(n, p)
+            new_keys.append((n << 53) + np.array([0] + row, dtype=np.int64))
+            xs = np.arange(len(row))
+            new_values.append(np.append(self.scale * (n - xs if self._flip else xs), -1))
+        self._table = (np.concatenate(new_keys), np.concatenate(new_values), top)
+        return self._table
+
+    def __call__(self, n, size, rng):
+        bits = rng.bit_generator
+        if not self._lookup or not size or type(bits) is not np.random.PCG64:
+            return self._numpy(n, size, rng)
+        top = int(np.maximum.reduce(n))  # the ufunc skips ndarray.max's Python layer
+        if top > _TABLE_COUNTS:
+            return self._numpy(n, size, rng)
+        keys, values, built = self._table
+        if top > built:
+            keys, values, built = self._grow(top)
+        raw = bits.random_raw(size)
+        m = np.right_shift(raw, 11, out=raw).view(np.int64)  # numpy's next_double bits
+        m += n << 53
+        out = values[keys.searchsorted(m, side="right")]
+        if np.minimum.reduce(out) < 0:  # a restart or a count of 0: numpy, from the same state
+            state = bits.state
+            bits.advance(-size)
+            bits.state = {**bits.state, "has_uint32": state["has_uint32"],
+                          "uinteger": state["uinteger"]}
+            return self._numpy(n, size, rng)
+        return out
+
+    def _numpy(self, n, size, rng):
+        out = rng.binomial(n, self.p, size=size)
+        return out if self.scale == 1 else self.scale * out
 
 
 def _make_block_draw(law: OffspringLaw):
@@ -58,7 +180,8 @@ def _make_block_draw(law: OffspringLaw):
     if isinstance(law, Geometric):
         return lambda z, size, rng: rng.negative_binomial(z, 1.0 - law.r, size=size)
     if isinstance(law, Binomial):
-        return lambda z, size, rng: rng.binomial(z * law.n, law.p, size=size)
+        binomial = _BinomialDraw(law.p)
+        return lambda z, size, rng: binomial(z * law.n, size, rng)
     if not isinstance(law, ExplicitPmf):
         raise ConfigError(f"no sampler for law kind {law.kind!r}")
     ks_np, ps = law.pmf_table()
@@ -68,10 +191,10 @@ def _make_block_draw(law: OffspringLaw):
     if len(ks_np) == 2:
         # a two-atom pmf needs only one binomial count
         k_lo, k_hi = (int(k) for k in ks_np)
-        p_hi = float(pvals[1])
+        binomial = _BinomialDraw(float(pvals[1]), k_hi - k_lo)
         if k_lo == 0:
-            return lambda z, size, rng: k_hi * rng.binomial(z, p_hi, size=size)
-        return lambda z, size, rng: k_lo * z + (k_hi - k_lo) * rng.binomial(z, p_hi, size=size)
+            return binomial
+        return lambda z, size, rng: k_lo * z + binomial(z, size, rng)
     return lambda z, size, rng: rng.multinomial(z, pvals, size=size) @ ks_np
 
 
@@ -200,11 +323,14 @@ def _make_past_draw(law: OffspringLaw):
     return past
 
 
+@lru_cache(maxsize=256)
 def _lanes(law: OffspringLaw, cap: int):
     """The (bound, draw, past, limit, cap, max_k) arguments of ``_draw_offspring``
-    for a law.  ``bound``, the block size, keeps the int64 lane's totals
-    within int64; ``limit``, the largest parent count the exact lane draws,
-    keeps its binomial counts and means within ``_EXACT_LIMIT``."""
+    for a law, built once per (law, cap), so a batch builds its binomial
+    table once and not once per block.  ``bound``, the block size, keeps the
+    int64 lane's totals within int64; ``limit``, the largest parent count the
+    exact lane draws, keeps its binomial counts and means within
+    ``_EXACT_LIMIT``."""
     m, mk = law.mean(), law.max_k()
     bound = min(_MAX_BLOCK, int(_MEAN_BUDGET / m)) if m > 1.0 else _MAX_BLOCK
     if mk:
@@ -406,7 +532,7 @@ def _draw_offspring(units, gen, bound, draw, past, limit, cap, max_k):
     The law's ``max_k`` (None: unbounded) can spare the last cap check.
     """
     failures = {}
-    top = units.max(initial=0)
+    top = np.maximum.reduce(units, initial=0)  # skips ndarray.max's Python layer
     if top <= bound and np.count_nonzero(units) == units.size:  # one draw, no masks
         off = draw(units.astype(np.int64, copy=False), units.size, gen)
     else:

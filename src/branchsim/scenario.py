@@ -267,6 +267,11 @@ class ScenarioConfig:
         if experiment == "controlled" and (cfg.policy is None or isinstance(cfg.policy, Phi)):
             raise ConfigError("controlled experiment requires a truncation "
                               "or absorbing policy")
+        if "n_max" in doc and not (isinstance(cfg.policy, (Truncation, TruncationAsAbsorption))
+                                   and cfg.policy.g.form == "table"):
+            # compare's series verdict is exact for a symbolic g whatever n_max is
+            raise ConfigError("n_max is read only by the series verdict of a truncation "
+                              "policy with a table g")
         if experiment == "phi" and not isinstance(cfg.policy, Phi):
             raise ConfigError("phi experiment requires a phi policy")
         if experiment == "bcl_series":

@@ -337,6 +337,108 @@ def test_batched_exact_lane_draws_like_one_sampler_call_per_trial(law, case):
             assert third.bit_generator.state == gen.bit_generator.state
 
 
+# ----------------------------------------------------- binomial table lookup
+
+def replay_inversion(m, n, p):
+    """numpy's random_binomial_inversion on the uniform m 2^-53, p <= 1/2:
+    its X, or bound + 1 where it would restart."""
+    q = 1.0 - p
+    mean = n * p
+    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
+    x, px, u = 0, math.exp(n * math.log(q)), m * 2.0**-53
+    while u > px:
+        x += 1
+        if x > bound:
+            return x
+        u -= px
+        px = ((n - x + 1) * p * px) / (x * q)
+    return x
+
+
+@pytest.mark.parametrize("p", [0.25, 0.5, 0.3, 0.123456789, 0.1, 0.001, 0.01, 1e-300])
+@pytest.mark.parametrize("n", [1, 3, 14, 32])
+def test_inversion_thresholds_are_where_numpys_loop_steps(n, p):
+    row = engine._inversion_row(n, p)
+    assert row == sorted(row)
+    for m in {m for key in row for m in (key - 1, key) if m < 1 << 53}:  # 2^53: never drawn
+        assert replay_inversion(m, n, p) == sum(key <= m for key in row)
+
+
+def test_inversion_thresholds_do_not_depend_on_the_window(monkeypatch):
+    cases = [(n, p) for n in (3, 14, 32) for p in (0.25, 0.01)]
+    rows = [engine._inversion_row(n, p) for n, p in cases]
+    monkeypatch.setattr(engine, "_WINDOW", 0)  # every threshold found by bisection
+    assert [engine._inversion_row(n, p) for n, p in cases] == rows
+
+
+@pytest.mark.parametrize("p", [0.75, 0.5, 0.3, 0.123456789, 0.9, 0.999, 0.01, 1.0])
+def test_binomial_draw_gives_numpys_numbers(p):
+    draw = engine._BinomialDraw(p)
+    gen, twin = rng(7), rng(7)
+    counts = rng(8)
+    for size in (1, 2, 7, 284, 1000):
+        for top in (1, 14, 32, 40):  # counts of 33 to 40 hand the call to numpy
+            varied = counts.integers(1, top + 1, size)
+            for n in (varied, np.full(size, top), np.full(size, varied[0])):
+                assert draw(n, size, gen).tolist() == twin.binomial(n, p, size=size).tolist()
+                assert gen.random() == twin.random()
+    assert gen.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("p", [0.75, 0.3])
+def test_binomial_draw_restarts_with_numpys_draw(p):
+    draw = engine._BinomialDraw(p)
+    draw(np.arange(1, 6), 5, rng())  # builds rows 1 to 5
+    keys, values, built = draw._table
+    n, keys = 4, keys.copy()
+    row = len(engine._inversion_row(n, 1.0 - p if p > 0.5 else p))
+    at = int(keys.searchsorted(n << 53, side="right"))  # the first threshold, after the sentinel
+    # every uniform past the first threshold now lands in the restart region
+    keys[at:at + row] = keys[at]
+    draw._table = (keys, values, built)
+    gen, twin = rng(11), rng(11)
+    for g in (gen, twin):  # a buffered 32-bit half must survive the rewind
+        g.integers(0, 10, dtype=np.uint32)
+    units = np.array([1, 4, 2, 4, 5, 3, 4] * 40)
+    want = twin.binomial(units, p, size=units.size)
+    assert draw(units, units.size, gen).tolist() == want.tolist()
+    assert gen.bit_generator.state == twin.bit_generator.state
+    assert gen.integers(0, 1 << 32, dtype=np.uint32) == twin.integers(0, 1 << 32, dtype=np.uint32)
+
+
+def test_binomial_law_totals_take_the_table_and_stay_numpys():
+    law = Binomial(3, 0.6)
+    for z in (1, 5, 10, 11, 40):  # 3 z trials: past 32 from 11 parents on
+        gen, twin = rng(z), rng(z)
+        totals = sample_offspring_totals(law, z, 300, gen)
+        assert totals.tolist() == twin.binomial(3 * z, 0.6, size=300).tolist()
+        assert gen.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("pmf", [{0: 0.25, 2: 0.75}, {1: 0.5, 3: 0.5}, {2: 0.9, 7: 0.1}])
+def test_two_atom_pmf_totals_weigh_numpys_binomial_count(pmf):
+    (k_lo, _), (k_hi, p_hi) = sorted(pmf.items())
+    draw = _make_block_draw(ExplicitPmf(pmf))
+    gen, twin = rng(5), rng(5)
+    for z in (np.array([1, 7, 32, 2, 9]), np.array([3, 40, 1]), 6):  # 40: numpy's draw
+        size = None if np.isscalar(z) else z.size
+        assert np.array_equal(draw(z, size, gen),
+                              k_lo * z + (k_hi - k_lo) * twin.binomial(z, p_hi, size=size))
+    assert gen.bit_generator.state == twin.bit_generator.state
+
+
+def test_lanes_build_each_table_row_once_per_batch(monkeypatch):
+    engine._lanes.cache_clear()
+    built, row = [], engine._inversion_row
+    monkeypatch.setattr(engine, "_inversion_row", lambda n, p: built.append(n) or row(n, p))
+    g = GrowthFunction.log(2.0, 3.0, rounding="ceil")
+    cfg = Batch(ExplicitPmf({0: 0.25, 2: 0.75}), horizon=60, trials=40_000, master_seed=3,
+                policy=Truncation(g))
+    assert cfg.trials > 2 * _TRIAL_BLOCK
+    run_batch(cfg)
+    assert sorted(built) == list(range(1, g(60) + 1))
+
+
 def test_large_poisson_means_draw_exact_moments_and_low_bits():
     # numpy's own poisson(1.5 * 2**53) draws have 1.39 times the variance,
     # and every one is even

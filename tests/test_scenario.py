@@ -233,6 +233,33 @@ LOG = {"form": "log", "a": 2.0, "base": 3.0}
 POPULATION = {"groups": [{"count": 2, "dist": {"kind": "uniform", "b": 1.0}}], "budget": 1.0}
 
 
+TABLE = {"form": "table", "values": [1, 4, 9]}
+
+
+@pytest.mark.parametrize("policy", [
+    {"kind": "truncation", "g": LOG},
+    {"kind": "truncation", "g": {"form": "constant", "c": 3}},
+    {"kind": "absorbing", "rule": {"kind": "truncation_as_absorption", "g": LOG}},
+    {"kind": "absorbing", "rule": {"kind": "disaster", "delta": {"form": "constant", "c": 0.5}}},
+    {"kind": "absorbing", "rule": {"kind": "lower_boundary", "b": TABLE}},
+], ids=["log_truncation", "constant_truncation", "log_as_absorption", "disaster",
+        "table_lower_boundary"])
+def test_n_max_is_a_config_error_where_no_series_verdict_reads_it(policy):
+    # a symbolic g has an exact verdict whatever n_max is, and other rules have none
+    with pytest.raises(ConfigError, match="^n_max is read only by the series verdict of a "
+                                          "truncation policy with a table g$"):
+        ScenarioConfig.from_dict({**controlled(policy), "n_max": 200})
+    assert ScenarioConfig.from_dict(controlled(policy)).n_max == 10_000
+
+
+@pytest.mark.parametrize("policy", [
+    {"kind": "truncation", "g": TABLE},
+    {"kind": "absorbing", "rule": {"kind": "truncation_as_absorption", "g": TABLE}},
+], ids=["truncation", "as_absorption"])
+def test_n_max_is_read_for_a_table_g(policy):
+    assert ScenarioConfig.from_dict({**controlled(policy), "n_max": 200}).n_max == 200
+
+
 @pytest.mark.parametrize("doc, path, key, context", [
     (gw_doc(law={"kind": "poisson", "lambda": 1.5, "r": 0.4}), ("law",), "r", "law 'poisson'"),
     (controlled({"kind": "truncation", "g": {**LOG, "roundng": "ceil"}}), ("policy", "g"),
