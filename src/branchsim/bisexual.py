@@ -277,7 +277,7 @@ def theorem4_check(law: OffspringLaw, alpha: float, mating: MatingFunction,
     suffix_ok = [e <= 1.0 + 3.0 * h for e, h in zip(ests, hws)]
     eventually = suffix_ok[-1] and all(suffix_ok[len(suffix_ok) // 2:])
 
-    note = "statistical evidence from finitely many k; not a proof of extinction"
+    note = BoundednessReport.note
     if eventually and ests[-1] + 3.0 * hws[-1] >= 1.0:
         note += "; tail estimates sit within confidence slack of 1 (boundary case)"
 

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import BudgetExceedsMass, ConfigError, NumericFailure
 
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
+MODES = ("independent", "comonotone")  # the sampling modes of estimate_expected_stop
 
 
 class ClaimDistribution:
@@ -288,7 +289,7 @@ def estimate_expected_stop(pop: Population, trials: int, rng,
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if mode not in ("independent", "comonotone"):
+    if mode not in MODES:
         raise ValueError(f"unknown sampling mode {mode!r}")
     n = pop.total_count
     s = pop.s

@@ -16,8 +16,7 @@ import sys
 
 from . import __version__
 from .bisexual import run_bisexual_batch
-from .control import (Truncation, TruncationAsAbsorption, expectation_criterion,
-                      zubkov_criterion)
+from .control import Truncation, TruncationAsAbsorption, zubkov_criterion
 from .engine import run_batch
 from .errors import (BatchTrialError, BranchsimError, BudgetExceedsMass,
                      ConfigError, NumericFailure, PopulationOverflow)
@@ -138,14 +137,11 @@ def _compare(config: ScenarioConfig, provenance: dict):
     q = extinction_probability(config.law).q
     verdict = method = ""
     alpha_hat = None
-    if 0.0 < q < 1.0 and config.policy is not None:
-        cv = None
-        if isinstance(config.policy, Truncation):
-            cv = zubkov_criterion(q, config.policy.g, n_max=config.n_max)
-        elif isinstance(config.policy, TruncationAsAbsorption):
-            cv = expectation_criterion(q, config.policy.g, n_max=config.n_max, q=q)
-        if cv is not None:
-            verdict, method, alpha_hat = cv.verdict, cv.method, cv.fitted_decay_exponent
+    # expectation_criterion at p = q, the verdict of truncation as absorption,
+    # is the same series
+    if 0.0 < q < 1.0 and isinstance(config.policy, (Truncation, TruncationAsAbsorption)):
+        cv = zubkov_criterion(q, config.policy.g)
+        verdict, method, alpha_hat = cv.verdict, cv.method, cv.fitted_decay_exponent
     from .brs import Z99
     result = _simulate(config, provenance)
     frac = result.extinction_fraction

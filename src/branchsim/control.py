@@ -6,7 +6,7 @@ offspring, where each absorbing rule (truncation as absorption, disaster,
 lower boundary, custom) is a policy of its own, and phi-control where
 phi(current size) units reproduce.  The criterion
 checkers classify sum_n q^g(n) as divergent or convergent, exactly for
-symbolic g and heuristically otherwise.
+every form of g but a callable and heuristically for a callable.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ def _table(values, name: str) -> tuple[int, ...]:
 class GrowthFunction:
     """Integer-valued function of a nonnegative integer index.
 
-    Symbolic forms (constant, log, linear) allow exact series classification;
-    tables and raw callables fall back to the heuristic classifier.  The log
+    Every form but a callable allows exact series classification; callables
+    fall back to the heuristic classifier.  The log
     form rounds a*log_base(n + 1) up or down and is floored at 1, so a cap
     never orders the population to zero on its own.  Tables hold their last
     value beyond the end.
@@ -91,10 +91,6 @@ class GrowthFunction:
     @staticmethod
     def from_callable(fn: Callable[[int], int]) -> "GrowthFunction":
         return GrowthFunction(form="callable", fn=fn)
-
-    @property
-    def symbolic(self) -> bool:
-        return self.form in ("constant", "log", "linear")
 
     def __call__(self, n: int) -> int:
         if self.form == "constant":
@@ -362,40 +358,38 @@ class Phi(ControlPolicy):
 class CriterionVerdict:
     """Outcome of a series divergence test.
 
-    ``partial_sums[i]`` is the sum of the first i + 1 terms base^g(n),
-    n = 1 .. n_max.  ``method`` is "exact" for symbolic growth functions and
-    "heuristic" otherwise; the heuristic fits the decay exponent of the terms
-    against n over the top decade and leaves a dead band of width
-    CLASSIFY_EPS around 1.
+    ``method`` is "exact" for a constant, log, linear or table growth
+    function, and "heuristic" for a callable.  The heuristic evaluates g at
+    n = 1 .. n_max, fits the decay exponent of the terms base^g(n) against n
+    over the top decade and leaves a dead band of width CLASSIFY_EPS around
+    1; ``partial_sums[i]`` is then the sum of the first i + 1 terms.  An
+    exact verdict evaluates no term, and its ``partial_sums`` is None.
     """
 
     verdict: str
-    partial_sums: np.ndarray = field(repr=False)
+    partial_sums: np.ndarray | None = field(repr=False)
     fitted_decay_exponent: float | None
     method: str
 
 
 def _series_verdict(base: float, g, n_max: int) -> CriterionVerdict:
-    n = np.arange(1, n_max + 1)
-    gn = np.array([g(int(i)) for i in n], dtype=np.float64)
-    terms = base**gn
-    partial_sums = np.cumsum(terms)
-
-    symbolic = isinstance(g, GrowthFunction) and g.symbolic
-    if symbolic:
-        if g.form == "constant":
-            verdict = "Divergent"  # constant positive terms
-        elif g.form == "log":
+    if isinstance(g, GrowthFunction) and g.form != "callable":
+        if g.form == "log":
             # terms are base^(rounded a*log_b(n+1)) ~ (n+1)^(-alpha); rounding
             # shifts them by at most a constant factor either way, so the
             # series converges iff alpha > 1
             alpha = g.a * math.log(1.0 / base) / math.log(g.base)
             verdict = "Convergent" if alpha > 1.0 else "Divergent"
-        else:  # linear
+        elif g.form == "linear":
             verdict = "Convergent" if g.a > 0 else "Divergent"
-        return CriterionVerdict(verdict=verdict, partial_sums=partial_sums,
+        else:  # a constant or a table is bounded, so the terms stay above a positive floor
+            verdict = "Divergent"
+        return CriterionVerdict(verdict=verdict, partial_sums=None,
                                 fitted_decay_exponent=None, method="exact")
 
+    n = np.arange(1, n_max + 1)
+    terms = base**np.array([g(int(i)) for i in n], dtype=np.float64)
+    partial_sums = np.cumsum(terms)
     lo = max(n_max // 10, 1)
     window = terms[lo - 1:]
     ns = n[lo - 1:].astype(np.float64)

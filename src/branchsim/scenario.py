@@ -23,14 +23,6 @@ if TYPE_CHECKING:  # the parsers below import brs only for a brs experiment
     from . import brs as brs_mod
 
 SCHEMA_VERSION = 1
-# the keys each experiment reads besides version, experiment, master_seed, trials and output
-_RUN = {"horizon", "law", "initial_size", "population_cap", "coupled", "failure_budget"}
-KEYS = {"gw": _RUN,
-        "controlled": _RUN | {"n_max", "policy"},
-        "phi": _RUN | {"policy"},
-        "bisexual": _RUN - {"initial_size", "coupled"} | {"alpha", "mating", "initial_units"},
-        "bcl_series": _RUN | {"policy", "schedule"},
-        "brs": {"population", "modes"}}
 MAX_TRIALS = 10_000_000  # a run allocates and loops per trial and per generation,
 MAX_HORIZON = 100_000    # so a config may ask for no more than these
 
@@ -45,8 +37,9 @@ def _require(doc: dict, key: str, context: str):
 
 def _fields(doc, context: str, spec, tag=None) -> list:
     """The value of each ``(key, convert[, default])`` of ``spec``: ``convert(doc[key],
-    key)``, or the default when ``doc`` lacks the key.  A key of ``doc`` outside
-    ``spec`` and ``tag`` would change nothing, so it is a ConfigError."""
+    key)``, or, when ``doc`` lacks the key, the default converted the same way (a
+    default of None stays None).  A key of ``doc`` outside ``spec`` and ``tag``
+    would change nothing, so it is a ConfigError."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{context}: expected an object, got {doc!r}")
     unread = doc.keys() - {key for key, *_ in spec} - {tag}
@@ -56,11 +49,17 @@ def _fields(doc, context: str, spec, tag=None) -> list:
     for key, convert, *default in spec:
         if key in doc:
             values.append(convert(doc[key], key))
-        elif default:
-            values.append(default[0])
-        else:
+        elif not default:
             raise ConfigError(f"{context}: missing required key {key!r}")
+        else:
+            values.append(None if default[0] is None else convert(default[0], key))
     return values
+
+
+def _named(doc, context: str, spec, tag=None) -> dict:
+    """``_fields`` by key, without the keys whose value is None."""
+    values = _fields(doc, context, spec, tag)
+    return {key: value for (key, *_), value in zip(spec, values) if value is not None}
 
 
 def _read(kinds: dict, context: str, tag: str, hint: str = ""):
@@ -88,8 +87,8 @@ def _as_int(value, context: str, minimum=None, maximum=None) -> int:
     return v
 
 
-def _int(minimum=None):
-    return lambda value, key: _as_int(value, key, minimum)
+def _int(minimum=None, maximum=None):
+    return lambda value, key: _as_int(value, key, minimum, maximum)
 
 
 def _as_number(value, context: str) -> float:
@@ -122,6 +121,12 @@ def _one_of(*choices):
 def _as_path(value, key):
     if value is not None and not isinstance(value, str):
         raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _as_bool(value, key):
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key}: expected a boolean, got {value!r}")
     return value
 
 
@@ -170,17 +175,22 @@ parse_absorbing_rule = _read(
     "absorbing rule", "kind", " (custom rules are API-only)")
 
 # an absorbing policy is its rule, and a phi policy its phi
-parse_policy = _read({"truncation": (Truncation, (("g", parse_growth),)),
-                      "absorbing": (_same, (("rule", parse_absorbing_rule),)),
-                      "phi": (_same, (("phi", parse_phi),))},
-                     "policy", "kind")
+_POLICIES = {"truncation": (Truncation, (("g", parse_growth),)),
+             "absorbing": (_same, (("rule", parse_absorbing_rule),)),
+             "phi": (_same, (("phi", parse_phi),))}
+parse_policy = _read(_POLICIES, "policy", "kind")
+_controlled_policy = _read({kind: _POLICIES[kind] for kind in ("truncation", "absorbing")},
+                           "policy", "kind", " (a controlled experiment takes a truncation "
+                           "or absorbing policy)")
+_phi_policy = _read({"phi": _POLICIES["phi"]}, "policy", "kind",
+                    " (a phi experiment takes a phi policy)")
 
 parse_mating = _read({"min": (Min, ()), "daley_monogamy": (DaleyMonogamy, ()),
                       "daley_polygamy": (DaleyPolygamy, (("d", _int(1)),))},
                      "mating function", "kind", " (custom mating functions are API-only)")
 
 
-def parse_population(doc) -> brs_mod.Population:
+def parse_population(doc, key=None) -> brs_mod.Population:
     from . import brs as brs_mod
     claims = _read({"uniform": (brs_mod.Uniform, (("b", _as_number),)),
                     "exponential": (brs_mod.Exponential, (("rate", _as_number),))},
@@ -192,15 +202,73 @@ def parse_population(doc) -> brs_mod.Population:
     return brs_mod.Population(groups, budget)
 
 
-@dataclass
+def _as_modes(value, key) -> tuple[str, ...]:
+    from .brs import MODES
+    modes = tuple(_list_of(_one_of(*MODES))(value, key))
+    if not modes:
+        raise ConfigError(f"{key} must name at least one sampling mode")
+    return modes
+
+
+def _as_schedule(doc, key) -> dict:
+    """Explicit ``values``, or a ``family`` of at most ``max_points`` points."""
+    spec = ((("values", _list_of(_int(1))),) if isinstance(doc, dict) and "values" in doc
+            else (("family", _one_of("linear", "powers", "squares", "search"), "linear"),
+                  ("max_points", _int(2), 50)))
+    return _named(doc, key, spec)
+
+
+def _check_schedule(schedule: dict, horizon: int) -> None:
+    from .series import _family_schedule, check_schedule
+    if "values" in schedule:
+        try:
+            check_schedule(schedule["values"], horizon)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+    # a search that ranks no family keeps t_k = k, and t_1 = 1 always fits
+    elif schedule["family"] != "search" and not _family_schedule(schedule["family"], horizon, 1):
+        raise ConfigError(f"schedule family {schedule['family']} has no point inside "
+                          f"horizon {horizon}")
+
+
+def _as_version(value, key) -> int:
+    if _as_int(value, key) != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported config version {value}; "
+                          f"this artifact reads version {SCHEMA_VERSION}")
+    return SCHEMA_VERSION
+
+
+@dataclass(frozen=True)
 class OutputSpec:
     format: str = "csv"
     path: str | None = None
 
 
+def _as_output(doc, key) -> OutputSpec:
+    return OutputSpec(**_named(doc, key, (("format", _one_of("csv", "json"), None),
+                                          ("path", _as_path, None))))
+
+
+# the keys each experiment reads: (key, convert) where the key is required, and
+# (key, convert, None) where an absent key keeps ScenarioConfig's default
+_COMMON = (("version", _as_version), ("master_seed", _int(0, (1 << 64) - 1)),
+           ("trials", _int(1, MAX_TRIALS)), ("output", _as_output, None))
+_RUN = _COMMON + (("horizon", _int(1, MAX_HORIZON)), ("law", parse_law),
+                  ("population_cap", _int(1), None), ("failure_budget", _int(0), None))
+_ONE_SEX = _RUN + (("initial_size", _int(0), None), ("coupled", _as_bool, None))
+SPECS = {"gw": _ONE_SEX,
+         "controlled": _ONE_SEX + (("policy", _controlled_policy),),
+         "phi": _ONE_SEX + (("policy", _phi_policy),),
+         "bisexual": _RUN + (("alpha", _as_number), ("mating", parse_mating),
+                             ("initial_units", _int(0), None)),
+         "bcl_series": _ONE_SEX + (("policy", parse_policy, None),
+                                   ("schedule", _as_schedule, {})),
+         "brs": _COMMON + (("population", parse_population), ("modes", _as_modes, None))}
+
+
 @dataclass
 class ScenarioConfig:
-    """Validated experiment description; see ``from_dict`` for the schema."""
+    """Validated experiment description; ``SPECS`` lists the keys of each experiment."""
 
     version: int
     experiment: str
@@ -219,90 +287,18 @@ class ScenarioConfig:
     population: brs_mod.Population | None = None
     modes: tuple[str, ...] = ("independent",)
     schedule: dict = field(default_factory=dict)
-    n_max: int = 10_000
-    output: OutputSpec = field(default_factory=OutputSpec)
+    output: OutputSpec = OutputSpec()
 
     @staticmethod
     def from_dict(doc: dict) -> "ScenarioConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("config root must be an object")
-        version = _as_int(_require(doc, "version", "config"), "version")
-        if version != SCHEMA_VERSION:
-            raise ConfigError(f"unsupported config version {version}; "
-                              f"this artifact reads version {SCHEMA_VERSION}")
         experiment = _require(doc, "experiment", "config")
-        if not isinstance(experiment, str) or experiment not in KEYS:
+        if not isinstance(experiment, str) or experiment not in SPECS:
             raise ConfigError(f"unknown experiment {experiment!r}; "
-                              f"expected one of {', '.join(KEYS)}")
-        unread = doc.keys() - {"version", "experiment", "master_seed", "trials", "output"}
-        unread -= KEYS[experiment]
-        if unread:
-            raise ConfigError(f"experiment {experiment!r} takes no {min(unread, key=str)}")
-        master_seed = _as_int(_require(doc, "master_seed", "config"), "master_seed", 0)
-        if master_seed >= 1 << 64:
-            raise ConfigError(f"master_seed must fit in 64 bits, got {master_seed}")
-        trials = _as_int(_require(doc, "trials", "config"), "trials", 1, MAX_TRIALS)
-
-        cfg = ScenarioConfig(version=version, experiment=experiment,
-                             master_seed=master_seed, trials=trials)
-        for key, least in (("horizon", 1), ("initial_size", 0), ("initial_units", 0),
-                           ("population_cap", 1), ("failure_budget", 0), ("n_max", 100)):
-            if key in doc:
-                setattr(cfg, key, _as_int(doc[key], key, least,
-                                          MAX_HORIZON if key == "horizon" else None))
-        if "coupled" in doc:
-            if not isinstance(doc["coupled"], bool):
-                raise ConfigError(f"coupled: expected a boolean, got {doc['coupled']!r}")
-            cfg.coupled = doc["coupled"]
-        if "output" in doc:
-            cfg.output = OutputSpec(*_fields(doc["output"], "output", (
-                ("format", _one_of("csv", "json"), "csv"), ("path", _as_path, None))))
-
-        if "horizon" in KEYS[experiment] and cfg.horizon is None:
-            raise ConfigError(f"experiment {experiment!r} requires a horizon")
-        if "law" in KEYS[experiment]:
-            cfg.law = parse_law(_require(doc, "law", "config"))
-        if "policy" in doc:
-            cfg.policy = parse_policy(doc["policy"])
-        if experiment == "controlled" and (cfg.policy is None or isinstance(cfg.policy, Phi)):
-            raise ConfigError("controlled experiment requires a truncation "
-                              "or absorbing policy")
-        if "n_max" in doc and not (isinstance(cfg.policy, (Truncation, TruncationAsAbsorption))
-                                   and cfg.policy.g.form == "table"):
-            # compare's series verdict is exact for a symbolic g whatever n_max is
-            raise ConfigError("n_max is read only by the series verdict of a truncation "
-                              "policy with a table g")
-        if experiment == "phi" and not isinstance(cfg.policy, Phi):
-            raise ConfigError("phi experiment requires a phi policy")
-        if experiment == "bcl_series":
-            from .series import _family_schedule, check_schedule
-            sched = doc.get("schedule", {})
-            if isinstance(sched, dict) and "values" in sched:
-                values = _fields(sched, "schedule", (("values", _list_of(_int(1))),))[0]
-                try:
-                    check_schedule(values, cfg.horizon)
-                except ValueError as exc:
-                    raise ConfigError(str(exc)) from None
-                cfg.schedule = {"values": values}
-            else:
-                family, max_points = _fields(sched, "schedule", (
-                    ("family", _one_of("linear", "powers", "squares", "search"), "linear"),
-                    ("max_points", _int(2), 50)))
-                # a search that ranks no family keeps t_k = k, and t_1 = 1 always fits
-                if family != "search" and not _family_schedule(family, cfg.horizon, 1):
-                    raise ConfigError(f"schedule family {family} has no point inside "
-                                      f"horizon {cfg.horizon}")
-                cfg.schedule = {"family": family, "max_points": max_points}
-        elif experiment == "bisexual":
-            cfg.alpha = _as_number(_require(doc, "alpha", "config"), "alpha")
-            cfg.mating = parse_mating(_require(doc, "mating", "config"))
+                              f"expected one of {', '.join(SPECS)}")
+        cfg = ScenarioConfig(experiment=experiment, **_named(
+            doc, f"experiment {experiment!r}", SPECS[experiment], "experiment"))
+        if experiment == "bisexual":
             _MatingStep(cfg.alpha, cfg.mating)  # checks alpha
-        elif experiment == "brs":
-            cfg.population = parse_population(_require(doc, "population", "config"))
-            modes = doc.get("modes", ["independent"])
-            if (not isinstance(modes, list) or not modes
-                    or any(m not in ("independent", "comonotone") for m in modes)):
-                raise ConfigError(f"modes must be a nonempty list drawn from "
-                                  f"independent/comonotone, got {modes!r}")
-            cfg.modes = tuple(modes)
+        elif experiment == "bcl_series":
+            _check_schedule(cfg.schedule, cfg.horizon)
         return cfg

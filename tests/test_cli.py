@@ -383,6 +383,19 @@ def test_compare_controlled_scenario(tmp_path):
     assert int(row[6]) == 500 and int(row[7]) == 300
 
 
+@pytest.mark.parametrize("policy", [
+    {"kind": "truncation", "g": {"form": "table", "values": [1, 1000]}},
+    {"kind": "absorbing", "rule": {"kind": "truncation_as_absorption",
+                                   "g": {"form": "table", "values": [1, 1000]}}},
+], ids=["truncation", "as_absorption"])
+def test_compare_of_a_table_g_is_exact(tmp_path, policy):
+    # the table holds 1000 forever, so sum_n q^g(n) diverges however it starts
+    cfg = write_config(tmp_path, controlled_doc(trials=50, horizon=20, policy=policy))
+    out = tmp_path / "compare.csv"
+    assert cli.compare_criterion_vs_empirical(str(cfg), out=str(out)) == 0
+    assert read_lines(out)[2].split(",")[:3] == ["Divergent", "exact", ""]
+
+
 def test_compare_without_policy_leaves_verdict_empty(tmp_path):
     cfg = write_config(tmp_path, gw_doc(trials=200, horizon=30,
                                         law={"kind": "geometric", "r": 0.6}))

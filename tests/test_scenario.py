@@ -156,7 +156,6 @@ def test_minimal_gw_config_and_defaults():
     assert cfg.population_cap == DEFAULT_POPULATION_CAP
     assert cfg.coupled is False
     assert cfg.failure_budget == 0
-    assert cfg.n_max == 10_000
     assert cfg.output.format == "csv" and cfg.output.path is None
 
 
@@ -215,8 +214,11 @@ BISEXUAL = {"experiment": "bisexual", "alpha": 0.5, "mating": {"kind": "min"}}
     (gw_doc(n_max=200), "n_max"),
     (gw_doc(experiment="phi", policy={"kind": "phi", "phi": {"form": "identity"}}, n_max=200),
      "n_max"),
+    # compare's series verdict is exact for every g a config can name
+    (gw_doc(experiment="controlled", policy={"kind": "truncation", "g": {
+        "form": "table", "values": [1, 4, 9]}}, n_max=200), "n_max"),
 ], ids=["bisexual_policy", "bisexual_coupled", "brs_horizon", "gw_schedule", "bcl_series_n_max",
-        "misspelt_failure_budget", "gw_n_max", "phi_n_max"])
+        "misspelt_failure_budget", "gw_n_max", "phi_n_max", "controlled_n_max"])
 def test_each_experiment_rejects_the_keys_it_does_not_read(doc, key):
     # a valid key that an experiment never reads changes nothing, so it is an error
     with pytest.raises(ConfigError, match=f"^experiment '{doc['experiment']}' takes no {key}$"):
@@ -231,33 +233,6 @@ def controlled(policy):
 
 LOG = {"form": "log", "a": 2.0, "base": 3.0}
 POPULATION = {"groups": [{"count": 2, "dist": {"kind": "uniform", "b": 1.0}}], "budget": 1.0}
-
-
-TABLE = {"form": "table", "values": [1, 4, 9]}
-
-
-@pytest.mark.parametrize("policy", [
-    {"kind": "truncation", "g": LOG},
-    {"kind": "truncation", "g": {"form": "constant", "c": 3}},
-    {"kind": "absorbing", "rule": {"kind": "truncation_as_absorption", "g": LOG}},
-    {"kind": "absorbing", "rule": {"kind": "disaster", "delta": {"form": "constant", "c": 0.5}}},
-    {"kind": "absorbing", "rule": {"kind": "lower_boundary", "b": TABLE}},
-], ids=["log_truncation", "constant_truncation", "log_as_absorption", "disaster",
-        "table_lower_boundary"])
-def test_n_max_is_a_config_error_where_no_series_verdict_reads_it(policy):
-    # a symbolic g has an exact verdict whatever n_max is, and other rules have none
-    with pytest.raises(ConfigError, match="^n_max is read only by the series verdict of a "
-                                          "truncation policy with a table g$"):
-        ScenarioConfig.from_dict({**controlled(policy), "n_max": 200})
-    assert ScenarioConfig.from_dict(controlled(policy)).n_max == 10_000
-
-
-@pytest.mark.parametrize("policy", [
-    {"kind": "truncation", "g": TABLE},
-    {"kind": "absorbing", "rule": {"kind": "truncation_as_absorption", "g": TABLE}},
-], ids=["truncation", "as_absorption"])
-def test_n_max_is_read_for_a_table_g(policy):
-    assert ScenarioConfig.from_dict({**controlled(policy), "n_max": 200}).n_max == 200
 
 
 @pytest.mark.parametrize("doc, path, key, context", [
