@@ -233,6 +233,26 @@ def controlled(policy):
 
 LOG = {"form": "log", "a": 2.0, "base": 3.0}
 POPULATION = {"groups": [{"count": 2, "dist": {"kind": "uniform", "b": 1.0}}], "budget": 1.0}
+TABLE = {"form": "table", "values": [1, 4, 9]}
+
+
+@pytest.mark.parametrize("policy", [
+    {"kind": "truncation", "g": LOG},
+    {"kind": "truncation", "g": {"form": "constant", "c": 3}},
+    {"kind": "absorbing", "rule": {"kind": "truncation_as_absorption", "g": LOG}},
+    {"kind": "absorbing", "rule": {"kind": "disaster", "delta": {"form": "constant", "c": 0.5}}},
+    {"kind": "absorbing", "rule": {"kind": "lower_boundary", "b": TABLE}},
+    {"kind": "truncation", "g": TABLE},
+    {"kind": "absorbing", "rule": {"kind": "truncation_as_absorption", "g": TABLE}},
+], ids=["log_truncation", "constant_truncation", "log_as_absorption", "disaster",
+        "table_lower_boundary", "table_truncation", "table_as_absorption"])
+def test_n_max_is_a_config_error_where_no_series_verdict_reads_it(policy):
+    # every g a config can name, a table included, has an exact verdict, and other
+    # rules have none, so no controlled policy reads n_max
+    with pytest.raises(ConfigError, match="^experiment 'controlled' takes no n_max$"):
+        ScenarioConfig.from_dict({**controlled(policy), "n_max": 200})
+    cfg = ScenarioConfig.from_dict(controlled(policy))
+    assert cfg.experiment == "controlled" and not hasattr(cfg, "n_max")
 
 
 @pytest.mark.parametrize("doc, path, key, context", [
