@@ -52,9 +52,10 @@ class DaleyPolygamy:
             raise ConfigError(f"polygamy degree must be a positive integer, got {self.d}")
 
     def units(self, females, males):
-        # males past females // d + 1 change nothing, and capping them first
-        # keeps d * males inside int64
-        return np.minimum(females, self.d * np.minimum(males, females // self.d + 1))
+        # min(x, d y) is x once y passes x // d, and d y <= x otherwise, so
+        # no product leaves the dtype of the counts
+        cut = females // self.d
+        return np.where(males > cut, females, self.d * np.minimum(males, cut))
 
 
 @dataclass(frozen=True, init=False)

@@ -85,8 +85,18 @@ class Exponential(ClaimDistribution):
     def partial_mean(self, t):
         if t <= 0.0:
             return 0.0
-        lt = self.rate * t
-        return (1.0 - math.exp(-lt) * (1.0 + lt)) / self.rate
+        x = self.rate * t
+        if x >= 0.5:  # the closed form loses at most 4 bits from here on
+            return (1.0 - math.exp(-x) * (1.0 + x)) / self.rate
+        # 1 - e^-x (1 + x) = sum_{k>=2} (-1)^k (k - 1) x^k / k!, whose terms
+        # fall by a factor x k / ((k + 1)(k - 1)) <= 1/3 at a step
+        total, term, k = 0.0, -x, 1  # term: (-x)^k / k!
+        while True:
+            k += 1
+            term *= -x / k
+            total += (k - 1) * term
+            if abs(term) * k <= 2.0**-60 * total:
+                return total / self.rate
 
     @property
     def mean(self):

@@ -44,8 +44,9 @@ def _fmt(value) -> str:
 def _render_csv(provenance: dict, header: list, rows: list) -> str:
     lines = ["# " + ",".join(f"{k}={v}" for k, v in provenance.items())]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    # floats and ints, _fmt's repr and str, skip its isinstance chain
+    lines += (",".join([repr(v) if type(v) is float else str(v) if type(v) is int else _fmt(v)
+                        for v in row]) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -61,15 +62,13 @@ def _render_json(provenance: dict, header: list, rows: list) -> str:
 
 
 def _batch_rows(result):
-    rows = []
-    for n in range(result.horizon + 1):
-        extinct = int(result.per_generation_extinct_counts[n])
-        alive = int(result.per_generation_alive_counts[n])
-        size_sum = result.per_generation_alive_size_sums[n]
-        mean_size = size_sum / alive if alive else math.nan
-        # every trial may have failed within the failure budget
-        rows.append([n, extinct / result.trials if result.trials else math.nan, mean_size])
-    return rows
+    # every trial may have failed within the failure budget
+    trials = result.trials
+    return [[n, extinct / trials if trials else math.nan, size_sum / alive if alive else math.nan]
+            for n, (extinct, alive, size_sum) in enumerate(zip(
+                result.per_generation_extinct_counts.tolist(),
+                result.per_generation_alive_counts.tolist(),
+                result.per_generation_alive_size_sums))]
 
 
 def _simulate(config: ScenarioConfig, provenance: dict):

@@ -16,16 +16,20 @@ gamma-distributed Poisson arrival times.  Binomial counts and means past
 of 2^62 or more and the alive sizes of object blocks; an int64 alive sum
 that may pass 2^63 adds 32-bit halves.  The dtype changes no drawn number
 and no report byte.  A sized binomial draw (a Binomial law, a two-atom pmf)
-whose counts are all from 1 to 32 trials, with 0 < p < 1, on a PCG64, looks
-each count up in a table of the thresholds of numpy's inversion draw,
-replayed with numpy's float64 operations, on the top 53 bits of one raw
-output, which is numpy's uniform: the counts, the generator's position and
-so every report byte are numpy's.  Counts past 32 (``_TABLE_COUNTS``),
-other generators, and the restart of numpy's loop, about once in 10^16
-draws, which steps the generator back first, call numpy.  The bisexual sex
-split stays on numpy.  A per-particle inverse-CDF mode exists for monotone
-coupling: with generation-keyed streams, the draw for parent i is the same
-in two runs, so the offspring total is nondecreasing in the parent count.
+whose counts are all from 1 to 32 trials, with 0 < p < 1, on a PCG64, is
+numpy's inversion draw looked up in a table (``table._BinomialDraw``), one
+raw output per count.  So the outputs of later generations are known in
+advance, and a block on this lane whose policy reproduces its counts as
+they are and never raises them (no phi, custom rule or mating, coupled
+streams or failure replay, and a cap past every table total) steps a span
+of generations per ``random_raw`` call: up to 2^13 outputs
+(``_SPAN_RAWS``), doubling after each span that runs to its end.  A span
+ends after a generation with a death and before one the table cannot draw,
+which then takes a step of its own, and its unused outputs go back, so the
+draws are numpy's.  The bisexual sex split stays on numpy.  A per-particle
+inverse-CDF mode exists for monotone coupling: with generation-keyed
+streams, the draw for parent i is the same in two runs, so the offspring
+total is nondecreasing in the parent count.
 Coupled batches step on the same kernel, each trial on such streams; custom
 absorbing rules, which see each trajectory so far, apply trial by trial.
 """
@@ -42,6 +46,7 @@ from .control import ControlPolicy, CustomAbsorption, _counts
 from .errors import BatchTrialError, BranchsimError, ConfigError, PopulationOverflow
 from .law import INT64_MAX, Binomial, ExplicitPmf, Geometric, OffspringLaw, Poisson
 from .rng import STREAM_OFFSPRING, TrialStreams, block_generators, spawn_generator
+from .table import _BinomialDraw
 
 DEFAULT_POPULATION_CAP = 1 << 48
 
@@ -55,120 +60,7 @@ _COUPLED_CAP = 1 << 24  # per-particle counts: one uniform, about 25 ns, per par
 # largest binomial count and Poisson mean of the exact lane: its draws hold
 # their moments there, while Poisson means of 2^96 lost 2% of their variance
 _EXACT_LIMIT = 1 << 90
-# largest binomial count drawn by table lookup: 32 rows of at most 34 int64
-# keys and values each, under 10 kB per probability
-_TABLE_COUNTS = 32
-_WINDOW = 16  # candidates on each side of a cumulative sum, in units of 2^-53
-
-
-def _inversion_row(n: int, p: float) -> list[int]:
-    """The thresholds K_1 .. K_{b+1} of numpy's inversion draw of Bin(n, p),
-    p <= 1/2: a 53-bit uniform m gives X = #{k <= b : K_k <= m}, or a
-    restart when m >= K_{b+1}, for numpy's bound b.
-
-    ``random_binomial_inversion`` (Kachitvichyanukul & Schmeiser, CACM 31,
-    1988) takes U = m 2^-53 and, while U > px, moves X on, subtracting px
-    from U and stepping px by the pmf ratio.  Its results are replayed here
-    with the same float64 operations, so the thresholds are exact: the loop
-    is monotone in U, and the first passing m of a bracketing window of
-    candidates around each cumulative sum, narrowed by bisection when the
-    window does not bracket it, is K_k.
-    """
-    q = 1.0 - p
-    mean = n * p
-    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
-    px = [math.exp(n * math.log(q))]
-    for x in range(1, bound + 1):
-        px.append(((n - x + 1) * p * px[-1]) / (x * q))
-    px = np.array(px)
-
-    def passes(m):  # row i of m: candidates for K_{i+1}
-        u = m * 2.0**-53
-        for j in range(bound + 1):
-            u[j:] -= px[j]
-        # U > px iff U - px > 0 in float64, and a U that failed stays at or below 0;
-        # K = 2^53 is past every draw
-        return (u > 0) | (m >= 1 << 53)
-
-    rows = np.arange(bound + 1)
-    centre = np.rint(np.cumsum(px) * 2.0**53).astype(np.int64)
-    m = np.clip(centre[:, None] + np.arange(-_WINDOW, _WINDOW + 1), 0, 1 << 53)
-    ok = passes(m)
-    first = ok.argmax(axis=1)
-    keys = m[rows, first]
-    # an m of 0 never passes (U = 0 > px fails), and 2^53 always does
-    lo = np.where(ok[:, 0], 0, np.where(ok[:, -1], m[rows, first - 1], m[:, -1]))
-    hi = np.where(ok[:, -1], keys, 1 << 53)
-    while (hi - lo > 1).any():
-        mid = (lo + hi) // 2
-        up = passes(mid[:, None])[:, 0]
-        hi, lo = np.where(up, mid, hi), np.where(up, lo, mid)
-    return hi.tolist()
-
-
-class _BinomialDraw:
-    """draw(n, size, rng): ``scale`` times Bin(n_i, p) counts for an int64
-    array n of ``size`` counts (or one count when size is None), from the
-    very numbers ``rng.binomial(n, p, size=size)`` gives.
-
-    numpy draws a count of n <= 32 trials by inversion, since n min(p, 1 - p)
-    <= 16 is below its switch at 30, on the smaller of p and 1 - p (and
-    returns n - X for p > 1/2), one 53-bit uniform per count unless it
-    restarts.  When every count is between 1 and ``_TABLE_COUNTS``, 0 < p < 1
-    and the generator is a PCG64, this draws one raw output per count, whose
-    top 53 bits are numpy's uniform, and finds each X with one searchsorted
-    of (n << 53) + m in a flat table of ``_inversion_row`` thresholds, built
-    row by row up to the largest count seen.  A count in the restart region
-    (about once in 10^16 draws) steps the generator back and hands the whole
-    call to numpy, as does every other case.
-    """
-
-    def __init__(self, p: float, scale: int = 1):
-        self.p, self.scale = p, scale
-        self._flip = p > 0.5
-        self._lookup = 0.0 < p < 1.0
-        # each row n: a sentinel key n << 53, then (n << 53) + K_k; a
-        # searchsorted index into ``values`` gives scale X (scale (n - X) for
-        # p > 1/2), or -1 for a restart, a count of 0 and a count past the table
-        self._table = (np.zeros(0, dtype=np.int64), np.full(1, -1, dtype=np.int64), 0)
-
-    def _grow(self, top: int):
-        keys, values, built = self._table
-        p = 1.0 - self.p if self._flip else self.p
-        new_keys, new_values = [keys], [values]
-        for n in range(built + 1, top + 1):
-            row = _inversion_row(n, p)
-            new_keys.append((n << 53) + np.array([0] + row, dtype=np.int64))
-            xs = np.arange(len(row))
-            new_values.append(np.append(self.scale * (n - xs if self._flip else xs), -1))
-        self._table = (np.concatenate(new_keys), np.concatenate(new_values), top)
-        return self._table
-
-    def __call__(self, n, size, rng):
-        bits = rng.bit_generator
-        if not self._lookup or not size or type(bits) is not np.random.PCG64:
-            return self._numpy(n, size, rng)
-        top = int(np.maximum.reduce(n))  # the ufunc skips ndarray.max's Python layer
-        if top > _TABLE_COUNTS:
-            return self._numpy(n, size, rng)
-        keys, values, built = self._table
-        if top > built:
-            keys, values, built = self._grow(top)
-        raw = bits.random_raw(size)
-        m = np.right_shift(raw, 11, out=raw).view(np.int64)  # numpy's next_double bits
-        m += n << 53
-        out = values[keys.searchsorted(m, side="right")]
-        if np.minimum.reduce(out) < 0:  # a restart or a count of 0: numpy, from the same state
-            state = bits.state
-            bits.advance(-size)
-            bits.state = {**bits.state, "has_uint32": state["has_uint32"],
-                          "uinteger": state["uinteger"]}
-            return self._numpy(n, size, rng)
-        return out
-
-    def _numpy(self, n, size, rng):
-        out = rng.binomial(n, self.p, size=size)
-        return out if self.scale == 1 else self.scale * out
+_SPAN_RAWS = 1 << 13  # raw outputs of one span of table draws: 64 kB
 
 
 def _make_block_draw(law: OffspringLaw):
@@ -180,8 +72,7 @@ def _make_block_draw(law: OffspringLaw):
     if isinstance(law, Geometric):
         return lambda z, size, rng: rng.negative_binomial(z, 1.0 - law.r, size=size)
     if isinstance(law, Binomial):
-        binomial = _BinomialDraw(law.p)
-        return lambda z, size, rng: binomial(z * law.n, size, rng)
+        return _BinomialDraw(law.p, trials=law.n)
     if not isinstance(law, ExplicitPmf):
         raise ConfigError(f"no sampler for law kind {law.kind!r}")
     ks_np, ps = law.pmf_table()
@@ -191,10 +82,7 @@ def _make_block_draw(law: OffspringLaw):
     if len(ks_np) == 2:
         # a two-atom pmf needs only one binomial count
         k_lo, k_hi = (int(k) for k in ks_np)
-        binomial = _BinomialDraw(float(pvals[1]), k_hi - k_lo)
-        if k_lo == 0:
-            return binomial
-        return lambda z, size, rng: k_lo * z + binomial(z, size, rng)
+        return _BinomialDraw(float(pvals[1]), k_hi - k_lo, base=k_lo)
     return lambda z, size, rng: rng.multinomial(z, pvals, size=size) @ ks_np
 
 
@@ -583,6 +471,8 @@ def _run_vector_block(policy, batch, lo, hi, counted=None):
     before and ``policy.apply`` after each draw; ``counted`` masks the trials
     that enter the aggregates.  A custom rule, given each trial's counts so
     far, or a coupled rule that draws applies to one live trial at a time.
+    On the table lane a step may be a span of generations, in all of which
+    but the last every trial lives.
     Returns (extinction generations, alive counts, alive sums, samples, failures)."""
     gens = block_generators(batch.seed, lo // _TRIAL_BLOCK)
     lanes = _lanes(batch.law, batch.cap)
@@ -601,12 +491,44 @@ def _run_vector_block(policy, batch, lo, hi, counted=None):
     if batch.initial == 0 and not revive:
         eg[:] = 0
         idx, z = idx[:0], z[:0]
-    for n in range(horizon + 1):
-        if n:
+    draw, ctl = lanes[1], None if stream is None else gens[stream]
+    # a table-lane block steps a span of generations per ``random_raw``
+    spanning = (isinstance(draw, _BinomialDraw) and draw.spans and draw.most <= batch.cap
+                and counted is None and not (batch.coupled or custom or policy.grows)
+                and type(policy).units is ControlPolicy.units)
+    n, span = 0, 1
+    while True:
+        seen = z if counted is None else z[counted[idx]]
+        if revive:
+            seen = seen[seen > 0]
+        alive_counts[n] = seen.size
+        if seen.dtype == object or small_sums or not int(seen.max(initial=0)) * seen.size >> 63:
+            alive_sums[n] = int(seen.sum())  # of Python ints for an object block
+        else:  # 32-bit halves of at most 2^14 nonnegative counts each sum below 2^46
+            alive_sums[n] = (int((seen >> 32).sum()) << 32) + int((seen & 0xFFFFFFFF).sum())
+        if tracks:
+            k = int(np.searchsorted(idx, len(tracks)))
+            for t, zt in zip(idx[:k].tolist(), z[:k].tolist()):
+                tracks[t].append(zt)
+        if n == horizon or not idx.size:
+            break
+        count = min(span, horizon - n, _SPAN_RAWS // idx.size) if spanning else 0
+        rows = draw.steps(z, count, gens[STREAM_OFFSPRING],
+                          lambda off, j: policy.apply(off, n + j, ctl)) if count else ()
+        span = max(2 * count, 1) if len(rows) == count else 1
+        if len(rows):  # every trial is alive in each row but the last
+            alive_counts[n + 1:n + len(rows)] = [idx.size] * (len(rows) - 1)
+            alive_sums[n + 1:n + len(rows)] = np.add.reduce(rows[:-1], axis=1).tolist()
+            if tracks:
+                for t, col in zip(idx[:k].tolist(), rows[:-1, :k].T.tolist()):
+                    tracks[t].extend(col)
+            n, z, failed = n + len(rows), rows[-1], {}
+        else:
+            n += 1
             off, failed = (_draw_coupled(sample, policy.units(z), batch.seed, lo + idx, n)
                            if batch.coupled else
                            _draw_offspring(policy.units(z), gens[STREAM_OFFSPRING], *lanes))
-            rng = None if stream is None else gens[stream]
+            rng = ctl
             for i, t in enumerate(idx.tolist() if each else ()):
                 if batch.coupled and rng is not None:  # the trial's own stream
                     rng = spawn_generator(batch.seed, lo + t, stream, n)
@@ -622,28 +544,14 @@ def _run_vector_block(policy, batch, lo, hi, counted=None):
             if policy.grows:  # no draw bounded the counts the rule leaves
                 for i in np.flatnonzero(z > batch.cap).tolist():
                     failed.setdefault(i, PopulationOverflow(f"{z[i]} units exceed cap {batch.cap}"))
-            if failed or not revive and np.count_nonzero(z) < z.size:
-                drop = (z == 0) & (not revive)
-                eg[idx[drop]] = n
-                for i, exc in failed.items():
-                    eg[idx[i]] = -1
-                    drop[i] = True
-                    failures.append(BatchTrialError(lo + int(idx[i]), exc))
-                idx, z = idx[~drop], z[~drop]
-        seen = z if counted is None else z[counted[idx]]
-        if revive:
-            seen = seen[seen > 0]
-        alive_counts[n] = seen.size
-        if seen.dtype == object or small_sums or not int(seen.max(initial=0)) * seen.size >> 63:
-            alive_sums[n] = int(seen.sum())  # of Python ints for an object block
-        else:  # 32-bit halves of at most 2^14 nonnegative counts each sum below 2^46
-            alive_sums[n] = (int((seen >> 32).sum()) << 32) + int((seen & 0xFFFFFFFF).sum())
-        if tracks:
-            k = int(np.searchsorted(idx, len(tracks)))
-            for t, zt in zip(idx[:k].tolist(), z[:k].tolist()):
-                tracks[t].append(zt)
-        if not idx.size:
-            break
+        if failed or not revive and np.count_nonzero(z) < z.size:
+            drop = (z == 0) & (not revive)
+            eg[idx[drop]] = n
+            for i, exc in failed.items():
+                eg[idx[i]] = -1
+                drop[i] = True
+                failures.append(BatchTrialError(lo + int(idx[i]), exc))
+            idx, z = idx[~drop], z[~drop]
     if counted is None and failures and len(failures) <= batch.budget:
         # a failed trial contributes to no aggregate: replay the block, whose
         # draws do not depend on what is counted, leaving the failed trials out

@@ -17,7 +17,7 @@ from .control import (Disaster, DisasterSchedule, GrowthFunction, LowerBoundary,
                       Truncation, TruncationAsAbsorption)
 from .engine import DEFAULT_POPULATION_CAP
 from .errors import ConfigError
-from .law import Binomial, ExplicitPmf, Geometric, OffspringLaw, Poisson
+from .law import INT64_MAX, Binomial, ExplicitPmf, Geometric, OffspringLaw, Poisson
 
 if TYPE_CHECKING:  # the parsers below import brs only for a brs experiment
     from . import brs as brs_mod
@@ -25,6 +25,8 @@ if TYPE_CHECKING:  # the parsers below import brs only for a brs experiment
 SCHEMA_VERSION = 1
 MAX_TRIALS = 10_000_000  # a run allocates and loops per trial and per generation,
 MAX_HORIZON = 100_000    # so a config may ask for no more than these
+MAX_CLAIMS = 4_000_000   # claims of a brs population: one trial's, drawn and sorted together
+MAX_DEGREE = INT64_MAX   # polygamy degree: it divides int64 counts
 
 
 def _require(doc: dict, key: str, context: str):
@@ -186,7 +188,7 @@ _phi_policy = _read({"phi": _POLICIES["phi"]}, "policy", "kind",
                     " (a phi experiment takes a phi policy)")
 
 parse_mating = _read({"min": (Min, ()), "daley_monogamy": (DaleyMonogamy, ()),
-                      "daley_polygamy": (DaleyPolygamy, (("d", _int(1)),))},
+                      "daley_polygamy": (DaleyPolygamy, (("d", _int(1, MAX_DEGREE)),))},
                      "mating function", "kind", " (custom mating functions are API-only)")
 
 
@@ -199,6 +201,9 @@ def parse_population(doc, key=None) -> brs_mod.Population:
     groups, budget = _fields(doc, "population", (
         ("groups", _list_of(lambda g, key: tuple(_fields(g, "population group", group)))),
         ("budget", _as_number)))
+    total = sum(count for count, _ in groups)
+    if total > MAX_CLAIMS:
+        raise ConfigError(f"population: must hold at most {MAX_CLAIMS} claims, got {total}")
     return brs_mod.Population(groups, budget)
 
 

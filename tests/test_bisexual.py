@@ -89,6 +89,10 @@ def test_mating_vector_forms_match_scalar():
     # d * males would wrap in int64
     big = np.array([1 << 62, 5])
     assert DaleyPolygamy(3).units(big, big).tolist() == [1 << 62, 5]
+    # and so would d * (females // d + 1) for females within d of 2^63
+    females, males = np.array([(1 << 63) - 10, 7, 9]), np.array([5, 1, 0])
+    assert DaleyPolygamy(1 << 62).units(females, males).tolist() == [(1 << 63) - 10, 7, 0]
+    assert DaleyPolygamy((1 << 63) - 1).units(females, males).tolist() == [(1 << 63) - 10, 7, 0]
 
 
 def test_polygamy_degree_validated():

@@ -51,6 +51,25 @@ def test_exponential_claim_closed_forms():
     assert np.allclose(back, u)
 
 
+def test_exponential_partial_mean_keeps_its_digits_at_small_rates_times_t():
+    # 1 - e^-x (1 + x) = x^2/2 - x^3/3 + x^4/8 - ..., x = rate t
+    d = Exponential(2.0)
+    for t in (1e-10, 1e-8, 1e-6, 1e-3, 0.2):
+        x = 2.0 * t
+        series = math.fsum((-1) ** k * (k - 1) * x**k / math.factorial(k) for k in range(2, 40))
+        assert d.partial_mean(t) == pytest.approx(series / 2.0, rel=1e-15, abs=0.0)
+    assert d.partial_mean(0.25) == pytest.approx((1.0 - math.exp(-0.5) * 1.5) / 2.0, rel=1e-15)
+
+
+def test_threshold_of_a_billion_exponential_claims_meets_its_small_t_limit():
+    # n rate t^2 / 2 (1 - 2 x / 3) = s to first order in x = rate t, so t is
+    # sqrt(2 s / (rate n)) (1 + x / 3) up to O(x^2); no claim is drawn
+    n, rate, s = 10**9, 2.0, 1.5
+    t = solve_threshold(Population([(n, Exponential(rate))], s=s))
+    t0 = math.sqrt(2.0 * s / (rate * n))
+    assert t == pytest.approx(t0 * (1.0 + rate * t0 / 3.0), rel=1e-8)
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
 def test_claim_parameter_validation(bad):
     with pytest.raises(ConfigError):

@@ -301,10 +301,15 @@ NAN, INF = float("nan"), float("inf")
     gw_doc(law={"kind": "explicit_pmf", "pmf": {"99999999999999999999": 1}}),
     controlled_doc(experiment="phi", initial_size=2**1100, population_cap=2**1101,
                    policy={"kind": "phi", "phi": {"form": "linear", "a": 0, "c": 1}}),
+    gw_doc(experiment="bisexual", alpha=0.5, mating={"kind": "daley_polygamy", "d": 2**63}),
+    {"version": 1, "experiment": "brs", "master_seed": 1, "trials": 10,
+     "population": {"groups": [{"count": 2**62, "dist": {"kind": "uniform", "b": 1.0}}],
+                    "budget": 1.0}},
 ], ids=["linear_g_nan", "linear_phi_nan", "disaster_c_nan", "log_g_inf", "linear_g_past_floats",
         "log_g_past_floats", "linear_phi_past_floats", "pmf_key_x", "pmf_sum_past_floats",
         "poisson_minus_inf", "horizon_inf", "group_not_object", "binomial_n_past_int64",
-        "pmf_key_past_int64", "linear_phi_count_past_floats"])
+        "pmf_key_past_int64", "linear_phi_count_past_floats", "polygamy_d_past_int64",
+        "brs_count_2_62"])
 def test_bad_documents_exit_with_config_error(tmp_path, capsys, doc):
     assert cli.run(str(write_config(tmp_path, doc))) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"

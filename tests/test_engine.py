@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import threading
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from fractions import Fraction
 
 import numpy as np
@@ -35,8 +37,9 @@ from branchsim import (
     sample_offspring_totals,
     simulate_trajectory,
 )
-from branchsim import engine
-from branchsim.rng import STREAM_CONTROL
+from branchsim import engine, table
+from branchsim.bisexual import Min, run_bisexual_batch
+from branchsim.rng import STREAM_CONTROL, STREAM_OFFSPRING
 from branchsim.engine import (_EXACT_LIMIT, _TRIAL_BLOCK, _binomial_exact, _counts,
                               _draw_offspring, _lanes, _make_block_draw, _make_total_sampler,
                               _multinomial_exact, _poisson_exact)
@@ -358,7 +361,7 @@ def replay_inversion(m, n, p):
 @pytest.mark.parametrize("p", [0.25, 0.5, 0.3, 0.123456789, 0.1, 0.001, 0.01, 1e-300])
 @pytest.mark.parametrize("n", [1, 3, 14, 32])
 def test_inversion_thresholds_are_where_numpys_loop_steps(n, p):
-    row = engine._inversion_row(n, p)
+    row = table._inversion_row(n, p)
     assert row == sorted(row)
     for m in {m for key in row for m in (key - 1, key) if m < 1 << 53}:  # 2^53: never drawn
         assert replay_inversion(m, n, p) == sum(key <= m for key in row)
@@ -366,14 +369,14 @@ def test_inversion_thresholds_are_where_numpys_loop_steps(n, p):
 
 def test_inversion_thresholds_do_not_depend_on_the_window(monkeypatch):
     cases = [(n, p) for n in (3, 14, 32) for p in (0.25, 0.01)]
-    rows = [engine._inversion_row(n, p) for n, p in cases]
-    monkeypatch.setattr(engine, "_WINDOW", 0)  # every threshold found by bisection
-    assert [engine._inversion_row(n, p) for n, p in cases] == rows
+    rows = [table._inversion_row(n, p) for n, p in cases]
+    monkeypatch.setattr(table, "_WINDOW", 0)  # every threshold found by bisection
+    assert [table._inversion_row(n, p) for n, p in cases] == rows
 
 
 @pytest.mark.parametrize("p", [0.75, 0.5, 0.3, 0.123456789, 0.9, 0.999, 0.01, 1.0])
 def test_binomial_draw_gives_numpys_numbers(p):
-    draw = engine._BinomialDraw(p)
+    draw = table._BinomialDraw(p)
     gen, twin = rng(7), rng(7)
     counts = rng(8)
     for size in (1, 2, 7, 284, 1000):
@@ -387,11 +390,11 @@ def test_binomial_draw_gives_numpys_numbers(p):
 
 @pytest.mark.parametrize("p", [0.75, 0.3])
 def test_binomial_draw_restarts_with_numpys_draw(p):
-    draw = engine._BinomialDraw(p)
+    draw = table._BinomialDraw(p)
     draw(np.arange(1, 6), 5, rng())  # builds rows 1 to 5
     keys, values, built = draw._table
     n, keys = 4, keys.copy()
-    row = len(engine._inversion_row(n, 1.0 - p if p > 0.5 else p))
+    row = len(table._inversion_row(n, 1.0 - p if p > 0.5 else p))
     at = int(keys.searchsorted(n << 53, side="right"))  # the first threshold, after the sentinel
     # every uniform past the first threshold now lands in the restart region
     keys[at:at + row] = keys[at]
@@ -429,8 +432,8 @@ def test_two_atom_pmf_totals_weigh_numpys_binomial_count(pmf):
 
 def test_lanes_build_each_table_row_once_per_batch(monkeypatch):
     engine._lanes.cache_clear()
-    built, row = [], engine._inversion_row
-    monkeypatch.setattr(engine, "_inversion_row", lambda n, p: built.append(n) or row(n, p))
+    built, row = [], table._inversion_row
+    monkeypatch.setattr(table, "_inversion_row", lambda n, p: built.append(n) or row(n, p))
     g = GrowthFunction.log(2.0, 3.0, rounding="ceil")
     cfg = Batch(ExplicitPmf({0: 0.25, 2: 0.75}), horizon=60, trials=40_000, master_seed=3,
                 policy=Truncation(g))
@@ -1103,3 +1106,143 @@ def test_trials_keep_their_block_whatever_the_trial_count():
     longer = run_batch(Batch(law, horizon=8, trials=_TRIAL_BLOCK + 37, master_seed=12))
     assert np.array_equal(longer.extinction_generations[:_TRIAL_BLOCK],
                           full.extinction_generations)
+
+
+# ------------------------------------------------- table draws a span at a time
+
+def span_run(cfg, one_generation, prepare=None, run=run_batch):
+    """run_batch of cfg on fresh tables, each handed to ``prepare`` first,
+    its offspring generators' end states and the spans of table draws it
+    took, as (count, generations drawn, whether the last left a count of 0,
+    the largest count it left), a one-generation draw's among them;
+    with ``one_generation`` no span fits, so every step draws one generation."""
+    gens, spans, steps = [], [], table._BinomialDraw.steps
+
+    def recorded(self, z, count, rng, apply):
+        rows = steps(self, z, count, rng, apply)
+        spans.append((count, len(rows), len(rows) and int(rows[-1].min()) == 0,
+                      len(rows) and int(rows[-1].max())))
+        return rows
+    engine._lanes.cache_clear()  # a table keeps the rows an earlier run built
+    try:
+        if prepare:
+            prepare(engine._lanes(cfg.law, cfg.population_cap)[1])
+        with pytest.MonkeyPatch.context() as mp:
+            blocks = engine.block_generators
+            mp.setattr(engine, "block_generators", lambda *a: gens.append(blocks(*a)) or gens[-1])
+            mp.setattr(table._BinomialDraw, "steps", recorded)
+            if one_generation:
+                mp.setattr(engine, "_SPAN_RAWS", 0)
+            res = run(cfg)
+    finally:
+        engine._lanes.cache_clear()
+    return res, [g[STREAM_OFFSPRING].bit_generator.state for g in gens], spans
+
+
+def assert_spans_change_nothing(cfg, prepare=None, run=run_batch):
+    """cfg's result, failures and offspring generators' end states are those
+    of one-generation steps; returns the result, the number of blocks run and
+    the spans taken."""
+    res, states, spans = span_run(cfg, False, prepare, run)
+    ref, ref_states, none = span_run(cfg, True, prepare, run)
+    assert all(count == 1 for count, *_ in none) and states == ref_states
+    assert ([(f.trial_index, str(f)) for f in res.failed_trials]
+            == [(f.trial_index, str(f)) for f in ref.failed_trials])
+    res.failed_trials = ref.failed_trials
+    assert_same_result(res, ref)
+    return res, len(states), spans
+
+
+PMF2 = ExplicitPmf({0: 0.25, 2: 0.75})
+LOG_G = GrowthFunction.log(2.0, 3.0, rounding="ceil")
+
+
+def test_a_span_ends_after_a_generation_with_deaths():
+    cfg = Batch(ExplicitPmf({0: 0.55, 2: 0.45}), horizon=80, trials=400, master_seed=5,
+                initial_size=3)
+    _, _, spans = assert_spans_change_nothing(cfg)
+    assert any(died and done < count for count, done, died, _ in spans)
+
+
+@pytest.mark.parametrize("seed, parents, past_32", [(2, None, False), (4, 10, True)])
+def test_a_span_ends_before_counts_past_the_built_rows_and_past_32(seed, parents, past_32):
+    # 3 z trials a count: on an empty table a span ends where z needs a new
+    # row; with the rows of up to 10 parents built, where z passes 10 and
+    # numpy draws
+    cfg = Batch(Binomial(3, 0.6), horizon=60, trials=1, master_seed=seed,
+                policy=Truncation(GrowthFunction.constant(20)))
+    _, _, spans = assert_spans_change_nothing(
+        cfg, parents and (lambda draw: draw(np.array([parents]), 1, rng())))
+    assert any(0 < done < count and not died and (3 * top > 32) is past_32
+               for count, done, died, top in spans)
+
+
+@pytest.mark.parametrize("pmf", [{0: 0.25, 2: 0.75}, {1: 0.7, 2: 0.3}])
+def test_a_span_ends_before_a_restart(pmf):
+    def restart(draw):
+        # as in test_binomial_draw_restarts_with_numpys_draw, but only a
+        # uniform past the next-to-last threshold of row 4 restarts
+        draw(np.arange(1, 6), 5, rng())
+        keys, values, built = draw._table
+        n, keys = 4, keys.copy()
+        row = len(table._inversion_row(n, min(draw.p, 1.0 - draw.p)))
+        at = int(keys.searchsorted(n << 53, side="right"))
+        keys[at + row - 1] = keys[at + row - 2]
+        draw._table = (keys, values, built)
+    cfg = Batch(ExplicitPmf(pmf), horizon=300, trials=3, master_seed=9, initial_size=2,
+                policy=Truncation(GrowthFunction.constant(4)))
+    _, _, spans = assert_spans_change_nothing(cfg, restart)
+    assert any(0 < done < count and not died for count, done, died, _ in spans)
+
+
+def test_spans_under_a_disaster_draw_the_same_control_stream():
+    cfg = Batch(ExplicitPmf({0: 0.002, 1: 0.998}), horizon=300, trials=40, master_seed=4,
+                initial_size=12, policy=Disaster(DisasterSchedule.constant(0.005)))
+    _, _, spans = assert_spans_change_nothing(cfg)
+    assert max(span[1] for span in spans) >= 8
+
+
+def test_spans_under_a_mating_step_draw_the_same_sex_stream():
+    # the mating step leaves a new array of at most the offspring it is given
+    cfg = SimpleNamespace(law=ExplicitPmf({0: 0.2, 3: 0.8}), horizon=60, trials=20,
+                          master_seed=8, alpha=0.5, mating=Min(), initial_units=3,
+                          population_cap=1 << 48, sample_trajectories=0, failure_budget=0)
+    _, _, spans = assert_spans_change_nothing(cfg, run=run_bisexual_batch)
+    assert max(span[1] for span in spans) >= 4
+
+
+def test_phi_units_step_one_generation_at_a_time():
+    cfg = Batch(PMF2, horizon=40, trials=300, master_seed=2,
+                policy=Phi.from_table([0, 1, 2]), initial_size=2)
+    _, _, spans = assert_spans_change_nothing(cfg)
+    assert all(count == 1 for count, *_ in spans)
+
+
+def test_sampled_trajectories_come_from_the_spans():
+    cfg = Batch(PMF2, horizon=200, trials=300, master_seed=6, policy=Truncation(LOG_G),
+                sample_trajectories=7)
+    res, _, spans = assert_spans_change_nothing(cfg)
+    assert len(res.sampled_trajectories) == 7 and max(span[1] for span in spans) >= 8
+
+
+def test_a_failure_budget_replay_steps_one_generation_at_a_time():
+    # spans while every count is in the table (a 200 cap is past every
+    # table total), then numpy's draws pass the cap; none in the replay
+    cfg = Batch(ExplicitPmf({1: 0.5, 2: 0.5}), horizon=13, trials=50, master_seed=3,
+                population_cap=200, failure_budget=50)
+    res, blocks, spans = assert_spans_change_nothing(
+        cfg, lambda draw: draw(np.array([32]), 1, rng()))
+    assert 0 < len(res.failed_trials) < 50 and blocks == 2
+    assert max(span[1] for span in spans) > 1
+
+
+def test_a_long_log_truncation_with_samples_keeps_its_pin():
+    # recorded when every generation took one draw of its own
+    res = run_batch(Batch(PMF2, horizon=3000, trials=700, master_seed=17,
+                          policy=Truncation(LOG_G), sample_trajectories=3,
+                          population_cap=1 << 48))
+    text = repr((res.extinction_generations.tolist(), res.per_generation_alive_counts.tolist(),
+                 res.per_generation_alive_size_sums,
+                 [(t.counts, t.absorbed_at) for t in res.sampled_trajectories]))
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "8ccc7aac119128d9902e86cd822cb8e8e5edd944a40ce626a37fb15dc507e076")

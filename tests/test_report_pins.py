@@ -101,6 +101,9 @@ CASES = {
     "poisson_past_int64_block": ("run", run_doc(law={"kind": "poisson", "lambda": 1.5},
                                                 trials=200, horizon=110,
                                                 population_cap=1 << 200)),
+    # long enough that table draws take spans of many generations
+    "truncation_log_long": ("run", run_doc(POLICIES["truncation_log"], trials=700,
+                                           horizon=3000)),
     **{f"{name}_block": ("run", run_doc(policy)) for name, policy in POLICIES.items()},
     **{f"{name}_coupled": ("run", run_doc(policy, coupled=True))
        for name, policy in POLICIES.items()},
@@ -161,6 +164,7 @@ PINS = {
     "truncation_constant_coupled": "188cfbaa48efc0b2c8dedece5e27626f12c62a99c5e5fe91a283deaa41e3f0f2",
     "truncation_log_block": "4243427e7c89b8d2d6ca52ae1e9b7d5785687b6eb2aeea6be098165240745b0e",
     "truncation_log_coupled": "da8bbf148cb0665743bfd34f9b0aa3122e495f73a6dee112dbf50f41be6b89e6",
+    "truncation_log_long": "34843fab2d24f4caea66184431c02c864bf90401f51ca7c1c6075964392cf595",
 }
 
 
