@@ -134,21 +134,20 @@ def _compare(config: ScenarioConfig, provenance: dict):
     if config.experiment not in ("gw", "controlled", "phi"):
         raise ConfigError("compare needs a gw, controlled or phi scenario")
     q = extinction_probability(config.law).q
-    verdict = method = ""
-    alpha_hat = None
+    verdict, alpha = "", None
     # expectation_criterion at p = q, the verdict of truncation as absorption,
     # is the same series
     if 0.0 < q < 1.0 and isinstance(config.policy, (Truncation, TruncationAsAbsorption)):
         cv = zubkov_criterion(q, config.policy.g)
-        verdict, method, alpha_hat = cv.verdict, cv.method, cv.fitted_decay_exponent
+        verdict, alpha = cv.verdict, cv.decay_exponent
     from .brs import Z99
     result = _simulate(config, provenance)
     frac = result.extinction_fraction
     ci = (Z99 * math.sqrt(max(frac * (1.0 - frac), 0.0) / result.trials)
           if result.trials else math.nan)
-    header = ["verdict", "method", "fitted_decay_exponent", "q",
+    header = ["verdict", "decay_exponent", "q",
               "extinction_fraction", "ci_halfwidth", "trials", "horizon"]
-    rows = [[verdict, method, alpha_hat, q, frac, ci, result.trials, result.horizon]]
+    rows = [[verdict, alpha, q, frac, ci, result.trials, result.horizon]]
     return header, rows
 
 

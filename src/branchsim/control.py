@@ -5,23 +5,21 @@ families: truncation of each generation at a cap g(n), random absorption of
 offspring, where each absorbing rule (truncation as absorption, disaster,
 lower boundary, custom) is a policy of its own, and phi-control where
 phi(current size) units reproduce.  The criterion
-checkers classify sum_n q^g(n) as divergent or convergent, exactly for
-every form of g but a callable and heuristically for a callable.
+checkers classify sum_n q^g(n) as divergent or convergent, exactly, for
+every form of g but a callable, which has no verdict.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, InvalidRuleError
 from .rng import STREAM_CONTROL
-
-CLASSIFY_EPS = 0.05  # dead band around decay exponent 1 for the heuristic path
 
 
 def finite(x: float, name: str, n: int) -> float:
@@ -45,11 +43,10 @@ def _table(values, name: str) -> tuple[int, ...]:
 class GrowthFunction:
     """Integer-valued function of a nonnegative integer index.
 
-    Every form but a callable allows exact series classification; callables
-    fall back to the heuristic classifier.  The log
-    form rounds a*log_base(n + 1) up or down and is floored at 1, so a cap
-    never orders the population to zero on its own.  Tables hold their last
-    value beyond the end.
+    Every form but a callable has an exact series verdict; a callable g
+    truncates but has no verdict.  The log form rounds a*log_base(n + 1) up
+    or down and is floored at 1, so a cap never orders the population to
+    zero on its own.  Tables hold their last value beyond the end.
     """
 
     form: str
@@ -356,61 +353,34 @@ class Phi(ControlPolicy):
 
 @dataclass(frozen=True)
 class CriterionVerdict:
-    """Outcome of a series divergence test.
+    """Outcome of a series divergence test, exact for every form of g.
 
-    ``method`` is "exact" for a constant, log, linear or table growth
-    function, and "heuristic" for a callable.  The heuristic evaluates g at
-    n = 1 .. n_max, fits the decay exponent of the terms base^g(n) against n
-    over the top decade and leaves a dead band of width CLASSIFY_EPS around
-    1; ``partial_sums[i]`` is then the sum of the first i + 1 terms.  An
-    exact verdict evaluates no term, and its ``partial_sums`` is None.
+    ``decay_exponent`` is the alpha of a log g, whose terms fall as
+    (n + 1)^-alpha, so the series converges iff alpha > 1; it is None for
+    every other form.
     """
 
     verdict: str
-    partial_sums: np.ndarray | None = field(repr=False)
-    fitted_decay_exponent: float | None
-    method: str
+    decay_exponent: float | None
 
 
-def _series_verdict(base: float, g, n_max: int) -> CriterionVerdict:
-    if isinstance(g, GrowthFunction) and g.form != "callable":
-        if g.form == "log":
-            # terms are base^(rounded a*log_b(n+1)) ~ (n+1)^(-alpha); rounding
-            # shifts them by at most a constant factor either way, so the
-            # series converges iff alpha > 1
-            alpha = g.a * math.log(1.0 / base) / math.log(g.base)
-            verdict = "Convergent" if alpha > 1.0 else "Divergent"
-        elif g.form == "linear":
-            verdict = "Convergent" if g.a > 0 else "Divergent"
-        else:  # a constant or a table is bounded, so the terms stay above a positive floor
-            verdict = "Divergent"
-        return CriterionVerdict(verdict=verdict, partial_sums=None,
-                                fitted_decay_exponent=None, method="exact")
-
-    n = np.arange(1, n_max + 1)
-    terms = base**np.array([g(int(i)) for i in n], dtype=np.float64)
-    partial_sums = np.cumsum(terms)
-    lo = max(n_max // 10, 1)
-    window = terms[lo - 1:]
-    ns = n[lo - 1:].astype(np.float64)
-    if np.all(window <= 0.0):
-        # terms underflowed: they decay faster than any power in view
-        return CriterionVerdict(verdict="Convergent", partial_sums=partial_sums,
-                                fitted_decay_exponent=None, method="heuristic")
-    keep = window > 0.0
-    slope = np.polyfit(np.log(ns[keep]), np.log(window[keep]), 1)[0]
-    alpha_hat = -float(slope)
-    if alpha_hat < 1.0 - CLASSIFY_EPS:
+def _series_verdict(base: float, g) -> CriterionVerdict:
+    if not isinstance(g, GrowthFunction) or g.form == "callable":
+        raise ConfigError("no exact verdict for a callable g")
+    alpha = None
+    if g.form == "log":
+        # terms are base^(rounded a*log_b(n+1)) ~ (n+1)^(-alpha); rounding
+        # shifts them by at most a constant factor either way
+        alpha = g.a * math.log(1.0 / base) / math.log(g.base)
+        verdict = "Convergent" if alpha > 1.0 else "Divergent"
+    elif g.form == "linear":
+        verdict = "Convergent" if g.a > 0 else "Divergent"
+    else:  # a constant or a table is bounded, so the terms stay above a positive floor
         verdict = "Divergent"
-    elif alpha_hat > 1.0 + CLASSIFY_EPS:
-        verdict = "Convergent"
-    else:
-        verdict = "Inconclusive"
-    return CriterionVerdict(verdict=verdict, partial_sums=partial_sums,
-                            fitted_decay_exponent=alpha_hat, method="heuristic")
+    return CriterionVerdict(verdict=verdict, decay_exponent=alpha)
 
 
-def zubkov_criterion(q: float, g, n_max: int = 10_000) -> CriterionVerdict:
+def zubkov_criterion(q: float, g) -> CriterionVerdict:
     """Classify sum_n q^g(n): Divergent means the truncated process dies a.s.
 
     q must be the extinction probability of the untruncated law, strictly
@@ -418,13 +388,10 @@ def zubkov_criterion(q: float, g, n_max: int = 10_000) -> CriterionVerdict:
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie strictly inside (0, 1), got {q}")
-    if n_max < 100:
-        raise ValueError(f"n_max must be at least 100, got {n_max}")
-    return _series_verdict(q, g, n_max)
+    return _series_verdict(q, g)
 
 
-def expectation_criterion(p: float, g, n_max: int = 10_000,
-                          q: float | None = None) -> CriterionVerdict:
+def expectation_criterion(p: float, g, q: float | None = None) -> CriterionVerdict:
     """Classify sum_n p^g(n) for an absorbing process whose conditional mean
     is enveloped by g.
 
@@ -440,6 +407,4 @@ def expectation_criterion(p: float, g, n_max: int = 10_000,
         raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
     if q is not None and p > q:
         raise ValueError(f"p must not exceed q, got p={p} > q={q}")
-    if n_max < 100:
-        raise ValueError(f"n_max must be at least 100, got {n_max}")
-    return _series_verdict(p, g, n_max)
+    return _series_verdict(p, g)

@@ -175,7 +175,9 @@ def _multinomial_exact(z, ps, rng) -> list:
     p_j)) of the counts that atoms 1 to i - 1 left, one ``_binomial_exact``
     call for every count, and the last atom takes what is left."""
     left, hits = z.astype(object), []
-    for q in (ps / np.cumsum(ps[::-1])[::-1])[:-1].tolist():
+    tails = np.cumsum(ps[::-1])[::-1][:-1]
+    # a tail of 0 (atoms whose weight underflowed) leaves no count to split
+    for q in np.divide(ps[:-1], tails, out=np.zeros_like(tails), where=tails > 0).tolist():
         hits.append(_binomial_exact(left, q, rng).astype(object))
         left = left - hits[-1]
     return hits + [left]

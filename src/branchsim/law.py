@@ -1,9 +1,8 @@
 """Offspring laws: pmf tables, generating functions, means, extinction probability.
 
 The extinction probability of a branching process driven by a law with pgf f
-is the smallest fixed point of f on [0, 1].  It is found by monotone
-fixed-point iteration from 0, with a bisection fallback for laws where the
-iteration converges too slowly.
+is the smallest fixed point of f on [0, 1].  It is found by secant steps that
+rise to it from below.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, NumericFailure
+from .errors import ConfigError
 
 TAIL_EPS = 1e-15  # pmf tables drop a tail of at most this mass
 TABLE_MAX = 1 << 20  # atoms a pmf table may hold; a law that needs more is a ConfigError
@@ -24,7 +23,8 @@ INT64_MAX = (1 << 63) - 1  # the largest support point or binomial count a draw 
 
 @dataclass(frozen=True)
 class ExtinctionResult:
-    """Extinction probability with solver diagnostics.
+    """Extinction probability with solver diagnostics: the pgf calls made and
+    the residual f(q) - q.
 
     ``critical`` is set when the law sits numerically on the m = 1 boundary
     (or when the root is indistinguishable from 1), in which case q = 1 is
@@ -218,7 +218,8 @@ class Binomial(OffspringLaw):
         object.__setattr__(self, "n", int(self.n))
 
     def _pgf(self, s: float) -> float:
-        return (1.0 - self.p + self.p * s) ** self.n
+        # log1p keeps the low bits of a small p, which 1 - p would round off
+        return math.exp(self.n * math.log1p(self.p * (s - 1.0)))
 
     def mean(self) -> float:
         return self.n * self.p
@@ -231,58 +232,30 @@ class Binomial(OffspringLaw):
         return -odds, (self.n + 1) * odds, self.n * math.log1p(-self.p)
 
 
-def extinction_probability(law: OffspringLaw, tol: float = 1e-12,
-                           max_iterations: int = 200_000) -> ExtinctionResult:
+def extinction_probability(law: OffspringLaw) -> ExtinctionResult:
     """Smallest root of pgf(s) = s on [0, 1].
 
-    Iterates s <- f(s) from 0, which increases monotonically to the smallest
-    fixed point.  If the iteration has not met ``tol`` within
-    ``max_iterations`` (near-critical laws converge logarithmically slowly),
-    a bracketing bisection on f(s) - s finishes the job.
+    h(s) = f(s) - s is convex, so the chord through two points below the
+    root crosses zero at or below it: secant steps from s = 0 and s = f(0)
+    rise to the root, and stop when h(s) <= 0 or the chord stops rising.  A
+    chord that reaches 1 leaves the root indistinguishable from 1.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     m = law.mean()
     if abs(m - 1.0) < CRITICAL_EPS:
         return ExtinctionResult(q=1.0, iterations=0, residual=0.0, critical=True)
     if m < 1.0:
         return ExtinctionResult(q=1.0, iterations=0, residual=0.0)
-
-    s = 0.0
-    iterations = 0
-    for _ in range(max_iterations):
-        iterations += 1
-        fs = law.pgf(s)
-        residual = fs - s
-        if residual <= tol:
-            return ExtinctionResult(q=s, iterations=iterations, residual=residual)
-        s = fs
-
-    # Stalled short of tol: bracket the root above the current iterate.
-    # f(x) - x stays positive below the smallest root and is negative just
-    # under 1 for supercritical laws, so halving the gap to 1 finds a sign
-    # change unless the root is within float distance of 1.
-    lo, hi = s, None
-    gap = 1.0 - s
-    for j in range(1, 64):
-        x = 1.0 - gap * 0.5**j
-        if law.pgf(x) - x < 0.0:
-            hi = x
+    a, ha = 0.0, law.pgf(0.0)
+    b = ha
+    hb = law.pgf(b) - b
+    iterations = 2
+    while 0.0 < hb < ha:
+        c = b + hb * (b - a) / (ha - hb)
+        if c >= 1.0:
+            return ExtinctionResult(q=1.0, iterations=iterations, residual=0.0, critical=True)
+        if c <= b:
             break
-        lo = x
-    if hi is None:
-        return ExtinctionResult(q=1.0, iterations=iterations, residual=0.0, critical=True)
-    for _ in range(500):
+        a, ha, b = b, hb, c
+        hb = law.pgf(b) - b
         iterations += 1
-        mid = 0.5 * (lo + hi)
-        residual = law.pgf(mid) - mid
-        if abs(residual) <= tol:
-            return ExtinctionResult(q=mid, iterations=iterations, residual=abs(residual))
-        if residual > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise NumericFailure(
-        f"extinction probability solver did not reach tol={tol} "
-        f"after {iterations} iterations (law={law.kind})"
-    )
+    return ExtinctionResult(q=b, iterations=iterations, residual=hb)

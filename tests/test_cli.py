@@ -6,6 +6,7 @@ import hashlib
 import importlib
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -246,7 +247,7 @@ def test_all_trials_failing_within_budget_writes_nan_rows(tmp_path):
     assert lines[2:] == [f"{n},nan,nan" for n in range(6)]
     compared = tmp_path / "compare.csv"
     assert cli.compare_criterion_vs_empirical(str(cfg), out=str(compared)) == 0
-    assert read_lines(compared)[2].split(",")[4:7] == ["nan", "nan", "0"]
+    assert read_lines(compared)[2].split(",")[3:6] == ["nan", "nan", "0"]
 
 
 @pytest.mark.parametrize("schedule,t_k", [
@@ -379,13 +380,27 @@ def test_compare_controlled_scenario(tmp_path):
     out = tmp_path / "compare.csv"
     assert cli.compare_criterion_vs_empirical(str(cfg), out=str(out)) == 0
     lines = read_lines(out)
-    assert lines[1] == ("verdict,method,fitted_decay_exponent,q,"
-                        "extinction_fraction,ci_halfwidth,trials,horizon")
+    assert lines[1] == "verdict,decay_exponent,q,extinction_fraction,ci_halfwidth,trials,horizon"
     row = lines[2].split(",")
-    assert row[0] == "Divergent" and row[1] == "exact" and row[2] == ""
-    assert float(row[3]) == pytest.approx(1.0 / 3.0, abs=1e-9)
-    assert float(row[4]) >= 0.9
-    assert int(row[6]) == 500 and int(row[7]) == 300
+    assert row[0] == "Divergent" and row[1] == ""
+    assert float(row[2]) == 1.0 / 3.0
+    assert float(row[3]) >= 0.9
+    assert int(row[5]) == 500 and int(row[6]) == 300
+
+
+def test_compare_of_a_poisson_50_log_truncation_is_convergent(tmp_path):
+    # q = 1.93e-22, so alpha = a ln(1/q) / ln(base) is far above 1
+    g = {"form": "log", "a": 2.0, "base": 3.0, "rounding": "ceil"}
+    cfg = write_config(tmp_path, controlled_doc(
+        trials=100, horizon=30, law={"kind": "poisson", "lambda": 50.0},
+        policy={"kind": "truncation", "g": g}))
+    out = tmp_path / "compare.csv"
+    assert cli.compare_criterion_vs_empirical(str(cfg), out=str(out)) == 0
+    row = read_lines(out)[2].split(",")
+    q = float(row[2])
+    assert row[0] == "Convergent"
+    assert 0.0 < q == pytest.approx(math.exp(-50.0), rel=1e-15)
+    assert float(row[1]) == 2.0 * math.log(1.0 / q) / math.log(3.0)
 
 
 @pytest.mark.parametrize("policy", [
@@ -398,7 +413,7 @@ def test_compare_of_a_table_g_is_exact(tmp_path, policy):
     cfg = write_config(tmp_path, controlled_doc(trials=50, horizon=20, policy=policy))
     out = tmp_path / "compare.csv"
     assert cli.compare_criterion_vs_empirical(str(cfg), out=str(out)) == 0
-    assert read_lines(out)[2].split(",")[:3] == ["Divergent", "exact", ""]
+    assert read_lines(out)[2].split(",")[:2] == ["Divergent", ""]
 
 
 def test_compare_without_policy_leaves_verdict_empty(tmp_path):
@@ -407,8 +422,8 @@ def test_compare_without_policy_leaves_verdict_empty(tmp_path):
     out = tmp_path / "compare.csv"
     assert cli.compare_criterion_vs_empirical(str(cfg), out=str(out)) == 0
     row = read_lines(out)[2].split(",")
-    assert row[0] == "" and row[1] == "" and row[2] == ""
-    assert float(row[3]) == pytest.approx(2.0 / 3.0, abs=1e-9)
+    assert row[0] == "" and row[1] == ""
+    assert float(row[2]) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
 def test_compare_rejects_brs_scenarios(tmp_path):

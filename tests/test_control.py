@@ -350,9 +350,7 @@ def test_phi_policy_validation_and_revival_flag():
 def test_zubkov_constant_cap_diverges():
     v = zubkov_criterion(1 / 3, GrowthFunction.constant(3))
     assert v.verdict == "Divergent"
-    assert v.method == "exact"
-    assert v.fitted_decay_exponent is None
-    assert v.partial_sums is None  # an exact verdict evaluates no term
+    assert v.decay_exponent is None
 
 
 def test_zubkov_log_form_threshold():
@@ -364,6 +362,15 @@ def test_zubkov_log_form_threshold():
     assert zubkov_criterion(0.5, GrowthFunction.log(3, 4)).verdict == "Convergent"
 
 
+def test_zubkov_log_form_reports_its_decay_exponent():
+    # alpha = a ln(1/q) / ln(base), the same for either rounding
+    for rounding in ("floor", "ceil"):
+        v = zubkov_criterion(1 / 3, GrowthFunction.log(2, 3, rounding))
+        assert v.decay_exponent == pytest.approx(2.0, rel=1e-15)
+    v = zubkov_criterion(0.5, GrowthFunction.log(1, 4))
+    assert (v.verdict, v.decay_exponent) == ("Divergent", pytest.approx(0.5, rel=1e-15))
+
+
 def test_zubkov_log_verdict_independent_of_rounding():
     for a, base, q in ((2, 3, 1 / 3), (1, 3, 1 / 3), (3, 4, 0.5)):
         floor = zubkov_criterion(q, GrowthFunction.log(a, base, "floor")).verdict
@@ -373,44 +380,28 @@ def test_zubkov_log_verdict_independent_of_rounding():
 
 def test_zubkov_linear_growth_converges():
     v = zubkov_criterion(0.9, GrowthFunction.linear(1, 1))
-    assert v.verdict == "Convergent"
-    assert v.method == "exact"
+    assert (v.verdict, v.decay_exponent) == ("Convergent", None)
     assert zubkov_criterion(0.9, GrowthFunction.linear(0, 7)).verdict == "Divergent"
     # an exact verdict evaluates no g(n), so none can leave the float range
     assert zubkov_criterion(0.9, GrowthFunction.linear(1e305, 1)).verdict == "Convergent"
 
 
-def test_zubkov_heuristic_table_and_callable():
+def test_zubkov_table_g_diverges():
     # a table holds its last value, so its g is bounded and the series diverges
     # however fast the listed values grow
     for tbl in ([max(1, round(2 * math.log(n + 1) / math.log(3))) for n in range(2001)],
                 [1, 1000]):
-        v = zubkov_criterion(1 / 3, GrowthFunction.from_table(tbl), n_max=2000)
-        assert (v.verdict, v.method) == ("Divergent", "exact")
-        assert v.fitted_decay_exponent is None and v.partial_sums is None
-
-    flat = zubkov_criterion(1 / 3, GrowthFunction.from_callable(lambda n: 3),
-                            n_max=1000)
-    assert flat.verdict == "Divergent"
-    assert flat.method == "heuristic"
-    assert flat.fitted_decay_exponent == pytest.approx(0.0, abs=1e-9)
+        v = zubkov_criterion(1 / 3, GrowthFunction.from_table(tbl))
+        assert (v.verdict, v.decay_exponent) == ("Divergent", None)
 
 
-def test_zubkov_heuristic_dead_band_is_inconclusive():
-    # dense rounding keeps the terms within a hair of (n+1)^(-1)
-    q = 0.99
-    g = GrowthFunction.from_callable(
-        lambda n: round(math.log(n + 1) / math.log(1 / q)))
-    v = zubkov_criterion(q, g, n_max=2000)
-    assert v.verdict == "Inconclusive"
-    assert abs(v.fitted_decay_exponent - 1.0) < 0.05
-
-
-def test_zubkov_heuristic_underflowed_terms_converge():
-    v = zubkov_criterion(1e-12, GrowthFunction.from_callable(lambda n: n + 30),
-                         n_max=500)
-    assert v.verdict == "Convergent"
-    assert v.method == "heuristic"
+def test_criteria_reject_a_callable_g():
+    g = GrowthFunction.from_callable(lambda n: 3)
+    for criterion in (zubkov_criterion, expectation_criterion):
+        with pytest.raises(ConfigError, match="^no exact verdict for a callable g$"):
+            criterion(1 / 3, g)
+    # a callable g still truncates
+    assert Truncation(g).apply(np.array([2, 5]), 1).tolist() == [2, 3]
 
 
 def test_zubkov_validates_arguments():
@@ -418,8 +409,6 @@ def test_zubkov_validates_arguments():
     for q in (0.0, 1.0, -0.5, 1.5):
         with pytest.raises(ValueError):
             zubkov_criterion(q, g)
-    with pytest.raises(ValueError):
-        zubkov_criterion(0.5, g, n_max=99)
 
 
 def test_expectation_criterion_mirrors_series_classification():
@@ -438,11 +427,3 @@ def test_expectation_criterion_rejects_p_above_q():
     with pytest.raises(ValueError):
         expectation_criterion(0.6, GrowthFunction.constant(2), q=0.5)
 
-
-def test_partial_sums_track_the_term_sequence():
-    q = 0.5
-    g = GrowthFunction.from_callable(lambda n: 2)
-    v = zubkov_criterion(q, g, n_max=100)
-    assert v.partial_sums[0] == pytest.approx(0.25)
-    assert v.partial_sums[9] == pytest.approx(10 * 0.25)
-    assert np.all(np.diff(v.partial_sums) > 0)

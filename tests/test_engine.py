@@ -602,6 +602,17 @@ def test_multinomial_chain_counts_sum_to_z_and_match_each_atom():
         assert_moments(counts, Fraction(p) * z, z * p * (1 - p))
 
 
+def test_multinomial_chain_gives_atoms_of_zero_weight_nothing():
+    # 5e-324 / 4 rounds to 0, so the last two atoms weigh 0; their tail of 0
+    # divided 0 / 0 and the NaN it gave reached a binomial draw
+    ps = ExplicitPmf({0: 1, 2: 3, 3: 5e-324, 4: 5e-324}).pmf_table()[1]
+    assert ps.tolist() == [0.25, 0.75, 0.0, 0.0]
+    with np.errstate(all="raise"):
+        hits = [h.tolist() for h in _multinomial_exact(_counts([2**70, 5]), ps, rng(3))]
+    assert hits[2:] == [[0, 0], [0, 0]]
+    assert [a + b for a, b in zip(*hits[:2])] == [2**70, 5]
+
+
 @pytest.mark.parametrize("law", [Poisson(999.0), Geometric(0.6)], ids=repr)
 def test_poisson_lane_holds_its_moments_at_the_top_of_its_range(law):
     # numpy's gamma draws lose variance at huge shapes: totals of mean 2^100

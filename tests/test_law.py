@@ -224,20 +224,45 @@ def test_binomial_critical_boundary():
     assert res.critical
 
 
-def test_near_critical_law_uses_bisection_fallback():
-    # slightly supercritical mix: exact smallest root is p0 / p2.  The solver
-    # stops on the pgf residual, which near criticality pins the root itself
-    # only to about residual / |f'(q) - 1|.
+def test_near_critical_law_reaches_its_root():
+    # slightly supercritical mix: the smallest root is p0 / p2, with
+    # 1 - f'(q) = 2e-6, so an ulp of f moves the root by about 1e-10
     p0, p2 = 0.2499995, 0.2500005
     res = extinction_probability(ExplicitPmf({0: p0, 1: 0.5, 2: p2}))
-    assert res.q == pytest.approx(p0 / p2, abs=2e-6)
-    assert 0.999 < res.q < 1.0
-    assert res.residual <= 1e-12
+    assert abs(res.q - p0 / p2) <= 1e-9
+    assert not res.critical
 
 
-def test_extinction_probability_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        extinction_probability(Poisson(2.0), tol=0.0)
+@pytest.mark.parametrize("p0", [0.01, 0.1, 0.25, 0.4])
+def test_two_atom_q_matches_its_closed_form(p0):
+    # f(s) = p0 + (1 - p0) s^2 has roots p0 / (1 - p0) and 1; an error of
+    # an ulp in f moves the root by 2^-52 / (1 - f'(q)), f'(q) = 2 p0
+    res = extinction_probability(ExplicitPmf({0: p0, 2: 1 - p0}))
+    assert abs(res.q - p0 / (1 - p0)) <= 2.0**-52 / (1 - 2 * p0)
+
+
+@pytest.mark.parametrize("r", [0.51, 0.55, 0.6, 0.75, 0.9, 0.99])
+def test_geometric_q_matches_its_closed_form(r):
+    # q = (1 - r) / r, where f'(q) = q
+    q = (1 - r) / r
+    assert abs(extinction_probability(Geometric(r)).q - q) <= 2.0**-52 / (1 - q)
+
+
+def test_poisson_50_q_is_its_tiny_fixed_point():
+    # q = 1.93e-22, far below any residual tolerance
+    q = extinction_probability(Poisson(50.0)).q
+    assert q > 0.0
+    assert abs(Poisson(50.0).pgf(q) - q) <= math.ulp(q)
+
+
+def test_binomial_pgf_keeps_a_small_p():
+    # (1 - p)^n = exp(n log1p(-p)) = exp(-2 - 2e-12) for n = 10^12, p = 2e-12
+    assert Binomial(10**12, 2e-12).pgf(0.0) == pytest.approx(math.exp(-2.0), rel=1e-11)
+    # 1 - 2^-61 rounds to 1, which read f(0) = 1 and so q = 1 at mean 2
+    wide = Binomial(2**62, 2.0**-61)
+    assert wide.pgf(0.0) == pytest.approx(math.exp(-2.0), rel=1e-15)
+    q = extinction_probability(Poisson(2.0)).q
+    assert extinction_probability(wide).q == pytest.approx(q, rel=1e-15)
 
 
 def test_extinction_solver_is_fast():

@@ -130,9 +130,9 @@ PINS = {
     "bisexual_daley_polygamy": "49c80491986d704e10b1fcef714a2b8a4986416bd7eafd8d7efea9dce5461a3c",
     "bisexual_min": "a8c9cfb555de0be8f3c6fe7a8c31778dd8c6ba31eee2084a0957b531292c52d2",
     "brs": "8dfa85bb19a8dc8e7e3a30a84930d7a31f874b908ae1b74b3329c96f6a929267",
-    "compare_phi_linear": "9f62da6ab56bb0787beb0768083e101460e3b58d18ff75ba0c7f1bcb88e3ebfb",
-    "compare_truncation": "3b04563345407d8e74bda4418cf4696ab3f90c03d3e27853c3d38da71c93f4d7",
-    "compare_truncation_as_absorption": "8a51e330b0b19692c0e2350293d3ef13e0ef4801304bf2314c9114616752ccef",
+    "compare_phi_linear": "ac15ae2e3ced57e2d1910b857234a4ab05d5f3e1aa2c825a2fff89019e1567bc",
+    "compare_truncation": "8e07932d2dcfcdcb69a22fdb76a0a7305b8a9cbadd513bde54fca33c9708117a",
+    "compare_truncation_as_absorption": "ecd07640ea5d96bb0ba8ab4cc8c029a9eb64e3cd30efd03cae2ec66f82a4c587",
     "disaster_block": "d6f3a164bcc4855cfc82d56e61ac20413c68d44b64b21f0ece4fc76faf4e5a64",
     "disaster_coupled": "4e6baf3ea7a10a03e60a8cfb8830922f1f7c913ee9972207526c30decb075356",
     "gw_block": "ba237598ddb9655c10e4a618c956898e157e732f169635296f6dba431cddb76b",

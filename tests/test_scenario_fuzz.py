@@ -1,22 +1,31 @@
-"""Property test: every JSON document parses or fails as a ConfigError.
+"""Property tests: every JSON document parses or fails as a ConfigError, and
+every document that parses runs or fails cleanly.
 
-Each example takes a valid document of one experiment and puts an arbitrary
-JSON value (NaN and the infinities included, as Python's json reads them)
-at one path of it.
+The parse test takes a valid document of one experiment and puts an
+arbitrary JSON value (NaN and the infinities included, as Python's json
+reads them) at one path of it.  The run test sets one to three numeric
+leaves of a valid document to extreme values and runs it through the
+command line, ``run`` or ``compare``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import functools
+import io
+import json
+import math
 import operator
+import signal
+import warnings
 
 import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchsim import ConfigError, ScenarioConfig
+from branchsim import ConfigError, ScenarioConfig, cli
 
 PMF = {"kind": "explicit_pmf", "pmf": {"0": 0.25, "2": 0.75}}
 
@@ -112,3 +121,66 @@ def test_any_value_at_any_path_parses_or_is_a_config_error(case, value):
     except ConfigError:
         return
     assert isinstance(config, ScenarioConfig)
+
+
+EXTREMES = [0, 1, 2**53, 2**63 - 1, 2**63 + 1, 2**200, 10**15, 1e-300, 5e-324]
+BOUNDS = {("trials",): 40, ("horizon",): 30}  # a run's work stays small whatever the leaves
+CASE_SECONDS = 10.0
+
+
+def _numeric_leaves(doc):
+    return [path for path in _paths(doc)
+            if type(functools.reduce(operator.getitem, path, doc)) in (int, float)]
+
+
+@st.composite
+def extreme_documents(draw):
+    doc = draw(st.sampled_from(VALID))
+    leaves = draw(st.lists(st.sampled_from(_numeric_leaves(doc)), min_size=1, max_size=3,
+                           unique=True))
+    for path in leaves:
+        bound = BOUNDS.get(path, math.inf)
+        doc = _replaced(doc, path, draw(st.sampled_from([v for v in EXTREMES if v <= bound])))
+    return doc
+
+
+def _main(argv):
+    """Exit code, standard output and standard error of one command line; a
+    warning, which Python would print to standard error, is an error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "config.json"
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs an interval timer")
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(doc=extreme_documents(), command=st.sampled_from(["run", "compare"]))
+def test_extreme_numbers_run_or_fail_cleanly(config_path, doc, command):
+    def stop(*_):
+        raise TimeoutError(f"{command} took over {CASE_SECONDS} s on {doc}")
+
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = [command, str(config_path), "--out", "-"]
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, CASE_SECONDS)
+    try:
+        first = _main(argv)
+        assert _main(argv) == first  # a rerun gives the same bytes
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    code, report, errors = first
+    assert code in (0, 2, 3, 4)
+    if code:
+        record = json.loads(errors)
+        assert errors.count("\n") == 1 and set(record) >= {"error", "message"}
+    else:
+        assert errors == "" and report.startswith("# config_sha256=")
