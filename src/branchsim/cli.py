@@ -41,12 +41,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# _fmt of a column of floats or of ints, in one map
+_COLUMN_FMT = {frozenset({float}): repr, frozenset({int}): str}
+
+
 def _render_csv(provenance: dict, header: list, rows: list) -> str:
     lines = ["# " + ",".join(f"{k}={v}" for k, v in provenance.items())]
     lines.append(",".join(header))
-    # floats and ints, _fmt's repr and str, skip its isinstance chain
-    lines += (",".join([repr(v) if type(v) is float else str(v) if type(v) is int else _fmt(v)
-                        for v in row]) for row in rows)
+    columns = (map(_COLUMN_FMT.get(frozenset(map(type, c)), _fmt), c) for c in zip(*rows))
+    lines += map(",".join, zip(*columns))
     return "\n".join(lines) + "\n"
 
 

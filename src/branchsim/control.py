@@ -182,12 +182,21 @@ class ControlPolicy:
     def apply(self, counts, generation: int, rng=None):
         return counts
 
+    def level(self, generation: int) -> int:
+        """The count threshold that ``apply`` reads at the generation: apply
+        depends on it alone and acts alike at all levels past a count.  The
+        table lane folds only a policy with a level of its own, and this one."""
+        return 0
+
 
 @dataclass(frozen=True)
 class TruncationAsAbsorption(ControlPolicy):
     """Absorb the overshoot above g(n): A_n(l) = max(l - g(n), 0)."""
 
     g: GrowthFunction
+
+    def level(self, generation: int):
+        return self.g(generation)
 
     def apply(self, counts, generation: int, rng=None):
         cap = int(self.g(generation))
@@ -221,6 +230,9 @@ class LowerBoundary(ControlPolicy):
     def apply(self, counts, generation: int, rng=None):
         counts[counts < int(self.b(generation))] = 0
         return counts
+
+    def level(self, generation: int):
+        return self.b(generation)
 
 
 @dataclass(frozen=True, init=False)
@@ -273,6 +285,7 @@ class Truncation(ControlPolicy):
             raise ConfigError(f"truncation function must satisfy g(0) >= 1, got {self.g(0)}")
 
     apply = TruncationAsAbsorption.apply  # both leave min(offspring, g(n))
+    level = TruncationAsAbsorption.level
 
 
 @dataclass(frozen=True)

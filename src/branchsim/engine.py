@@ -16,20 +16,16 @@ gamma-distributed Poisson arrival times.  Binomial counts and means past
 of 2^62 or more and the alive sizes of object blocks; an int64 alive sum
 that may pass 2^63 adds 32-bit halves.  The dtype changes no drawn number
 and no report byte.  A sized binomial draw (a Binomial law, a two-atom pmf)
-whose counts are all from 1 to 32 trials, with 0 < p < 1, on a PCG64, is
-numpy's inversion draw looked up in a table (``table._BinomialDraw``), one
-raw output per count.  So the outputs of later generations are known in
-advance, and a block on this lane whose policy reproduces its counts as
-they are and never raises them (no phi, custom rule or mating, coupled
-streams or failure replay, and a cap past every table total) steps a span
-of generations per ``random_raw`` call: up to 2^13 outputs
-(``_SPAN_RAWS``), doubling after each span that runs to its end.  A span
-ends after a generation with a death and before one the table cannot draw,
-which then takes a step of its own, and its unused outputs go back, so the
-draws are numpy's.  The bisexual sex split stays on numpy.  A per-particle
-inverse-CDF mode exists for monotone coupling: with generation-keyed
-streams, the draw for parent i is the same in two runs, so the offspring
-total is nondecreasing in the parent count.
+whose counts all have 1 to 32 trials, with 0 < p < 1, on a PCG64, is numpy's
+inversion draw looked up in a table (``table._BinomialDraw``), which for a
+block whose policy reproduces its counts as they are and never raises them
+(no phi, custom rule or custom mating, coupled streams or failure replay,
+and a cap past every table total) draws a span of generations per
+``random_raw`` call: up to 2^13 outputs (``_SPAN_RAWS``), doubling after
+each span that runs to its end.  The sex split stays on numpy.  A
+per-particle inverse-CDF mode exists for monotone coupling: with
+generation-keyed streams, the draw for parent i is the same in two runs, so
+the offspring total is nondecreasing in the parent count.
 Coupled batches step on the same kernel, each trial on such streams; custom
 absorbing rules, which see each trajectory so far, apply trial by trial.
 """
@@ -175,9 +171,7 @@ def _multinomial_exact(z, ps, rng) -> list:
     p_j)) of the counts that atoms 1 to i - 1 left, one ``_binomial_exact``
     call for every count, and the last atom takes what is left."""
     left, hits = z.astype(object), []
-    tails = np.cumsum(ps[::-1])[::-1][:-1]
-    # a tail of 0 (atoms whose weight underflowed) leaves no count to split
-    for q in np.divide(ps[:-1], tails, out=np.zeros_like(tails), where=tails > 0).tolist():
+    for q in (ps[:-1] / np.cumsum(ps[::-1])[::-1][:-1]).tolist():  # every weight is positive
         hits.append(_binomial_exact(left, q, rng).astype(object))
         left = left - hits[-1]
     return hits + [left]
@@ -515,8 +509,7 @@ def _run_vector_block(policy, batch, lo, hi, counted=None):
         if n == horizon or not idx.size:
             break
         count = min(span, horizon - n, _SPAN_RAWS // idx.size) if spanning else 0
-        rows = draw.steps(z, count, gens[STREAM_OFFSPRING],
-                          lambda off, j: policy.apply(off, n + j, ctl)) if count else ()
+        rows = draw.steps(z, count, gens[STREAM_OFFSPRING], policy, n, ctl) if count else ()
         span = max(2 * count, 1) if len(rows) == count else 1
         if len(rows):  # every trial is alive in each row but the last
             alive_counts[n + 1:n + len(rows)] = [idx.size] * (len(rows) - 1)

@@ -108,7 +108,7 @@ class ExplicitPmf(OffspringLaw):
     """Finite-support law given by weights on nonnegative integers.
 
     Accepts a mapping k -> weight or an iterable of (k, weight) pairs; the
-    weights are normalized to sum to 1.
+    weights are normalized to sum to 1, and atoms left with weight 0 dropped.
     """
 
     atoms: tuple[tuple[int, float], ...]
@@ -136,7 +136,7 @@ class ExplicitPmf(OffspringLaw):
             raise ConfigError("pmf weights sum past the float range") from None
         if not seen or total <= 0:
             raise ConfigError("pmf must carry positive total weight")
-        atoms = tuple((k, w / total) for k, w in sorted(seen.items()) if w > 0)
+        atoms = tuple((k, p) for k, w in sorted(seen.items()) if (p := w / total) > 0)
         object.__setattr__(self, "atoms", atoms)
 
     def _pgf(self, s: float) -> float:

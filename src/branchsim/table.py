@@ -8,6 +8,8 @@ of thresholds K_1 <= K_2 <= ... of that count at or below the uniform.
 ``_inversion_row`` finds the thresholds exactly, and ``_BinomialDraw``
 looks each count up in a flat table of them, so its counts, the
 generator's position after a draw and every report byte are numpy's.
+A policy that draws nothing folds into the table, so a span generation is
+one searchsorted, one take and one add.
 """
 
 from __future__ import annotations
@@ -16,10 +18,13 @@ import math
 
 import numpy as np
 
+from .control import ControlPolicy
+
 # largest binomial count drawn by table lookup: 32 rows of at most 34 int64
 # keys and values each, under 10 kB per probability
 _TABLE_COUNTS = 32
 _WINDOW = 16  # candidates on each side of a cumulative sum, in units of 2^-53
+_FOLDS = 64  # folded tables kept
 
 
 def _inversion_row(n: int, p: float) -> list[int]:
@@ -84,81 +89,111 @@ class _BinomialDraw:
     numpy draws a count of n <= 32 trials by inversion, since n min(p, 1 - p)
     <= 16 is below its switch at 30, on the smaller of p and 1 - p (and
     returns n - X for p > 1/2), one 53-bit uniform per count unless it
-    restarts.  When every count is between 1 and ``_TABLE_COUNTS``, 0 < p < 1
+    restarts.  When every count z has 1 to ``_TABLE_COUNTS`` trials, 0 < p < 1
     and the generator is a PCG64, this draws one raw output per count, whose
-    top 53 bits are numpy's uniform, and finds each total with one searchsorted
-    of (n << 53) + m in a flat table of ``_inversion_row`` thresholds, built
-    row by row up to the largest count seen.  A count in the restart region
-    (about once in 10^16 draws) steps the generator back and hands the whole
-    call to numpy, as does every other case.  ``steps`` draws several
-    generations of such counts with one ``random_raw`` call.
+    top 53 bits are numpy's uniform m, and finds each total with one
+    searchsorted of (z << 53) + m in a flat table of ``_inversion_row``
+    thresholds, built row by row up to the largest count seen.  A count in
+    the restart region (about once in 10^16 draws) steps the generator back
+    and hands the whole call to numpy, as does every other case.  ``steps``
+    draws several generations of such counts with one ``random_raw`` call.
     """
 
     def __init__(self, p: float, scale: int = 1, trials: int = 1, base: int = 0):
         self.p, self.scale, self.trials, self.base = p, scale, trials, base
         self._flip = p > 0.5
         self._lookup = 0.0 < p < 1.0
-        # the largest total of any row: a count no larger keeps its keys in int64
+        # the largest total of any row: a count no larger keeps its key in int64
         self.most = scale * _TABLE_COUNTS + base * (_TABLE_COUNTS // trials)
-        self.spans = self._lookup and self.most * trials < 1 << 10
-        # each row n: a sentinel key n << 53, then (n << 53) + K_k; a
-        # searchsorted index into ``values`` gives the total base n / trials
-        # + scale X (n - X for p > 1/2), or -1 for a restart, a count of 0
-        # and a count past the table
+        self.spans = self._lookup and self.most < 1 << 10
+        # each row z: a sentinel key z << 53, then (z << 53) + K_k; a
+        # searchsorted index into ``values`` gives the total base z + scale X
+        # (trials z - X for p > 1/2), or -1 for a restart, a count of 0 and a
+        # count past the table
         self._table = (np.zeros(0, dtype=np.int64), np.full(1, -1, dtype=np.int64), 0)
+        self._folds = (self._table, None, {})  # (table, policy, {level: folded table})
 
     def _grow(self, top: int):
         keys, values, built = self._table
         p = 1.0 - self.p if self._flip else self.p
         new_keys, new_values = [keys], [values]
-        for n in range(built + 1, top + 1):
-            row = _inversion_row(n, p)
-            new_keys.append((n << 53) + np.array([0] + row, dtype=np.int64))
+        for z in range(built + 1, top + 1):
+            row = _inversion_row(n := z * self.trials, p)
+            new_keys.append((z << 53) + np.array([0] + row, dtype=np.int64))
             xs = np.arange(len(row))
-            totals = self.scale * (n - xs if self._flip else xs) + self.base * (n // self.trials)
+            totals = self.scale * (n - xs if self._flip else xs) + self.base * z
             new_values.append(np.append(totals, -1))
         self._table = (np.concatenate(new_keys), np.concatenate(new_values), top)
+
+    def _fold(self, folds, policy, n, level):
+        """The table at the policy's ``level`` (of generation n): its values are
+        the keys z << 53 of the counts z ``apply`` leaves, -1 is -2^53, which
+        looks up -1 again, and runs of one value merge, so that the search
+        branches predictably in a capped row's upper tail."""
+        keys, values, _ = self._table
+        live, left = values >= 0, np.full(values.size, -1 << 53)
+        left[live] = policy.apply(values[live], n) << 53
+        step = np.flatnonzero(np.diff(left))
+        if len(folds) >= _FOLDS:
+            folds.clear()
+        folds[level] = fold = keys[step], np.append(left[:1], left[step + 1])
+        return fold
 
     def __call__(self, z, size, rng):
         if self._lookup and size:
             each = np.full(size, z) if np.ndim(z) == 0 else z
-            top = int(np.maximum.reduce(each)) * self.trials  # skips ndarray.max's Python layer
-            if self._table[2] < top <= _TABLE_COUNTS:
+            top = int(np.maximum.reduce(each))  # skips ndarray.max's Python layer
+            if self._table[2] < top and top * self.trials <= _TABLE_COUNTS:
                 self._grow(top)
-            rows = self.steps(each, 1, rng, lambda totals, j: totals)
+            rows = self.steps(each, 1, rng)
             if len(rows):
                 return rows[0]
-        return self._numpy(z, size, rng)  # from the same state
-
-    def steps(self, z, count, rng, apply):
-        """Up to ``count`` generations of table draws from the int64 counts z
-        on a PCG64, one ``random_raw`` for all, with ``apply(totals, j)``
-        leaving the counts of the j-th: a (k, z.size) array of the counts of
-        the k generations drawn.  It stops before a generation that the
-        table cannot draw (a restart, a count past the rows, or a count of 0,
-        so a span ends with the generation of a death), whose raw outputs,
-        and those of the generations after it, go back."""
-        bits, size, (keys, values, built) = rng.bit_generator, z.size, self._table
-        if type(bits) is not np.random.PCG64 or np.maximum.reduce(z) > built // self.trials:
-            return z[:0, None]  # the first generation needs new rows or numpy
-        z = z.astype(np.int64, copy=False)
-        raw = bits.random_raw(count * size).reshape(count, size)
-        # numpy's next_double bits: one row of uniforms a generation
-        rows, done = np.right_shift(raw, 11, out=raw).view(np.int64), count
-        for j, row in enumerate(rows):
-            row += (z * self.trials if self.trials > 1 else z) << 53
-            values.take(keys.searchsorted(row, side="right"), out=row, mode="clip")
-            if np.minimum.reduce(row) < 0:  # a restart, a count of 0 or past the rows
-                done = j
-                break
-            if (z := apply(row, j + 1)) is not row:
-                row[...] = z
-        if done < count:
-            _rewind(bits, (count - done) * size)
-        return rows[:done]
-
-    def _numpy(self, z, size, rng):
         out = rng.binomial(z * self.trials if self.trials > 1 else z, self.p, size=size)
         if self.scale != 1:
             out = self.scale * out
         return self.base * z + out if self.base else out
+
+    def steps(self, z, count, rng, policy=ControlPolicy(), n=0, ctl=None):
+        """Up to ``count`` generations n + 1, ... of table draws from the int64
+        counts z on a PCG64, one ``random_raw`` for all, each as ``policy``
+        leaves it: a (k, z.size) array of the counts of the k drawn.  It stops
+        before a generation that the table cannot draw (a restart, a count
+        past the rows, or a count of 0, so a span ends with the generation of
+        a death), whose raw outputs, and those after them, go back.  A policy
+        that draws (from ``ctl``), or overrides ``apply`` but not ``level``,
+        applies unfolded, once the table has drawn every count, as does a
+        single generation."""
+        bits, size, (keys, values, built) = rng.bit_generator, z.size, self._table
+        if type(bits) is not np.random.PCG64 or np.maximum.reduce(z) > built:
+            return z[:0, None]  # the first generation needs new rows or numpy
+        # a policy folds when its level is all its apply reads: its own, or the identity's
+        kind = type(policy)
+        checked = (count == 1 or policy.stream is not None
+                   or kind.level is ControlPolicy.level and kind.apply is not ControlPolicy.apply)
+        if not checked and (self._folds[0] is not self._table or self._folds[1] is not policy):
+            self._folds = (self._table, policy, {})
+        folds, done = self._folds[2], count
+        raw = bits.random_raw(count * size).reshape(count, size)
+        # numpy's next_double bits, a row a generation, plus its parents' keys
+        rows = np.right_shift(raw, 11, out=raw).view(np.int64)
+        key = z.astype(np.int64, copy=False) << 53
+        for j, row in enumerate(rows, n + 1):
+            row += key
+            if not checked:  # past every total, levels act alike
+                level = min(policy.level(j), self.most + 1)
+                keys, values = folds.get(level) or self._fold(folds, policy, j, level)
+            key = values.take(keys.searchsorted(row, side="right"), out=row, mode="clip")
+            if checked:
+                if np.minimum.reduce(row) < 0:  # a restart, a count of 0 or past the rows
+                    done = j - n - 1
+                    break
+                if (left := policy.apply(row, j, ctl)) is not row:
+                    row[...] = left
+                key = row << 53
+        if not checked:  # a row holds the keys of its counts; the first with a -1 stops
+            rows = rows[:done] >> 53
+            bad = np.flatnonzero(np.minimum.reduce(rows, axis=1) < 0)
+            done = int(bad[0]) if bad.size else done
+        if done < count:
+            _rewind(bits, (count - done) * size)
+        return rows[:done]

@@ -141,6 +141,49 @@ def test_json_format_structure(tmp_path):
     assert len(doc["rows"]) == 41
 
 
+def cell_by_cell_csv(provenance, header, rows):
+    """The CSV renderer as it was before it rendered by column: one ``_fmt``
+    call per cell."""
+    lines = ["# " + ",".join(f"{k}={v}" for k, v in provenance.items()), ",".join(header)]
+    lines += (",".join(cli._fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+BRS_DOC = {"version": 1, "experiment": "brs", "master_seed": 2, "trials": 200,
+           "modes": ["independent", "comonotone"],
+           "population": {"groups": [{"count": 2, "dist": {"kind": "uniform", "b": 1.0}}],
+                          "budget": 0.25}}
+FAILING = {"master_seed": 1, "trials": 10, "horizon": 5, "population_cap": 1,
+           "failure_budget": 10, "law": {"kind": "explicit_pmf", "pmf": {"2": 1}}}
+REPORTS = {
+    "run_gw": ("run", gw_doc()),
+    "run_controlled": ("run", controlled_doc(horizon=2000)),
+    "run_bisexual": ("run", {"version": 1, "experiment": "bisexual", "master_seed": 3,
+                             "trials": 200, "horizon": 30, "initial_units": 4,
+                             "law": {"kind": "poisson", "lambda": 2.2}, "alpha": 0.5,
+                             "mating": {"kind": "min"}}),
+    "run_failing": ("run", gw_doc(**FAILING)),  # nan columns and failed_trials
+    "compare_controlled": ("compare", controlled_doc()),
+    "compare_without_policy": ("compare", gw_doc()),  # empty verdict and exponent
+    "compare_failing": ("compare", gw_doc(**FAILING)),
+    "brs": ("run", BRS_DOC),
+    "brs_degenerate": ("run", {**BRS_DOC, "population": {**BRS_DOC["population"],
+                                                         "budget": 5.0}}),  # t = nan
+    "bcl_series": ("run", {"version": 1, "experiment": "bcl_series", "master_seed": 11,
+                           "trials": 300, "horizon": 40, "law": {"kind": "geometric", "r": 0.4},
+                           "schedule": {"family": "search", "max_points": 6}}),
+    "bcl_series_failing": ("run", {**gw_doc(**FAILING), "experiment": "bcl_series"}),
+}
+
+
+@pytest.mark.parametrize("name", REPORTS)
+def test_csv_rendered_by_column_is_the_cell_by_cell_rendering(tmp_path, name):
+    command, doc = REPORTS[name]
+    config, provenance = cli._load_config(str(write_config(tmp_path, doc)))
+    header, rows = (cli._execute if command == "run" else cli._compare)(config, provenance)
+    assert cli._render_csv(provenance, header, rows) == cell_by_cell_csv(provenance, header, rows)
+
+
 def test_format_flag_overrides_config(tmp_path):
     cfg = write_config(tmp_path, gw_doc())  # config default is csv
     out = tmp_path / "forced.json"

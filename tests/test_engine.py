@@ -17,6 +17,7 @@ from branchsim import (
     BatchTrialError,
     Binomial,
     ConfigError,
+    ControlPolicy,
     CustomAbsorption,
     Disaster,
     DisasterSchedule,
@@ -602,15 +603,18 @@ def test_multinomial_chain_counts_sum_to_z_and_match_each_atom():
         assert_moments(counts, Fraction(p) * z, z * p * (1 - p))
 
 
-def test_multinomial_chain_gives_atoms_of_zero_weight_nothing():
-    # 5e-324 / 4 rounds to 0, so the last two atoms weigh 0; their tail of 0
-    # divided 0 / 0 and the NaN it gave reached a binomial draw
-    ps = ExplicitPmf({0: 1, 2: 3, 3: 5e-324, 4: 5e-324}).pmf_table()[1]
-    assert ps.tolist() == [0.25, 0.75, 0.0, 0.0]
+def test_atoms_whose_weight_underflows_are_dropped_before_the_multinomial_chain():
+    # 5e-324 / 4 rounds to 0, so the last two atoms would weigh 0; kept, their
+    # tail of 0 divided 0 / 0, and the NaN it gave reached a binomial draw
+    law = ExplicitPmf({0: 1, 2: 3, 3: 5e-324, 4: 5e-324})
+    assert law.atoms == ((0, 0.25), (2, 0.75)) and law.max_k() == 2
+    ks, ps = law.pmf_table()
+    assert ks.tolist() == [0, 2] and ps.tolist() == [0.25, 0.75]
     with np.errstate(all="raise"):
         hits = [h.tolist() for h in _multinomial_exact(_counts([2**70, 5]), ps, rng(3))]
-    assert hits[2:] == [[0, 0], [0, 0]]
-    assert [a + b for a, b in zip(*hits[:2])] == [2**70, 5]
+        totals = sample_offspring_totals(law, 2**70, 50, rng(4), population_cap=BIG_CAP)
+    assert len(hits) == 2 and [a + b for a, b in zip(*hits)] == [2**70, 5]
+    assert all(t % 2 == 0 and 0 <= t <= 2**71 for t in totals.tolist())
 
 
 @pytest.mark.parametrize("law", [Poisson(999.0), Geometric(0.6)], ids=repr)
@@ -1123,14 +1127,14 @@ def test_trials_keep_their_block_whatever_the_trial_count():
 
 def span_run(cfg, one_generation, prepare=None, run=run_batch):
     """run_batch of cfg on fresh tables, each handed to ``prepare`` first,
-    its offspring generators' end states and the spans of table draws it
-    took, as (count, generations drawn, whether the last left a count of 0,
+    the end states of its block generators (offspring, control and sex
+    streams) and the spans of table draws it took, as (count, generations drawn, whether the last left a count of 0,
     the largest count it left), a one-generation draw's among them;
     with ``one_generation`` no span fits, so every step draws one generation."""
     gens, spans, steps = [], [], table._BinomialDraw.steps
 
-    def recorded(self, z, count, rng, apply):
-        rows = steps(self, z, count, rng, apply)
+    def recorded(self, z, count, rng, *policy):
+        rows = steps(self, z, count, rng, *policy)
         spans.append((count, len(rows), len(rows) and int(rows[-1].min()) == 0,
                       len(rows) and int(rows[-1].max())))
         return rows
@@ -1147,12 +1151,12 @@ def span_run(cfg, one_generation, prepare=None, run=run_batch):
             res = run(cfg)
     finally:
         engine._lanes.cache_clear()
-    return res, [g[STREAM_OFFSPRING].bit_generator.state for g in gens], spans
+    return res, [[g.bit_generator.state for g in block] for block in gens], spans
 
 
 def assert_spans_change_nothing(cfg, prepare=None, run=run_batch):
-    """cfg's result, failures and offspring generators' end states are those
-    of one-generation steps; returns the result, the number of blocks run and
+    """cfg's result, failures and block generators' end states are those of
+    one-generation steps; returns the result, the number of blocks run and
     the spans taken."""
     res, states, spans = span_run(cfg, False, prepare, run)
     ref, ref_states, none = span_run(cfg, True, prepare, run)
@@ -1188,21 +1192,25 @@ def test_a_span_ends_before_counts_past_the_built_rows_and_past_32(seed, parents
                for count, done, died, top in spans)
 
 
+def restart_in_row_4(draw, kept=-2):
+    """As in test_binomial_draw_restarts_with_numpys_draw, but only a uniform
+    of row 4 past its threshold ``kept`` (by default the next-to-last)
+    restarts."""
+    draw(np.arange(1, 6), 5, rng())
+    keys, values, built = draw._table
+    z, keys = 4, keys.copy()
+    row = len(table._inversion_row(z * draw.trials, min(draw.p, 1.0 - draw.p)))
+    at = int(keys.searchsorted(z << 53, side="right"))
+    thresholds = keys[at:at + row]
+    thresholds[kept + 1:] = thresholds[kept]
+    draw._table = (keys, values, built)
+
+
 @pytest.mark.parametrize("pmf", [{0: 0.25, 2: 0.75}, {1: 0.7, 2: 0.3}])
 def test_a_span_ends_before_a_restart(pmf):
-    def restart(draw):
-        # as in test_binomial_draw_restarts_with_numpys_draw, but only a
-        # uniform past the next-to-last threshold of row 4 restarts
-        draw(np.arange(1, 6), 5, rng())
-        keys, values, built = draw._table
-        n, keys = 4, keys.copy()
-        row = len(table._inversion_row(n, min(draw.p, 1.0 - draw.p)))
-        at = int(keys.searchsorted(n << 53, side="right"))
-        keys[at + row - 1] = keys[at + row - 2]
-        draw._table = (keys, values, built)
     cfg = Batch(ExplicitPmf(pmf), horizon=300, trials=3, master_seed=9, initial_size=2,
                 policy=Truncation(GrowthFunction.constant(4)))
-    _, _, spans = assert_spans_change_nothing(cfg, restart)
+    _, _, spans = assert_spans_change_nothing(cfg, restart_in_row_4)
     assert any(0 < done < count and not died for count, done, died, _ in spans)
 
 
@@ -1257,3 +1265,166 @@ def test_a_long_log_truncation_with_samples_keeps_its_pin():
                  [(t.counts, t.absorbed_at) for t in res.sampled_trajectories]))
     assert (hashlib.sha256(text.encode()).hexdigest()
             == "8ccc7aac119128d9902e86cd822cb8e8e5edd944a40ce626a37fb15dc507e076")
+
+
+# --------------------------------------------- policies folded into the table
+
+FOLD_POLICIES = {
+    "identity": None,
+    "truncation_constant": Truncation(GrowthFunction.constant(5)),
+    "truncation_log": Truncation(LOG_G),
+    "truncation_linear": Truncation(GrowthFunction.linear(0.05, 1)),
+    "truncation_table": Truncation(GrowthFunction.from_table([3, 1, 6, 2, 9, 4, 7])),
+    "truncation_as_absorption": TruncationAsAbsorption(GrowthFunction.linear(0.1, 2)),
+    "lower_boundary": LowerBoundary(GrowthFunction.from_table([1, 2, 2, 3])),
+    "disaster": Disaster(DisasterSchedule.c_over_k(0.5)),
+}
+DECAY = ExplicitPmf({0: 0.05, 1: 0.95})
+BASE = ExplicitPmf({1: 0.6, 2: 0.4})  # a two-atom pmf with base 1: 1 + Bin(1, 0.4) a parent
+# (policy, law, initial size): each policy binds within small counts, where
+# spans run for many generations
+FOLD_CASES = {
+    "identity": ("identity", DECAY, 6),
+    "identity_binomial": ("identity", Binomial(3, 0.3), 6),
+    "truncation_constant": ("truncation_constant", PMF2, 2),
+    "truncation_constant_base": ("truncation_constant", BASE, 2),
+    "truncation_log_binomial": ("truncation_log", Binomial(3, 0.6), 2),
+    "truncation_linear_base": ("truncation_linear", BASE, 1),
+    "truncation_table": ("truncation_table", PMF2, 2),
+    "truncation_table_binomial": ("truncation_table", Binomial(3, 0.5), 2),
+    "truncation_as_absorption_binomial": ("truncation_as_absorption", Binomial(3, 0.5), 2),
+    "lower_boundary": ("lower_boundary", DECAY, 6),
+    "lower_boundary_base": ("lower_boundary", ExplicitPmf({1: 0.97, 2: 0.03}), 2),
+    "disaster": ("disaster", DECAY, 6),
+    "disaster_binomial": ("disaster", Binomial(3, 0.3), 4),
+}
+
+
+@pytest.mark.parametrize("case", FOLD_CASES)
+def test_a_folded_span_leaves_what_one_generation_steps_leave(case):
+    policy, law, initial = FOLD_CASES[case]
+    cfg = Batch(law, horizon=60, trials=30, master_seed=13, policy=FOLD_POLICIES[policy],
+                initial_size=initial)
+    _, _, spans = assert_spans_change_nothing(cfg)
+    assert max(span[1] for span in spans) >= 4
+
+
+# the initial size, seed and horizon of a Binomial(3, 0.6) run whose counts
+# pass 10 parents, 32 trials, within a span
+PAST_ROWS = {"truncation_log": (2, 4, 300), "truncation_as_absorption": (2, 4, 150),
+             "lower_boundary": (3, 2, 60), "disaster": (2, 4, 60)}
+
+
+@pytest.mark.parametrize("name", PAST_ROWS)
+def test_folded_spans_end_at_a_death_a_restart_and_a_count_past_the_rows(name):
+    policy, capped = FOLD_POLICIES[name], name.startswith("truncation")
+    # a span keeps the generation of a death and ends there
+    cfg = Batch(DECAY, horizon=80, trials=100, master_seed=5, initial_size=4, policy=policy)
+    _, _, spans = assert_spans_change_nothing(cfg)
+    assert any(died and done < count for count, done, died, _ in spans)
+    # counts of at most 5, within the rows that restart_in_row_4 builds: a
+    # span ends before a restart (a cap holds a growing law there)
+    law, initial, trials = (ExplicitPmf({1: 0.4, 2: 0.6}), 1, 300) if capped else (DECAY, 5, 20)
+    cfg = Batch(law, horizon=80, trials=trials, master_seed=9, initial_size=initial,
+                policy=policy)
+    _, _, spans = assert_spans_change_nothing(
+        cfg, lambda draw: restart_in_row_4(draw, -2 if capped else 0))
+    assert any(0 < done < count and not died and top <= 5 for count, done, died, top in spans)
+    # 3 z trials past 32: numpy draws
+    initial, seed, horizon = PAST_ROWS[name]
+    cfg = Batch(Binomial(3, 0.6), horizon=horizon, trials=5, master_seed=seed,
+                initial_size=initial, policy=policy)
+    _, _, spans = assert_spans_change_nothing(
+        cfg, lambda draw: draw(np.array([10]), 1, rng()))
+    assert any(0 < done < count and not died and 3 * top > 32
+               for count, done, died, top in spans)
+
+
+@pytest.mark.parametrize("name", ["truncation_constant", "truncation_log", "truncation_linear",
+                                  "truncation_table", "truncation_as_absorption",
+                                  "lower_boundary"])
+def test_apply_on_the_totals_depends_on_the_generation_only_through_its_level(name):
+    policy, left = FOLD_POLICIES[name], {}
+    for n in range(1, 400):
+        totals = policy.apply(np.arange(70), n).tolist()
+        assert left.setdefault(policy.level(n), totals) == totals
+    # levels past every total act alike, as the fold cache assumes: here
+    # totals of at most 2
+    past = {tuple(policy.apply(np.arange(3), n)) for n in range(1, 400) if policy.level(n) > 2}
+    assert len(past) == 1
+
+
+def test_policies_that_read_no_level_have_level_0():
+    assert ControlPolicy().level(7) == 0 and FOLD_POLICIES["disaster"].level(7) == 0
+
+
+def test_a_linear_g_over_the_largest_horizon_keeps_the_fold_cache_bounded(monkeypatch):
+    # g(n) = n + 1 has a level of its own every generation, and the counts stay
+    # within the table's 32 rows of a {0, 1} law: levels past 32 fold alike
+    law = ExplicitPmf({0: 1e-6, 1: 1 - 1e-6})
+    cfg = Batch(law, horizon=100_000, trials=4, master_seed=3, initial_size=20,
+                policy=Truncation(GrowthFunction.linear(1, 1)))
+    runs, fold = [], table._BinomialDraw._fold
+
+    def counted(self, cache, *args):
+        runs[-1].append(len(cache))
+        return fold(self, cache, *args)
+    monkeypatch.setattr(table._BinomialDraw, "_fold", counted)
+    results = []
+    for kept in (table._FOLDS, 8):  # 8 tables: fewer than the levels told apart
+        monkeypatch.setattr(table, "_FOLDS", kept)
+        engine._lanes.cache_clear()
+        runs.append([])
+        results.append(run_batch(cfg))
+        assert len(engine._lanes(law, cfg.population_cap)[1]._folds[2]) <= kept
+        assert max(runs[-1]) <= kept
+    engine._lanes.cache_clear()
+    assert results[0].per_generation_alive_counts[-1] == 4  # every trial lives to the end
+    assert_same_result(results[1], results[0])
+    # each level folds once, levels up to 33 standing for all past every
+    # total, and the cache of 8 fills and empties
+    assert len(runs[0]) == len(runs[1]) <= 33 and max(runs[1]) == 8
+
+
+def test_a_lower_boundary_past_every_total_folds_as_one_that_absorbs_every_count():
+    # a {0, 1} law's totals are at most 32; b(n) = n leaves a count of 32 at
+    # generation 32 and absorbs it at 33, where the level passes every total
+    cfg = Batch(ExplicitPmf({0: 1e-9, 1: 1 - 1e-9}), horizon=40, trials=5, master_seed=2,
+                initial_size=32, policy=LowerBoundary(GrowthFunction.linear(1, 0)))
+    res, _, spans = assert_spans_change_nothing(cfg)
+    assert res.extinction_generations.tolist() == [33] * 5
+    assert max(span[1] for span in spans) >= 16
+
+
+def test_a_fold_merges_runs_and_looks_up_what_the_policy_leaves_of_each_total():
+    draw = table._BinomialDraw(0.75, 2)
+    draw(np.arange(1, 33), 32, rng())  # builds all 32 rows
+    keys, values, _ = draw._table
+    cap = Truncation(GrowthFunction.constant(3))
+    folded_keys, folded = draw._fold({}, cap, 1, 3)
+    assert np.count_nonzero(np.diff(folded)) == folded.size - 1 < values.size // 4
+    # keys of counts 0 to 33 (0 and 33 have no row), with uniforms at each
+    # threshold and just below it
+    probe = np.concatenate([keys - 1, keys, rng(5).integers(0, 34 << 53, 5000)])
+    totals = values.take(keys.searchsorted(probe, side="right"), mode="clip")
+    want = np.where(totals < 0, -1 << 53, np.minimum(totals, 3) << 53)
+    assert folded.take(folded_keys.searchsorted(probe, side="right"), mode="clip").tolist() \
+        == want.tolist()
+
+
+@dataclass(frozen=True)
+class OddGenerationsCapped(ControlPolicy):
+    """A policy of one's own whose apply reads the generation but that has no
+    level of its own: it must not fold."""
+
+    def apply(self, counts, generation, rng=None):
+        if generation % 2:
+            np.minimum(counts, 3, out=counts)
+        return counts
+
+
+def test_a_policy_without_a_level_of_its_own_applies_every_generation():
+    cfg = Batch(PMF2, horizon=60, trials=30, master_seed=13, policy=OddGenerationsCapped(),
+                initial_size=2)
+    res, _, spans = assert_spans_change_nothing(cfg)
+    assert max(span[1] for span in spans) >= 4

@@ -16,6 +16,7 @@ from branchsim import cli
 
 PMF = {"kind": "explicit_pmf", "pmf": {"0": 0.25, "2": 0.75}}
 GEOMETRIC = {"kind": "geometric", "r": 0.4}
+PMF_DECAY = {"kind": "explicit_pmf", "pmf": {"0": 0.002, "1": 0.998}}
 
 
 def run_doc(policy=None, coupled=False, **extra):
@@ -104,6 +105,14 @@ CASES = {
     # long enough that table draws take spans of many generations
     "truncation_log_long": ("run", run_doc(POLICIES["truncation_log"], trials=700,
                                            horizon=3000)),
+    # the same for the absorbing rules that span, on a two-atom pmf that keeps
+    # every count within the table: a disaster draws its control stream per
+    # generation, a lower boundary folds into the table
+    "disaster_long": ("run", run_doc(POLICIES["disaster"], law=PMF_DECAY, trials=400,
+                                     horizon=600, initial_size=10)),
+    "lower_boundary_long": ("run", run_doc(absorbing({"kind": "lower_boundary", "b": {
+        "form": "linear", "a": 0.01, "c": 1}}), law=PMF_DECAY, trials=400, horizon=600,
+        initial_size=8)),
     **{f"{name}_block": ("run", run_doc(policy)) for name, policy in POLICIES.items()},
     **{f"{name}_coupled": ("run", run_doc(policy, coupled=True))
        for name, policy in POLICIES.items()},
@@ -135,6 +144,7 @@ PINS = {
     "compare_truncation_as_absorption": "ecd07640ea5d96bb0ba8ab4cc8c029a9eb64e3cd30efd03cae2ec66f82a4c587",
     "disaster_block": "d6f3a164bcc4855cfc82d56e61ac20413c68d44b64b21f0ece4fc76faf4e5a64",
     "disaster_coupled": "4e6baf3ea7a10a03e60a8cfb8830922f1f7c913ee9972207526c30decb075356",
+    "disaster_long": "5eac8e5c15c38a9eed2900374e7d05f8a7a761a6553baad1d22cc79e81c09873",
     "gw_block": "ba237598ddb9655c10e4a618c956898e157e732f169635296f6dba431cddb76b",
     "gw_coupled": "f6f4f6f57078a2286927f360ba6c1c0e4888a7f7cad1972a9cff6a15b5ac6232",
     "gw_exact_lane_int64": "d9498f136998cf77dab8b73e009c80b4c09a2f9e0a39e68082b1b65c615f5f93",
@@ -144,6 +154,7 @@ PINS = {
     "gw_two_blocks": "cc9694d52f3f4ef048eb48ba08cc45cc99d3617ec30b31d94a1e6e24467176d1",
     "lower_boundary_block": "9f3ac3cb698820fe91e7d824d26374f99a6fcdcf3234019fa3459102afc136f7",
     "lower_boundary_coupled": "42b7bce55d9e2fb0462e85129abd24ac1da7f6d583e0cb9abe8a6002fde0b15a",
+    "lower_boundary_long": "d68efc6eee073acbd0e32a7c38c424bb78e981b86ba5ddf37f46fa6f86d5f761",
     "phi_constant_block": "06ecbf13f1fe23c0c44c623f57c231933fec2d673ed5c185f1dce812d1c1b8ae",
     "phi_constant_coupled": "fbf68b014cb0f91452d1a4cea3fb8c4ea19e741f97298c95fdd3cf25cef0033a",
     "phi_identity_block": "9d31ffde7075bc0cd66069ce1c996aa4623395191e63232dbef1bae02ce5750f",
