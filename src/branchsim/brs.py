@@ -20,6 +20,7 @@ from .errors import BudgetExceedsMass, ConfigError, NumericFailure
 
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 MODES = ("independent", "comonotone")  # the sampling modes of estimate_expected_stop
+MAX_CLAIMS = 4_000_000  # claims of a population: one trial's, drawn and sorted together
 
 
 class ClaimDistribution:
@@ -59,7 +60,8 @@ class Uniform(ClaimDistribution):
     def partial_mean(self, t):
         if t <= 0.0:
             return 0.0
-        return t * t / (2.0 * self.b) if t < self.b else self.b / 2.0
+        # t / b first, since t * t overflows from t = 1.4e154
+        return t * (t / self.b) / 2.0 if t < self.b else self.b / 2.0
 
     @property
     def mean(self):
@@ -114,7 +116,8 @@ class CustomClaim(ClaimDistribution):
     at 0, PM must be nondecreasing from 0 with PM(t) <= t * F(t), and the
     finite-difference derivative of PM must match t * dF/dt, since a wrong
     partial mean silently corrupts the threshold equation.  A quantile
-    function may be supplied; otherwise quantiles are found by bisection.
+    function may be supplied; otherwise each quantile is the least float t
+    with F(t) >= u, searched from ``scale``.
     """
 
     cdf_fn: Callable[[float], float]
@@ -174,23 +177,8 @@ class CustomClaim(ClaimDistribution):
     def ppf(self, u):
         if self.ppf_fn is not None:
             return np.asarray(self.ppf_fn(u), dtype=np.float64)
-        u = np.asarray(u, dtype=np.float64)
-        lo = np.zeros_like(u)
-        hi = np.full_like(u, self.scale)
-        for _ in range(200):
-            mask = np.array([self.cdf_fn(x) for x in hi]) < u
-            if not mask.any():
-                break
-            hi[mask] *= 2.0
-        else:
-            raise NumericFailure("quantile bracket not found for custom claim")
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            fm = np.array([self.cdf_fn(x) for x in mid])
-            below = fm < u
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
+        return np.vectorize(lambda v: _least_crossing(self.cdf, v, self.scale),
+                            otypes=[np.float64])(u)
 
 
 @dataclass(frozen=True, init=False)
@@ -236,44 +224,45 @@ def _partial_mean_sum(pop: Population, t: float) -> float:
     return math.fsum(count * dist.partial_mean(t) for count, dist in pop.groups)
 
 
-def solve_threshold(pop: Population, tol: float = 1e-10) -> float:
-    """Root t of sum_i n_i * PM_i(t) = s, by bracketing bisection.
+def _least_crossing(f, y: float, start: float) -> float:
+    """Least float t >= 0 with f(t) >= y, for a nondecreasing f.
+
+    t doubles from ``start`` until f(t) >= y, then the bracket halves until
+    its ends are adjacent floats.
+    """
+    lo, hi = 0.0, start
+    while f(hi) < y:
+        lo, hi = hi, 2.0 * hi
+        if hi == math.inf:
+            raise NumericFailure(f"no t up to the largest float has f(t) >= {y}")
+    while (mid := lo + 0.5 * (hi - lo)) not in (lo, hi):
+        if f(mid) < y:
+            lo = mid
+        else:
+            hi = mid
+    return hi if lo > 0.0 or f(0.0) < y else 0.0
+
+
+def solve_threshold(pop: Population) -> float:
+    """Least float t with sum_i n_i * PM_i(t) >= s, the root of the equation.
 
     Raises BudgetExceedsMass when the total expected claim mass is at most
     s, in which case the equation has no finite root and the stopping-time
     bound degenerates to the population size.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     s = pop.s
     mass = math.fsum(count * dist.mean for count, dist in pop.groups)
     if mass <= s:
         raise BudgetExceedsMass(
             f"total expected claim mass {mass} is within the budget {s}; "
             f"the bound degenerates to n = {pop.total_count}")
-    lo, hi = 0.0, 1.0
-    for _ in range(1100):
-        if _partial_mean_sum(pop, hi) >= s:
-            break
-        lo, hi = hi, hi * 2.0
-    else:
-        raise NumericFailure("could not bracket the threshold equation")
-    for _ in range(500):
-        mid = 0.5 * (lo + hi)
-        value = _partial_mean_sum(pop, mid)
-        if abs(value - s) <= tol * s:
-            return mid
-        if value < s:
-            lo = mid
-        else:
-            hi = mid
-    raise NumericFailure(f"threshold bisection did not reach tol={tol}")
+    return _least_crossing(lambda t: _partial_mean_sum(pop, t), s, 1.0)
 
 
-def brs_bound(pop: Population, tol: float = 1e-10) -> float:
+def brs_bound(pop: Population) -> float:
     """Upper bound sum_i n_i * F_i(t) on the expected stopping time."""
     try:
-        t = solve_threshold(pop, tol)
+        t = solve_threshold(pop)
     except BudgetExceedsMass:
         return float(pop.total_count)
     return math.fsum(count * dist.cdf(t) for count, dist in pop.groups)
@@ -303,7 +292,7 @@ def estimate_expected_stop(pop: Population, trials: int, rng,
         raise ValueError(f"unknown sampling mode {mode!r}")
     n = pop.total_count
     s = pop.s
-    block_rows = max(1, min(trials, 4_000_000 // max(n, 1)))
+    block_rows = max(1, min(trials, MAX_CLAIMS // max(n, 1)))
     total = 0.0
     total_sq = 0.0
     done = 0

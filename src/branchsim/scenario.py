@@ -25,7 +25,6 @@ if TYPE_CHECKING:  # the parsers below import brs only for a brs experiment
 SCHEMA_VERSION = 1
 MAX_TRIALS = 10_000_000  # a run allocates and loops per trial and per generation,
 MAX_HORIZON = 100_000    # so a config may ask for no more than these
-MAX_CLAIMS = 4_000_000   # claims of a brs population: one trial's, drawn and sorted together
 MAX_DEGREE = INT64_MAX   # polygamy degree: it divides int64 counts
 
 
@@ -202,8 +201,8 @@ def parse_population(doc, key=None) -> brs_mod.Population:
         ("groups", _list_of(lambda g, key: tuple(_fields(g, "population group", group)))),
         ("budget", _as_number)))
     total = sum(count for count, _ in groups)
-    if total > MAX_CLAIMS:
-        raise ConfigError(f"population: must hold at most {MAX_CLAIMS} claims, got {total}")
+    if total > brs_mod.MAX_CLAIMS:
+        raise ConfigError(f"population: must hold at most {brs_mod.MAX_CLAIMS} claims, got {total}")
     return brs_mod.Population(groups, budget)
 
 

@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from branchsim import (
     BudgetExceedsMass,
     ConfigError,
     CustomClaim,
+    NumericFailure,
     Exponential,
     Population,
     Uniform,
@@ -20,6 +24,13 @@ from branchsim import (
     spawn_generator,
     stopping_time,
 )
+
+
+def assert_crossing(pop, t):
+    """t is where the computed sum_i n_i PM_i first reaches s: the float below falls short."""
+    def total(x):
+        return math.fsum(count * dist.partial_mean(x) for count, dist in pop.groups)
+    assert total(math.nextafter(t, 0.0)) < pop.s <= total(t)
 
 
 # ----------------------------------------------------------- distributions
@@ -89,11 +100,17 @@ def test_custom_claim_matches_builtin():
 
 
 def test_custom_claim_ppf_falls_back_to_bisection():
-    d = CustomClaim(cdf=lambda t: min(max(t / 2.0, 0.0), 1.0),
-                    partial_mean=lambda t: min(t, 2.0) ** 2 / 4.0,
-                    mean=1.0)
-    q = np.asarray(d.ppf(np.array([0.25, 0.5, 0.75])))
-    assert np.allclose(q, [0.5, 1.0, 1.5], atol=1e-9)
+    # F(t) = t / 2 is exact, so the least t with F(t) >= u is 2u, Uniform(2)'s quantile
+    ref = Uniform(2.0)
+    d = CustomClaim(ref.cdf, ref.partial_mean, ref.mean)
+    u = np.array([[0.0, 5e-324, 1e-300, 1e-17], [0.25, 0.5, 0.75, 1.0 - 2.0**-53]])
+    assert d.ppf(u).tolist() == ref.ppf(u).tolist()
+    assert d.ppf(0.3) == 0.6
+    for mode in ("independent", "comonotone"):  # 2-D uniforms, (rows, count) and (rows, 1)
+        est = [estimate_expected_stop(Population([(50, dist)], s=3.0), trials=200,
+                                      rng=spawn_generator(1, 0, 0), mode=mode)
+               for dist in (d, ref)]
+        assert est[0] == est[1]
 
 
 def test_custom_claim_rejects_inconsistent_pairs():
@@ -186,18 +203,71 @@ def test_threshold_large_uniform_case():
     assert brs_bound(pop) == pytest.approx(math.sqrt(200.0), abs=1e-6)
 
 
-def test_threshold_residual_on_mixture():
+def test_threshold_crossing_on_mixture():
     pop = Population([(10, Uniform(1.0)), (5, Exponential(1.0))], s=2.0)
-    t = solve_threshold(pop, tol=1e-12)
-    residual = 10 * Uniform(1.0).partial_mean(t) + 5 * Exponential(1.0).partial_mean(t)
-    assert abs(residual - pop.s) <= 2e-12 * pop.s
+    assert_crossing(pop, solve_threshold(pop))
     assert 0.0 < brs_bound(pop) <= pop.total_count
 
 
-def test_threshold_tolerance_validation():
-    pop = Population([(2, Uniform(1.0))], s=0.25)
-    with pytest.raises(ValueError):
-        solve_threshold(pop, tol=0.0)
+@pytest.mark.parametrize("s", [1e-300, 5e-324])
+@pytest.mark.parametrize("dist", [Uniform(1.0), Exponential(2.0)], ids=repr)
+@pytest.mark.parametrize("n", [1, 7, 1000])
+def test_threshold_of_the_tiniest_budgets_is_a_crossing(s, dist, n):
+    pop = Population([(n, dist)], s=s)
+    t = solve_threshold(pop)
+    assert_crossing(pop, t)
+    # n t^2 / (2 b) = s while t < b, exact to the float where 2 s b / n is a normal float
+    if isinstance(dist, Uniform) and 2.0 * s * dist.b / n >= sys.float_info.min:
+        assert abs(t - math.sqrt(2.0 * s * dist.b / n)) <= math.ulp(t)
+    assert 0.0 < brs_bound(pop) < 1e-140
+
+
+def test_threshold_of_a_steep_custom_claim_is_a_crossing():
+    # uniform claims on [1, 1 + 1e-9]: PM(t) = F(t) (1 + t) / 2 on the interval
+    a, w = 1.0, 1e-9
+    def cdf(t):
+        return min(max((t - a) / w, 0.0), 1.0)
+    pop = Population([(10, CustomClaim(cdf, lambda t: cdf(t) * (a + min(max(t, a), a + w)) / 2.0,
+                                       a + w / 2.0))], s=5.0)
+    t = solve_threshold(pop)
+    assert a <= t <= a + w
+    assert_crossing(pop, t)
+    # F climbs ulp(1) / w = 2.2e-7 from one float t to the next, so the bound
+    # 10 F(t) is 5 to within one such step
+    below = 10.0 * cdf(math.nextafter(t, 0.0))
+    assert below < 5.0 <= brs_bound(pop) <= below + 10.0 * math.ulp(1.0) / w * 1.01
+
+
+def test_threshold_near_the_largest_float_is_a_crossing():
+    pop = Population([(1, Uniform(1e300))], s=0.25e300)  # t^2 / (2 b) = s
+    t = solve_threshold(pop)
+    assert_crossing(pop, t)
+    assert t == pytest.approx(math.sqrt(0.5) * 1e300, rel=1e-15)
+
+
+def test_a_quantile_no_float_reaches_is_a_numeric_failure():
+    # half the mass never arrives: F tops out at 1/2
+    d = CustomClaim(lambda t: min(max(t, 0.0), 1.0) / 2.0,
+                    lambda t: min(max(t, 0.0), 1.0) ** 2 / 4.0, mean=0.25)
+    assert d.ppf(0.25) == 0.5
+    with pytest.raises(NumericFailure):
+        d.ppf(0.75)
+
+
+GROUPS = st.lists(st.tuples(st.integers(1, 1000),
+                            st.one_of(st.floats(1e-3, 1e3).map(Uniform),
+                                      st.floats(1e-3, 1e3).map(Exponential))),
+                  min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(groups=GROUPS, share=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_threshold_below_the_mass_is_a_crossing(groups, share):
+    mass = math.fsum(count * dist.mean for count, dist in groups)
+    s = share * mass
+    assume(0.0 < s < mass)
+    pop = Population(groups, s=s)
+    assert_crossing(pop, solve_threshold(pop))
 
 
 def test_budget_covering_all_claims_degenerates():

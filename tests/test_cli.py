@@ -113,6 +113,19 @@ def test_run_brs_reports_bound_and_modes(tmp_path):
         assert float(r[2]) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_brs_budget_of_1e_300_runs(tmp_path):
+    # 7 Uniform(1) claims: 7 t^2 / 2 = s gives t = sqrt(2 s / 7)
+    cfg = write_config(tmp_path, {
+        "version": 1, "experiment": "brs", "master_seed": 1, "trials": 10,
+        "population": {"groups": [{"count": 7, "dist": {"kind": "uniform", "b": 1.0}}],
+                       "budget": 1e-300}})
+    out = tmp_path / "tiny.csv"
+    assert cli.run(str(cfg), out=str(out)) == 0
+    row = read_lines(out)[2].split(",")
+    assert float(row[1]) == pytest.approx(math.sqrt(2e-300 / 7.0), rel=1e-15)
+    assert float(row[3]) == 0.0
+
+
 def test_degenerate_brs_budget_renders_nan_threshold(tmp_path):
     doc = {"version": 1, "experiment": "brs", "master_seed": 2, "trials": 100,
            "population": {"groups": [{"count": 2, "dist": {"kind": "uniform", "b": 1.0}}],

@@ -138,7 +138,7 @@ PINS = {
     "bisexual_daley_monogamy": "14d103e4d7224c57f0edfbc731fc355598d4143961554dd1033322d23d530e99",
     "bisexual_daley_polygamy": "49c80491986d704e10b1fcef714a2b8a4986416bd7eafd8d7efea9dce5461a3c",
     "bisexual_min": "a8c9cfb555de0be8f3c6fe7a8c31778dd8c6ba31eee2084a0957b531292c52d2",
-    "brs": "8dfa85bb19a8dc8e7e3a30a84930d7a31f874b908ae1b74b3329c96f6a929267",
+    "brs": "b5b5c7c9f3f39258d593a96d85e2c80ae6c1d20a83975c0d2c2383aefb260d47",
     "compare_phi_linear": "ac15ae2e3ced57e2d1910b857234a4ab05d5f3e1aa2c825a2fff89019e1567bc",
     "compare_truncation": "8e07932d2dcfcdcb69a22fdb76a0a7305b8a9cbadd513bde54fca33c9708117a",
     "compare_truncation_as_absorption": "ecd07640ea5d96bb0ba8ab4cc8c029a9eb64e3cd30efd03cae2ec66f82a4c587",
