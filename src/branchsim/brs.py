@@ -259,11 +259,9 @@ def solve_threshold(pop: Population) -> float:
     return _least_crossing(lambda t: _partial_mean_sum(pop, t), s, 1.0)
 
 
-def brs_bound(pop: Population) -> float:
-    """Upper bound sum_i n_i * F_i(t) on the expected stopping time."""
-    try:
-        t = solve_threshold(pop)
-    except BudgetExceedsMass:
+def brs_bound(pop: Population, t: float) -> float:
+    """Bound sum_i n_i * F_i(t) on E N(n, s) at solve_threshold's t, or n when t is nan."""
+    if math.isnan(t):
         return float(pop.total_count)
     return math.fsum(count * dist.cdf(t) for count, dist in pop.groups)
 

@@ -122,7 +122,7 @@ def _execute(config: ScenarioConfig, provenance: dict):
             t = solve_threshold(pop)
         except BudgetExceedsMass:
             t = math.nan
-        bound = brs_bound(pop)
+        bound = brs_bound(pop, t)
         rows = []
         for i, mode in enumerate(config.modes):
             rng = spawn_generator(config.master_seed, i, STREAM_OFFSPRING)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import inspect
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
 
@@ -235,11 +236,25 @@ class LowerBoundary(ControlPolicy):
         return self.b(generation)
 
 
+class _Prefix(Sequence):
+    """Read-only view of the first ``size`` items of a list, made in O(1)."""
+
+    def __init__(self, items, size: int):
+        self._items, self._size = items, size
+
+    def __len__(self):
+        return self._size
+
+    def __getitem__(self, i):  # an index or a slice of range(size), as a tuple reads it
+        at = range(self._size)[i]
+        return tuple(map(self._items.__getitem__, at)) if isinstance(i, slice) else self._items[at]
+
+
 @dataclass(frozen=True, init=False)
 class CustomAbsorption(ControlPolicy):
     """User rule mapping (offspring l, generation, history[, rng]) to an absorbed count.
 
-    The rule sees a read-only copy of the trajectory so far and must return
+    The rule sees a read-only view of the trajectory so far and must return
     an integer in [0, l].  A rule that accepts four arguments also receives a
     generator.  Batches apply the rule to one live trial at a time, in
     ascending order; a BranchsimError other than ConfigError fails that trial.
@@ -261,7 +276,7 @@ class CustomAbsorption(ControlPolicy):
     def apply(self, counts, generation: int, rng=None, history=()):
         """Leave l - A_n(l) of each count l; ``history`` holds the counts of
         generations 0 .. generation - 1."""
-        view = tuple(history[:generation])
+        view = _Prefix(history, min(generation, len(history)))
         extra = () if self.stream is None else (rng,)
         for i, offspring in enumerate(counts.tolist()):
             absorbed = self.rule(offspring, generation, view, *extra)

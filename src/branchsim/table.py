@@ -23,7 +23,6 @@ from .control import ControlPolicy
 # largest binomial count drawn by table lookup: 32 rows of at most 34 int64
 # keys and values each, under 10 kB per probability
 _TABLE_COUNTS = 32
-_WINDOW = 16  # candidates on each side of a cumulative sum, in units of 2^-53
 _FOLDS = 64  # folded tables kept
 
 
@@ -36,9 +35,8 @@ def _inversion_row(n: int, p: float) -> list[int]:
     1988) takes U = m 2^-53 and, while U > px, moves X on, subtracting px
     from U and stepping px by the pmf ratio.  Its results are replayed here
     with the same float64 operations, so the thresholds are exact: the loop
-    is monotone in U, and the first passing m of a bracketing window of
-    candidates around each cumulative sum, narrowed by bisection when the
-    window does not bracket it, is K_k.
+    is monotone in U, so K_k is the least passing m of one search that
+    starts at the k-th cumulative sum.
     """
     q = 1.0 - p
     mean = n * p
@@ -46,30 +44,28 @@ def _inversion_row(n: int, p: float) -> list[int]:
     px = [math.exp(n * math.log(q))]
     for x in range(1, bound + 1):
         px.append(((n - x + 1) * p * px[-1]) / (x * q))
-    px = np.array(px)
 
-    def passes(m):  # row i of m: candidates for K_{i+1}
+    def passes(m, k):  # X > k at U = m 2^-53
         u = m * 2.0**-53
-        for j in range(bound + 1):
-            u[j:] -= px[j]
-        # U > px iff U - px > 0 in float64, and a U that failed stays at or below 0;
-        # K = 2^53 is past every draw
-        return (u > 0) | (m >= 1 << 53)
+        for x in px[:k + 1]:
+            u -= x
+        # U > px iff U - px > 0 in float64, and a U that failed stays at or below 0
+        return u > 0 or m >= 1 << 53
 
-    rows = np.arange(bound + 1)
-    centre = np.rint(np.cumsum(px) * 2.0**53).astype(np.int64)
-    m = np.clip(centre[:, None] + np.arange(-_WINDOW, _WINDOW + 1), 0, 1 << 53)
-    ok = passes(m)
-    first = ok.argmax(axis=1)
-    keys = m[rows, first]
-    # an m of 0 never passes (U = 0 > px fails), and 2^53 always does
-    lo = np.where(ok[:, 0], 0, np.where(ok[:, -1], m[rows, first - 1], m[:, -1]))
-    hi = np.where(ok[:, -1], keys, 1 << 53)
-    while (hi - lo > 1).any():
-        mid = (lo + hi) // 2
-        up = passes(mid[:, None])[:, 0]
-        hi, lo = np.where(up, mid, hi), np.where(up, lo, mid)
-    return hi.tolist()
+    row = []
+    for k, total in enumerate(np.cumsum(px).tolist()):
+        # gallop from the cumulative sum up to a passing hi and down to a failing lo
+        # (0 never passes; 2^53, past every draw, always does), then bisect
+        hi, step = min(round(total * 2.0**53), 1 << 53), 1
+        lo = hi - 1
+        while not passes(hi, k):
+            lo, hi, step = hi, min(hi + step, 1 << 53), 2 * step
+        while passes(lo, k):
+            lo, hi, step = max(lo - step, 0), lo, 2 * step
+        while (mid := (lo + hi) // 2) > lo:
+            lo, hi = (lo, mid) if passes(mid, k) else (mid, hi)
+        row.append(hi)
+    return row
 
 
 def _rewind(bits, count: int):
@@ -141,11 +137,10 @@ class _BinomialDraw:
 
     def __call__(self, z, size, rng):
         if self._lookup and size:
-            each = np.full(size, z) if np.ndim(z) == 0 else z
-            top = int(np.maximum.reduce(each))  # skips ndarray.max's Python layer
+            top = int(np.maximum.reduce(z))  # skips ndarray.max's Python layer
             if self._table[2] < top and top * self.trials <= _TABLE_COUNTS:
                 self._grow(top)
-            rows = self.steps(each, 1, rng)
+            rows = self.steps(z, 1, rng)
             if len(rows):
                 return rows[0]
         out = rng.binomial(z * self.trials if self.trials > 1 else z, self.p, size=size)

@@ -205,14 +205,15 @@ def test_criterion_09_conditional_chain_identity_and_monotone_marginals():
 
 def test_criterion_10_stopping_time_bound_and_monte_carlo():
     small = Population([(2, Uniform(1.0))], s=0.25)
-    assert solve_threshold(small) == pytest.approx(0.5, abs=1e-10)
-    assert brs_bound(small) == pytest.approx(1.0, abs=1e-10)
+    t = solve_threshold(small)
+    assert t == pytest.approx(0.5, abs=1e-10)
+    assert brs_bound(small, t) == pytest.approx(1.0, abs=1e-10)
     est = estimate_expected_stop(small, trials=100_000,
                                  rng=spawn_generator(1010, 0, 0))
     assert abs(est.mean - 0.46875) <= 0.01
 
     large = Population([(100, Uniform(1.0))], s=1.0)
-    bound = brs_bound(large)
+    bound = brs_bound(large, solve_threshold(large))
     assert bound == pytest.approx(math.sqrt(200.0), abs=1e-6)
     for i, mode in enumerate(("independent", "comonotone")):
         est = estimate_expected_stop(large, trials=100_000,

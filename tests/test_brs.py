@@ -192,7 +192,7 @@ def test_threshold_small_uniform_case():
     pop = Population([(2, Uniform(1.0))], s=0.25)
     t = solve_threshold(pop)
     assert t == pytest.approx(0.5, abs=1e-9)
-    assert brs_bound(pop) == pytest.approx(1.0, abs=1e-10)
+    assert brs_bound(pop, t) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_threshold_large_uniform_case():
@@ -200,13 +200,14 @@ def test_threshold_large_uniform_case():
     pop = Population([(100, Uniform(1.0))], s=1.0)
     t = solve_threshold(pop)
     assert t == pytest.approx(1.0 / math.sqrt(50.0), abs=1e-9)
-    assert brs_bound(pop) == pytest.approx(math.sqrt(200.0), abs=1e-6)
+    assert brs_bound(pop, t) == pytest.approx(math.sqrt(200.0), abs=1e-6)
 
 
 def test_threshold_crossing_on_mixture():
     pop = Population([(10, Uniform(1.0)), (5, Exponential(1.0))], s=2.0)
-    assert_crossing(pop, solve_threshold(pop))
-    assert 0.0 < brs_bound(pop) <= pop.total_count
+    t = solve_threshold(pop)
+    assert_crossing(pop, t)
+    assert 0.0 < brs_bound(pop, t) <= pop.total_count
 
 
 @pytest.mark.parametrize("s", [1e-300, 5e-324])
@@ -219,7 +220,7 @@ def test_threshold_of_the_tiniest_budgets_is_a_crossing(s, dist, n):
     # n t^2 / (2 b) = s while t < b, exact to the float where 2 s b / n is a normal float
     if isinstance(dist, Uniform) and 2.0 * s * dist.b / n >= sys.float_info.min:
         assert abs(t - math.sqrt(2.0 * s * dist.b / n)) <= math.ulp(t)
-    assert 0.0 < brs_bound(pop) < 1e-140
+    assert 0.0 < brs_bound(pop, t) < 1e-140
 
 
 def test_threshold_of_a_steep_custom_claim_is_a_crossing():
@@ -235,7 +236,7 @@ def test_threshold_of_a_steep_custom_claim_is_a_crossing():
     # F climbs ulp(1) / w = 2.2e-7 from one float t to the next, so the bound
     # 10 F(t) is 5 to within one such step
     below = 10.0 * cdf(math.nextafter(t, 0.0))
-    assert below < 5.0 <= brs_bound(pop) <= below + 10.0 * math.ulp(1.0) / w * 1.01
+    assert below < 5.0 <= brs_bound(pop, t) <= below + 10.0 * math.ulp(1.0) / w * 1.01
 
 
 def test_threshold_near_the_largest_float_is_a_crossing():
@@ -276,7 +277,7 @@ def test_budget_covering_all_claims_degenerates():
         pop = Population([(2, Uniform(1.0))], s=s)
         with pytest.raises(BudgetExceedsMass):
             solve_threshold(pop)
-        assert brs_bound(pop) == 2.0
+        assert brs_bound(pop, math.nan) == 2.0
 
 
 # ---------------------------------------------------------------- estimator
@@ -296,7 +297,7 @@ def test_expected_stop_small_case_matches_enumeration():
 
 def test_bound_holds_for_both_dependence_modes():
     pop = Population([(100, Uniform(1.0))], s=1.0)
-    bound = brs_bound(pop)
+    bound = brs_bound(pop, solve_threshold(pop))
     for mode in ("independent", "comonotone"):
         rng = spawn_generator(7, 0, 0)
         est = estimate_expected_stop(pop, trials=40_000, rng=rng, mode=mode)

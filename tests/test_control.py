@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import re
+import sys
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -154,8 +156,20 @@ def test_custom_rule_receives_history_prefix():
 
     history = [1, 3, 9, 27, 81]
     CustomAbsorption(rule).apply(np.array([5]), 3, None, history)
-    assert seen["hist"] == (1, 3, 9)
-    assert isinstance(seen["hist"], tuple)
+    hist = seen["hist"]
+    assert tuple(hist) == (1, 3, 9) and len(hist) == 3
+    assert isinstance(hist, Sequence)
+    assert hist[-1] == 9 and hist[1:] == (3, 9) and hist[::-1] == (9, 3, 1)
+    with pytest.raises(IndexError):
+        hist[3]  # past the prefix, though the list goes on
+    with pytest.raises(TypeError):  # read-only
+        hist[0] = 2
+    assert not hasattr(hist, "append")
+    # a view, not a copy: its size does not grow with the history
+    long = list(range(30_001))
+    CustomAbsorption(rule).apply(np.array([5]), 30_000, None, long)
+    assert len(seen["hist"]) == 30_000 and seen["hist"][-1] == 29_999
+    assert sys.getsizeof(seen["hist"]) == sys.getsizeof(hist)
 
 
 def test_custom_rule_with_rng_argument():

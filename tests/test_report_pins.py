@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from branchsim import cli
+from branchsim import brs, cli
 
 PMF = {"kind": "explicit_pmf", "pmf": {"0": 0.25, "2": 0.75}}
 GEOMETRIC = {"kind": "geometric", "r": 0.4}
@@ -192,3 +192,11 @@ def report_digest(tmp_path, command, doc):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_bytes_match_pin(tmp_path, name):
     assert report_digest(tmp_path, *CASES[name]) == PINS[name]
+
+
+def test_a_brs_report_solves_its_threshold_once(tmp_path, monkeypatch):
+    searched, search = [], brs._least_crossing
+    monkeypatch.setattr(brs, "_least_crossing",
+                        lambda *args: searched.append(args[1]) or search(*args))
+    assert report_digest(tmp_path, *CASES["brs"]) == PINS["brs"]
+    assert searched == [4.0]  # the population's budget, once
