@@ -41,14 +41,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# _fmt of a column of floats or of ints, in one map
-_COLUMN_FMT = {frozenset({float}): repr, frozenset({int}): str}
+def _column(values):
+    """_fmt of each value of a column.  A column of floats formats each
+    distinct value once, but a zero where it stands, since 0.0 == -0.0."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        text = {x: repr(x) for x in set(values)}
+        return [text[x] if x else repr(x) for x in values]
+    return map(str if kinds == {int} else _fmt, values)
 
 
 def _render_csv(provenance: dict, header: list, rows: list) -> str:
     lines = ["# " + ",".join(f"{k}={v}" for k, v in provenance.items())]
     lines.append(",".join(header))
-    columns = (map(_COLUMN_FMT.get(frozenset(map(type, c)), _fmt), c) for c in zip(*rows))
+    columns = map(_column, zip(*rows))
     lines += map(",".join, zip(*columns))
     return "\n".join(lines) + "\n"
 

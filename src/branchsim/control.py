@@ -107,6 +107,55 @@ class GrowthFunction:
                               "expected a nonnegative integer")
         return int(v)
 
+    def runs(self, n0: int, n1: int) -> list[tuple[int, int]]:
+        """The (start, level) runs of g over n0 .. n1 - 1, in order: g(n) is
+        the level of the last run that starts at or before n.
+
+        A callable is called once a generation and a table read from its
+        entries.  Every other form is nondecreasing, so the run of g(n1 - 1)
+        is the last, and each run before it ends where a gallop, then a
+        bisection, on g itself, in n0 .. n1 - 1 only, finds a new level; a
+        generation past the float range ends a run, and g raises for the
+        first such one when the next run starts there."""
+        if self.form == "callable":
+            return _runs(map(self, range(n0, n1)), n0)
+        if self.form == "table":
+            head = self.table[n0:n1]  # then the last entry, held past the end
+            tail = self.table[-1:] if n0 + len(head) < n1 else ()
+            return _runs(head + tail, n0)
+        last, runs, n = self._value(n1 - 1), [], n0
+        v = self(n)
+        while v != last:
+            runs.append((n, v))
+            lo, step = n, 1  # gallop, then bisect, to the first n whose g(n) = w is not v
+            while (w := self._value(n := min(lo + step, n1 - 1))) == v:
+                lo, step = n, 2 * step
+            while n - lo > 1:
+                mid = (lo + n) // 2
+                if (u := self._value(mid)) == v:
+                    lo = mid
+                else:
+                    n, w = mid, u
+            v = self(n) if w is None else w  # raises for the first n past the float range
+        runs.append((n, v))
+        return runs
+
+    def _value(self, n: int) -> int | None:
+        """g(n), or None past the float range."""
+        try:
+            return self(n)
+        except ConfigError:
+            return None
+
+
+def _runs(levels, n0: int) -> list[tuple[int, int]]:
+    """The (start, level) runs of a sequence of levels of n0, n0 + 1, ..."""
+    runs = []
+    for n, v in enumerate(levels, n0):
+        if not runs or runs[-1][1] != v:
+            runs.append((n, v))
+    return runs
+
 
 @dataclass(frozen=True)
 class DisasterSchedule:
@@ -189,6 +238,12 @@ class ControlPolicy:
         table lane folds only a policy with a level of its own, and this one."""
         return 0
 
+    def levels(self, n0: int, n1: int) -> list[tuple[int, int]]:
+        """The (start, level) runs of ``level`` over generations n0 .. n1 - 1,
+        which the table lane folds once each; here ``level`` runs once a
+        generation."""
+        return _runs(map(self.level, range(n0, n1)), n0)
+
 
 @dataclass(frozen=True)
 class TruncationAsAbsorption(ControlPolicy):
@@ -198,6 +253,9 @@ class TruncationAsAbsorption(ControlPolicy):
 
     def level(self, generation: int):
         return self.g(generation)
+
+    def levels(self, n0: int, n1: int):
+        return self.g.runs(n0, n1)
 
     def apply(self, counts, generation: int, rng=None):
         cap = int(self.g(generation))
@@ -234,6 +292,9 @@ class LowerBoundary(ControlPolicy):
 
     def level(self, generation: int):
         return self.b(generation)
+
+    def levels(self, n0: int, n1: int):
+        return self.b.runs(n0, n1)
 
 
 class _Prefix(Sequence):
@@ -301,6 +362,7 @@ class Truncation(ControlPolicy):
 
     apply = TruncationAsAbsorption.apply  # both leave min(offspring, g(n))
     level = TruncationAsAbsorption.level
+    levels = TruncationAsAbsorption.levels
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,9 @@ inversion draw looked up in a table (``table._BinomialDraw``), which for a
 block whose policy reproduces its counts as they are and never raises them
 (no phi, custom rule or custom mating, coupled streams or failure replay,
 and a cap past every table total) draws a span of generations per
-``random_raw`` call: up to 2^13 outputs (``_SPAN_RAWS``), doubling after
-each span that runs to its end.  The sex split stays on numpy.  A
+``random_raw`` call: up to 2^13 outputs (``_SPAN_RAWS``), each span twice
+the generations that the last one drew, which a death, a restart or a
+count past the table's rows cuts short.  The sex split stays on numpy.  A
 per-particle inverse-CDF mode exists for monotone coupling: with
 generation-keyed streams, the draw for parent i is the same in two runs, so
 the offspring total is nondecreasing in the parent count.
@@ -510,7 +511,7 @@ def _run_vector_block(policy, batch, lo, hi, counted=None):
             break
         count = min(span, horizon - n, _SPAN_RAWS // idx.size) if spanning else 0
         rows = draw.steps(z, count, gens[STREAM_OFFSPRING], policy, n, ctl) if count else ()
-        span = max(2 * count, 1) if len(rows) == count else 1
+        span = max(2 * len(rows), 1)
         if len(rows):  # every trial is alive in each row but the last
             alive_counts[n + 1:n + len(rows)] = [idx.size] * (len(rows) - 1)
             alive_sums[n + 1:n + len(rows)] = np.add.reduce(rows[:-1], axis=1).tolist()

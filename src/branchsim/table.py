@@ -125,7 +125,13 @@ class _BinomialDraw:
         """The table at the policy's ``level`` (of generation n): its values are
         the keys z << 53 of the counts z ``apply`` leaves, -1 is -2^53, which
         looks up -1 again, and runs of one value merge, so that the search
-        branches predictably in a capped row's upper tail."""
+        branches predictably in a capped row's upper tail.  A policy that
+        leaves no count above its level (a cap) first grows the rows to the
+        level, so that no count it leaves is past them."""
+        top = min(level, _TABLE_COUNTS // self.trials)
+        if self._table[2] < top and policy.apply(np.array([level + 1]), n)[0] <= level:
+            self._grow(top)
+            self._folds = (self._table, policy, folds := {})
         keys, values, _ = self._table
         live, left = values >= 0, np.full(values.size, -1 << 53)
         left[live] = policy.apply(values[live], n) << 53
@@ -157,7 +163,8 @@ class _BinomialDraw:
         a death), whose raw outputs, and those after them, go back.  A policy
         that draws (from ``ctl``), or overrides ``apply`` but not ``level``,
         applies unfolded, once the table has drawn every count, as does a
-        single generation."""
+        single generation; any other folds once for each run of its
+        ``levels``."""
         bits, size, (keys, values, built) = rng.bit_generator, z.size, self._table
         if type(bits) is not np.random.PCG64 or np.maximum.reduce(z) > built:
             return z[:0, None]  # the first generation needs new rows or numpy
@@ -167,28 +174,32 @@ class _BinomialDraw:
                    or kind.level is ControlPolicy.level and kind.apply is not ControlPolicy.apply)
         if not checked and (self._folds[0] is not self._table or self._folds[1] is not policy):
             self._folds = (self._table, policy, {})
-        folds, done = self._folds[2], count
+        done = count
         raw = bits.random_raw(count * size).reshape(count, size)
         # numpy's next_double bits, a row a generation, plus its parents' keys
         rows = np.right_shift(raw, 11, out=raw).view(np.int64)
         key = z.astype(np.int64, copy=False) << 53
-        for j, row in enumerate(rows, n + 1):
-            row += key
-            if not checked:  # past every total, levels act alike
-                level = min(policy.level(j), self.most + 1)
-                keys, values = folds.get(level) or self._fold(folds, policy, j, level)
-            key = values.take(keys.searchsorted(row, side="right"), out=row, mode="clip")
-            if checked:
+        if checked:
+            for j, row in enumerate(rows, n + 1):
+                row += key
+                values.take(keys.searchsorted(row, side="right"), out=row, mode="clip")
                 if np.minimum.reduce(row) < 0:  # a restart, a count of 0 or past the rows
                     done = j - n - 1
                     break
                 if (left := policy.apply(row, j, ctl)) is not row:
                     row[...] = left
                 key = row << 53
-        if not checked:  # a row holds the keys of its counts; the first with a -1 stops
-            rows = rows[:done] >> 53
-            bad = np.flatnonzero(np.minimum.reduce(rows, axis=1) < 0)
-            done = int(bad[0]) if bad.size else done
+        else:  # one fold a run of levels, all alike past every total
+            runs = policy.levels(n + 1, n + count + 1)
+            for (j, level), end in zip(runs, [j for j, _ in runs[1:]] + [n + count + 1]):
+                level, folds = min(level, self.most + 1), self._folds[2]
+                keys, values = folds.get(level) or self._fold(folds, policy, j, level)
+                for row in rows[j - n - 1:end - n - 1]:
+                    row += key
+                    key = values.take(keys.searchsorted(row, side="right"), out=row, mode="clip")
+            rows >>= 53  # a row holds the keys of its counts, and a -1 stays -1
+            if np.minimum.reduce(rows[-1]) < 0:
+                done = int(np.flatnonzero(np.minimum.reduce(rows, axis=1) < 0)[0])
         if done < count:
             _rewind(bits, (count - done) * size)
         return rows[:done]

@@ -154,12 +154,43 @@ def test_json_format_structure(tmp_path):
     assert len(doc["rows"]) == 41
 
 
+def fmt_cell(value):
+    """``cli._fmt`` as every report cell was formatted before columns were."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def cell_by_cell_csv(provenance, header, rows):
     """The CSV renderer as it was before it rendered by column: one ``_fmt``
     call per cell."""
     lines = ["# " + ",".join(f"{k}={v}" for k, v in provenance.items()), ",".join(header)]
-    lines += (",".join(cli._fmt(v) for v in row) for row in rows)
+    lines += (",".join(fmt_cell(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def test_csv_columns_render_each_cell_as_its_own_format():
+    # a float column formats each distinct value once, and 0.0 == -0.0
+    nan = math.nan
+    columns = {
+        "repeated": [0.1, 0.25, 0.1, 0.1, 1 / 3, 0.25, 0.1],
+        "zeros": [0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0],
+        "negative_zero_first": [-0.0, 0.0, 2.5, -0.0, 2.5, 0.0, -0.0],
+        "special": [nan, float("nan"), math.inf, -math.inf, nan, 0.0, -0.0],
+        "tiny": [5e-324, 1e-300, 5e-324, -5e-324, 1e300, 0.0, -0.0],
+        "ints": [1, 2, 2, 3, 2**70, -4, 0],
+        "bools": [True, False, True, True, False, False, True],
+        "one_and_one_point_zero": [1, 1.0, 1, 1.0, 2, 2.0, 0],
+        "optional": [None, 0.5, None, 0.5, 0.0, -0.0, None],
+    }
+    rows = [list(row) for row in zip(*columns.values())]
+    provenance = {"config_sha256": "0" * 64, "master_seed": 1}
+    text = cli._render_csv(provenance, list(columns), rows)
+    assert text == cell_by_cell_csv(provenance, list(columns), rows)
+    assert [line.split(",")[1] for line in text.splitlines()[2:]] == [
+        "0.0", "-0.0", "0.0", "-0.0", "-0.0", "0.0", "0.0"]
 
 
 BRS_DOC = {"version": 1, "experiment": "brs", "master_seed": 2, "trials": 200,
@@ -268,6 +299,18 @@ def test_invalid_trials_exits_with_config_error(tmp_path, capsys):
     assert cli.run(str(cfg)) == 2
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "ConfigError"
+
+
+def test_a_g_past_the_float_range_names_its_first_such_generation(tmp_path, capsys):
+    # g(n) = 1e305 n + 1 is inf from n = 1798 on; the table lane's spans read
+    # g by runs, and no run search may report a later generation
+    doc = controlled_doc(master_seed=4, trials=50, horizon=5000, initial_size=20,
+                         law={"kind": "explicit_pmf", "pmf": {"0": 0.00001, "1": 0.99999}},
+                         policy={"kind": "truncation",
+                                 "g": {"form": "linear", "a": 1e305, "c": 1}})
+    assert cli.run(str(write_config(tmp_path, doc))) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ConfigError", "message": "g(1798) = inf; the form leaves the float range"}
 
 
 def test_missing_config_file_exits_with_config_error(tmp_path):

@@ -27,6 +27,7 @@ from branchsim import (
     zubkov_criterion,
 )
 from branchsim.rng import STREAM_CONTROL, spawn_generator
+from branchsim.scenario import MAX_HORIZON
 
 
 def control_rng(seed=0):
@@ -66,6 +67,52 @@ def test_callable_form_validates_returns():
     bad = GrowthFunction.from_callable(lambda n: -1)
     with pytest.raises(ConfigError):
         bad(0)
+
+
+RUN_FORMS = {
+    **{f"log-{a}-{base}-{rounding}": GrowthFunction.log(a, base, rounding)
+       for a, base, rounding in [(0.5, 1.5, "floor"), (0.5, 10.0, "ceil"), (2.0, 3.0, "ceil"),
+                                 (2.0, 3.0, "floor"), (2.5, 1.5, "ceil"), (2.5, 10.0, "floor"),
+                                 (2.0, 10.0, "ceil")]},
+    **{f"linear-{a:.4g}-{c}": GrowthFunction.linear(a, c)
+       for a, c in [(0, 3), (0.0003, 10), (0.5, 0), (1 / 3, 1)]},
+    "table": GrowthFunction.from_table([3, 1, 6, 6, 2, 9, 4, 7]),
+}
+
+
+def expand(runs, n1):
+    """The level of each generation of ``runs`` up to n1 - 1."""
+    starts, levels = zip(*runs)
+    assert all(a < b for a, b in zip(starts, starts[1:]))
+    assert all(u != v for u, v in zip(levels, levels[1:]))
+    return np.repeat(levels, np.diff(starts + (n1,))).tolist()
+
+
+@pytest.mark.parametrize("form", RUN_FORMS)
+def test_runs_hold_g_at_every_generation(form):
+    # a = 2, base = 3 lands on integers at n + 1 = 3^k, where floor and ceil meet
+    g, n1 = RUN_FORMS[form], MAX_HORIZON + 1
+    levels = [g(n) for n in range(n1)]
+    assert expand(g.runs(0, n1), n1) == levels
+    for n0, n in [(5, 6), (7, 9), (1234, 1300), (99_000, n1)]:
+        runs = g.runs(n0, n)
+        assert runs[0][0] == n0 and expand(runs, n) == levels[n0:n]
+
+
+def test_a_callable_g_is_called_once_a_generation_for_its_runs():
+    seen = []
+    g = GrowthFunction.from_callable(lambda n: seen.append(n) or n // 4)
+    assert g.runs(3, 13) == [(3, 0), (4, 1), (8, 2), (12, 3)] and seen == list(range(3, 13))
+
+
+def test_runs_name_the_first_generation_past_the_float_range(monkeypatch):
+    g, seen, call = GrowthFunction.linear(1e305, 1), [], GrowthFunction.__call__
+    monkeypatch.setattr(GrowthFunction, "__call__", lambda self, n: seen.append(n) or call(self, n))
+    g.runs(0, 1798)  # g(1798) is the first inf, and no later g is read
+    assert max(seen) == 1797
+    for n0 in (0, 1000, 1798):
+        with pytest.raises(ConfigError, match=re.escape("g(1798) = inf; the form leaves")):
+            g.runs(n0, 5000)
 
 
 @pytest.mark.parametrize("make", [

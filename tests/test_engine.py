@@ -1174,11 +1174,23 @@ def test_a_span_ends_after_a_generation_with_deaths():
     assert any(died and done < count for count, done, died, _ in spans)
 
 
-@pytest.mark.parametrize("seed, parents, past_32", [(2, None, False), (4, 10, True)])
+def test_no_span_ends_for_want_of_rows_under_a_truncation():
+    # 3 z trials a count under a cap of 20: the first fold grows the rows to
+    # 10 parents (32 // 3), so a span ends only where z passes 10 and numpy
+    # draws, never where z needs a new row
+    cfg = Batch(Binomial(3, 0.6), horizon=60, trials=1, master_seed=2,
+                policy=Truncation(GrowthFunction.constant(20)))
+    draws = []
+    _, _, spans = assert_spans_change_nothing(cfg, draws.append)
+    assert draws[0]._table[2] == 10 and any(done == count > 1 for count, done, *_ in spans)
+    assert not any(0 < done < count and not died and 3 * top <= 32
+                   for count, done, died, top in spans)
+
+
+@pytest.mark.parametrize("seed, parents, past_32", [(4, 10, True)])
 def test_a_span_ends_before_counts_past_the_built_rows_and_past_32(seed, parents, past_32):
-    # 3 z trials a count: on an empty table a span ends where z needs a new
-    # row; with the rows of up to 10 parents built, where z passes 10 and
-    # numpy draws
+    # 3 z trials a count: with the rows of up to 10 parents built, a span
+    # ends where z passes 10 and numpy draws
     cfg = Batch(Binomial(3, 0.6), horizon=60, trials=1, master_seed=seed,
                 policy=Truncation(GrowthFunction.constant(20)))
     _, _, spans = assert_spans_change_nothing(
@@ -1423,3 +1435,27 @@ def test_a_policy_without_a_level_of_its_own_applies_every_generation():
                 initial_size=2)
     res, _, spans = assert_spans_change_nothing(cfg)
     assert max(span[1] for span in spans) >= 4
+
+
+@dataclass(frozen=True)
+class CappedByParity(ControlPolicy):
+    """A policy of one's own with a ``level`` but no ``levels``: a cap of 3 in
+    odd generations and of 5 in even ones."""
+
+    def level(self, generation):
+        return 3 if generation % 2 else 5
+
+    def apply(self, counts, generation, rng=None):
+        return np.minimum(counts, self.level(generation), out=counts)
+
+
+def test_a_policy_with_a_level_of_its_own_folds_by_the_default_levels(monkeypatch):
+    folded, fold = [], table._BinomialDraw._fold
+    monkeypatch.setattr(table._BinomialDraw, "_fold",
+                        lambda self, folds, policy, n, level: folded.append(level)
+                        or fold(self, folds, policy, n, level))
+    assert CappedByParity().levels(4, 8) == [(4, 5), (5, 3), (6, 5), (7, 3)]
+    cfg = Batch(PMF2, horizon=60, trials=30, master_seed=13, policy=CappedByParity(),
+                initial_size=2)
+    res, _, spans = assert_spans_change_nothing(cfg)
+    assert max(span[1] for span in spans) >= 4 and set(folded) == {3, 5}

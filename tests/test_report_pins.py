@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from branchsim import brs, cli
+from branchsim import brs, cli, control, engine, table
 
 PMF = {"kind": "explicit_pmf", "pmf": {"0": 0.25, "2": 0.75}}
 GEOMETRIC = {"kind": "geometric", "r": 0.4}
@@ -200,3 +200,25 @@ def test_a_brs_report_solves_its_threshold_once(tmp_path, monkeypatch):
                         lambda *args: searched.append(args[1]) or search(*args))
     assert report_digest(tmp_path, *CASES["brs"]) == PINS["brs"]
     assert searched == [4.0]  # the population's budget, once
+
+
+def test_the_truncation_bench_round_keeps_its_bytes_with_few_spans_and_g_calls(
+        tmp_path, monkeypatch):
+    # bench/run.py's truncation_log config at master seed 2024000, pinned when
+    # every span generation read g once: 165 steps calls and 2123 g calls then
+    doc = run_doc(truncation({"form": "log", "a": 2.0, "base": 3.0, "rounding": "ceil"}),
+                  master_seed=2024000, trials=500, horizon=2000)
+    calls = {"steps": 0, "g": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+    monkeypatch.setattr(table._BinomialDraw, "steps", counted("steps", table._BinomialDraw.steps))
+    monkeypatch.setattr(control.GrowthFunction, "__call__",
+                        counted("g", control.GrowthFunction.__call__))
+    engine._lanes.cache_clear()  # the rows of a fresh process
+    assert (report_digest(tmp_path, "run", doc)
+            == "20e7f3b7426f9b3ab816be98c02b57e5ad03eb6ba3e940e6c4d3f95b5a70c1fd")
+    assert calls["steps"] <= 120 and calls["g"] <= 400, calls
