@@ -22,7 +22,7 @@ brs estimate_expected_stop solve_threshold stopping_time
 control ControlPolicy CriterionVerdict CustomAbsorption Disaster DisasterSchedule GrowthFunction
 control LowerBoundary Phi Truncation TruncationAsAbsorption expectation_criterion zubkov_criterion
 engine DEFAULT_POPULATION_CAP BatchResult Trajectory run_batch sample_offspring_total
-engine sample_offspring_totals simulate_trajectory
+engine sample_offspring_totals
 errors BatchTrialError BranchsimError BudgetExceedsMass ConfigError InvalidRuleError
 errors NumericFailure PopulationOverflow
 law Binomial ExplicitPmf ExtinctionResult Geometric OffspringLaw Poisson extinction_probability

@@ -120,9 +120,8 @@ def bisexual_step(state: BisexualState, law: OffspringLaw, alpha: float,
                   population_cap: int = DEFAULT_POPULATION_CAP) -> BisexualState:
     """One generation: units reproduce, offspring get sexes, new units mate.
 
-    The offspring total comes from the offspring stream and the sex split
-    from the dedicated sex stream, so unit counts can be coupled against a
-    plain single-sex run driven by the same seed.
+    The offspring total is ``sample_offspring_total`` on the offspring
+    stream, and the sex split is drawn from the dedicated sex stream.
     """
     step = _MatingStep(alpha, mating)
     n = state.generation + 1

@@ -168,7 +168,7 @@ def _load_config(config_path: str) -> tuple[ScenarioConfig, dict]:
         raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
     try:
         doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, ints of 4300+ digits, deep nesting
         raise ConfigError(f"config {config_path} is not valid JSON: {exc}") from exc
     config = ScenarioConfig.from_dict(doc)
     provenance = {
@@ -185,7 +185,11 @@ def _emit(config: ScenarioConfig, provenance: dict, header, rows,
     text = (_render_csv if fmt == "csv" else _render_json)(provenance, header, rows)
     path = out or config.output.path
     if path and path != "-":
-        with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        try:
+            fh = open(path, "w", newline="\n", encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write report {path}: {exc}") from exc
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -42,7 +42,7 @@ import numpy as np
 from .control import ControlPolicy, CustomAbsorption, _counts
 from .errors import BatchTrialError, BranchsimError, ConfigError, PopulationOverflow
 from .law import INT64_MAX, Binomial, ExplicitPmf, Geometric, OffspringLaw, Poisson
-from .rng import STREAM_OFFSPRING, TrialStreams, block_generators, spawn_generator
+from .rng import STREAM_OFFSPRING, block_generators, spawn_generator
 from .table import _BinomialDraw
 
 DEFAULT_POPULATION_CAP = 1 << 48
@@ -61,13 +61,12 @@ _SPAN_RAWS = 1 << 13  # raw outputs of one span of table draws: 64 kB
 
 
 def _make_block_draw(law: OffspringLaw):
-    """Return draw(z, size, rng): ``size`` offspring totals of z parents each,
-    or one total when size is None, for z (a count or an int64 array of
-    counts) within the block size."""
+    """Return draw(z, rng): the offspring totals of an int64 array z of
+    parent counts, each within the block size."""
     if isinstance(law, Poisson):
-        return lambda z, size, rng: rng.poisson(z * law.lam, size=size)
+        return lambda z, rng: rng.poisson(z * law.lam)
     if isinstance(law, Geometric):
-        return lambda z, size, rng: rng.negative_binomial(z, 1.0 - law.r, size=size)
+        return lambda z, rng: rng.negative_binomial(z, 1.0 - law.r)
     if isinstance(law, Binomial):
         return _BinomialDraw(law.p, trials=law.n)
     if not isinstance(law, ExplicitPmf):
@@ -80,7 +79,7 @@ def _make_block_draw(law: OffspringLaw):
         # a two-atom pmf needs only one binomial count
         k_lo, k_hi = (int(k) for k in ks_np)
         return _BinomialDraw(float(pvals[1]), k_hi - k_lo, base=k_lo)
-    return lambda z, size, rng: rng.multinomial(z, pvals, size=size) @ ks_np
+    return lambda z, rng: rng.multinomial(z, pvals) @ ks_np
 
 
 _POISSON_EXACT = 1 << 32  # largest mean handed to numpy's Poisson sampler
@@ -228,7 +227,9 @@ def _lanes(law: OffspringLaw, cap: int):
 
 @lru_cache(maxsize=256)
 def _make_total_sampler(law: OffspringLaw, population_cap: int, per_particle: bool):
-    """Build fn(z, rng) -> int distributed as the sum of z draws from law."""
+    """Build fn(z, rng) -> int distributed as the sum of z draws from law:
+    per particle, one inverse-CDF uniform a parent, or else the batch
+    kernel's ``_draw_offspring`` on one entry."""
     if per_particle:
         population_cap = min(population_cap, _COUPLED_CAP)
         ks, ps = law.pmf_table()
@@ -253,37 +254,27 @@ def _make_total_sampler(law: OffspringLaw, population_cap: int, per_particle: bo
         return sample
 
     lanes = _lanes(law, population_cap)
-    block, draw = lanes[:2]
 
-    def sample(z, rng):
-        if z == 0:
-            return 0
-        if z > population_cap:
-            raise PopulationOverflow(f"parent count {z} exceeds cap {population_cap}")
-        if z > block:  # the batch kernel's exact lane, on one entry
-            off, failed = _draw_offspring(_counts([z]), rng, *lanes)
-            if failed:
-                raise failed[0]
-            return int(off[0])
-        total = int(draw(z, None, rng))
-        if total > population_cap:
-            raise PopulationOverflow(f"offspring total {total} exceeds cap {population_cap}")
-        return total
+    def sample(z, rng):  # the batch kernel's draw, on one entry
+        off, failed = _draw_offspring(_counts([z]), rng, *lanes)
+        if failed:
+            raise failed[0]
+        return int(off[0])
 
     return sample
 
 
 def sample_offspring_total(law: OffspringLaw, z: int, rng,
-                           population_cap: int = DEFAULT_POPULATION_CAP,
-                           per_particle: bool = False) -> int:
-    """Total offspring of z independent parents drawn from the law.
+                           population_cap: int = DEFAULT_POPULATION_CAP) -> int:
+    """Total offspring of z independent parents drawn from the law, as the
+    batch kernel draws one trial of z parents.
 
     ``rng`` is a numpy Generator.  Raises PopulationOverflow when the total
-    (or the parent count itself) exceeds ``population_cap`` (2^24 per particle).
+    (or the parent count itself) exceeds ``population_cap``.
     """
     if z < 0:
         raise ValueError(f"parent count must be nonnegative, got {z}")
-    return _make_total_sampler(law, population_cap, per_particle)(int(z), rng)
+    return _make_total_sampler(law, population_cap, False)(int(z), rng)
 
 
 def sample_offspring_totals(law: OffspringLaw, z: int, size: int, rng,
@@ -326,36 +317,6 @@ class Trajectory:
         if self.counts[-1] == 0:
             return self.horizon
         return None
-
-
-def simulate_trajectory(law: OffspringLaw, policy, horizon: int, streams: TrialStreams,
-                        initial_size: int = 1,
-                        population_cap: int = DEFAULT_POPULATION_CAP) -> Trajectory:
-    """Run one trajectory to the horizon (or to absorption), per particle on coupled streams."""
-    if horizon < 1:
-        raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    if initial_size < 0 or initial_size > population_cap:
-        raise ConfigError(f"initial size {initial_size} outside [0, cap]")
-    policy = ControlPolicy() if policy is None else policy
-    draw = _make_total_sampler(law, population_cap, streams.coupled)
-    revive = policy.revives_zero
-    box = np.empty(1, dtype=object)  # one count, for the array protocol
-
-    z, counts = initial_size, [initial_size]
-    for n in range(1, horizon + 1):
-        if z == 0 and not revive:
-            break
-        box[0] = z
-        box[0] = draw(int(policy.units(box)[0]), streams.offspring(n))
-        rng = None if policy.stream is None else streams.get(policy.stream, n)
-        if isinstance(policy, CustomAbsorption):  # the rule sees the trajectory so far
-            z = policy.apply(box, n, rng, counts)[0]
-        else:
-            z = policy.apply(box, n, rng)[0]
-        counts.append(z)
-    absorbed = None if revive or z else len(counts) - 1
-    counts.extend([0] * (horizon + 1 - len(counts)))
-    return Trajectory(counts=counts, absorbed_at=absorbed, horizon=horizon)
 
 
 @dataclass
@@ -419,13 +380,12 @@ def _draw_offspring(units, gen, bound, draw, past, limit, cap, max_k):
     failures = {}
     top = np.maximum.reduce(units, initial=0)  # skips ndarray.max's Python layer
     if top <= bound and np.count_nonzero(units) == units.size:  # one draw, no masks
-        off = draw(units.astype(np.int64, copy=False), units.size, gen)
+        off = draw(units.astype(np.int64, copy=False), gen)
     else:
         small = (units > 0) & (units <= bound)
         off = np.zeros(units.size, dtype=np.int64)
         if small.any():
-            parents = units[small].astype(np.int64)
-            off[small] = draw(parents, parents.size, gen)
+            off[small] = draw(units[small].astype(np.int64), gen)
     if top > bound:
         where = np.flatnonzero(units > bound)
         z = units[where]

@@ -34,16 +34,11 @@ def spawn_generator(master_seed: int, trial_index: int, stream: int,
 
 @dataclass
 class TrialStreams:
-    """Named substreams for one trial.
-
-    In the default mode each stream is a single generator consumed across
-    generations.  In coupled mode a fresh generation-keyed generator is
-    handed out on every call.
-    """
+    """Named substreams for one trial, each a single generator consumed
+    across generations."""
 
     master_seed: int
     trial_index: int
-    coupled: bool = False
     _cache: dict = field(default_factory=dict, repr=False)
 
     def offspring(self, generation: int) -> np.random.Generator:
@@ -56,8 +51,6 @@ class TrialStreams:
         return self.get(STREAM_SEX, generation)
 
     def get(self, stream: int, generation: int) -> np.random.Generator:
-        if self.coupled:
-            return spawn_generator(self.master_seed, self.trial_index, stream, generation)
         gen = self._cache.get(stream)
         if gen is None:
             gen = spawn_generator(self.master_seed, self.trial_index, stream)

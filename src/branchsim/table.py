@@ -78,9 +78,8 @@ def _rewind(bits, count: int):
 
 
 class _BinomialDraw:
-    """draw(z, size, rng): base z + scale Bin(trials z, p) for an int64 array
-    z of ``size`` counts (or one count when size is None), from the very
-    numbers ``rng.binomial(trials * z, p, size=size)`` gives.
+    """draw(z, rng): base z + scale Bin(trials z, p) for an int64 array z of
+    counts, from the very numbers ``rng.binomial(trials * z, p)`` gives.
 
     numpy draws a count of n <= 32 trials by inversion, since n min(p, 1 - p)
     <= 16 is below its switch at 30, on the smaller of p and 1 - p (and
@@ -141,15 +140,15 @@ class _BinomialDraw:
         folds[level] = fold = keys[step], np.append(left[:1], left[step + 1])
         return fold
 
-    def __call__(self, z, size, rng):
-        if self._lookup and size:
+    def __call__(self, z, rng):
+        if self._lookup and z.size:
             top = int(np.maximum.reduce(z))  # skips ndarray.max's Python layer
             if self._table[2] < top and top * self.trials <= _TABLE_COUNTS:
                 self._grow(top)
             rows = self.steps(z, 1, rng)
             if len(rows):
                 return rows[0]
-        out = rng.binomial(z * self.trials if self.trials > 1 else z, self.p, size=size)
+        out = rng.binomial(z * self.trials if self.trials > 1 else z, self.p)
         if self.scale != 1:
             out = self.scale * out
         return self.base * z + out if self.base else out

@@ -323,6 +323,33 @@ def test_malformed_json_exits_with_config_error(tmp_path):
     assert cli.run(str(path)) == 2
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 100_000 + "]" * 100_000,  # deeper than json's recursion limit
+    json.dumps(gw_doc())[:-1] + ', "master_seed": ' + "9" * 5000 + "}",  # past 4300 digits
+    b"\xff{}".decode("latin-1"),  # not UTF-8
+], ids=["deep", "digits", "bytes"])
+def test_a_document_json_cannot_build_exits_with_one_config_error_line(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="latin-1")
+    assert cli.run(str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and json.loads(err)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("where", ["missing/report.csv", "."], ids=["missing_dir", "directory"])
+def test_a_report_path_that_cannot_be_opened_exits_with_one_config_error_line(
+        tmp_path, capsys, where):
+    cfg = write_config(tmp_path, gw_doc(trials=5, output={"path": str(tmp_path / where)}))
+    assert cli.run(str(cfg)) == 2
+    assert cli.run(str(write_config(tmp_path, gw_doc(trials=5))),
+                   out=str(tmp_path / where)) == 2
+    for line in capsys.readouterr().err.splitlines():
+        record = json.loads(line)
+        assert record["error"] == "ConfigError"
+        assert record["message"].startswith(f"cannot write report {tmp_path / where}: ")
+    assert not (tmp_path / "missing").exists()
+
+
 def test_population_overflow_exit_and_error_record(tmp_path, capsys):
     doc = gw_doc(trials=2, horizon=100, population_cap=1000,
                  law={"kind": "explicit_pmf", "pmf": {"2": 1.0}})
@@ -566,7 +593,7 @@ def test_importing_the_cli_loads_no_module_a_batch_run_does_not_use():
 
 
 def test_every_public_name_resolves_to_its_defining_module():
-    assert len(branchsim.__all__) == len(set(branchsim.__all__)) == 66
+    assert len(branchsim.__all__) == len(set(branchsim.__all__)) == 65
     for name in branchsim.__all__:
         module = importlib.import_module(f"branchsim.{branchsim._SOURCES[name]}")
         obj = getattr(branchsim, name)

@@ -28,7 +28,6 @@ from branchsim import (
     Poisson,
     PopulationOverflow,
     Trajectory,
-    TrialStreams,
     Truncation,
     GrowthFunction,
     LowerBoundary,
@@ -36,11 +35,10 @@ from branchsim import (
     run_batch,
     sample_offspring_total,
     sample_offspring_totals,
-    simulate_trajectory,
 )
 from branchsim import engine, table
 from branchsim.bisexual import Min, run_bisexual_batch
-from branchsim.rng import STREAM_CONTROL, STREAM_OFFSPRING
+from branchsim.rng import STREAM_CONTROL, STREAM_OFFSPRING, spawn_generator
 from branchsim.engine import (_EXACT_LIMIT, _TRIAL_BLOCK, _binomial_exact, _counts,
                               _draw_offspring, _lanes, _make_block_draw, _make_total_sampler,
                               _multinomial_exact, _poisson_exact)
@@ -108,13 +106,11 @@ def test_total_matches_law_mean_and_variance(law, m, var):
     assert float(totals.var()) == pytest.approx(z * var, rel=0.1)
 
 
-def test_per_particle_mode_matches_closed_form_distribution():
+def test_per_particle_sampler_matches_closed_form_distribution():
     law = ExplicitPmf({0: 0.25, 2: 0.75})
     z, n = 25, 30_000
-    g = rng(3)
-    by_particle = np.array([
-        sample_offspring_total(law, z, g, per_particle=True) for _ in range(n)
-    ])
+    sample, g = _make_total_sampler(law, engine.DEFAULT_POPULATION_CAP, True), rng(3)
+    by_particle = np.array([sample(z, g) for _ in range(n)])
     se = math.sqrt(z * 0.75 * (4 - 2.25) / n)
     assert float(by_particle.mean()) == pytest.approx(z * 1.5, abs=6 * se)
     assert set(np.unique(by_particle)) <= set(range(0, 2 * z + 1, 2))
@@ -191,7 +187,7 @@ def reference_offspring(law, units, gen, bound, limit, cap):
     off = [0] * len(units)
     if small:
         parents = np.array([units[i] for i in small], dtype=np.int64)
-        for i, total in zip(small, draw(parents, parents.size, gen).tolist()):
+        for i, total in zip(small, draw(parents, gen).tolist()):
             off[i] = total
     failures = {}
     past = []
@@ -378,7 +374,7 @@ def test_binomial_draw_gives_numpys_numbers(p):
         for top in (1, 14, 32, 40):  # counts of 33 to 40 hand the call to numpy
             varied = counts.integers(1, top + 1, size)
             for n in (varied, np.full(size, top), np.full(size, varied[0])):
-                assert draw(n, size, gen).tolist() == twin.binomial(n, p, size=size).tolist()
+                assert draw(n, gen).tolist() == twin.binomial(n, p, size=size).tolist()
                 assert gen.random() == twin.random()
     assert gen.bit_generator.state == twin.bit_generator.state
 
@@ -386,7 +382,7 @@ def test_binomial_draw_gives_numpys_numbers(p):
 @pytest.mark.parametrize("p", [0.75, 0.3])
 def test_binomial_draw_restarts_with_numpys_draw(p):
     draw = table._BinomialDraw(p)
-    draw(np.arange(1, 6), 5, rng())  # builds rows 1 to 5
+    draw(np.arange(1, 6), rng())  # builds rows 1 to 5
     keys, values, built = draw._table
     n, keys = 4, keys.copy()
     row = len(table._inversion_row(n, 1.0 - p if p > 0.5 else p))
@@ -399,7 +395,7 @@ def test_binomial_draw_restarts_with_numpys_draw(p):
         g.integers(0, 10, dtype=np.uint32)
     units = np.array([1, 4, 2, 4, 5, 3, 4] * 40)
     want = twin.binomial(units, p, size=units.size)
-    assert draw(units, units.size, gen).tolist() == want.tolist()
+    assert draw(units, gen).tolist() == want.tolist()
     assert gen.bit_generator.state == twin.bit_generator.state
     assert gen.integers(0, 1 << 32, dtype=np.uint32) == twin.integers(0, 1 << 32, dtype=np.uint32)
 
@@ -418,10 +414,9 @@ def test_two_atom_pmf_totals_weigh_numpys_binomial_count(pmf):
     (k_lo, _), (k_hi, p_hi) = sorted(pmf.items())
     draw = _make_block_draw(ExplicitPmf(pmf))
     gen, twin = rng(5), rng(5)
-    for z in (np.array([1, 7, 32, 2, 9]), np.array([3, 40, 1]), 6):  # 40: numpy's draw
-        size = None if np.isscalar(z) else z.size
-        assert np.array_equal(draw(z, size, gen),
-                              k_lo * z + (k_hi - k_lo) * twin.binomial(z, p_hi, size=size))
+    for z in (np.array([1, 7, 32, 2, 9]), np.array([3, 40, 1]), np.array([6])):  # 40: numpy's
+        assert np.array_equal(draw(z, gen),
+                              k_lo * z + (k_hi - k_lo) * twin.binomial(z, p_hi, size=z.size))
     assert gen.bit_generator.state == twin.bit_generator.state
 
 
@@ -564,7 +559,7 @@ def piecewise_totals(law, z, size, gen):
     parents, one numpy draw per piece."""
     bound, draw = _lanes(law, BIG_CAP)[:2]
     full, rem = divmod(z, bound)
-    return [int(draw(rem, None, gen)) + sum(draw(np.full(full, bound), full, gen).tolist())
+    return [int(draw(np.array([rem]), gen)[0]) + sum(draw(np.full(full, bound), gen).tolist())
             for _ in range(size)]
 
 
@@ -623,6 +618,19 @@ def test_poisson_lane_holds_its_moments_at_the_top_of_its_range(law):
     assert_moments(drawn.tolist(), Fraction(law.mean()) * z, var)
 
 
+@pytest.mark.parametrize("law", [Poisson(1.5), Geometric(0.6), Binomial(3, 0.5),
+                                 ExplicitPmf({0: 0.25, 2: 0.75}),
+                                 ExplicitPmf({0: 0.2, 1: 0.3, 3: 0.5})], ids=repr)
+def test_one_count_sampler_is_the_kernel_draw_on_one_entry(law):
+    sample, lane = _make_total_sampler(law, BIG_CAP, False), _lanes(law, BIG_CAP)
+    for z in (0, 1, 7, 33, 2**53 - 1, 2**53 + 5, 2**60 + 3):
+        gen, twin = rng(z % 1000), rng(z % 1000)
+        one, failed = _draw_offspring(_counts([z]), twin, *lane)
+        total = sample(z, gen)
+        assert not failed and type(total) is int and total == one[0], z
+        assert gen.bit_generator.state == twin.bit_generator.state, z
+
+
 @pytest.mark.parametrize("law", EXACT_LANE_LAWS, ids=repr)
 def test_scalar_sampler_fails_a_count_past_the_exact_lane_limit(law):
     limit = _lanes(law, BIG_CAP)[3]
@@ -635,81 +643,70 @@ def test_scalar_sampler_fails_a_count_past_the_exact_lane_limit(law):
 
 # -------------------------------------------------------------- trajectories
 
+def sampled(law, horizon, policy=None, trials=20, **extra):
+    """The sampled trajectories of a batch that samples every trial."""
+    return run_batch(Batch(law, horizon=horizon, trials=trials, master_seed=1, policy=policy,
+                           sample_trajectories=trials, **extra)).sampled_trajectories
+
+
 def test_trajectory_shapes_and_zero_padding():
-    traj = simulate_trajectory(Geometric(0.3), None, 50, TrialStreams(1, 0))
-    assert len(traj.counts) == 51
-    assert traj.counts[0] == 1
-    if traj.absorbed_at is not None:
-        n = traj.absorbed_at
-        assert traj.counts[n] == 0
-        assert all(c == 0 for c in traj.counts[n:])
-        assert all(c > 0 for c in traj.counts[:n])
-        assert traj.extinction_generation() == n
-    assert traj.final == traj.counts[-1]
+    for traj in sampled(Geometric(0.3), 50):
+        assert len(traj.counts) == 51
+        assert traj.counts[0] == 1
+        if traj.absorbed_at is not None:
+            n = traj.absorbed_at
+            assert traj.counts[n] == 0
+            assert all(c == 0 for c in traj.counts[n:])
+            assert all(c > 0 for c in traj.counts[:n])
+            assert traj.extinction_generation() == n
+        assert traj.final == traj.counts[-1]
 
 
 def test_trajectory_from_zero_initial_size():
-    traj = simulate_trajectory(Poisson(2.0), None, 10, TrialStreams(1, 0),
-                               initial_size=0)
-    assert traj.absorbed_at == 0
-    assert traj.counts == [0] * 11
+    for traj in sampled(Poisson(2.0), 10, initial_size=0):
+        assert traj.absorbed_at == 0
+        assert traj.counts == [0] * 11
 
 
 def test_trajectory_without_policy_steps_plain_offspring_totals():
-    traj = simulate_trajectory(ExplicitPmf({3: 1.0}), None, 3, TrialStreams(0, 0),
-                               initial_size=4)
-    assert traj.counts == [4, 12, 36, 108]
+    for traj in sampled(ExplicitPmf({3: 1.0}), 3, initial_size=4):
+        assert traj.counts == [4, 12, 36, 108]
 
 
 def test_trajectory_truncation_caps_every_generation():
     policy = Truncation(GrowthFunction.constant(5))
-    traj = simulate_trajectory(ExplicitPmf({3: 1.0}), policy, 3, TrialStreams(0, 0),
-                               initial_size=4)
-    assert traj.counts == [4, 5, 5, 5]
+    for traj in sampled(ExplicitPmf({3: 1.0}), 3, policy, initial_size=4):
+        assert traj.counts == [4, 5, 5, 5]
 
 
-def test_trajectory_validates_horizon_and_initial_size():
+def test_batch_validates_horizon_and_initial_size():
     with pytest.raises(ConfigError):
-        simulate_trajectory(Poisson(1.0), None, 0, TrialStreams(0, 0))
+        sampled(Poisson(1.0), 0)
     with pytest.raises(ConfigError):
-        simulate_trajectory(Poisson(1.0), None, 5, TrialStreams(0, 0),
-                            initial_size=-1)
+        sampled(Poisson(1.0), 5, initial_size=-1)
 
 
 def test_reviving_phi_defers_extinction_to_the_horizon():
     # phi(0) = 1 revives an empty generation; a zero count is only final
     # at the horizon, and absorbed_at stays None
     law = ExplicitPmf({0: 0.5, 1: 0.5})
-    policy = Phi(lambda x: max(x, 1))
-    traj = simulate_trajectory(law, policy, 30, TrialStreams(3, 5))
-    assert traj.absorbed_at is None
-    expected = 30 if traj.counts[-1] == 0 else None
-    assert traj.extinction_generation() == expected
-
-
-def test_negative_phi_is_a_config_error_for_a_trajectory():
-    # phi(150) = -50 slips past the probe points of Phi, which are all below 100
-    policy = Phi(lambda x: 100 - x)
-    with pytest.raises(ConfigError, match="phi must be nonnegative"):
-        simulate_trajectory(Poisson(1.5), policy, 5, TrialStreams(1, 0), initial_size=150)
+    trajectories = sampled(law, 30, Phi(lambda x: max(x, 1)), trials=200)
+    assert {traj.counts[-1] == 0 for traj in trajectories} == {True, False}
+    for traj in trajectories:
+        assert traj.absorbed_at is None
+        expected = 30 if traj.counts[-1] == 0 else None
+        assert traj.extinction_generation() == expected
 
 
 @pytest.mark.parametrize("coupled", [False, True])
 def test_negative_phi_is_a_config_error_for_a_batch(coupled):
-    # a failure budget absorbs failed trials, never a fault of the config
+    # a failure budget absorbs failed trials, never a fault of the config;
+    # phi(150) = -50 slips past the probe points of Phi, which are all below 100
     cfg = Batch(Poisson(1.5), horizon=5, trials=10, master_seed=1,
                 policy=Phi(lambda x: 100 - x), initial_size=150, coupled=coupled,
                 failure_budget=10)
     with pytest.raises(ConfigError, match="phi must be nonnegative"):
         run_batch(cfg)
-
-
-class RecordingStreams(TrialStreams):
-    """Trial streams that record which streams were asked for."""
-
-    def get(self, stream, generation):
-        self.asked.add(stream)
-        return super().get(stream, generation)
 
 
 FIVE = GrowthFunction.constant(5)
@@ -725,12 +722,16 @@ FIVE = GrowthFunction.constant(5)
     (CustomAbsorption(lambda offspring, n, history, rng: 0), True),
 ], ids=["truncation", "truncation_as_absorption", "lower_boundary", "custom_3_args", "phi",
         "disaster", "custom_4_args"])
-def test_coupled_trajectory_builds_a_control_stream_only_for_rules_that_draw(policy, draws):
+def test_coupled_batch_spawns_a_control_stream_only_for_rules_that_draw(policy, draws,
+                                                                        monkeypatch):
     # each coupled control stream is a fresh generation-keyed spawn
-    streams = RecordingStreams(7, 0, coupled=True)
-    streams.asked = set()
-    simulate_trajectory(ExplicitPmf({0: 0.25, 2: 0.75}), policy, 20, streams, initial_size=5)
-    assert (STREAM_CONTROL in streams.asked) is draws
+    asked, spawn = set(), engine.spawn_generator
+    monkeypatch.setattr(engine, "spawn_generator",
+                        lambda *key: asked.add(key[2]) or spawn(*key))
+    run_batch(Batch(ExplicitPmf({0: 0.25, 2: 0.75}), horizon=20, trials=3, master_seed=7,
+                    policy=policy, initial_size=5, coupled=True))
+    assert STREAM_OFFSPRING in asked
+    assert (STREAM_CONTROL in asked) is draws
 
 
 def assert_same_result(a, b):
@@ -1021,30 +1022,31 @@ def test_extinction_fraction_matches_analytic_q():
 
 # ----------------------------------------------------------------- coupling
 
-def test_coupled_runs_are_monotone_in_initial_size():
-    """Seed-matched coupled trajectories preserve the initial-size order."""
-    law = ExplicitPmf({0: 0.3, 1: 0.4, 2: 0.3})
-    for t in range(60):
-        small = simulate_trajectory(law, None, 40, TrialStreams(31, t, coupled=True),
-                                    initial_size=1)
-        large = simulate_trajectory(law, None, 40, TrialStreams(31, t, coupled=True),
-                                    initial_size=4)
-        for a, b in zip(small.counts, large.counts):
-            assert a <= b
-
-
 @pytest.mark.parametrize("policy", [
     Disaster(DisasterSchedule.constant(0.1)),
     CustomAbsorption(lambda offspring, n, history, rng: offspring if rng.random() < 0.1 else 0),
 ], ids=["disaster", "custom_4_args"])
-def test_coupled_batch_trajectories_match_the_one_trial_reference(policy):
+def test_a_coupled_trial_is_keyed_by_its_trial_and_generation(policy, monkeypatch):
+    # trial t draws generation n from spawn_generator(seed, t, stream, n), so
+    # neither the trial count nor the block size moves its trajectory
     law = ExplicitPmf({0: 0.25, 2: 0.75})
-    res = run_batch(Batch(law, horizon=30, trials=60, master_seed=6, policy=policy,
-                          coupled=True, sample_trajectories=60))
-    assert len(res.sampled_trajectories) == 60
-    for t, traj in enumerate(res.sampled_trajectories):
-        assert traj == simulate_trajectory(law, policy, 30, TrialStreams(6, t, coupled=True),
-                                           population_cap=BIG_CAP)
+
+    def trajectories(trials):
+        return [traj.counts for traj in run_batch(Batch(
+            law, horizon=30, trials=trials, master_seed=6, policy=policy, coupled=True,
+            sample_trajectories=trials)).sampled_trajectories]
+
+    full = trajectories(60)
+    monkeypatch.setattr(engine, "_TRIAL_BLOCK", 8)
+    assert trajectories(27) == full[:27]
+    sample = _make_total_sampler(law, BIG_CAP, True)
+    for t, counts in enumerate(full):
+        off = _counts([sample(1, spawn_generator(6, t, STREAM_OFFSPRING, 1))])
+        custom = isinstance(policy, CustomAbsorption)
+        left = policy.apply(off, 1, spawn_generator(6, t, STREAM_CONTROL, 1),
+                            *(([1],) if custom else ()))
+        assert counts[1] == left[0]
+    assert len({counts[1] for counts in full}) > 1
 
 
 @pytest.mark.parametrize("policy", [None, Disaster(DisasterSchedule.constant(0.1))],
@@ -1095,19 +1097,6 @@ def test_coupled_batch_is_reproducible_and_thread_independent():
     r1 = run_batch(cfg, threads=1)
     r8 = run_batch(cfg, threads=8)
     assert np.array_equal(r1.extinction_generations, r8.extinction_generations)
-
-
-def test_coupled_streams_are_keyed_by_the_trial_in_every_block(monkeypatch):
-    # small blocks, so that the batch crosses several block boundaries
-    block = 8
-    monkeypatch.setattr(engine, "_TRIAL_BLOCK", block)
-    law, policy = ExplicitPmf({0: 0.25, 2: 0.75}), Disaster(DisasterSchedule.constant(0.1))
-    res = run_batch(Batch(law, horizon=6, trials=3 * block + 3, master_seed=6,
-                          policy=policy, coupled=True))
-    for t in range(3 * block + 3):
-        ref = simulate_trajectory(law, policy, 6,
-                                  TrialStreams(6, t, coupled=True)).extinction_generation()
-        assert res.extinction_generations[t] == (-1 if ref is None else ref)
 
 
 def test_trials_keep_their_block_whatever_the_trial_count():
@@ -1194,7 +1183,7 @@ def test_a_span_ends_before_counts_past_the_built_rows_and_past_32(seed, parents
     cfg = Batch(Binomial(3, 0.6), horizon=60, trials=1, master_seed=seed,
                 policy=Truncation(GrowthFunction.constant(20)))
     _, _, spans = assert_spans_change_nothing(
-        cfg, parents and (lambda draw: draw(np.array([parents]), 1, rng())))
+        cfg, parents and (lambda draw: draw(np.array([parents]), rng())))
     assert any(0 < done < count and not died and (3 * top > 32) is past_32
                for count, done, died, top in spans)
 
@@ -1203,7 +1192,7 @@ def restart_in_row_4(draw, kept=-2):
     """As in test_binomial_draw_restarts_with_numpys_draw, but only a uniform
     of row 4 past its threshold ``kept`` (by default the next-to-last)
     restarts."""
-    draw(np.arange(1, 6), 5, rng())
+    draw(np.arange(1, 6), rng())
     keys, values, built = draw._table
     z, keys = 4, keys.copy()
     row = len(table._inversion_row(z * draw.trials, min(draw.p, 1.0 - draw.p)))
@@ -1257,7 +1246,7 @@ def test_a_failure_budget_replay_steps_one_generation_at_a_time():
     cfg = Batch(ExplicitPmf({1: 0.5, 2: 0.5}), horizon=13, trials=50, master_seed=3,
                 population_cap=200, failure_budget=50)
     res, blocks, spans = assert_spans_change_nothing(
-        cfg, lambda draw: draw(np.array([32]), 1, rng()))
+        cfg, lambda draw: draw(np.array([32]), rng()))
     assert 0 < len(res.failed_trials) < 50 and blocks == 2
     assert max(span[1] for span in spans) > 1
 
@@ -1342,7 +1331,7 @@ def test_folded_spans_end_at_a_death_a_restart_and_a_count_past_the_rows(name):
     cfg = Batch(Binomial(3, 0.6), horizon=horizon, trials=5, master_seed=seed,
                 initial_size=initial, policy=policy)
     _, _, spans = assert_spans_change_nothing(
-        cfg, lambda draw: draw(np.array([10]), 1, rng()))
+        cfg, lambda draw: draw(np.array([10]), rng()))
     assert any(0 < done < count and not died and 3 * top > 32
                for count, done, died, top in spans)
 
@@ -1405,7 +1394,7 @@ def test_a_lower_boundary_past_every_total_folds_as_one_that_absorbs_every_count
 
 def test_a_fold_merges_runs_and_looks_up_what_the_policy_leaves_of_each_total():
     draw = table._BinomialDraw(0.75, 2)
-    draw(np.arange(1, 33), 32, rng())  # builds all 32 rows
+    draw(np.arange(1, 33), rng())  # builds all 32 rows
     keys, values, _ = draw._table
     cap = Truncation(GrowthFunction.constant(3))
     folded_keys, folded = draw._fold({}, cap, 1, 3)

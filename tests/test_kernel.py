@@ -1,10 +1,11 @@
-"""Batch kernel against the per-trial scalar reference and exact oracles.
+"""Batch kernel against exact oracles and small per-trial references.
 
 The kernel steps every live trial of a block together on block streams, so
-its trajectories differ from the per-trial reference draw by draw.  The
-checks are therefore on distributions: a two-sample Kolmogorov-Smirnov
-distance between extinction generations, and every generation of the
-extinct curve against an exact oracle within a Bernstein bound.
+its trajectories differ from a per-trial reference draw by draw.  The
+checks are therefore on distributions: every generation of the extinct
+curve against an exact oracle within a Bernstein bound, and, where no
+oracle is at hand, a two-sample Kolmogorov-Smirnov distance between the
+kernel's extinction generations and those of a per-trial loop.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from branchsim import (
     initial_state,
     run_batch,
     run_bisexual_batch,
-    simulate_trajectory,
+    sample_offspring_total,
 )
 from branchsim.scenario import parse_phi
 
@@ -58,20 +59,25 @@ def kernel_generations(res):
 
 
 def reference_generations(cfg, trials):
+    """Extinction generations of a per-trial loop on each trial's own streams:
+    a policy's units, their offspring total and the policy on it, or a
+    bisexual step.  The policies here draw nothing and never revive 0."""
     out = []
     for t in range(trials):
-        streams = TrialStreams(cfg.master_seed, t)
-        if cfg.mating is None:
-            eg = simulate_trajectory(cfg.law, cfg.policy, cfg.horizon, streams,
-                                     population_cap=BIG_CAP).extinction_generation()
-        else:
-            state, eg = initial_state(cfg.initial_units), None
-            for n in range(1, cfg.horizon + 1):
+        streams, eg = TrialStreams(cfg.master_seed, t), None
+        state, z = initial_state(cfg.initial_units), 1
+        for n in range(1, cfg.horizon + 1):
+            if cfg.mating is None:
+                units = int(cfg.policy.units(np.array([z]))[0])
+                total = sample_offspring_total(cfg.law, units, streams.offspring(n), BIG_CAP)
+                z = int(cfg.policy.apply(np.array([total]), n)[0])
+            else:
                 state = bisexual_step(state, cfg.law, cfg.alpha, cfg.mating, streams,
                                       population_cap=BIG_CAP)
-                if state.units == 0:
-                    eg = n
-                    break
+                z = state.units
+            if z == 0:
+                eg = n
+                break
         out.append(cfg.horizon + 1 if eg is None else eg)
     return np.array(out)
 
@@ -83,15 +89,10 @@ def ks_distance(a, b, top):
 
 
 @pytest.mark.parametrize("cfg", [
-    Batch(Geometric(0.6), 60, 8000, 31),
-    Batch(ExplicitPmf({0: 0.25, 2: 0.75}), 150, 8000, 32,
-          policy=Truncation(GrowthFunction.log(2.0, 3.0, rounding="ceil"))),
-    Batch(Geometric(0.6), 60, 8000, 33,
-          policy=Disaster(DisasterSchedule.c_over_k(0.5))),
     Batch(Geometric(0.6), 60, 8000, 34,
           policy=parse_phi({"form": "linear", "a": 0.8, "c": 0.5})),
     Batch(Poisson(2.5), 60, 8000, 35, mating=Min(), initial_units=3),
-], ids=["geometric", "log_truncation", "c_over_k_disaster", "linear_phi", "bisexual_min"])
+], ids=["linear_phi", "bisexual_min"])
 def test_kernel_extinction_generations_match_scalar_reference(cfg):
     run = run_batch if cfg.mating is None else run_bisexual_batch
     kernel = kernel_generations(run(cfg))
@@ -115,13 +116,52 @@ def assert_curve_matches(res, exact):
         assert abs(curve[n] - p) <= bernstein_halfwidth(p, res.trials, len(exact)), n
 
 
+def geometric_extinct(law, horizon):
+    """f_n(0), n = 0 .. horizon: P(Z_n = 0) of the plain process from Z_0 = 1."""
+    exact = [0.0]
+    for _ in range(horizon):
+        exact.append(law.pgf(exact[-1]))  # f_n(0) = f(f_{n-1}(0))
+    return exact
+
+
+def log_truncation_extinct(g, horizon):
+    """P(Z_n = 0) of the chain Z_n = min(2 Bin(Z_(n-1), 3/4), g(n)), Z_0 = 1."""
+    dist, exact = {1: 1.0}, [0.0]
+    for n in range(1, horizon + 1):
+        nxt = {}
+        for z, pz in dist.items():
+            for ones in range(z + 1):
+                to = min(2 * ones, g(n))
+                nxt[to] = nxt.get(to, 0.0) + pz * math.comb(z, ones) * 0.75**ones * 0.25**(z - ones)
+        dist = nxt
+        exact.append(dist.get(0, 0.0))
+    return exact
+
+
+def c_over_k_extinct(law, c, horizon):
+    """1 - P(Z_n > 0) = 1 - (1 - f_n(0)) prod_{k <= n} (1 - min(1, c/k)): a
+    disaster strikes independently of the population."""
+    spared = np.cumprod([1.0] + [1.0 - min(1.0, c / k) for k in range(1, horizon + 1)])
+    return [1.0 - (1.0 - f) * s for f, s in zip(geometric_extinct(law, horizon), spared)]
+
+
+LOG_G = GrowthFunction.log(2.0, 3.0, rounding="ceil")
+
+
+@pytest.mark.parametrize("cfg,exact", [
+    (Batch(Geometric(0.6), 60, 8000, 31), geometric_extinct(Geometric(0.6), 60)),
+    (Batch(ExplicitPmf({0: 0.25, 2: 0.75}), 150, 8000, 32, policy=Truncation(LOG_G)),
+     log_truncation_extinct(LOG_G, 150)),
+    (Batch(Geometric(0.6), 60, 8000, 33, policy=Disaster(DisasterSchedule.c_over_k(0.5))),
+     c_over_k_extinct(Geometric(0.6), 0.5, 60)),
+], ids=["geometric", "log_truncation", "c_over_k_disaster"])
+def test_kernel_extinct_curve_matches_the_exact_oracle(cfg, exact):
+    assert_curve_matches(run_batch(cfg), exact)
+
+
 def test_extinct_curve_matches_iterated_pgf():
     law = Geometric(0.6)
-    res = run_batch(Batch(law, 60, 20_000, 41))
-    exact = [0.0]
-    for _ in range(60):
-        exact.append(law.pgf(exact[-1]))  # f_n(0) = f(f_{n-1}(0))
-    assert_curve_matches(res, exact)
+    assert_curve_matches(run_batch(Batch(law, 60, 20_000, 41)), geometric_extinct(law, 60))
 
 
 def test_constant_phi_alive_curve_matches_exact_law():

@@ -46,19 +46,13 @@ def test_uncoupled_streams_are_cached_across_generations():
     assert streams.offspring(1) is not streams.control(1)
 
 
-def test_coupled_streams_rekey_every_generation():
-    streams = TrialStreams(99, 4, coupled=True)
-    first = draws(streams.offspring(1))
-    again = draws(streams.offspring(1))
-    other = draws(streams.offspring(2))
+def test_generation_keyed_streams_rekey_every_generation():
+    # the coupled kernel draws trial t's generation n from this key
+    first = draws(spawn_generator(99, 4, STREAM_OFFSPRING, generation=1))
+    again = draws(spawn_generator(99, 4, STREAM_OFFSPRING, generation=1))
+    other = draws(spawn_generator(99, 4, STREAM_OFFSPRING, generation=2))
     assert first == again  # same generation, same prefix
     assert first != other
-
-
-def test_coupled_streams_match_spawn_generator():
-    streams = TrialStreams(42, 11, coupled=True)
-    direct = spawn_generator(42, 11, STREAM_OFFSPRING, generation=6)
-    assert draws(streams.offspring(6)) == draws(direct)
 
 
 def test_named_streams_cover_distinct_keys():
