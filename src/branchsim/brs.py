@@ -134,8 +134,8 @@ class CustomClaim(ClaimDistribution):
         object.__setattr__(self, "scale", float(scale))
         if not self.total_mean > 0:
             raise ConfigError(f"claim mean must be positive, got {mean}")
-        if self.scale <= 0:
-            raise ConfigError(f"scale must be positive, got {scale}")
+        if not 0 < self.scale < math.inf:
+            raise ConfigError(f"scale must be finite and positive, got {scale}")
         self._validate()
 
     def _validate(self):

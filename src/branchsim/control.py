@@ -178,7 +178,7 @@ class DisasterSchedule:
 
     @staticmethod
     def c_over_k(c: float) -> "DisasterSchedule":
-        if c < 0:
+        if not c >= 0:  # NaN too
             raise ConfigError(f"c/k schedule needs c >= 0, got {c}")
         return DisasterSchedule(form="c_over_k", c=float(c))
 
@@ -232,17 +232,13 @@ class ControlPolicy:
     def apply(self, counts, generation: int, rng=None):
         return counts
 
-    def level(self, generation: int) -> int:
-        """The count threshold that ``apply`` reads at the generation: apply
-        depends on it alone and acts alike at all levels past a count.  The
-        table lane folds only a policy with a level of its own, and this one."""
-        return 0
-
     def levels(self, n0: int, n1: int) -> list[tuple[int, int]]:
-        """The (start, level) runs of ``level`` over generations n0 .. n1 - 1,
-        which the table lane folds once each; here ``level`` runs once a
-        generation."""
-        return _runs(map(self.level, range(n0, n1)), n0)
+        """The (start, level) runs over generations n0 .. n1 - 1 of the count
+        threshold that ``apply`` reads: in a run, apply depends on its level
+        alone, and it acts alike at all levels past a count.  The table lane
+        folds a policy once a run, but only one that overrides this or keeps
+        the identity ``apply``, which reads no level."""
+        return [(n0, 0)]
 
 
 @dataclass(frozen=True)
@@ -250,9 +246,6 @@ class TruncationAsAbsorption(ControlPolicy):
     """Absorb the overshoot above g(n): A_n(l) = max(l - g(n), 0)."""
 
     g: GrowthFunction
-
-    def level(self, generation: int):
-        return self.g(generation)
 
     def levels(self, n0: int, n1: int):
         return self.g.runs(n0, n1)
@@ -289,9 +282,6 @@ class LowerBoundary(ControlPolicy):
     def apply(self, counts, generation: int, rng=None):
         counts[counts < int(self.b(generation))] = 0
         return counts
-
-    def level(self, generation: int):
-        return self.b(generation)
 
     def levels(self, n0: int, n1: int):
         return self.b.runs(n0, n1)
@@ -361,7 +351,6 @@ class Truncation(ControlPolicy):
             raise ConfigError(f"truncation function must satisfy g(0) >= 1, got {self.g(0)}")
 
     apply = TruncationAsAbsorption.apply  # both leave min(offspring, g(n))
-    level = TruncationAsAbsorption.level
     levels = TruncationAsAbsorption.levels
 
 

@@ -23,7 +23,8 @@ block whose policy reproduces its counts as they are and never raises them
 and a cap past every table total) draws a span of generations per
 ``random_raw`` call: up to 2^13 outputs (``_SPAN_RAWS``), each span twice
 the generations that the last one drew, which a death, a restart or a
-count past the table's rows cuts short.  The sex split stays on numpy.  A
+count past the table's rows cuts short; each first grows the rows to its
+parent counts.  The sex split stays on numpy.  A
 per-particle inverse-CDF mode exists for monotone coupling: with
 generation-keyed streams, the draw for parent i is the same in two runs, so
 the offspring total is nondecreasing in the parent count.

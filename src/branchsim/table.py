@@ -8,7 +8,8 @@ of thresholds K_1 <= K_2 <= ... of that count at or below the uniform.
 ``_inversion_row`` finds the thresholds exactly, and ``_BinomialDraw``
 looks each count up in a flat table of them, so its counts, the
 generator's position after a draw and every report byte are numpy's.
-A policy that draws nothing folds into the table, so a span generation is
+Rows grow in ``_BinomialDraw.steps`` alone, and a policy that draws nothing
+folds into the table once a run of its ``levels``, so a span generation is
 one searchsorted, one take and one add.
 """
 
@@ -23,7 +24,6 @@ from .control import ControlPolicy
 # largest binomial count drawn by table lookup: 32 rows of at most 34 int64
 # keys and values each, under 10 kB per probability
 _TABLE_COUNTS = 32
-_FOLDS = 64  # folded tables kept
 
 
 def _inversion_row(n: int, p: float) -> list[int]:
@@ -106,7 +106,7 @@ class _BinomialDraw:
         # (trials z - X for p > 1/2), or -1 for a restart, a count of 0 and a
         # count past the table
         self._table = (np.zeros(0, dtype=np.int64), np.full(1, -1, dtype=np.int64), 0)
-        self._folds = (self._table, None, {})  # (table, policy, {level: folded table})
+        self._folds = (self._table, None, {})  # (table, policy, {level <= most + 1: fold})
 
     def _grow(self, top: int):
         keys, values, built = self._table
@@ -135,19 +135,12 @@ class _BinomialDraw:
         live, left = values >= 0, np.full(values.size, -1 << 53)
         left[live] = policy.apply(values[live], n) << 53
         step = np.flatnonzero(np.diff(left))
-        if len(folds) >= _FOLDS:
-            folds.clear()
         folds[level] = fold = keys[step], np.append(left[:1], left[step + 1])
         return fold
 
     def __call__(self, z, rng):
-        if self._lookup and z.size:
-            top = int(np.maximum.reduce(z))  # skips ndarray.max's Python layer
-            if self._table[2] < top and top * self.trials <= _TABLE_COUNTS:
-                self._grow(top)
-            rows = self.steps(z, 1, rng)
-            if len(rows):
-                return rows[0]
+        if self._lookup and z.size and len(rows := self.steps(z, 1, rng)):
+            return rows[0]
         out = rng.binomial(z * self.trials if self.trials > 1 else z, self.p)
         if self.scale != 1:
             out = self.scale * out
@@ -156,21 +149,24 @@ class _BinomialDraw:
     def steps(self, z, count, rng, policy=ControlPolicy(), n=0, ctl=None):
         """Up to ``count`` generations n + 1, ... of table draws from the int64
         counts z on a PCG64, one ``random_raw`` for all, each as ``policy``
-        leaves it: a (k, z.size) array of the counts of the k drawn.  It stops
-        before a generation that the table cannot draw (a restart, a count
-        past the rows, or a count of 0, so a span ends with the generation of
-        a death), whose raw outputs, and those after them, go back.  A policy
-        that draws (from ``ctl``), or overrides ``apply`` but not ``level``,
-        applies unfolded, once the table has drawn every count, as does a
-        single generation; any other folds once for each run of its
-        ``levels``."""
-        bits, size, (keys, values, built) = rng.bit_generator, z.size, self._table
-        if type(bits) is not np.random.PCG64 or np.maximum.reduce(z) > built:
-            return z[:0, None]  # the first generation needs new rows or numpy
-        # a policy folds when its level is all its apply reads: its own, or the identity's
+        leaves it: a (k, z.size) array of the counts of the k drawn, once the
+        rows reach z.  It stops before a generation that the table cannot
+        draw (a restart, a count past the rows, or a count of 0, so a span
+        ends with the generation of a death), whose raw outputs, and those
+        after them, go back.  A policy that draws (from ``ctl``), or
+        overrides ``apply`` but not ``levels``, applies unfolded, once the
+        table has drawn every count, as does a single generation; any other
+        folds once for each run of its ``levels``."""
+        bits, size, top = rng.bit_generator, z.size, int(np.maximum.reduce(z))
+        if type(bits) is not np.random.PCG64 or top * self.trials > _TABLE_COUNTS:
+            return z[:0, None]  # the first generation is numpy's
+        if self._table[2] < top:
+            self._grow(top)
+        keys, values, _ = self._table
+        # a policy folds when its levels are all its apply reads: its own, or the identity's
         kind = type(policy)
         checked = (count == 1 or policy.stream is not None
-                   or kind.level is ControlPolicy.level and kind.apply is not ControlPolicy.apply)
+                   or kind.levels is ControlPolicy.levels and kind.apply is not ControlPolicy.apply)
         if not checked and (self._folds[0] is not self._table or self._folds[1] is not policy):
             self._folds = (self._table, policy, {})
         done = count

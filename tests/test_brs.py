@@ -130,8 +130,11 @@ def test_custom_claim_rejects_inconsistent_pairs():
                     mean=0.5)
     with pytest.raises(ConfigError):
         CustomClaim(cdf=uni_cdf, partial_mean=uni_pm, mean=0.0)
-    with pytest.raises(ConfigError):
-        CustomClaim(cdf=uni_cdf, partial_mean=uni_pm, mean=0.5, scale=-1.0)
+    # every quantile searched from an infinite scale was inf, so no claim
+    # was ever drawn below a budget
+    for scale in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ConfigError, match="scale"):
+            CustomClaim(cdf=uni_cdf, partial_mean=uni_pm, mean=0.5, scale=scale)
 
 
 # ------------------------------------------------------------ stopping time

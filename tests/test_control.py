@@ -181,6 +181,9 @@ def test_disaster_schedule_forms():
         DisasterSchedule.from_table([1.5])
     with pytest.raises(ConfigError):
         DisasterSchedule.constant(-0.1)
+    for c in (-0.5, math.nan):  # a NaN c read min(1, nan / k) = 1: every trial died at once
+        with pytest.raises(ConfigError):
+            DisasterSchedule.c_over_k(c)
 
 
 def test_lower_boundary_absorbs_below_threshold():

@@ -400,6 +400,20 @@ def test_binomial_draw_restarts_with_numpys_draw(p):
     assert gen.integers(0, 1 << 32, dtype=np.uint32) == twin.integers(0, 1 << 32, dtype=np.uint32)
 
 
+def test_steps_grow_the_rows_to_their_counts_and_draw_numpys_numbers():
+    # 2 Bin(z, 1/2) a count on a fresh table: each call first builds the rows
+    # of its largest count, then draws until a count passes them or dies
+    draw, gen, twin = table._BinomialDraw(0.5, 2), rng(1), rng(1)
+    z, built = np.array([3, 1, 4]), []
+    while (rows := draw.steps(z, 8, gen)).size:
+        built.append(draw._table[2])
+        for row in rows:
+            z = 2 * twin.binomial(z, 0.5)
+            assert row.tolist() == z.tolist()
+        assert gen.bit_generator.state == twin.bit_generator.state
+    assert built == [4, 8, 10] and 0 in z
+
+
 def test_binomial_law_totals_take_the_table_and_stay_numpys():
     law = Binomial(3, 0.6)
     for z in (1, 5, 10, 11, 40):  # 3 z trials: past 32 from 11 parents on
@@ -1341,45 +1355,67 @@ def test_folded_spans_end_at_a_death_a_restart_and_a_count_past_the_rows(name):
                                   "lower_boundary"])
 def test_apply_on_the_totals_depends_on_the_generation_only_through_its_level(name):
     policy, left = FOLD_POLICIES[name], {}
+    runs = policy.levels(1, 400)
+    ends = [j for j, _ in runs[1:]] + [400]
+    level = {n: v for (j, v), end in zip(runs, ends) for n in range(j, end)}
+    assert list(level) == list(range(1, 400))  # the runs cover 1 .. 399 in order
     for n in range(1, 400):
         totals = policy.apply(np.arange(70), n).tolist()
-        assert left.setdefault(policy.level(n), totals) == totals
+        assert left.setdefault(level[n], totals) == totals
     # levels past every total act alike, as the fold cache assumes: here
     # totals of at most 2
-    past = {tuple(policy.apply(np.arange(3), n)) for n in range(1, 400) if policy.level(n) > 2}
+    past = {tuple(policy.apply(np.arange(3), n)) for n in range(1, 400) if level[n] > 2}
     assert len(past) == 1
 
 
 def test_policies_that_read_no_level_have_level_0():
-    assert ControlPolicy().level(7) == 0 and FOLD_POLICIES["disaster"].level(7) == 0
+    for policy in (ControlPolicy(), FOLD_POLICIES["disaster"]):
+        assert policy.levels(7, 9) == [(7, 0)] and policy.levels(1, 100_001) == [(1, 0)]
+
+
+def record_folds(monkeypatch):
+    """The levels of the tables ``_fold`` builds, in order, and the sizes of
+    the cache it adds each to."""
+    folded, sizes, fold = [], [], table._BinomialDraw._fold
+
+    def recorded(self, folds, policy, n, level):
+        folded.append(level)
+        sizes.append(len(folds))
+        return fold(self, folds, policy, n, level)
+    monkeypatch.setattr(table._BinomialDraw, "_fold", recorded)
+    return folded, sizes
+
+
+@dataclass(frozen=True)
+class UnfoldedTruncation(ControlPolicy):
+    """Truncation's ``apply`` without its ``levels``: it applies every generation."""
+
+    g: GrowthFunction
+    apply = Truncation.apply
 
 
 def test_a_linear_g_over_the_largest_horizon_keeps_the_fold_cache_bounded(monkeypatch):
     # g(n) = n + 1 has a level of its own every generation, and the counts stay
     # within the table's 32 rows of a {0, 1} law: levels past 32 fold alike
-    law = ExplicitPmf({0: 1e-6, 1: 1 - 1e-6})
+    law, g = ExplicitPmf({0: 1e-6, 1: 1 - 1e-6}), GrowthFunction.linear(1, 1)
     cfg = Batch(law, horizon=100_000, trials=4, master_seed=3, initial_size=20,
-                policy=Truncation(GrowthFunction.linear(1, 1)))
-    runs, fold = [], table._BinomialDraw._fold
-
-    def counted(self, cache, *args):
-        runs[-1].append(len(cache))
-        return fold(self, cache, *args)
-    monkeypatch.setattr(table._BinomialDraw, "_fold", counted)
-    results = []
-    for kept in (table._FOLDS, 8):  # 8 tables: fewer than the levels told apart
-        monkeypatch.setattr(table, "_FOLDS", kept)
-        engine._lanes.cache_clear()
-        runs.append([])
-        results.append(run_batch(cfg))
-        assert len(engine._lanes(law, cfg.population_cap)[1]._folds[2]) <= kept
-        assert max(runs[-1]) <= kept
+                policy=Truncation(g))
+    folded, sizes = record_folds(monkeypatch)
     engine._lanes.cache_clear()
-    assert results[0].per_generation_alive_counts[-1] == 4  # every trial lives to the end
-    assert_same_result(results[1], results[0])
-    # each level folds once, levels up to 33 standing for all past every
-    # total, and the cache of 8 fills and empties
-    assert len(runs[0]) == len(runs[1]) <= 33 and max(runs[1]) == 8
+    try:
+        res = run_batch(cfg)
+        draw = engine._lanes(law, cfg.population_cap)[1]
+        assert len(draw._folds[2]) <= draw.most + 2 == 34
+        assert max(sizes) < draw.most + 2
+        engine._lanes.cache_clear()
+        ref = run_batch(Batch(law, horizon=100_000, trials=4, master_seed=3, initial_size=20,
+                              policy=UnfoldedTruncation(g)))
+    finally:
+        engine._lanes.cache_clear()
+    assert res.per_generation_alive_counts[-1] == 4  # every trial lives to the end
+    assert_same_result(res, ref)
+    # each level folds once, levels up to 33 standing for all past every total
+    assert len(folded) == len(set(folded)) <= 33 and max(folded) == 33
 
 
 def test_a_lower_boundary_past_every_total_folds_as_one_that_absorbs_every_count():
@@ -1411,7 +1447,7 @@ def test_a_fold_merges_runs_and_looks_up_what_the_policy_leaves_of_each_total():
 @dataclass(frozen=True)
 class OddGenerationsCapped(ControlPolicy):
     """A policy of one's own whose apply reads the generation but that has no
-    level of its own: it must not fold."""
+    levels of its own: it must not fold."""
 
     def apply(self, counts, generation, rng=None):
         if generation % 2:
@@ -1419,17 +1455,9 @@ class OddGenerationsCapped(ControlPolicy):
         return counts
 
 
-def test_a_policy_without_a_level_of_its_own_applies_every_generation():
-    cfg = Batch(PMF2, horizon=60, trials=30, master_seed=13, policy=OddGenerationsCapped(),
-                initial_size=2)
-    res, _, spans = assert_spans_change_nothing(cfg)
-    assert max(span[1] for span in spans) >= 4
-
-
 @dataclass(frozen=True)
-class CappedByParity(ControlPolicy):
-    """A policy of one's own with a ``level`` but no ``levels``: a cap of 3 in
-    odd generations and of 5 in even ones."""
+class LevelOnly(ControlPolicy):
+    """A ``level`` method, which no table reads, and an apply that reads it."""
 
     def level(self, generation):
         return 3 if generation % 2 else 5
@@ -1438,12 +1466,29 @@ class CappedByParity(ControlPolicy):
         return np.minimum(counts, self.level(generation), out=counts)
 
 
-def test_a_policy_with_a_level_of_its_own_folds_by_the_default_levels(monkeypatch):
-    folded, fold = [], table._BinomialDraw._fold
-    monkeypatch.setattr(table._BinomialDraw, "_fold",
-                        lambda self, folds, policy, n, level: folded.append(level)
-                        or fold(self, folds, policy, n, level))
-    assert CappedByParity().levels(4, 8) == [(4, 5), (5, 3), (6, 5), (7, 3)]
+@pytest.mark.parametrize("policy", [OddGenerationsCapped(), LevelOnly()],
+                         ids=["apply_alone", "level_method"])
+def test_a_policy_without_levels_of_its_own_applies_every_generation(monkeypatch, policy):
+    folded, _ = record_folds(monkeypatch)
+    cfg = Batch(PMF2, horizon=60, trials=30, master_seed=13, policy=policy, initial_size=2)
+    res, _, spans = assert_spans_change_nothing(cfg)
+    assert max(span[1] for span in spans) >= 4 and not folded
+
+
+@dataclass(frozen=True)
+class CappedByParity(ControlPolicy):
+    """A policy of one's own with ``levels``: a cap of 3 in odd generations
+    and of 5 in even ones."""
+
+    def levels(self, n0, n1):
+        return [(n, 3 if n % 2 else 5) for n in range(n0, n1)]
+
+    def apply(self, counts, generation, rng=None):
+        return np.minimum(counts, 3 if generation % 2 else 5, out=counts)
+
+
+def test_a_policy_with_levels_of_its_own_folds_by_them(monkeypatch):
+    folded, _ = record_folds(monkeypatch)
     cfg = Batch(PMF2, horizon=60, trials=30, master_seed=13, policy=CappedByParity(),
                 initial_size=2)
     res, _, spans = assert_spans_change_nothing(cfg)

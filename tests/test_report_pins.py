@@ -205,10 +205,11 @@ def test_a_brs_report_solves_its_threshold_once(tmp_path, monkeypatch):
 def test_the_truncation_bench_round_keeps_its_bytes_with_few_spans_and_g_calls(
         tmp_path, monkeypatch):
     # bench/run.py's truncation_log config at master seed 2024000, pinned when
-    # every span generation read g once: 165 steps calls and 2123 g calls then
+    # every span generation read g once: 165 steps calls and 2123 g calls then,
+    # and 4 draws off the table lane while a block's first span grew no rows
     doc = run_doc(truncation({"form": "log", "a": 2.0, "base": 3.0, "rounding": "ceil"}),
                   master_seed=2024000, trials=500, horizon=2000)
-    calls = {"steps": 0, "g": 0}
+    calls = {"steps": 0, "g": 0, "draws": 0}
 
     def counted(name, fn):
         def call(*args, **kwargs):
@@ -218,7 +219,8 @@ def test_the_truncation_bench_round_keeps_its_bytes_with_few_spans_and_g_calls(
     monkeypatch.setattr(table._BinomialDraw, "steps", counted("steps", table._BinomialDraw.steps))
     monkeypatch.setattr(control.GrowthFunction, "__call__",
                         counted("g", control.GrowthFunction.__call__))
+    monkeypatch.setattr(engine, "_draw_offspring", counted("draws", engine._draw_offspring))
     engine._lanes.cache_clear()  # the rows of a fresh process
     assert (report_digest(tmp_path, "run", doc)
             == "20e7f3b7426f9b3ab816be98c02b57e5ad03eb6ba3e940e6c4d3f95b5a70c1fd")
-    assert calls["steps"] <= 120 and calls["g"] <= 400, calls
+    assert calls["steps"] <= 120 and calls["g"] <= 400 and calls["draws"] == 0, calls
