@@ -3,14 +3,22 @@
 Each generation the mating units reproduce independently; every offspring is
 male with probability alpha, female otherwise; the next generation's units
 are M(females, males) for a mating function M that is nondecreasing in each
-argument.  The sex split is drawn as one exact binomial over the generation
-total, which is distributionally identical to assigning sexes one by one.
+argument.  So the units follow a Markov chain whose transition law from z
+units is p_{T|z} K, for the pmf p_{T|z} of the offspring total T of z units
+and the units kernel K[t, u] = P(M(t - B, B) = u), B ~ Bin(t, alpha) the
+males among t offspring.  For a built-in mating, a generation whose unit
+counts are all at most 32 draws each count's next units with one table
+lookup in those rows, from the offspring stream alone; any other
+generation, and every generation of a custom mating, draws the offspring
+total and then splits it by sex with one exact binomial on the sex stream,
+which is distributionally identical to assigning sexes one by one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -21,8 +29,10 @@ from .engine import (DEFAULT_POPULATION_CAP, BatchResult, _binomial_exact, _run_
 from .errors import ConfigError
 from .law import ExplicitPmf, OffspringLaw
 from .rng import STREAM_SEX, TrialStreams
+from .table import _TABLE_COUNTS, _pmf_rows, _TableDraw
 
 _GRID_MAX = 64  # custom mating functions are validated on [0, 64]^2
+_KERNEL_TOTALS = 1 << 9  # a units table's offspring totals stay below this
 
 
 @dataclass(frozen=True)
@@ -155,6 +165,67 @@ class _MatingStep(ControlPolicy):
     def apply(self, counts, generation: int, rng=None):
         return self.mating.units(*self.split(counts, rng))
 
+    def lookup_table(self, law, cap: int):
+        return _units_table(law, self.alpha, self.mating, cap)
+
+
+def _kernel(alpha: float, mating: MatingFunction, top: int):
+    """The units kernel K[t, u] = P(M(t - B, B) = u), B ~ Bin(t, alpha), over
+    totals t <= top, as two square arrays (w, u): w[t, b] = P(B = b) and u[t,
+    b] = M(t - b, b), both 0 for b > t, so that K[t] is the bincount of u[t]
+    weighted by w[t] and E[M(t - B, B)] = w[t] . u[t].
+
+    w[t, b] = C(t, b) p^b (1 - p)^(t - b) for p = alpha <= 1/2, and the
+    weights of p = 1 - alpha read from the other end for alpha > 1/2: C(t,
+    b) is a running product of (t - b + 1) / b, below 2^1018 for t < 2^10,
+    and the power of 1 - p = hi + lo, held exactly as two floats, is hi^k (1
+    + k lo / hi).  Each weight near the mode is a normal float, within 20
+    ulps of its value for t < 2^9 (the running product's roundings)."""
+    flip = alpha > 0.5
+    p = 1.0 - alpha if flip else alpha  # exact for alpha > 1/2
+    hi = 1.0 - p
+    lo = (1.0 - hi) - p  # 1 - p - hi, exactly
+    t, b = np.ogrid[:top + 1, :top + 1]
+    k, inside = np.maximum(t - b, 0), b <= t
+    steps = np.where(inside, (t - b + 1.0) / np.maximum(b, 1), 0.0)
+    steps[:, 0] = 1.0
+    w = np.cumprod(steps, axis=1) * p ** b.astype(np.float64) * (hi**k * (1.0 + k * (lo / hi)))
+    if flip:
+        w = w[t, k] * inside
+    units = mating.units(k.ravel(), np.where(inside, b, 0).ravel())
+    return w, units.reshape(top + 1, top + 1)
+
+
+@lru_cache(maxsize=16)  # a table keeps its kernel, up to 4 MB
+def _units_table(law: OffspringLaw, alpha: float, mating: MatingFunction, cap: int):
+    """The table whose row z draws the next units of z mating units, from
+    the pmf p_{T|z} K (``OffspringLaw.sum_pmf``, ``_kernel``), K grown as
+    the rows need it.  None for a custom mating, and where the offspring
+    totals of its rows may reach ``_KERNEL_TOTALS`` or pass the cap, which
+    fails a trial and so must be drawn."""
+    mk = law.max_k()
+    if isinstance(mating, CustomMating) or _TABLE_COUNTS * (mk or law.mean()) >= _KERNEL_TOTALS:
+        return None
+    most = law.sum_pmf(_TABLE_COUNTS).size - 1
+    if most >= _KERNEL_TOTALS or most > cap:
+        return None
+    kernel = None
+
+    def rows(z0, z1):
+        nonlocal kernel
+        pmfs = [law.sum_pmf(z) for z in range(z0, z1)]
+        size = max(pmf.size for pmf in pmfs)
+        if kernel is None or len(kernel[0]) < size:  # grown to the totals of twice the units
+            kernel = _kernel(alpha, mating, law.sum_pmf(min(2 * z1, _TABLE_COUNTS)).size - 1)
+        w, units = (a[:size, :size] for a in kernel)
+        k = np.bincount((units + size * np.arange(size)[:, None]).ravel(), weights=w.ravel(),
+                        minlength=size * size).reshape(size, size)
+        p = np.zeros((len(pmfs), size))
+        for row, pmf in zip(p, pmfs):
+            row[:pmf.size] = pmf
+        return _pmf_rows(p @ k)
+    return _TableDraw(rows, _TABLE_COUNTS, most)
+
 
 @dataclass(frozen=True)
 class MeanReproduction:
@@ -169,25 +240,10 @@ class MeanReproduction:
 
 def _exact_mean_units(k: int, law: ExplicitPmf, alpha: float,
                       mating: MatingFunction) -> float:
-    """Exact E[units after one step from k units] by full enumeration."""
-    ks, ps = law.pmf_table()
-    dist = np.zeros(1)
-    dist[0] = 1.0
-    unit_pmf = np.zeros(int(ks[-1]) + 1)
-    unit_pmf[ks] = ps
-    for _ in range(k):
-        dist = np.convolve(dist, unit_pmf)
-    expected = 0.0
-    for total, p_total in enumerate(dist):
-        if p_total <= 0.0:
-            continue
-        # binomial sex split of this total
-        w = (1.0 - alpha) ** total
-        ratio = alpha / (1.0 - alpha)
-        for males in range(total + 1):
-            expected += p_total * w * mating.units(total - males, males)
-            w *= ratio * (total - males) / (males + 1) if males < total else 0.0
-    return expected
+    """Exact E[units after one step from k units]: p_{T|k} K u."""
+    pmf = law.sum_pmf(k)
+    w, units = _kernel(alpha, mating, pmf.size - 1)
+    return float(pmf @ (w * units.astype(np.float64)).sum(axis=1))
 
 
 def mean_reproduction_per_unit(k: int, law: OffspringLaw, alpha: float,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -117,7 +118,8 @@ class CustomClaim(ClaimDistribution):
     finite-difference derivative of PM must match t * dF/dt, since a wrong
     partial mean silently corrupts the threshold equation.  A quantile
     function may be supplied; otherwise each quantile is the least float t
-    with F(t) >= u, searched from ``scale``.
+    with F(t) >= u, searched from ``scale``: for all the uniforms of a call
+    at once, one cdf call a halving, when the cdf takes arrays.
     """
 
     cdf_fn: Callable[[float], float]
@@ -132,8 +134,8 @@ class CustomClaim(ClaimDistribution):
         object.__setattr__(self, "total_mean", float(mean))
         object.__setattr__(self, "ppf_fn", ppf)
         object.__setattr__(self, "scale", float(scale))
-        if not self.total_mean > 0:
-            raise ConfigError(f"claim mean must be positive, got {mean}")
+        if not 0 < self.total_mean < math.inf:
+            raise ConfigError(f"claim mean must be finite and positive, got {mean}")
         if not 0 < self.scale < math.inf:
             raise ConfigError(f"scale must be finite and positive, got {scale}")
         self._validate()
@@ -174,9 +176,23 @@ class CustomClaim(ClaimDistribution):
     def mean(self):
         return self.total_mean
 
+    @cached_property
+    def _takes_arrays(self) -> bool:
+        """Whether the cdf maps an array of the validation grid to the floats
+        it gives each point alone."""
+        grid = self.scale * np.geomspace(1e-3, 1e3, 61)
+        try:
+            values = np.asarray(self.cdf_fn(grid), dtype=np.float64)
+        except Exception:  # a cdf of scalars may raise anything on an array
+            return False
+        return values.shape == grid.shape and values.tolist() == [self.cdf(t) for t in grid]
+
     def ppf(self, u):
         if self.ppf_fn is not None:
             return np.asarray(self.ppf_fn(u), dtype=np.float64)
+        if self._takes_arrays:
+            u = np.asarray(u, dtype=np.float64)
+            return _least_crossings(self.cdf_fn, u.ravel(), self.scale).reshape(u.shape)
         return np.vectorize(lambda v: _least_crossing(self.cdf, v, self.scale),
                             otypes=[np.float64])(u)
 
@@ -241,6 +257,27 @@ def _least_crossing(f, y: float, start: float) -> float:
         else:
             hi = mid
     return hi if lo > 0.0 or f(0.0) < y else 0.0
+
+
+def _least_crossings(f, y, start: float) -> np.ndarray:
+    """``_least_crossing`` for an array y at once, f taking arrays: each step
+    doubles, or halves, the bracket of every entry not yet done with one
+    call of f, so each result is the float the scalar search gives."""
+    lo, hi = np.zeros(y.size), np.full(y.size, start)
+    live = np.arange(y.size)
+    while live.size:
+        live = live[np.asarray(f(hi[live])) < y[live]]
+        lo[live], hi[live] = hi[live], 2.0 * hi[live]
+        if (out := live[np.isinf(hi[live])]).size:
+            raise NumericFailure(f"no t up to the largest float has f(t) >= {y[out[0]]}")
+    mid = lo + 0.5 * (hi - lo)
+    live = np.flatnonzero((mid != lo) & (mid != hi))
+    while live.size:
+        below = np.asarray(f(mid[live])) < y[live]
+        lo[live[below]], hi[live[~below]] = mid[live[below]], mid[live[~below]]
+        mid[live] = lo[live] + 0.5 * (hi[live] - lo[live])
+        live = live[(mid[live] != lo[live]) & (mid[live] != hi[live])]
+    return np.where((lo > 0.0) | (float(f(0.0)) < y), hi, 0.0)
 
 
 def solve_threshold(pop: Population) -> float:

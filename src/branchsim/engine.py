@@ -17,14 +17,17 @@ of 2^62 or more and the alive sizes of object blocks; an int64 alive sum
 that may pass 2^63 adds 32-bit halves.  The dtype changes no drawn number
 and no report byte.  A sized binomial draw (a Binomial law, a two-atom pmf)
 whose counts all have 1 to 32 trials, with 0 < p < 1, on a PCG64, is numpy's
-inversion draw looked up in a table (``table._BinomialDraw``), which for a
+inversion draw looked up in a table (``table._binomial_draw``), which for a
 block whose policy reproduces its counts as they are and never raises them
 (no phi, custom rule or custom mating, coupled streams or failure replay,
 and a cap past every table total) draws a span of generations per
 ``random_raw`` call: up to 2^13 outputs (``_SPAN_RAWS``), each span twice
 the generations that the last one drew, which a death, a restart or a
 count past the table's rows cuts short; each first grows the rows to its
-parent counts.  The sex split stays on numpy.  A
+parent counts.  A policy whose ``lookup_table`` gives a table (the mating
+step of a built-in mating) draws a generation whose counts are all within
+its rows with one lookup a count, which is what ``apply`` would leave, so
+neither the offspring draw nor ``apply`` runs for it.  A
 per-particle inverse-CDF mode exists for monotone coupling: with
 generation-keyed streams, the draw for parent i is the same in two runs, so
 the offspring total is nondecreasing in the parent count.
@@ -44,7 +47,7 @@ from .control import ControlPolicy, CustomAbsorption, _counts
 from .errors import BatchTrialError, BranchsimError, ConfigError, PopulationOverflow
 from .law import INT64_MAX, Binomial, ExplicitPmf, Geometric, OffspringLaw, Poisson
 from .rng import STREAM_OFFSPRING, block_generators, spawn_generator
-from .table import _BinomialDraw
+from .table import _binomial_draw, _TableDraw
 
 DEFAULT_POPULATION_CAP = 1 << 48
 
@@ -69,7 +72,7 @@ def _make_block_draw(law: OffspringLaw):
     if isinstance(law, Geometric):
         return lambda z, rng: rng.negative_binomial(z, 1.0 - law.r)
     if isinstance(law, Binomial):
-        return _BinomialDraw(law.p, trials=law.n)
+        return _binomial_draw(law.p, trials=law.n)
     if not isinstance(law, ExplicitPmf):
         raise ConfigError(f"no sampler for law kind {law.kind!r}")
     ks_np, ps = law.pmf_table()
@@ -79,7 +82,7 @@ def _make_block_draw(law: OffspringLaw):
     if len(ks_np) == 2:
         # a two-atom pmf needs only one binomial count
         k_lo, k_hi = (int(k) for k in ks_np)
-        return _BinomialDraw(float(pvals[1]), k_hi - k_lo, base=k_lo)
+        return _binomial_draw(float(pvals[1]), k_hi - k_lo, base=k_lo)
     return lambda z, rng: rng.multinomial(z, pvals) @ ks_np
 
 
@@ -430,7 +433,8 @@ def _run_vector_block(policy, batch, lo, hi, counted=None):
     that enter the aggregates.  A custom rule, given each trial's counts so
     far, or a coupled rule that draws applies to one live trial at a time.
     On the table lane a step may be a span of generations, in all of which
-    but the last every trial lives.
+    but the last every trial lives; with the policy's ``lookup_table`` a
+    step whose counts fit its rows is one lookup, and apply does not run.
     Returns (extinction generations, alive counts, alive sums, samples, failures)."""
     gens = block_generators(batch.seed, lo // _TRIAL_BLOCK)
     lanes = _lanes(batch.law, batch.cap)
@@ -450,8 +454,9 @@ def _run_vector_block(policy, batch, lo, hi, counted=None):
         eg[:] = 0
         idx, z = idx[:0], z[:0]
     draw, ctl = lanes[1], None if stream is None else gens[stream]
+    tabled = not batch.coupled and policy.lookup_table(batch.law, batch.cap)
     # a table-lane block steps a span of generations per ``random_raw``
-    spanning = (isinstance(draw, _BinomialDraw) and draw.spans and draw.most <= batch.cap
+    spanning = (isinstance(draw, _TableDraw) and draw.spans and draw.most <= batch.cap
                 and counted is None and not (batch.coupled or custom or policy.grows)
                 and type(policy).units is ControlPolicy.units)
     n, span = 0, 1
@@ -470,8 +475,11 @@ def _run_vector_block(policy, batch, lo, hi, counted=None):
                 tracks[t].append(zt)
         if n == horizon or not idx.size:
             break
-        count = min(span, horizon - n, _SPAN_RAWS // idx.size) if spanning else 0
-        rows = draw.steps(z, count, gens[STREAM_OFFSPRING], policy, n, ctl) if count else ()
+        if tabled:  # a generation of what the policy leaves, in one lookup
+            rows = tabled.steps(z, 1, gens[STREAM_OFFSPRING])
+        else:
+            count = min(span, horizon - n, _SPAN_RAWS // idx.size) if spanning else 0
+            rows = draw.steps(z, count, gens[STREAM_OFFSPRING], policy, n, ctl) if count else ()
         span = max(2 * len(rows), 1)
         if len(rows):  # every trial is alive in each row but the last
             alive_counts[n + 1:n + len(rows)] = [idx.size] * (len(rows) - 1)

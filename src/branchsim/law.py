@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import ConfigError
 
 TAIL_EPS = 1e-15  # pmf tables drop a tail of at most this mass
+SUM_TAIL = 2.0**-60  # and the pmfs of sums of draws, a tail of at most this
 TABLE_MAX = 1 << 20  # atoms a pmf table may hold; a law that needs more is a ConfigError
 CRITICAL_EPS = 1e-9  # |m - 1| below this is treated as critical
 INT64_MAX = (1 << 63) - 1  # the largest support point or binomial count a draw takes
@@ -75,15 +76,28 @@ class OffspringLaw:
         """(a, b, log p_0) of the recurrence p_k = p_{k-1} (a + b / k)."""
         raise NotImplementedError
 
+    def sum_pmf(self, z: int) -> np.ndarray:
+        """P(S = 0), P(S = 1), ... of the sum S of z >= 1 draws, up to where
+        the tail left is below SUM_TAIL: Panjer's recurrence with the z-fold
+        parameters (a, a (z - 1) + z b, z log p_0): the sum of z draws of an
+        (a, b, 0) law is one too."""
+        a, b, log_p0 = self._panjer()
+        mk = self.max_k()
+        return self._panjer_pmf(a, a * (z - 1) + z * b, z * log_p0, mk and z * mk, SUM_TAIL)
+
     @cached_property
     def _table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Panjer's recurrence from p_0, summed in logs, to max_k or to the
+        ps = self._panjer_pmf(*self._panjer(), self.max_k(), TAIL_EPS)
+        return np.arange(ps.size, dtype=np.int64), ps
+
+    def _panjer_pmf(self, a: float, b: float, log_p0: float, mk: int | None,
+                    eps: float) -> np.ndarray:
+        """Panjer's recurrence from p_0, summed in logs, to mk or to the
         first k past the mode whose tail bound p_k q / (1 - q), q = a + b /
-        (k + 1) < 1, is below TAIL_EPS (the ratios a + b / k fall with k, so
+        (k + 1) < 1, is below eps (the ratios a + b / k fall with k, so
         the tail is at most that geometric series); past TABLE_MAX atoms, a
         ConfigError."""
-        a, b, log_p0 = self._panjer()
-        mk, size = self.max_k(), 64
+        size = 16
         while True:  # a few table lengths, the last TABLE_MAX
             size = min(16 * size, TABLE_MAX)
             n = size if mk is None else min(size, mk + 1)
@@ -91,9 +105,9 @@ class OffspringLaw:
             ps = np.exp(np.concatenate(([log_p0], log_p0 + np.cumsum(np.log(ratio[:-1])))))
             if mk is not None and n == mk + 1:
                 ratio[-1] = 0.0  # p_{max_k + 1} = 0, which a rounded a + b / k can miss
-            ends = np.flatnonzero((ratio < 1) & (ps * ratio < TAIL_EPS * (1 - ratio)))
+            ends = np.flatnonzero((ratio < 1) & (ps * ratio < eps * (1 - ratio)))
             if ends.size:
-                return np.arange(ends[0] + 1, dtype=np.int64), ps[:ends[0] + 1]
+                return ps[:ends[0] + 1]
             if n == TABLE_MAX:
                 raise ConfigError(f"the pmf table of {self} passes {TABLE_MAX} atoms")
 
@@ -147,6 +161,19 @@ class ExplicitPmf(OffspringLaw):
 
     def max_k(self) -> int:
         return self.atoms[-1][0]
+
+    @lru_cache(maxsize=256)
+    def sum_pmf(self, z: int) -> np.ndarray:
+        """The pmf of the sum of z draws on 0 .. z max_k: the convolution
+        power, kept for the next power and read-only, since callers share it."""
+        if z > 1:
+            pmf = np.convolve(self.sum_pmf(z - 1), self.sum_pmf(1))
+        else:
+            ks, ps = self._table
+            pmf = np.zeros(int(ks[-1]) + 1)
+            pmf[ks] = ps
+        pmf.flags.writeable = False
+        return pmf
 
     @cached_property
     def _table(self) -> tuple[np.ndarray, np.ndarray]:

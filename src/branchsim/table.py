@@ -1,14 +1,23 @@
-"""Small binomial draws by table lookup, number for number numpy's.
+"""Draws by table lookup: numpy's own small binomials, and the rows of a pmf.
 
-numpy's ``Generator.binomial`` draws a count of n <= 32 trials by inversion
-(Kachitvichyanukul & Schmeiser, CACM 31, 1988): n min(p, 1 - p) <= 16 is
-below its switch to BTPE at 30.  It takes one 53-bit uniform, the top 53
-bits of one raw output of the bit generator, and its result is the number
-of thresholds K_1 <= K_2 <= ... of that count at or below the uniform.
-``_inversion_row`` finds the thresholds exactly, and ``_BinomialDraw``
-looks each count up in a flat table of them, so its counts, the
-generator's position after a draw and every report byte are numpy's.
-Rows grow in ``_BinomialDraw.steps`` alone, and a policy that draws nothing
+A table's row z gives a count of z its total from one 53-bit uniform m, the
+top 53 bits of one raw output of a PCG64: the total is the k-th of the row's
+values, k = #{thresholds of the row at or below m}.  ``_TableDraw`` looks
+each count up in a flat table of its rows with one searchsorted.  Rows come
+from one of two sources:
+
+- numpy's ``Generator.binomial`` draws a count of n <= 32 trials by
+  inversion (Kachitvichyanukul & Schmeiser, CACM 31, 1988): n min(p, 1 - p)
+  <= 16 is below its switch to BTPE at 30.  It takes one 53-bit uniform,
+  and its result is the number of thresholds K_1 <= K_2 <= ... of that
+  count at or below the uniform.  ``_inversion_row`` finds the thresholds
+  exactly, so the counts of a ``_binomial_draw`` table, the generator's
+  position after a draw and every report byte are numpy's.
+- any float pmf on 0 .. L (``_pmf_rows``): thresholds ceil(F(k) 2^53) of its
+  cdf F, so each value takes its probability to within a few 2^-53 beyond
+  the pmf's own rounding.
+
+Rows grow in ``_TableDraw.steps`` alone, and a policy that draws nothing
 folds into the table once a run of its ``levels``, so a span generation is
 one searchsorted, one take and one add.
 """
@@ -21,8 +30,8 @@ import numpy as np
 
 from .control import ControlPolicy
 
-# largest binomial count drawn by table lookup: 32 rows of at most 34 int64
-# keys and values each, under 10 kB per probability
+# the rows of a table: the binomial counts of at most 32 trials, whose rows
+# hold at most 34 int64 keys and values each, and the unit counts of at most 32
 _TABLE_COUNTS = 32
 
 
@@ -68,6 +77,24 @@ def _inversion_row(n: int, p: float) -> list[int]:
     return row
 
 
+def _pmf_rows(ps) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The thresholds and values of rows that draw k with probability ps[i,
+    k] / sum(ps[i]), for a 2-D float64 array ps of pmfs on 0 .. L: T_k =
+    ceil(F(k) 2^53) for the cdf F, while it is below 2^53, and then 2^53,
+    past every uniform, so no uniform restarts.  The cdf is the running sum
+    of ps with each of its roundings recovered exactly (Knuth's TwoSum),
+    over the total so recovered, so that the rounding of the pmf's own total,
+    and a tail it drops, go to every value in proportion, not to the last."""
+    run = np.cumsum(ps, axis=1)
+    added = run[:, 1:] - run[:, :-1]
+    lost = (run[:, :-1] - (run[:, 1:] - added)) + (ps[:, 1:] - added)  # exactly
+    run[:, 1:] += np.cumsum(lost, axis=1)
+    cdf = np.ceil(run / run[:, -1:] * 2.0**53)
+    thresholds = np.minimum(np.maximum.accumulate(cdf, axis=1), 2.0**53).astype(np.int64)
+    ends = np.count_nonzero(thresholds < 1 << 53, axis=1) + 1
+    return [(row[:end], np.arange(end)) for row, end in zip(thresholds, ends.tolist())]
+
+
 def _rewind(bits, count: int):
     """Step a PCG64 back over ``count`` raw outputs.  ``advance`` drops the
     buffered 32-bit half of a 32-bit draw, so it is put back."""
@@ -77,46 +104,35 @@ def _rewind(bits, count: int):
                   "uinteger": state["uinteger"]}
 
 
-class _BinomialDraw:
-    """draw(z, rng): base z + scale Bin(trials z, p) for an int64 array z of
-    counts, from the very numbers ``rng.binomial(trials * z, p)`` gives.
+class _TableDraw:
+    """draw(z, rng): the totals of an int64 array z of counts, each found by
+    one searchsorted of (z << 53) + m, m the top 53 bits of one raw output of
+    a PCG64, in a flat table of rows built up to the largest count seen.
 
-    numpy draws a count of n <= 32 trials by inversion, since n min(p, 1 - p)
-    <= 16 is below its switch at 30, on the smaller of p and 1 - p (and
-    returns n - X for p > 1/2), one 53-bit uniform per count unless it
-    restarts.  When every count z has 1 to ``_TABLE_COUNTS`` trials, 0 < p < 1
-    and the generator is a PCG64, this draws one raw output per count, whose
-    top 53 bits are numpy's uniform m, and finds each total with one
-    searchsorted of (z << 53) + m in a flat table of ``_inversion_row``
-    thresholds, built row by row up to the largest count seen.  A count in
-    the restart region (about once in 10^16 draws) steps the generator back
-    and hands the whole call to numpy, as does every other case.  ``steps``
-    draws several generations of such counts with one ``random_raw`` call.
+    ``rows_of(z0, z1)`` gives the sorted thresholds and the values, as many,
+    of the rows of counts z0 .. z1 - 1: a uniform at or past a row's last
+    threshold restarts.  The table holds the rows of counts 1 to ``rows``,
+    and ``most`` bounds their values.
+    A count past the rows, a restart (with ``_inversion_row`` thresholds,
+    about once in 10^16 draws) or another bit generator steps the generator
+    back and hands the whole call to ``numpy``.  ``steps`` draws several
+    generations of such counts with one ``random_raw`` call.
     """
 
-    def __init__(self, p: float, scale: int = 1, trials: int = 1, base: int = 0):
-        self.p, self.scale, self.trials, self.base = p, scale, trials, base
-        self._flip = p > 0.5
-        self._lookup = 0.0 < p < 1.0
-        # the largest total of any row: a count no larger keeps its key in int64
-        self.most = scale * _TABLE_COUNTS + base * (_TABLE_COUNTS // trials)
-        self.spans = self._lookup and self.most < 1 << 10
+    def __init__(self, rows_of, rows: int, most: int, numpy=None):
+        self._rows, self.rows, self.most, self._numpy = rows_of, rows, most, numpy
+        self.spans = most < 1 << 10
         # each row z: a sentinel key z << 53, then (z << 53) + K_k; a
-        # searchsorted index into ``values`` gives the total base z + scale X
-        # (trials z - X for p > 1/2), or -1 for a restart, a count of 0 and a
-        # count past the table
+        # searchsorted index into ``values`` gives the value drawn, or -1 for
+        # a restart, a count of 0 and a count past the table
         self._table = (np.zeros(0, dtype=np.int64), np.full(1, -1, dtype=np.int64), 0)
         self._folds = (self._table, None, {})  # (table, policy, {level <= most + 1: fold})
 
     def _grow(self, top: int):
         keys, values, built = self._table
-        p = 1.0 - self.p if self._flip else self.p
         new_keys, new_values = [keys], [values]
-        for z in range(built + 1, top + 1):
-            row = _inversion_row(n := z * self.trials, p)
-            new_keys.append((z << 53) + np.array([0] + row, dtype=np.int64))
-            xs = np.arange(len(row))
-            totals = self.scale * (n - xs if self._flip else xs) + self.base * z
+        for z, (thresholds, totals) in enumerate(self._rows(built + 1, top + 1), built + 1):
+            new_keys.append((z << 53) + np.concatenate(([0], thresholds)).astype(np.int64))
             new_values.append(np.append(totals, -1))
         self._table = (np.concatenate(new_keys), np.concatenate(new_values), top)
 
@@ -127,7 +143,7 @@ class _BinomialDraw:
         branches predictably in a capped row's upper tail.  A policy that
         leaves no count above its level (a cap) first grows the rows to the
         level, so that no count it leaves is past them."""
-        top = min(level, _TABLE_COUNTS // self.trials)
+        top = min(level, self.rows)
         if self._table[2] < top and policy.apply(np.array([level + 1]), n)[0] <= level:
             self._grow(top)
             self._folds = (self._table, policy, folds := {})
@@ -139,12 +155,9 @@ class _BinomialDraw:
         return fold
 
     def __call__(self, z, rng):
-        if self._lookup and z.size and len(rows := self.steps(z, 1, rng)):
+        if z.size and len(rows := self.steps(z, 1, rng)):
             return rows[0]
-        out = rng.binomial(z * self.trials if self.trials > 1 else z, self.p)
-        if self.scale != 1:
-            out = self.scale * out
-        return self.base * z + out if self.base else out
+        return self._numpy(z, rng)
 
     def steps(self, z, count, rng, policy=ControlPolicy(), n=0, ctl=None):
         """Up to ``count`` generations n + 1, ... of table draws from the int64
@@ -158,7 +171,7 @@ class _BinomialDraw:
         table has drawn every count, as does a single generation; any other
         folds once for each run of its ``levels``."""
         bits, size, top = rng.bit_generator, z.size, int(np.maximum.reduce(z))
-        if type(bits) is not np.random.PCG64 or top * self.trials > _TABLE_COUNTS:
+        if type(bits) is not np.random.PCG64 or top > self.rows:
             return z[:0, None]  # the first generation is numpy's
         if self._table[2] < top:
             self._grow(top)
@@ -198,3 +211,30 @@ class _BinomialDraw:
         if done < count:
             _rewind(bits, (count - done) * size)
         return rows[:done]
+
+
+def _binomial_draw(p: float, scale: int = 1, trials: int = 1, base: int = 0):
+    """draw(z, rng): base z + scale Bin(trials z, p) for an int64 array z of
+    counts, from the very numbers ``rng.binomial(trials * z, p)`` gives.
+
+    numpy draws a count of n <= 32 trials by inversion, since n min(p, 1 - p)
+    <= 16 is below its switch at 30, on the smaller of p and 1 - p (and
+    returns n - X for p > 1/2), one 53-bit uniform per count unless it
+    restarts.  So for 0 < p < 1 the draw is a table of ``_inversion_row``
+    thresholds, whose rows are the counts of 1 to ``_TABLE_COUNTS`` trials.
+    """
+    def numpy(z, rng):
+        out = rng.binomial(z * trials if trials > 1 else z, p)
+        if scale != 1:
+            out = scale * out
+        return base * z + out if base else out
+    if not 0.0 < p < 1.0:
+        return numpy
+    flip = p > 0.5
+
+    def row(z):
+        thresholds = _inversion_row(n := z * trials, 1.0 - p if flip else p)
+        xs = np.arange(len(thresholds))
+        return thresholds, scale * (n - xs if flip else xs) + base * z
+    return _TableDraw(lambda z0, z1: map(row, range(z0, z1)), _TABLE_COUNTS // trials,
+                      scale * _TABLE_COUNTS + base * (_TABLE_COUNTS // trials), numpy)

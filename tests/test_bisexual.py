@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -28,7 +30,8 @@ from branchsim import (
     run_bisexual_batch,
     theorem4_check,
 )
-from branchsim.bisexual import _MatingStep
+from branchsim import bisexual, table
+from branchsim.bisexual import _exact_mean_units, _MatingStep, _units_table
 from branchsim.engine import _TRIAL_BLOCK
 from branchsim.law import INT64_MAX
 
@@ -472,3 +475,245 @@ def test_bisexual_batch_validates_config():
     with pytest.raises(ConfigError, match="no coupled mode"):
         run_bisexual_batch(Batch(Poisson(1.0), horizon=5, trials=5,
                                  master_seed=0, mating=Min(), coupled=True))
+
+
+# ------------------------------------------------------- the units kernel's rows
+
+BUILT_IN = [Min(), DaleyMonogamy(), DaleyPolygamy(2)]
+PMF3 = ExplicitPmf({0: 0.25, 1: 0.05, 3: 0.7})
+
+
+def enumerated_mean_units(k, law, alpha, mating):
+    """E[units after one step from k units]: every offspring total and sex split."""
+    ks, ps = law.pmf_table()
+    dist, unit_pmf = np.ones(1), np.zeros(int(ks[-1]) + 1)
+    unit_pmf[ks] = ps
+    for _ in range(k):
+        dist = np.convolve(dist, unit_pmf)
+    expected = 0.0
+    for total, p_total in enumerate(dist):
+        w = (1.0 - alpha) ** total
+        for males in range(total + 1):
+            expected += p_total * w * mating.units(total - males, males)
+            w *= alpha / (1.0 - alpha) * (total - males) / (males + 1)
+    return expected
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.3, 0.7])
+@pytest.mark.parametrize("pmf", [{2: 1.0}, {0: 0.5, 2: 0.5}, {0: 0.2, 1: 0.3, 3: 0.5},
+                                 {1: 0.6, 4: 0.4}, {0: 0.1, 1: 0.2, 2: 0.3, 3: 0.4}])
+def test_exact_mean_units_through_the_kernel_are_the_enumeration(pmf, alpha):
+    law = ExplicitPmf(pmf)
+    for mating in BUILT_IN + [CustomMating(lambda x, y: x * y)]:
+        for k in range(1, 24 // law.max_k() + 1):
+            want = enumerated_mean_units(k, law, alpha, mating)
+            assert _exact_mean_units(k, law, alpha, mating) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.123456789])
+def test_kernel_split_weights_near_the_mode_are_within_32_ulps(alpha):
+    # totals up to the largest a units table holds; with 1 - alpha rounded
+    # to one float, w would be off by about 300 ulps at t = 511, alpha = 0.3
+    w, _ = bisexual._kernel(alpha, Min(), 511)
+    a, d = Fraction(alpha).as_integer_ratio()
+    for t in (1, 60, 300, 511):
+        for b in range(t + 1):  # P(B = b) = exact / d^t, w[t, b] = m / e
+            exact, (m, e) = math.comb(t, b) * a**b * (d - a) ** (t - b), w[t, b].as_integer_ratio()
+            if exact << 40 > d**t:
+                assert abs(m * d**t - exact * e) << 53 <= 32 * exact * e, (t, b)
+        assert not w[t, t + 1:].any()
+
+
+def test_pmf_row_thresholds_are_the_exact_cdf_rounded_up_to_within_one():
+    # the running sums of 300 floats over six decades, each rounding
+    # recovered, over their total: T_k = ceil(2^53 F(k)) of the exact cdf
+    ps = np.random.default_rng(2).random(300) * np.logspace(-3, 3, 300)
+    ps /= ps.sum()  # a float total that is not quite 1
+    (thresholds, values), = table._pmf_rows(ps[None, :])
+    assert values.tolist() == list(range(300)) and thresholds[-1] == 1 << 53
+    total, run = sum(map(Fraction, ps.tolist())), Fraction(0)
+    for k, p in enumerate(ps.tolist()[:-1]):
+        run += Fraction(p)
+        assert abs(int(thresholds[k]) - math.ceil(run / total * (1 << 53))) <= 1, k
+
+
+@lru_cache(maxsize=None)
+def exact_rows(law, alpha, mating, rows):
+    """P(units = u | z units) of z = 1 .. rows, from the law's float weights
+    and alpha taken as exact rationals: (numerators, common denominator) of each row."""
+    weights = [Fraction(p) for _, p in law.atoms]
+    scale = math.lcm(*(w.denominator for w in weights))
+    ints = [0] * (law.max_k() + 1)
+    for (k, _), w in zip(law.atoms, weights):
+        ints[k] = int(w * scale)
+    a, d = Fraction(alpha).as_integer_ratio()
+    top = rows * law.max_k()
+    # kernel[t][u] d^top = sum over the splits of t with M = u of C(t, b) a^b (d - a)^(t - b) d^(top - t)
+    kernel = []
+    for t in range(top + 1):
+        row = [0] * (t + 1)
+        for b in range(t + 1):
+            row[int(mating.units(t - b, b))] += (math.comb(t, b) * a**b * (d - a) ** (t - b)
+                                                 * d ** (top - t))
+        kernel.append(row)
+    out, power = [], [1]
+    for z in range(1, rows + 1):
+        power = [sum(power[t - k] * ints[k] for k in range(len(ints)) if 0 <= t - k < len(power))
+                 for t in range(len(power) + len(ints) - 1)]
+        units = [0] * len(power)
+        for t, weight in enumerate(power):
+            for u, x in enumerate(kernel[t]):
+                units[u] += weight * x
+        out.append((units, sum(ints) ** z * d**top))
+    return out
+
+
+def drawn_probabilities(lookup, z):
+    """The probability, times 2^53, that row z of a table draws each of its values."""
+    (thresholds, values), = lookup._rows(z, z + 1)
+    assert values.tolist() == list(range(len(values)))
+    return np.diff(np.concatenate(([0], thresholds))).tolist()
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.3, 0.7])
+@pytest.mark.parametrize("mating", BUILT_IN, ids=["min", "monogamy", "polygamy"])
+def test_every_units_row_is_within_2_to_the_minus_50_of_each_exact_probability(mating, alpha):
+    lookup = _units_table(PMF3, alpha, mating, 1 << 48)
+    assert lookup.rows == 32 and lookup.most == 96
+    for z, (units, den) in enumerate(exact_rows(PMF3, alpha, mating, 32), 1):
+        drawn = drawn_probabilities(lookup, z)
+        drawn += [0] * (len(units) - len(drawn))  # values past 2^53 F(u) = 2^53 are never drawn
+        assert len(drawn) == len(units)
+        # |drawn 2^-53 - units / den| <= 2^-50
+        assert all(abs(p * den - x * (1 << 53)) <= 8 * den for p, x in zip(drawn, units))
+
+
+def chi2_sf(x, df):
+    """P(chi-square with df degrees of freedom > x): one minus the regularized
+    lower gamma P(df / 2, x / 2), by its power series."""
+    a, x = df / 2.0, x / 2.0
+    term = math.exp(a * math.log(x) - x - math.lgamma(a + 1.0))
+    total, n = term, 0
+    while term > 1e-17 * total:
+        n += 1
+        term *= x / (a + n)
+        total += term
+    return 1.0 - total
+
+
+def chi2_p_value(counts, probs):
+    """Pearson's goodness of fit, with the cells of expected count below 5
+    merged into their neighbours from the top."""
+    n = sum(counts)
+    cells, got, want = [], 0, 0.0
+    for c, p in zip(counts, probs):
+        got, want = got + c, want + n * p
+        if want >= 5.0:
+            cells.append((got, want))
+            got, want = 0, 0.0
+    if cells:
+        cells[-1] = (cells[-1][0] + got, cells[-1][1] + want)
+    stat = sum((g - w) ** 2 / w for g, w in cells)
+    return chi2_sf(stat, len(cells) - 1)
+
+
+def poisson_min_row(lam, alpha, z, top=200):
+    """P(min(F, M) = u), u = 0 .. top, F and M independent Poissons of means
+    (1 - alpha) lam z and alpha lam z: a Poisson total thinned by sex."""
+    def surv(mu):
+        p, cdf, out = math.exp(-mu), 0.0, []
+        for j in range(top + 2):
+            out.append(max(0.0, 1.0 - cdf))
+            cdf, p = cdf + p, p * mu / (j + 1)
+        return np.array(out)
+    both = surv((1.0 - alpha) * lam * z) * surv(alpha * lam * z)
+    return both[:-1] - both[1:]
+
+
+def draw_row(lookup, z, n, seed):
+    gen = np.random.Generator(np.random.PCG64(seed))
+    return np.bincount(lookup.steps(np.full(n, z, dtype=np.int64), 1, gen)[0])
+
+
+@pytest.mark.parametrize("law, alpha, mating", [
+    (PMF3, 0.3, Min()), (PMF3, 0.3, DaleyMonogamy()), (PMF3, 0.3, DaleyPolygamy(2)),
+    (Poisson(1.5), 0.5, Min()), (Poisson(1.5), 0.3, Min())],
+    ids=["pmf3_min", "pmf3_monogamy", "pmf3_polygamy", "poisson_min_0.5", "poisson_min_0.3"])
+def test_each_units_row_passes_a_chi_square_test(law, alpha, mating):
+    # the pmf rows against their exact enumeration, the Poisson rows against thinning
+    if isinstance(law, Poisson):
+        probs = [poisson_min_row(law.lam, alpha, z) for z in range(1, 33)]
+    else:
+        probs = [[x / den for x in units] for units, den in exact_rows(law, alpha, mating, 32)]
+    lookup = _units_table(law, alpha, mating, 1 << 48)
+    for z, want in enumerate(probs, 1):
+        counts = draw_row(lookup, z, 20_000, z).tolist()
+        want = list(want) + [0.0] * (len(counts) - len(want))
+        assert chi2_p_value(counts + [0] * (len(want) - len(counts)), want) > 1e-3, z
+
+
+def test_a_units_table_needs_a_built_in_mating_and_totals_within_the_cap():
+    assert _units_table(Poisson(1.5), 0.5, CustomMating(lambda x, y: min(x, y)), 1 << 48) is None
+    assert _units_table(PMF3, 0.5, Min(), 95) is None  # 32 units may have 96 offspring
+    assert _units_table(PMF3, 0.5, Min(), 96).most == 96
+    assert _units_table(Poisson(40.0), 0.5, Min(), 1 << 48) is None  # totals of 2^9 and more
+    assert _units_table(ExplicitPmf({0: 0.5, 40: 0.5}), 0.5, Min(), 1 << 48) is None
+
+
+def test_small_unit_counts_take_one_lookup_and_larger_ones_the_sex_split(monkeypatch):
+    # 40 units pass the table's 32 rows: the offspring draw and the sex split
+    # run while a count of the block is past them, one lookup a generation after
+    lanes, steps, split = [], table._TableDraw.steps, _MatingStep.split
+    monkeypatch.setattr(table._TableDraw, "steps", lambda self, z, count, rng, *a: (
+        lanes.append(("lookup", int(np.maximum.reduce(z)), count)) or steps(self, z, count, rng, *a)))
+    monkeypatch.setattr(_MatingStep, "split", lambda self, counts, rng: (
+        lanes.append(("split",)) or split(self, counts, rng)))
+    run_bisexual_batch(Batch(Poisson(1.5), horizon=40, trials=200, master_seed=4,
+                             mating=Min(), initial_units=40))
+    lookups = [call for call in lanes if call[0] == "lookup"]
+    assert all(count == 1 for _, _, count in lookups)
+    assert {top > 32 for _, top, _ in lookups} == {True, False}
+    # a split follows each lookup past the rows, and no other
+    assert lanes == [call for lookup in lookups
+                     for call in ([lookup, ("split",)] if lookup[1] > 32 else [lookup])]
+
+
+def thinned_min_chain(lam, alpha, initial, horizon, top=60):
+    """[lo, hi] holding P(Z_n = 0), n = 0 .. horizon, for the units of min
+    mating under Poisson(lam) offspring, built apart from the kernel: the
+    offspring of k units, thinned by sex, are independent F ~ Poisson((1 -
+    alpha) lam k) and M ~ Poisson(alpha lam k), so P(min(F, M) >= j) = P(F
+    >= j) P(M >= j).  The chain runs on {0 .. top}; the mass that leaves it
+    widens the interval."""
+    step, leave = np.zeros((top + 1, top + 1)), np.zeros(top + 1)
+    step[0, 0] = 1.0
+    for k in range(1, top + 1):
+        step[k] = poisson_min_row(lam, alpha, k, top)
+        leave[k] = max(0.0, 1.0 - step[k].sum())
+    pi, gone, out = np.zeros(top + 1), 0.0, [(0.0, 0.0)]
+    pi[initial] = 1.0
+    for _ in range(horizon):
+        gone += float(pi @ leave)
+        pi = pi @ step
+        out.append((float(pi[0]), min(1.0, float(pi[0]) + gone)))
+    return out
+
+
+def kl_bernoulli(a, b):
+    return sum(x * math.log(x / y) if y > 0.0 else math.inf
+               for x, y in ((a, b), (1.0 - a, 1.0 - b)) if x > 0.0)
+
+
+@pytest.mark.parametrize("lam, alpha", [(2.0, 0.5), (3.0, 0.3)])
+def test_min_mating_under_poisson_holds_its_thinned_chain_at_every_generation(lam, alpha):
+    # Chernoff: an extinct fraction f of N trials outside [lo, hi] has
+    # probability at most exp(-N KL(f || lo or hi)); the bound is split over
+    # both sides of every generation for a family-wise rate of 10^-9
+    horizon, trials, initial = 30, 5000, 10
+    res = run_bisexual_batch(Batch(Poisson(lam), horizon, trials, master_seed=29, alpha=alpha,
+                                   mating=Min(), initial_units=initial))
+    budget = math.log(2 * (horizon + 1) / 1e-9)
+    for n, (lo, hi) in enumerate(thinned_min_chain(lam, alpha, initial, horizon)):
+        f = res.per_generation_extinct_counts[n] / trials
+        edge = lo if f < lo else hi if f > hi else f
+        assert trials * kl_bernoulli(f, edge) <= budget, (n, f, lo, hi)

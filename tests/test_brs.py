@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from branchsim import brs
 from branchsim import (
     BudgetExceedsMass,
     ConfigError,
@@ -135,6 +137,64 @@ def test_custom_claim_rejects_inconsistent_pairs():
     for scale in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ConfigError, match="scale"):
             CustomClaim(cdf=uni_cdf, partial_mean=uni_pm, mean=0.5, scale=scale)
+
+
+def test_a_custom_claim_mean_past_the_float_range_is_a_config_error():
+    # an infinite mean hid the mass check: solve_threshold raised NumericFailure
+    cdf = lambda t: min(max(t, 0.0), 1.0)
+    pm = lambda t: min(max(t, 0.0), 1.0) ** 2 / 2.0
+    for mean in (math.inf, math.nan):
+        with pytest.raises(ConfigError, match="finite and positive"):
+            CustomClaim(cdf, pm, mean=mean)
+    with pytest.raises(BudgetExceedsMass):  # mass 5 within the budget
+        solve_threshold(Population([(10, CustomClaim(cdf, pm, mean=0.5))], s=100.0))
+
+
+def steep_pm(t, a=1.0, w=1e-9):
+    return min(max((t - a) / w, 0.0), 1.0) * (a + min(max(t, a), a + w)) / 2.0
+
+
+ARRAY_CLAIMS = {  # cdfs that take arrays, each with its partial mean and mean
+    "uniform": (lambda t: np.minimum(np.maximum(t / 2.0, 0.0), 1.0),
+                Uniform(2.0).partial_mean, 1.0),
+    "exponential": (lambda t: -np.expm1(-1.5 * np.maximum(t, 0.0)),
+                    Exponential(1.5).partial_mean, 1.0 / 1.5),
+    "steep": (lambda t: np.minimum(np.maximum((t - 1.0) / 1e-9, 0.0), 1.0), steep_pm,
+              1.0 + 0.5e-9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_CLAIMS))
+def test_quantiles_searched_together_are_the_floats_of_the_scalar_search(name):
+    d = CustomClaim(*ARRAY_CLAIMS[name])
+    u = np.concatenate(([0.0, 2.0**-1074, 1e-300, 1e-17, 0.5, 1.0 - 2.0**-53],
+                        np.linspace(0.0, 1.0, 257)[1:-1],
+                        np.random.default_rng(3).random(301)))
+    assert d._takes_arrays
+    want = [brs._least_crossing(d.cdf, v, d.scale) for v in u]
+    assert d.ppf(u).tolist() == want
+    assert d.ppf(u.reshape(2, -1)).tolist() == np.reshape(want, (2, -1)).tolist()
+    assert d.ppf(0.25) == want[u.tolist().index(0.25)]
+
+
+def test_a_cdf_of_scalars_alone_keeps_the_scalar_search():
+    d = CustomClaim(Uniform(2.0).cdf, Uniform(2.0).partial_mean, 1.0)
+    assert not d._takes_arrays  # min(max(...)) of an array raises
+    assert d.ppf(np.array([0.25, 0.5])).tolist() == [0.5, 1.0]
+
+
+def test_fifty_custom_claims_over_200_trials_take_milliseconds():
+    # the scalar search took 0.30-0.42 s for these draws
+    d, ref = CustomClaim(*ARRAY_CLAIMS["uniform"]), Uniform(2.0)
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        est = estimate_expected_stop(Population([(50, d)], s=3.0), trials=200,
+                                     rng=spawn_generator(1, 0, 0))
+        times.append(time.perf_counter() - t0)
+    assert est == estimate_expected_stop(Population([(50, ref)], s=3.0), trials=200,
+                                         rng=spawn_generator(1, 0, 0))
+    assert min(times) < 0.05, times
 
 
 # ------------------------------------------------------------ stopping time

@@ -367,7 +367,7 @@ def test_inversion_thresholds_are_where_numpys_loop_steps(n, p):
 
 @pytest.mark.parametrize("p", [0.75, 0.5, 0.3, 0.123456789, 0.9, 0.999, 0.01, 1.0])
 def test_binomial_draw_gives_numpys_numbers(p):
-    draw = table._BinomialDraw(p)
+    draw = table._binomial_draw(p)
     gen, twin = rng(7), rng(7)
     counts = rng(8)
     for size in (1, 2, 7, 284, 1000):
@@ -381,7 +381,7 @@ def test_binomial_draw_gives_numpys_numbers(p):
 
 @pytest.mark.parametrize("p", [0.75, 0.3])
 def test_binomial_draw_restarts_with_numpys_draw(p):
-    draw = table._BinomialDraw(p)
+    draw = table._binomial_draw(p)
     draw(np.arange(1, 6), rng())  # builds rows 1 to 5
     keys, values, built = draw._table
     n, keys = 4, keys.copy()
@@ -403,7 +403,7 @@ def test_binomial_draw_restarts_with_numpys_draw(p):
 def test_steps_grow_the_rows_to_their_counts_and_draw_numpys_numbers():
     # 2 Bin(z, 1/2) a count on a fresh table: each call first builds the rows
     # of its largest count, then draws until a count passes them or dies
-    draw, gen, twin = table._BinomialDraw(0.5, 2), rng(1), rng(1)
+    draw, gen, twin = table._binomial_draw(0.5, 2), rng(1), rng(1)
     z, built = np.array([3, 1, 4]), []
     while (rows := draw.steps(z, 8, gen)).size:
         built.append(draw._table[2])
@@ -1129,7 +1129,7 @@ def span_run(cfg, one_generation, prepare=None, run=run_batch):
     streams) and the spans of table draws it took, as (count, generations drawn, whether the last left a count of 0,
     the largest count it left), a one-generation draw's among them;
     with ``one_generation`` no span fits, so every step draws one generation."""
-    gens, spans, steps = [], [], table._BinomialDraw.steps
+    gens, spans, steps = [], [], table._TableDraw.steps
 
     def recorded(self, z, count, rng, *policy):
         rows = steps(self, z, count, rng, *policy)
@@ -1143,7 +1143,7 @@ def span_run(cfg, one_generation, prepare=None, run=run_batch):
         with pytest.MonkeyPatch.context() as mp:
             blocks = engine.block_generators
             mp.setattr(engine, "block_generators", lambda *a: gens.append(blocks(*a)) or gens[-1])
-            mp.setattr(table._BinomialDraw, "steps", recorded)
+            mp.setattr(table._TableDraw, "steps", recorded)
             if one_generation:
                 mp.setattr(engine, "_SPAN_RAWS", 0)
             res = run(cfg)
@@ -1209,7 +1209,8 @@ def restart_in_row_4(draw, kept=-2):
     draw(np.arange(1, 6), rng())
     keys, values, built = draw._table
     z, keys = 4, keys.copy()
-    row = len(table._inversion_row(z * draw.trials, min(draw.p, 1.0 - draw.p)))
+    (thresholds, _), = draw._rows(z, z + 1)
+    row = len(thresholds)
     at = int(keys.searchsorted(z << 53, side="right"))
     thresholds = keys[at:at + row]
     thresholds[kept + 1:] = thresholds[kept]
@@ -1231,13 +1232,15 @@ def test_spans_under_a_disaster_draw_the_same_control_stream():
     assert max(span[1] for span in spans) >= 8
 
 
-def test_spans_under_a_mating_step_draw_the_same_sex_stream():
-    # the mating step leaves a new array of at most the offspring it is given
-    cfg = SimpleNamespace(law=ExplicitPmf({0: 0.2, 3: 0.8}), horizon=60, trials=20,
-                          master_seed=8, alpha=0.5, mating=Min(), initial_units=3,
+def test_a_mating_step_draws_one_generation_a_lookup():
+    # the units table draws what the mating step leaves, a generation at a
+    # time, while the counts fit its rows; numpy draws and splits the rest
+    cfg = SimpleNamespace(law=ExplicitPmf({0: 0.5, 3: 0.5}), horizon=60, trials=20,
+                          master_seed=8, alpha=0.5, mating=Min(), initial_units=40,
                           population_cap=1 << 48, sample_trajectories=0, failure_budget=0)
     _, _, spans = assert_spans_change_nothing(cfg, run=run_bisexual_batch)
-    assert max(span[1] for span in spans) >= 4
+    assert all(count == 1 for count, *_ in spans)
+    assert {done for _, done, *_ in spans} == {0, 1}  # a count past the rows: numpy's
 
 
 def test_phi_units_step_one_generation_at_a_time():
@@ -1376,13 +1379,13 @@ def test_policies_that_read_no_level_have_level_0():
 def record_folds(monkeypatch):
     """The levels of the tables ``_fold`` builds, in order, and the sizes of
     the cache it adds each to."""
-    folded, sizes, fold = [], [], table._BinomialDraw._fold
+    folded, sizes, fold = [], [], table._TableDraw._fold
 
     def recorded(self, folds, policy, n, level):
         folded.append(level)
         sizes.append(len(folds))
         return fold(self, folds, policy, n, level)
-    monkeypatch.setattr(table._BinomialDraw, "_fold", recorded)
+    monkeypatch.setattr(table._TableDraw, "_fold", recorded)
     return folded, sizes
 
 
@@ -1429,7 +1432,7 @@ def test_a_lower_boundary_past_every_total_folds_as_one_that_absorbs_every_count
 
 
 def test_a_fold_merges_runs_and_looks_up_what_the_policy_leaves_of_each_total():
-    draw = table._BinomialDraw(0.75, 2)
+    draw = table._binomial_draw(0.75, 2)
     draw(np.arange(1, 33), rng())  # builds all 32 rows
     keys, values, _ = draw._table
     cap = Truncation(GrowthFunction.constant(3))

@@ -135,9 +135,9 @@ CASES = {
 
 PINS = {
     "binomial_past_int64_block": "2824235c48fb8913aed2aa62fcf187f6bd5368dff0393ac8d3f440e3aaa9adcc",
-    "bisexual_daley_monogamy": "14d103e4d7224c57f0edfbc731fc355598d4143961554dd1033322d23d530e99",
-    "bisexual_daley_polygamy": "49c80491986d704e10b1fcef714a2b8a4986416bd7eafd8d7efea9dce5461a3c",
-    "bisexual_min": "a8c9cfb555de0be8f3c6fe7a8c31778dd8c6ba31eee2084a0957b531292c52d2",
+    "bisexual_daley_monogamy": "f9399a8df2f78ae2bfe5565c27a51c17c61dbae67cae712d9337e3e60b277011",
+    "bisexual_daley_polygamy": "269129847bf70178b62636efe347d72bc031b74707440994958b90b96c4eface",
+    "bisexual_min": "e7076127a836e49af339e0ac71bc7b299a115850fe77d6549f47ccbe9b8df979",
     "brs": "b5b5c7c9f3f39258d593a96d85e2c80ae6c1d20a83975c0d2c2383aefb260d47",
     "compare_phi_linear": "ac15ae2e3ced57e2d1910b857234a4ab05d5f3e1aa2c825a2fff89019e1567bc",
     "compare_truncation": "8e07932d2dcfcdcb69a22fdb76a0a7305b8a9cbadd513bde54fca33c9708117a",
@@ -216,7 +216,7 @@ def test_the_truncation_bench_round_keeps_its_bytes_with_few_spans_and_g_calls(
             calls[name] += 1
             return fn(*args, **kwargs)
         return call
-    monkeypatch.setattr(table._BinomialDraw, "steps", counted("steps", table._BinomialDraw.steps))
+    monkeypatch.setattr(table._TableDraw, "steps", counted("steps", table._TableDraw.steps))
     monkeypatch.setattr(control.GrowthFunction, "__call__",
                         counted("g", control.GrowthFunction.__call__))
     monkeypatch.setattr(engine, "_draw_offspring", counted("draws", engine._draw_offspring))
