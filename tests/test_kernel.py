@@ -17,6 +17,9 @@ import numpy as np
 import pytest
 
 from branchsim import (
+    Binomial,
+    DaleyMonogamy,
+    DaleyPolygamy,
     Disaster,
     DisasterSchedule,
     ExplicitPmf,
@@ -92,7 +95,10 @@ def ks_distance(a, b, top):
     Batch(Geometric(0.6), 60, 8000, 34,
           policy=parse_phi({"form": "linear", "a": 0.8, "c": 0.5})),
     Batch(Poisson(2.5), 60, 8000, 35, mating=Min(), initial_units=3),
-], ids=["linear_phi", "bisexual_min"])
+    # the units table's Panjer rows of the other laws, against the sex split
+    Batch(Geometric(0.6), 60, 8000, 37, mating=DaleyPolygamy(2), initial_units=3),
+    Batch(Binomial(3, 0.5), 60, 8000, 38, alpha=0.3, mating=DaleyMonogamy(), initial_units=3),
+], ids=["linear_phi", "bisexual_min", "bisexual_polygamy_geometric", "bisexual_monogamy_binomial"])
 def test_kernel_extinction_generations_match_scalar_reference(cfg):
     run = run_batch if cfg.mating is None else run_bisexual_batch
     kernel = kernel_generations(run(cfg))

@@ -100,6 +100,24 @@ def test_pmf_table_entries_match_the_closed_form(law, closed_form):
         assert p == pytest.approx(closed_form(k), rel=1e-13)
 
 
+@pytest.mark.parametrize("law, z, closed_form", [
+    (Poisson(1.5), 12, lambda k: math.exp(k * math.log(18.0) - 18.0 - math.lgamma(k + 1))),
+    (Geometric(0.4), 9, lambda k: math.comb(k + 8, k) * 0.6**9 * 0.4**k),
+    (Binomial(5, 0.3), 7, lambda k: math.comb(35, k) * 0.3**k * 0.7 ** (35 - k)),
+    (Binomial(2, 0.999), 3, lambda k: math.comb(6, k) * 0.999**k * 0.001 ** (6 - k)),
+])
+def test_the_pmf_of_a_sum_of_draws_is_the_z_fold_law_to_a_tail_below_2_to_the_minus_60(
+        law, z, closed_form):
+    # Panjer's recurrence with (a, a (z - 1) + z b): Poisson(z lam), the
+    # negative binomial of z geometric draws, Binomial(z n, p)
+    ps = law.sum_pmf(z)
+    for k, p in enumerate(ps.tolist()):
+        assert p == pytest.approx(closed_form(k), rel=1e-12, abs=1e-300)
+    tail = math.fsum(closed_form(k) for k in range(ps.size, ps.size + 400)
+                     if law.max_k() is None or k <= z * law.max_k())
+    assert tail < 2.0**-60
+
+
 @pytest.mark.parametrize("law", [Geometric(0.999999999999), Binomial(10**15, 0.5)])
 def test_pmf_tables_past_the_atom_bound_are_config_errors(law):
     start = time.perf_counter()
