@@ -548,7 +548,8 @@ def exact_rows(law, alpha, mating, rows):
         ints[k] = int(w * scale)
     a, d = Fraction(alpha).as_integer_ratio()
     top = rows * law.max_k()
-    # kernel[t][u] d^top = sum over the splits of t with M = u of C(t, b) a^b (d - a)^(t - b) d^(top - t)
+    # kernel[t][u] d^top: the sum over the splits of t with M = u of
+    # C(t, b) a^b (d - a)^(t - b) d^(top - t)
     kernel = []
     for t in range(top + 1):
         row = [0] * (t + 1)
@@ -665,7 +666,8 @@ def test_small_unit_counts_take_one_lookup_and_larger_ones_the_sex_split(monkeyp
     # run while a count of the block is past them, one lookup a generation after
     lanes, steps, split = [], table._TableDraw.steps, _MatingStep.split
     monkeypatch.setattr(table._TableDraw, "steps", lambda self, z, count, rng, *a: (
-        lanes.append(("lookup", int(np.maximum.reduce(z)), count)) or steps(self, z, count, rng, *a)))
+        lanes.append(("lookup", int(np.maximum.reduce(z)), count))
+        or steps(self, z, count, rng, *a)))
     monkeypatch.setattr(_MatingStep, "split", lambda self, counts, rng: (
         lanes.append(("split",)) or split(self, counts, rng)))
     run_bisexual_batch(Batch(Poisson(1.5), horizon=40, trials=200, master_seed=4,
