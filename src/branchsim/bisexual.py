@@ -165,9 +165,6 @@ class _MatingStep(ControlPolicy):
     def apply(self, counts, generation: int, rng=None):
         return self.mating.units(*self.split(counts, rng))
 
-    def lookup_table(self, law, cap: int):
-        return _units_table(law, self.alpha, self.mating, cap)
-
 
 def _kernel(alpha: float, mating: MatingFunction, top: int):
     """The units kernel K[t, u] = P(M(t - B, B) = u), B ~ Bin(t, alpha), over
@@ -348,9 +345,13 @@ def run_bisexual_batch(config, threads: int = 1) -> BatchResult:
 
     Runs on the single-sex batch kernel: the offspring totals of the live
     units are drawn exactly as there, then split by sex on the block's sex
-    stream and mated.  Aggregation, the cap and the failure budget are the same.
+    stream and mated, except that a generation whose counts all fit the rows
+    of ``_units_table`` draws its units there with one lookup a count.
+    Aggregation, the cap and the failure budget are the same.
     """
     if getattr(config, "coupled", False):
         raise ConfigError("bisexual batches have no coupled mode")
-    return _run_batch(config, getattr(config, "initial_units", 1),
-                      _MatingStep(config.alpha, config.mating))
+    step = _MatingStep(config.alpha, config.mating)
+    cap = int(getattr(config, "population_cap", DEFAULT_POPULATION_CAP))
+    return _run_batch(config, getattr(config, "initial_units", 1), step,
+                      _units_table(config.law, step.alpha, step.mating, cap))

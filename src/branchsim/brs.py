@@ -190,11 +190,9 @@ class CustomClaim(ClaimDistribution):
     def ppf(self, u):
         if self.ppf_fn is not None:
             return np.asarray(self.ppf_fn(u), dtype=np.float64)
-        if self._takes_arrays:
-            u = np.asarray(u, dtype=np.float64)
-            return _least_crossings(self.cdf_fn, u.ravel(), self.scale).reshape(u.shape)
-        return np.vectorize(lambda v: _least_crossing(self.cdf, v, self.scale),
-                            otypes=[np.float64])(u)
+        f = self.cdf_fn if self._takes_arrays else np.vectorize(self.cdf, otypes=[np.float64])
+        u = np.asarray(u, dtype=np.float64)
+        return _least_crossings(f, u.ravel(), self.scale).reshape(u.shape)
 
 
 @dataclass(frozen=True, init=False)
@@ -241,33 +239,25 @@ def _partial_mean_sum(pop: Population, t: float) -> float:
 
 
 def _least_crossing(f, y: float, start: float) -> float:
-    """Least float t >= 0 with f(t) >= y, for a nondecreasing f.
-
-    t doubles from ``start`` until f(t) >= y, then the bracket halves until
-    its ends are adjacent floats.
-    """
-    lo, hi = 0.0, start
-    while f(hi) < y:
-        lo, hi = hi, 2.0 * hi
-        if hi == math.inf:
-            raise NumericFailure(f"no t up to the largest float has f(t) >= {y}")
-    while (mid := lo + 0.5 * (hi - lo)) not in (lo, hi):
-        if f(mid) < y:
-            lo = mid
-        else:
-            hi = mid
-    return hi if lo > 0.0 or f(0.0) < y else 0.0
+    """``_least_crossings`` of one y, for an f of scalars."""
+    return float(_least_crossings(np.vectorize(f, otypes=[np.float64]), np.array([y]), start)[0])
 
 
 def _least_crossings(f, y, start: float) -> np.ndarray:
-    """``_least_crossing`` for an array y at once, f taking arrays: each step
-    doubles, or halves, the bracket of every entry not yet done with one
-    call of f, so each result is the float the scalar search gives."""
-    lo, hi = np.zeros(y.size), np.full(y.size, start)
+    """The least float t >= 0 with f(t) >= y for each entry of an array y,
+    for a nondecreasing f that takes arrays.
+
+    t doubles from ``start`` until f(t) >= y, then the bracket halves until
+    its ends are adjacent floats; each step doubles, or halves, the bracket
+    of every entry not yet done with one call of f.
+    """
+    lo, hi = np.zeros(y.size), np.full(y.size, start, dtype=np.float64)
     live = np.arange(y.size)
     while live.size:
         live = live[np.asarray(f(hi[live])) < y[live]]
-        lo[live], hi[live] = hi[live], 2.0 * hi[live]
+        lo[live] = hi[live]
+        with np.errstate(over="ignore"):  # inf ends the search
+            hi[live] *= 2.0
         if (out := live[np.isinf(hi[live])]).size:
             raise NumericFailure(f"no t up to the largest float has f(t) >= {y[out[0]]}")
     mid = lo + 0.5 * (hi - lo)
@@ -277,7 +267,9 @@ def _least_crossings(f, y, start: float) -> np.ndarray:
         lo[live[below]], hi[live[~below]] = mid[live[below]], mid[live[~below]]
         mid[live] = lo[live] + 0.5 * (hi[live] - lo[live])
         live = live[(mid[live] != lo[live]) & (mid[live] != hi[live])]
-    return np.where((lo > 0.0) | (float(f(0.0)) < y), hi, 0.0)
+    if (zero := lo == 0.0).any():  # t = 0 when f(0) >= y already
+        hi[zero & ~(float(f(0.0)) < y)] = 0.0
+    return hi
 
 
 def solve_threshold(pop: Population) -> float:

@@ -240,13 +240,6 @@ class ControlPolicy:
         the identity ``apply``, which reads no level."""
         return [(n0, 0)]
 
-    def lookup_table(self, law, cap: int):
-        """A ``table._TableDraw`` whose row z draws what ``apply`` leaves of
-        the offspring of z parents of the law, from the offspring stream
-        alone, with no total past the cap; or None, and the kernel draws
-        the offspring and applies."""
-        return None
-
 
 @dataclass(frozen=True)
 class TruncationAsAbsorption(ControlPolicy):

@@ -24,10 +24,10 @@ and a cap past every table total) draws a span of generations per
 ``random_raw`` call: up to 2^13 outputs (``_SPAN_RAWS``), each span twice
 the generations that the last one drew, which a death, a restart or a
 count past the table's rows cuts short; each first grows the rows to its
-parent counts.  A policy whose ``lookup_table`` gives a table (the mating
-step of a built-in mating) draws a generation whose counts are all within
-its rows with one lookup a count, which is what ``apply`` would leave, so
-neither the offspring draw nor ``apply`` runs for it.  A
+parent counts.  A batch given a units table (the mating step of a built-in
+mating) draws a generation whose counts are all within its rows with one
+lookup a count, which is what ``apply`` would leave, so neither the
+offspring draw nor ``apply`` runs for it.  A
 per-particle inverse-CDF mode exists for monotone coupling: with
 generation-keyed streams, the draw for parent i is the same in two runs, so
 the offspring total is nondecreasing in the parent count.
@@ -370,6 +370,7 @@ class _Batch:
     n_sample: int
     budget: int
     coupled: bool
+    units_table: object = None  # a _TableDraw of what a mating step leaves
 
 
 def _draw_offspring(units, gen, bound, draw, past, limit, cap, max_k):
@@ -433,8 +434,8 @@ def _run_vector_block(policy, batch, lo, hi, counted=None):
     that enter the aggregates.  A custom rule, given each trial's counts so
     far, or a coupled rule that draws applies to one live trial at a time.
     On the table lane a step may be a span of generations, in all of which
-    but the last every trial lives; with the policy's ``lookup_table`` a
-    step whose counts fit its rows is one lookup, and apply does not run.
+    but the last every trial lives; with the batch's ``units_table`` a step
+    whose counts fit its rows is one lookup, and neither units nor apply runs.
     Returns (extinction generations, alive counts, alive sums, samples, failures)."""
     gens = block_generators(batch.seed, lo // _TRIAL_BLOCK)
     lanes = _lanes(batch.law, batch.cap)
@@ -454,7 +455,7 @@ def _run_vector_block(policy, batch, lo, hi, counted=None):
         eg[:] = 0
         idx, z = idx[:0], z[:0]
     draw, ctl = lanes[1], None if stream is None else gens[stream]
-    tabled = not batch.coupled and policy.lookup_table(batch.law, batch.cap)
+    tabled = batch.units_table
     # a table-lane block steps a span of generations per ``random_raw``
     spanning = (isinstance(draw, _TableDraw) and draw.spans and draw.most <= batch.cap
                 and counted is None and not (batch.coupled or custom or policy.grows)
@@ -535,17 +536,20 @@ def _run_vector_block(policy, batch, lo, hi, counted=None):
     return eg, alive_counts, alive_sums, sampled, failures
 
 
-def _run_batch(config, initial, policy) -> BatchResult:
+def _run_batch(config, initial, policy, units_table=None) -> BatchResult:
     """Validate the shared settings, run the blocks and aggregate.  Trial
     failures beyond ``config.failure_budget`` abort the batch at the block
     that passes it, with the failure of the lowest trial index.
+    ``units_table`` is a ``table._TableDraw`` whose row z draws what
+    ``policy.apply`` leaves of the offspring of z parents, from the
+    offspring stream alone, with no total past the cap, or None.
     """
     batch = _Batch(law=config.law, horizon=int(config.horizon),
                    seed=int(config.master_seed), initial=int(initial),
                    cap=int(getattr(config, "population_cap", DEFAULT_POPULATION_CAP)),
                    n_sample=int(getattr(config, "sample_trajectories", 0)),
                    budget=int(getattr(config, "failure_budget", 0)),
-                   coupled=bool(getattr(config, "coupled", False)))
+                   coupled=bool(getattr(config, "coupled", False)), units_table=units_table)
     horizon, trials = batch.horizon, int(config.trials)
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")

@@ -164,6 +164,21 @@ ARRAY_CLAIMS = {  # cdfs that take arrays, each with its partial mean and mean
 }
 
 
+def scalar_least_crossing(f, y, start):
+    """The least float t >= 0 with f(t) >= y, one f call a step: t doubles
+    from ``start`` until f(t) >= y, then the bracket halves until its ends
+    are adjacent floats."""
+    lo, hi = 0.0, start
+    while f(hi) < y:
+        lo, hi = hi, 2.0 * hi
+    while (mid := lo + 0.5 * (hi - lo)) not in (lo, hi):
+        if f(mid) < y:
+            lo = mid
+        else:
+            hi = mid
+    return hi if lo > 0.0 or f(0.0) < y else 0.0
+
+
 @pytest.mark.parametrize("name", sorted(ARRAY_CLAIMS))
 def test_quantiles_searched_together_are_the_floats_of_the_scalar_search(name):
     d = CustomClaim(*ARRAY_CLAIMS[name])
@@ -171,16 +186,19 @@ def test_quantiles_searched_together_are_the_floats_of_the_scalar_search(name):
                         np.linspace(0.0, 1.0, 257)[1:-1],
                         np.random.default_rng(3).random(301)))
     assert d._takes_arrays
-    want = [brs._least_crossing(d.cdf, v, d.scale) for v in u]
+    want = [scalar_least_crossing(d.cdf, v, d.scale) for v in u]
     assert d.ppf(u).tolist() == want
     assert d.ppf(u.reshape(2, -1)).tolist() == np.reshape(want, (2, -1)).tolist()
     assert d.ppf(0.25) == want[u.tolist().index(0.25)]
+    assert [brs._least_crossing(d.cdf, v, d.scale) for v in u[:6]] == want[:6]
 
 
-def test_a_cdf_of_scalars_alone_keeps_the_scalar_search():
+def test_a_cdf_of_scalars_alone_is_searched_point_by_point():
     d = CustomClaim(Uniform(2.0).cdf, Uniform(2.0).partial_mean, 1.0)
     assert not d._takes_arrays  # min(max(...)) of an array raises
-    assert d.ppf(np.array([0.25, 0.5])).tolist() == [0.5, 1.0]
+    u = np.array([0.0, 2.0**-1074, 0.25, 0.5, 1.0 - 2.0**-53, 1.0])
+    assert d.ppf(u).tolist() == [scalar_least_crossing(d.cdf, v, d.scale) for v in u]
+    assert d.ppf(u)[2:4].tolist() == [0.5, 1.0]
 
 
 def test_fifty_custom_claims_over_200_trials_take_milliseconds():

@@ -37,7 +37,7 @@ from branchsim import (
     sample_offspring_totals,
 )
 from branchsim import engine, table
-from branchsim.bisexual import Min, run_bisexual_batch
+from branchsim.bisexual import Min, _units_table, run_bisexual_batch
 from branchsim.rng import STREAM_CONTROL, STREAM_OFFSPRING, spawn_generator
 from branchsim.engine import (_EXACT_LIMIT, _TRIAL_BLOCK, _binomial_exact, _counts,
                               _draw_offspring, _lanes, _make_block_draw, _make_total_sampler,
@@ -1230,6 +1230,19 @@ def test_spans_under_a_disaster_draw_the_same_control_stream():
                 initial_size=12, policy=Disaster(DisasterSchedule.constant(0.005)))
     _, _, spans = assert_spans_change_nothing(cfg)
     assert max(span[1] for span in spans) >= 8
+
+
+def test_spans_under_a_mating_step_draw_the_same_sex_stream():
+    # the mating step leaves a new array of at most the offspring it is
+    # given; a 40 cap is below the units table's largest total, 96, so the
+    # binomial table lane spans
+    law = Binomial(3, 0.8)
+    cfg = SimpleNamespace(law=law, horizon=60, trials=20, master_seed=8, alpha=0.5,
+                          mating=Min(), initial_units=3, population_cap=40,
+                          sample_trajectories=0, failure_budget=0)
+    assert _units_table(law, 0.5, Min(), 40) is None
+    _, _, spans = assert_spans_change_nothing(cfg, run=run_bisexual_batch)
+    assert max(span[1] for span in spans) >= 4
 
 
 def test_a_mating_step_draws_one_generation_a_lookup():
