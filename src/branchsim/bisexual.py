@@ -29,7 +29,7 @@ from .engine import (DEFAULT_POPULATION_CAP, BatchResult, _binomial_exact, _run_
 from .errors import ConfigError
 from .law import ExplicitPmf, OffspringLaw
 from .rng import STREAM_SEX, TrialStreams
-from .table import _TABLE_COUNTS, _pmf_rows, _TableDraw
+from .table import _TABLE_COUNTS, _binomial_weights, _pmf_rows, _TableDraw
 
 _GRID_MAX = 64  # custom mating functions are validated on [0, 64]^2
 _KERNEL_TOTALS = 1 << 9  # a units table's offspring totals stay below this
@@ -170,23 +170,13 @@ def _kernel(alpha: float, mating: MatingFunction, top: int):
     """The units kernel K[t, u] = P(M(t - B, B) = u), B ~ Bin(t, alpha), over
     totals t <= top, as two square arrays (w, u): w[t, b] = P(B = b) and u[t,
     b] = M(t - b, b), both 0 for b > t, so that K[t] is the bincount of u[t]
-    weighted by w[t] and E[M(t - B, B)] = w[t] . u[t].
-
-    w[t, b] = C(t, b) p^b (1 - p)^(t - b) for p = alpha <= 1/2, and the
-    weights of p = 1 - alpha read from the other end for alpha > 1/2: C(t,
-    b) is a running product of (t - b + 1) / b, below 2^1018 for t < 2^10,
-    and the power of 1 - p = hi + lo, held exactly as two floats, is hi^k (1
-    + k lo / hi).  Each weight near the mode is a normal float, within 20
-    ulps of its value for t < 2^9 (the running product's roundings)."""
+    weighted by w[t] and E[M(t - B, B)] = w[t] . u[t].  w is
+    ``_binomial_weights`` of alpha <= 1/2, and those of 1 - alpha read from
+    the other end for alpha > 1/2."""
     flip = alpha > 0.5
-    p = 1.0 - alpha if flip else alpha  # exact for alpha > 1/2
-    hi = 1.0 - p
-    lo = (1.0 - hi) - p  # 1 - p - hi, exactly
+    w = _binomial_weights(1.0 - alpha if flip else alpha, top)  # exact for alpha > 1/2
     t, b = np.ogrid[:top + 1, :top + 1]
     k, inside = np.maximum(t - b, 0), b <= t
-    steps = np.where(inside, (t - b + 1.0) / np.maximum(b, 1), 0.0)
-    steps[:, 0] = 1.0
-    w = np.cumprod(steps, axis=1) * p ** b.astype(np.float64) * (hi**k * (1.0 + k * (lo / hi)))
     if flip:
         w = w[t, k] * inside
     units = mating.units(k.ravel(), np.where(inside, b, 0).ravel())

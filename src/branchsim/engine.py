@@ -16,18 +16,19 @@ gamma-distributed Poisson arrival times.  Binomial counts and means past
 of 2^62 or more and the alive sizes of object blocks; an int64 alive sum
 that may pass 2^63 adds 32-bit halves.  The dtype changes no drawn number
 and no report byte.  A sized binomial draw (a Binomial law, a two-atom pmf)
-whose counts all have 1 to 32 trials, with 0 < p < 1, on a PCG64, is numpy's
-inversion draw looked up in a table (``table._binomial_draw``), which for a
-block whose policy reproduces its counts as they are and never raises them
-(no phi, custom rule or custom mating, coupled streams or failure replay,
-and a cap past every table total) draws a span of generations per
-``random_raw`` call: up to 2^13 outputs (``_SPAN_RAWS``), each span twice
-the generations that the last one drew, which a death, a restart or a
-count past the table's rows cuts short; each first grows the rows to its
-parent counts.  A batch given a units table (the mating step of a built-in
-mating) draws a generation whose counts are all within its rows with one
-lookup a count, which is what ``apply`` would leave, so neither the
-offspring draw nor ``apply`` runs for it.  A
+whose counts all have 1 to 32 trials, with 0 < p < 1, on a PCG64, is looked
+up in a table of the binomial cdf (``table._binomial_draw``), one uniform
+a count as numpy's inversion draw takes, and its numbers but for under
+6e-14 of them.  For a block whose policy reproduces its counts as they are
+and never raises them (no phi, custom rule or custom mating, coupled
+streams or failure replay, and a cap past every table total) the table
+draws a span of generations per ``random_raw`` call: up to 2^13 outputs
+(``_SPAN_RAWS``), each span twice the generations that the last one drew,
+which a death or a count past the table's rows cuts short; each first
+grows the rows to its parent counts.  A batch given a units table (the
+mating step of a built-in mating) draws a generation whose counts are all
+within its rows with one lookup a count, which is what ``apply`` would
+leave, so neither the offspring draw nor ``apply`` runs for it.  A
 per-particle inverse-CDF mode exists for monotone coupling: with
 generation-keyed streams, the draw for parent i is the same in two runs, so
 the offspring total is nondecreasing in the parent count.

@@ -1,21 +1,20 @@
-"""Draws by table lookup: numpy's own small binomials, and the rows of a pmf.
+"""Draws by table lookup: small binomials, and the rows of any pmf.
 
 A table's row z gives a count of z its total from one 53-bit uniform m, the
 top 53 bits of one raw output of a PCG64: the total is the k-th of the row's
 values, k = #{thresholds of the row at or below m}.  ``_TableDraw`` looks
-each count up in a flat table of its rows with one searchsorted.  Rows come
-from one of two sources:
+each count up in a flat table of its rows with one searchsorted.  Every row
+comes from ``_pmf_rows``: thresholds ceil(F(k) 2^53) of the cdf F of a
+float pmf, so each value takes its probability to within a few 2^-53 beyond
+the pmf's own rounding, and the last is 2^53, past every uniform.
 
-- numpy's ``Generator.binomial`` draws a count of n <= 32 trials by
-  inversion (Kachitvichyanukul & Schmeiser, CACM 31, 1988): n min(p, 1 - p)
-  <= 16 is below its switch to BTPE at 30.  It takes one 53-bit uniform,
-  and its result is the number of thresholds K_1 <= K_2 <= ... of that
-  count at or below the uniform.  ``_inversion_row`` finds the thresholds
-  exactly, so the counts of a ``_binomial_draw`` table, the generator's
-  position after a draw and every report byte are numpy's.
-- any float pmf on 0 .. L (``_pmf_rows``): thresholds ceil(F(k) 2^53) of its
-  cdf F, so each value takes its probability to within a few 2^-53 beyond
-  the pmf's own rounding.
+The rows of ``_binomial_draw`` are the weights of ``_binomial_weights``.
+numpy's ``Generator.binomial`` draws a count of n <= 32 trials by inversion
+(Kachitvichyanukul & Schmeiser, CACM 31, 1988; n min(p, 1 - p) <= 16 is
+below its switch to BTPE at 30) from the same 53-bit uniform, and each of
+its steps lies within 64 units of 2^-53 of the table's threshold.  So a
+table draw is numpy's, and takes as many raw outputs, but for a uniform in
+one of those gaps: under 6e-14 of the draws of a count.
 
 Rows grow in ``_TableDraw.steps`` alone, and a policy that draws nothing
 folds into the table once a run of its ``levels``, so a span generation is
@@ -23,8 +22,6 @@ one searchsorted, one take and one add.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -35,46 +32,19 @@ from .control import ControlPolicy
 _TABLE_COUNTS = 32
 
 
-def _inversion_row(n: int, p: float) -> list[int]:
-    """The thresholds K_1 .. K_{b+1} of numpy's inversion draw of Bin(n, p),
-    p <= 1/2: a 53-bit uniform m gives X = #{k <= b : K_k <= m}, or a
-    restart when m >= K_{b+1}, for numpy's bound b.
-
-    ``random_binomial_inversion`` (Kachitvichyanukul & Schmeiser, CACM 31,
-    1988) takes U = m 2^-53 and, while U > px, moves X on, subtracting px
-    from U and stepping px by the pmf ratio.  Its results are replayed here
-    with the same float64 operations, so the thresholds are exact: the loop
-    is monotone in U, so K_k is the least passing m of one search that
-    starts at the k-th cumulative sum.
-    """
-    q = 1.0 - p
-    mean = n * p
-    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
-    px = [math.exp(n * math.log(q))]
-    for x in range(1, bound + 1):
-        px.append(((n - x + 1) * p * px[-1]) / (x * q))
-
-    def passes(m, k):  # X > k at U = m 2^-53
-        u = m * 2.0**-53
-        for x in px[:k + 1]:
-            u -= x
-        # U > px iff U - px > 0 in float64, and a U that failed stays at or below 0
-        return u > 0 or m >= 1 << 53
-
-    row = []
-    for k, total in enumerate(np.cumsum(px).tolist()):
-        # gallop from the cumulative sum up to a passing hi and down to a failing lo
-        # (0 never passes; 2^53, past every draw, always does), then bisect
-        hi, step = min(round(total * 2.0**53), 1 << 53), 1
-        lo = hi - 1
-        while not passes(hi, k):
-            lo, hi, step = hi, min(hi + step, 1 << 53), 2 * step
-        while passes(lo, k):
-            lo, hi, step = max(lo - step, 0), lo, 2 * step
-        while (mid := (lo + hi) // 2) > lo:
-            lo, hi = (lo, mid) if passes(mid, k) else (mid, hi)
-        row.append(hi)
-    return row
+def _binomial_weights(p: float, top: int) -> np.ndarray:
+    """w[t, b] = P(B = b), B ~ Bin(t, p), p <= 1/2, over t, b <= top, 0 for
+    b > t: C(t, b) is a running product of (t - b + 1) / b, below 2^1018 for
+    t < 2^10, and the power of 1 - p = hi + lo, held exactly as two floats,
+    is hi^k (1 + k lo / hi).  Each weight near the mode is a normal float,
+    within 20 ulps of its value for t < 2^9 (the running product's roundings)."""
+    hi = 1.0 - p
+    lo = (1.0 - hi) - p  # 1 - p - hi, exactly
+    t, b = np.ogrid[:top + 1, :top + 1]
+    k = np.maximum(t - b, 0)
+    steps = np.where(b <= t, (t - b + 1.0) / np.maximum(b, 1), 0.0)
+    steps[:, 0] = 1.0
+    return np.cumprod(steps, axis=1) * p ** b.astype(np.float64) * (hi**k * (1.0 + k * (lo / hi)))
 
 
 def _pmf_rows(ps) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -110,21 +80,21 @@ class _TableDraw:
     a PCG64, in a flat table of rows built up to the largest count seen.
 
     ``rows_of(z0, z1)`` gives the sorted thresholds and the values, as many,
-    of the rows of counts z0 .. z1 - 1: a uniform at or past a row's last
-    threshold restarts.  The table holds the rows of counts 1 to ``rows``,
-    and ``most`` bounds their values.
-    A count past the rows, a restart (with ``_inversion_row`` thresholds,
-    about once in 10^16 draws) or another bit generator steps the generator
-    back and hands the whole call to ``numpy``.  ``steps`` draws several
-    generations of such counts with one ``random_raw`` call.
+    of the rows of counts z0 .. z1 - 1 (``_pmf_rows``).  The table holds the
+    rows of counts 1 to ``rows``, and ``most`` bounds their values.
+    A count of 0 or past the rows, or another bit generator, hands the whole
+    call to ``numpy``, with any raw outputs drawn first stepped back.
+    ``steps`` draws several generations of such counts with one
+    ``random_raw`` call.
     """
 
     def __init__(self, rows_of, rows: int, most: int, numpy=None):
         self._rows, self.rows, self.most, self._numpy = rows_of, rows, most, numpy
         self.spans = most < 1 << 10
-        # each row z: a sentinel key z << 53, then (z << 53) + K_k; a
+        # each row z: a sentinel key z << 53, then (z << 53) + T_k; a
         # searchsorted index into ``values`` gives the value drawn, or -1 for
-        # a restart, a count of 0 and a count past the table
+        # a count of 0 and a count past the table (a row's last key, at T =
+        # 2^53, is the next row's sentinel)
         self._table = (np.zeros(0, dtype=np.int64), np.full(1, -1, dtype=np.int64), 0)
         self._folds = (self._table, None, {})  # (table, policy, {level <= most + 1: fold})
 
@@ -164,12 +134,12 @@ class _TableDraw:
         counts z on a PCG64, one ``random_raw`` for all, each as ``policy``
         leaves it: a (k, z.size) array of the counts of the k drawn, once the
         rows reach z.  It stops before a generation that the table cannot
-        draw (a restart, a count past the rows, or a count of 0, so a span
-        ends with the generation of a death), whose raw outputs, and those
-        after them, go back.  A policy that draws (from ``ctl``), or
-        overrides ``apply`` but not ``levels``, applies unfolded, once the
-        table has drawn every count, as does a single generation; any other
-        folds once for each run of its ``levels``."""
+        draw (a count past the rows, or a count of 0, so a span ends with
+        the generation of a death), whose raw outputs, and those after them,
+        go back.  A policy that draws (from ``ctl``), or overrides ``apply``
+        but not ``levels``, applies unfolded, once the table has drawn every
+        count, as does a single generation; any other folds once for each
+        run of its ``levels``."""
         bits, size, top = rng.bit_generator, z.size, int(np.maximum.reduce(z))
         if type(bits) is not np.random.PCG64 or top > self.rows:
             return z[:0, None]  # the first generation is numpy's
@@ -191,7 +161,7 @@ class _TableDraw:
             for j, row in enumerate(rows, n + 1):
                 row += key
                 values.take(keys.searchsorted(row, side="right"), out=row, mode="clip")
-                if np.minimum.reduce(row) < 0:  # a restart, a count of 0 or past the rows
+                if np.minimum.reduce(row) < 0:  # a count of 0 or past the rows
                     done = j - n - 1
                     break
                 if (left := policy.apply(row, j, ctl)) is not row:
@@ -215,26 +185,27 @@ class _TableDraw:
 
 def _binomial_draw(p: float, scale: int = 1, trials: int = 1, base: int = 0):
     """draw(z, rng): base z + scale Bin(trials z, p) for an int64 array z of
-    counts, from the very numbers ``rng.binomial(trials * z, p)`` gives.
+    counts, the numbers ``rng.binomial(trials * z, p)`` gives but for under
+    6e-14 of the uniforms (see the module docstring).
 
-    numpy draws a count of n <= 32 trials by inversion, since n min(p, 1 - p)
-    <= 16 is below its switch at 30, on the smaller of p and 1 - p (and
-    returns n - X for p > 1/2), one 53-bit uniform per count unless it
-    restarts.  So for 0 < p < 1 the draw is a table of ``_inversion_row``
-    thresholds, whose rows are the counts of 1 to ``_TABLE_COUNTS`` trials.
+    For 0 < p < 1 the draw is a table of the counts of 1 to
+    ``_TABLE_COUNTS`` trials, rows t = z trials of ``_binomial_weights`` at
+    q = min(p, 1 - p), built once: X is drawn for q, and n - X given for p >
+    1/2, as numpy does.  Otherwise, and where no count fits, it is numpy's.
     """
     def numpy(z, rng):
         out = rng.binomial(z * trials if trials > 1 else z, p)
         if scale != 1:
             out = scale * out
         return base * z + out if base else out
-    if not 0.0 < p < 1.0:
+    rows = _TABLE_COUNTS // trials
+    if not 0.0 < p < 1.0 or not rows:
         return numpy
     flip = p > 0.5
+    w = _binomial_weights(1.0 - p if flip else p, _TABLE_COUNTS)
 
-    def row(z):
-        thresholds = _inversion_row(n := z * trials, 1.0 - p if flip else p)
-        xs = np.arange(len(thresholds))
-        return thresholds, scale * (n - xs if flip else xs) + base * z
-    return _TableDraw(lambda z0, z1: map(row, range(z0, z1)), _TABLE_COUNTS // trials,
-                      scale * _TABLE_COUNTS + base * (_TABLE_COUNTS // trials), numpy)
+    def rows_of(z0, z1):
+        return [(thresholds, scale * (z * trials - xs if flip else xs) + base * z)
+                for z, (thresholds, xs) in enumerate(
+                    _pmf_rows(w[z0 * trials:z1 * trials:trials]), z0)]
+    return _TableDraw(rows_of, rows, scale * _TABLE_COUNTS + base * rows, numpy)

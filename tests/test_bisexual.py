@@ -513,8 +513,10 @@ def test_exact_mean_units_through_the_kernel_are_the_enumeration(pmf, alpha):
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.123456789])
 def test_kernel_split_weights_near_the_mode_are_within_32_ulps(alpha):
     # totals up to the largest a units table holds; with 1 - alpha rounded
-    # to one float, w would be off by about 300 ulps at t = 511, alpha = 0.3
-    w, _ = bisexual._kernel(alpha, Min(), 511)
+    # to one float, w would be off by about 300 ulps at t = 511, alpha = 0.3;
+    # the kernel reads the weights of 1 - alpha from the other end past 1/2
+    w = (table._binomial_weights(alpha, 511) if alpha <= 0.5
+         else bisexual._kernel(alpha, Min(), 511)[0])
     a, d = Fraction(alpha).as_integer_ratio()
     for t in (1, 60, 300, 511):
         for b in range(t + 1):  # P(B = b) = exact / d^t, w[t, b] = m / e

@@ -355,14 +355,19 @@ def replay_inversion(m, n, p):
     return x
 
 
-@pytest.mark.parametrize("p", [0.25, 0.5, 0.3, 0.123456789, 0.1, 0.001, 0.01, 1e-300,
-                               0.4999999, 0.45, 0.37, 1e-9])
-@pytest.mark.parametrize("n", range(1, 33))
-def test_inversion_thresholds_are_where_numpys_loop_steps(n, p):
-    row = table._inversion_row(n, p)
-    assert row == sorted(row)
-    for m in {m for key in row for m in (key - 1, key) if m < 1 << 53}:  # 2^53: never drawn
-        assert replay_inversion(m, n, p) == sum(key <= m for key in row)
+def test_binomial_rows_step_within_64_units_of_numpys_loop():
+    # X >= k at T_k and above in a table row; numpy's loop passes k - 1 within
+    # 64 units of 2^-53 of it, and every row ends at 2^53, past every uniform
+    for p in [0.25, 0.5, 0.3, 0.123456789, 0.1, 0.001, 0.01, 1e-300, 0.4999999, 0.45, 0.37,
+              1e-9, 0.75, 0.999]:
+        q = min(p, 1.0 - p)
+        for n, (row, values) in enumerate(table._binomial_draw(p)._rows(1, 33), 1):
+            assert row[-1] == 1 << 53 and np.all(np.diff(row) >= 0)
+            assert values.tolist() == [n - x if p > 0.5 else x for x in range(row.size)]
+            for k, key in enumerate(row.tolist(), 1):
+                assert replay_inversion(max(key - 65, 0), n, q) <= k - 1, (n, p, k)
+                if key + 64 < 1 << 53:  # 2^53 and past: never drawn
+                    assert replay_inversion(key + 64, n, q) >= k, (n, p, k)
 
 
 @pytest.mark.parametrize("p", [0.75, 0.5, 0.3, 0.123456789, 0.9, 0.999, 0.01, 1.0])
@@ -379,15 +384,22 @@ def test_binomial_draw_gives_numpys_numbers(p):
     assert gen.bit_generator.state == twin.bit_generator.state
 
 
+def row_keys(draw, z):
+    """Where row z's thresholds start in ``draw``'s table, after its
+    sentinel, and how many there are, the last at 2^53."""
+    keys = draw._table[0]
+    at = int(keys.searchsorted(z << 53, side="right"))
+    return at, int(keys.searchsorted((z + 1) << 53)) + 1 - at
+
+
 @pytest.mark.parametrize("p", [0.75, 0.3])
-def test_binomial_draw_restarts_with_numpys_draw(p):
+def test_a_row_the_table_cannot_draw_hands_the_call_to_numpy(p):
     draw = table._binomial_draw(p)
     draw(np.arange(1, 6), rng())  # builds rows 1 to 5
     keys, values, built = draw._table
     n, keys = 4, keys.copy()
-    row = len(table._inversion_row(n, 1.0 - p if p > 0.5 else p))
-    at = int(keys.searchsorted(n << 53, side="right"))  # the first threshold, after the sentinel
-    # every uniform past the first threshold now lands in the restart region
+    at, row = row_keys(draw, n)
+    # every uniform past the first threshold now lands past the row's last
     keys[at:at + row] = keys[at]
     draw._table = (keys, values, built)
     gen, twin = rng(11), rng(11)
@@ -436,14 +448,29 @@ def test_two_atom_pmf_totals_weigh_numpys_binomial_count(pmf):
 
 def test_lanes_build_each_table_row_once_per_batch(monkeypatch):
     engine._lanes.cache_clear()
-    built, row = [], table._inversion_row
-    monkeypatch.setattr(table, "_inversion_row", lambda n, p: built.append(n) or row(n, p))
+    weighed, built, weights = [], [], table._binomial_weights
+    monkeypatch.setattr(table, "_binomial_weights",
+                        lambda p, top: weighed.append((p, top)) or weights(p, top))
     g = GrowthFunction.log(2.0, 3.0, rounding="ceil")
     cfg = Batch(ExplicitPmf({0: 0.25, 2: 0.75}), horizon=60, trials=40_000, master_seed=3,
                 policy=Truncation(g))
     assert cfg.trials > 2 * _TRIAL_BLOCK
+    draw = engine._lanes(cfg.law, cfg.population_cap)[1]
+    rows = draw._rows
+    draw._rows = lambda z0, z1: built.extend(range(z0, z1)) or rows(z0, z1)
     run_batch(cfg)
+    engine._lanes.cache_clear()
+    assert weighed == [(0.25, 32)]  # one matrix for the law and cap, of rows of 0 to 32 trials
     assert sorted(built) == list(range(1, g(60) + 1))
+
+
+def test_a_binomial_law_past_the_rows_draws_with_numpy():
+    # n = 40 trials a parent: no count fits the 32 rows, so no table is built
+    draw = _make_block_draw(Binomial(40, 0.3))
+    assert not isinstance(draw, table._TableDraw)
+    gen, twin, z = rng(3), rng(3), np.array([1, 2, 5])
+    assert draw(z, gen).tolist() == twin.binomial(40 * z, 0.3).tolist()
+    assert gen.bit_generator.state == twin.bit_generator.state
 
 
 def test_large_poisson_means_draw_exact_moments_and_low_bits():
@@ -1202,26 +1229,24 @@ def test_a_span_ends_before_counts_past_the_built_rows_and_past_32(seed, parents
                for count, done, died, top in spans)
 
 
-def restart_in_row_4(draw, kept=-2):
-    """As in test_binomial_draw_restarts_with_numpys_draw, but only a uniform
-    of row 4 past its threshold ``kept`` (by default the next-to-last)
-    restarts."""
+def undrawable_row_4(draw, kept=-2):
+    """As in test_a_row_the_table_cannot_draw_hands_the_call_to_numpy, but
+    only a uniform of row 4 past its threshold ``kept`` (by default the
+    next-to-last) lands past the row's last."""
     draw(np.arange(1, 6), rng())
     keys, values, built = draw._table
     z, keys = 4, keys.copy()
-    (thresholds, _), = draw._rows(z, z + 1)
-    row = len(thresholds)
-    at = int(keys.searchsorted(z << 53, side="right"))
+    at, row = row_keys(draw, z)
     thresholds = keys[at:at + row]
     thresholds[kept + 1:] = thresholds[kept]
     draw._table = (keys, values, built)
 
 
 @pytest.mark.parametrize("pmf", [{0: 0.25, 2: 0.75}, {1: 0.7, 2: 0.3}])
-def test_a_span_ends_before_a_restart(pmf):
+def test_a_span_ends_before_a_row_the_table_cannot_draw(pmf):
     cfg = Batch(ExplicitPmf(pmf), horizon=300, trials=3, master_seed=9, initial_size=2,
                 policy=Truncation(GrowthFunction.constant(4)))
-    _, _, spans = assert_spans_change_nothing(cfg, restart_in_row_4)
+    _, _, spans = assert_spans_change_nothing(cfg, undrawable_row_4)
     assert any(0 < done < count and not died for count, done, died, _ in spans)
 
 
@@ -1342,19 +1367,19 @@ PAST_ROWS = {"truncation_log": (2, 4, 300), "truncation_as_absorption": (2, 4, 1
 
 
 @pytest.mark.parametrize("name", PAST_ROWS)
-def test_folded_spans_end_at_a_death_a_restart_and_a_count_past_the_rows(name):
+def test_folded_spans_end_at_a_death_a_row_the_table_cannot_draw_and_past_the_rows(name):
     policy, capped = FOLD_POLICIES[name], name.startswith("truncation")
     # a span keeps the generation of a death and ends there
     cfg = Batch(DECAY, horizon=80, trials=100, master_seed=5, initial_size=4, policy=policy)
     _, _, spans = assert_spans_change_nothing(cfg)
     assert any(died and done < count for count, done, died, _ in spans)
-    # counts of at most 5, within the rows that restart_in_row_4 builds: a
-    # span ends before a restart (a cap holds a growing law there)
+    # counts of at most 5, within the rows that undrawable_row_4 builds: a
+    # span ends before a row the table cannot draw (a cap holds a growing law there)
     law, initial, trials = (ExplicitPmf({1: 0.4, 2: 0.6}), 1, 300) if capped else (DECAY, 5, 20)
     cfg = Batch(law, horizon=80, trials=trials, master_seed=9, initial_size=initial,
                 policy=policy)
     _, _, spans = assert_spans_change_nothing(
-        cfg, lambda draw: restart_in_row_4(draw, -2 if capped else 0))
+        cfg, lambda draw: undrawable_row_4(draw, -2 if capped else 0))
     assert any(0 < done < count and not died and top <= 5 for count, done, died, top in spans)
     # 3 z trials past 32: numpy draws
     initial, seed, horizon = PAST_ROWS[name]
