@@ -355,19 +355,20 @@ def replay_inversion(m, n, p):
     return x
 
 
-def test_binomial_rows_step_within_64_units_of_numpys_loop():
+@pytest.mark.parametrize("p", [0.25, 0.5, 0.3, 0.123456789, 0.1, 0.001, 0.01, 1e-300,
+                               0.4999999, 0.45, 0.37, 1e-9, 0.75, 0.999])
+@pytest.mark.parametrize("n", range(1, 33))
+def test_binomial_rows_step_within_64_units_of_numpys_loop(n, p):
     # X >= k at T_k and above in a table row; numpy's loop passes k - 1 within
     # 64 units of 2^-53 of it, and every row ends at 2^53, past every uniform
-    for p in [0.25, 0.5, 0.3, 0.123456789, 0.1, 0.001, 0.01, 1e-300, 0.4999999, 0.45, 0.37,
-              1e-9, 0.75, 0.999]:
-        q = min(p, 1.0 - p)
-        for n, (row, values) in enumerate(table._binomial_draw(p)._rows(1, 33), 1):
-            assert row[-1] == 1 << 53 and np.all(np.diff(row) >= 0)
-            assert values.tolist() == [n - x if p > 0.5 else x for x in range(row.size)]
-            for k, key in enumerate(row.tolist(), 1):
-                assert replay_inversion(max(key - 65, 0), n, q) <= k - 1, (n, p, k)
-                if key + 64 < 1 << 53:  # 2^53 and past: never drawn
-                    assert replay_inversion(key + 64, n, q) >= k, (n, p, k)
+    q = min(p, 1.0 - p)
+    (row, values), = table._binomial_draw(p)._rows(n, n + 1)
+    assert row[-1] == 1 << 53 and np.all(np.diff(row) >= 0)
+    assert values.tolist() == [n - x if p > 0.5 else x for x in range(row.size)]
+    for k, key in enumerate(row.tolist(), 1):
+        assert replay_inversion(max(key - 65, 0), n, q) <= k - 1, k
+        if key + 64 < 1 << 53:  # 2^53 and past: never drawn
+            assert replay_inversion(key + 64, n, q) >= k, k
 
 
 @pytest.mark.parametrize("p", [0.75, 0.5, 0.3, 0.123456789, 0.9, 0.999, 0.01, 1.0])
