@@ -3,7 +3,11 @@
 A table's row z gives a count of z its total from one 53-bit uniform m, the
 top 53 bits of one raw output of a PCG64: the total is the k-th of the row's
 values, k = #{thresholds of the row at or below m}.  ``_TableDraw`` looks
-each count up in a flat table of its rows with one searchsorted.  Every row
+each count up in a flat table of its rows by the key (z << 53) + m: a
+searchsorted, or from ``_GUIDE_WIDTH`` counts on, where the search costs
+more than six numpy calls, a gather from a guide table of the key's top
+bits (Chen & Asau, AIIE Trans. 6, 1974) and a search of the few keys in
+buckets that a key splits.  Every row
 comes from ``_pmf_rows``: thresholds ceil(F(k) 2^53) of the cdf F of a
 float pmf, so each value takes its probability to within a few 2^-53 beyond
 the pmf's own rounding, and the last is 2^53, past every uniform.
@@ -18,7 +22,7 @@ one of those gaps: under 6e-14 of the draws of a count.
 
 Rows grow in ``_TableDraw.steps`` alone, and a policy that draws nothing
 folds into the table once a run of its ``levels``, so a span generation is
-one searchsorted, one take and one add.
+one lookup, one take and one add.
 """
 
 from __future__ import annotations
@@ -28,8 +32,11 @@ import numpy as np
 from .control import ControlPolicy
 
 # the rows of a table: the binomial counts of at most 32 trials, whose rows
-# hold at most 34 int64 keys and values each, and the unit counts of at most 32
+# hold at most 33 int64 keys and values each, and the unit counts of at most 32
 _TABLE_COUNTS = 32
+# a lookup of fewer counts searches; a guide bucket spans 2^-8 of a count's uniforms
+_GUIDE_WIDTH = 1024
+_GUIDE_SHIFT = 53 - 8
 
 
 def _binomial_weights(p: float, top: int) -> np.ndarray:
@@ -65,6 +72,29 @@ def _pmf_rows(ps) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(row[:end], np.arange(end)) for row, end in zip(thresholds, ends.tolist())]
 
 
+def _guide(keys) -> np.ndarray:
+    """The int32 guide of sorted keys of at least 0: entry B is the index
+    keys.searchsorted(k, side="right") of every k >> _GUIDE_SHIFT = B, or
+    -1 (search) where a key splits bucket B, and in bucket 0, where a
+    negative k is clipped.  A k past the last bucket looks that one up."""
+    edge = np.arange((int(keys.max(initial=0)) >> _GUIDE_SHIFT) + 1) << _GUIDE_SHIFT
+    guide = keys.searchsorted(edge, side="right")
+    edge += (1 << _GUIDE_SHIFT) - 1  # each bucket's last key
+    guide[keys.searchsorted(edge, side="right") != guide] = -1
+    guide[0] = -1
+    return guide.astype(np.int32)
+
+
+def _guided(row, guide, keys, at):
+    """keys.searchsorted(row, side="right"), written into the int64 array
+    ``at``: a gather from ``keys``' guide, and a search where it marks -1."""
+    at[...] = guide.take(np.right_shift(row, _GUIDE_SHIFT, out=at), mode="clip")
+    miss = np.flatnonzero(at < 0)
+    if miss.size:
+        at[miss] = keys.searchsorted(row[miss], side="right")
+    return at
+
+
 def _rewind(bits, count: int):
     """Step a PCG64 back over ``count`` raw outputs.  ``advance`` drops the
     buffered 32-bit half of a 32-bit draw, so it is put back."""
@@ -75,9 +105,10 @@ def _rewind(bits, count: int):
 
 
 class _TableDraw:
-    """draw(z, rng): the totals of an int64 array z of counts, each found by
-    one searchsorted of (z << 53) + m, m the top 53 bits of one raw output of
-    a PCG64, in a flat table of rows built up to the largest count seen.
+    """draw(z, rng): the totals of an int64 array z of counts, each looked
+    up by (z << 53) + m, m the top 53 bits of one raw output of a PCG64, in
+    a flat table of rows built up to the largest count seen, or in the
+    guide that its first lookup of ``_GUIDE_WIDTH`` counts or more builds.
 
     ``rows_of(z0, z1)`` gives the sorted thresholds and the values, as many,
     of the rows of counts z0 .. z1 - 1 (``_pmf_rows``).  The table holds the
@@ -91,20 +122,28 @@ class _TableDraw:
     def __init__(self, rows_of, rows: int, most: int, numpy=None):
         self._rows, self.rows, self.most, self._numpy = rows_of, rows, most, numpy
         self.spans = most < 1 << 10
-        # each row z: a sentinel key z << 53, then (z << 53) + T_k; a
-        # searchsorted index into ``values`` gives the value drawn, or -1 for
-        # a count of 0 and a count past the table (a row's last key, at T =
-        # 2^53, is the next row's sentinel)
-        self._table = (np.zeros(0, dtype=np.int64), np.full(1, -1, dtype=np.int64), 0)
+        # the key 1 << 53, then each row z's (z << 53) + T_k, the last at (z +
+        # 1) << 53; a searchsorted index into ``values`` gives the value
+        # drawn, or -1, the first and the last, for a count of 0 and a count
+        # past the table
+        self._table = (np.full(1, 1 << 53), np.full(2, -1), 0)
         self._folds = (self._table, None, {})  # (table, policy, {level <= most + 1: fold})
+        self._guides = {}  # {None (the table) or a fold's level: (its keys, their guide)}
 
     def _grow(self, top: int):
         keys, values, built = self._table
-        new_keys, new_values = [keys], [values]
-        for z, (thresholds, totals) in enumerate(self._rows(built + 1, top + 1), built + 1):
-            new_keys.append((z << 53) + np.concatenate(([0], thresholds)).astype(np.int64))
-            new_values.append(np.append(totals, -1))
-        self._table = (np.concatenate(new_keys), np.concatenate(new_values), top)
+        rows = self._rows(built + 1, top + 1)
+        self._table = (np.concatenate([keys] + [(z << 53) + thresholds for z, (thresholds, _)
+                                                in enumerate(rows, built + 1)]),
+                       np.concatenate([values[:-1]] + [totals for _, totals in rows] + [[-1]]),
+                       top)
+
+    def _guide_of(self, keys, level=None):
+        """The guide of the table's ``keys`` (level None) or its fold's at ``level``."""
+        held = self._guides.get(level)
+        if held is None or held[0] is not keys:
+            self._guides[level] = held = keys, _guide(keys)
+        return held[1]
 
     def _fold(self, folds, policy, n, level):
         """The table at the policy's ``level`` (of generation n): its values are
@@ -157,10 +196,14 @@ class _TableDraw:
         # numpy's next_double bits, a row a generation, plus its parents' keys
         rows = np.right_shift(raw, 11, out=raw).view(np.int64)
         key = z.astype(np.int64, copy=False) << 53
+        wide = size >= _GUIDE_WIDTH
         if checked:
+            guide = self._guide_of(keys) if wide else None
             for j, row in enumerate(rows, n + 1):
                 row += key
-                values.take(keys.searchsorted(row, side="right"), out=row, mode="clip")
+                at = keys.searchsorted(row, side="right") if guide is None else _guided(
+                    row, guide, keys, key)  # the parents' keys are spent
+                values.take(at, out=row, mode="clip")
                 if np.minimum.reduce(row) < 0:  # a count of 0 or past the rows
                     done = j - n - 1
                     break
@@ -172,9 +215,12 @@ class _TableDraw:
             for (j, level), end in zip(runs, [j for j, _ in runs[1:]] + [n + count + 1]):
                 level, folds = min(level, self.most + 1), self._folds[2]
                 keys, values = folds.get(level) or self._fold(folds, policy, j, level)
+                guide = self._guide_of(keys, level) if wide else None
                 for row in rows[j - n - 1:end - n - 1]:
                     row += key
-                    key = values.take(keys.searchsorted(row, side="right"), out=row, mode="clip")
+                    at = keys.searchsorted(row, side="right") if guide is None else _guided(
+                        row, guide, keys, np.empty_like(row))
+                    key = values.take(at, out=row, mode="clip")
             rows >>= 53  # a row holds the keys of its counts, and a -1 stays -1
             if np.minimum.reduce(rows[-1]) < 0:
                 done = int(np.flatnonzero(np.minimum.reduce(rows, axis=1) < 0)[0])

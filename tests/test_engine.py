@@ -385,32 +385,90 @@ def test_binomial_draw_gives_numpys_numbers(p):
     assert gen.bit_generator.state == twin.bit_generator.state
 
 
-def row_keys(draw, z):
-    """Where row z's thresholds start in ``draw``'s table, after its
-    sentinel, and how many there are, the last at 2^53."""
-    keys = draw._table[0]
+def row_values(draw, z):
+    """A copy of ``draw``'s table values, with the slice of them that row z
+    draws: its keys run from the first past z << 53 to (z + 1) << 53, and
+    the value drawn below each key sits at that key's index."""
+    keys, values, _ = draw._table
     at = int(keys.searchsorted(z << 53, side="right"))
-    return at, int(keys.searchsorted((z + 1) << 53)) + 1 - at
+    values = values.copy()
+    return values, values[at:int(keys.searchsorted((z + 1) << 53)) + 1]
 
 
-@pytest.mark.parametrize("p", [0.75, 0.3])
-def test_a_row_the_table_cannot_draw_hands_the_call_to_numpy(p):
+# 280 counts search the table, 2100 take its guide
+@pytest.mark.parametrize("p, repeats", [(0.75, 40), (0.3, 40), (0.75, 300), (0.3, 300)],
+                         ids=["0.75", "0.3", "0.75-wide", "0.3-wide"])
+def test_a_row_the_table_cannot_draw_hands_the_call_to_numpy(p, repeats):
     draw = table._binomial_draw(p)
     draw(np.arange(1, 6), rng())  # builds rows 1 to 5
     keys, values, built = draw._table
-    n, keys = 4, keys.copy()
-    at, row = row_keys(draw, n)
-    # every uniform past the first threshold now lands past the row's last
-    keys[at:at + row] = keys[at]
+    values, row = row_values(draw, 4)
+    # every uniform past the first threshold now draws -1
+    row[1:] = -1
     draw._table = (keys, values, built)
     gen, twin = rng(11), rng(11)
     for g in (gen, twin):  # a buffered 32-bit half must survive the rewind
         g.integers(0, 10, dtype=np.uint32)
-    units = np.array([1, 4, 2, 4, 5, 3, 4] * 40)
+    units = np.array([1, 4, 2, 4, 5, 3, 4] * repeats)
     want = twin.binomial(units, p, size=units.size)
     assert draw(units, gen).tolist() == want.tolist()
     assert gen.bit_generator.state == twin.bit_generator.state
     assert gen.integers(0, 1 << 32, dtype=np.uint32) == twin.integers(0, 1 << 32, dtype=np.uint32)
+    assert bool(draw._guides) == (units.size >= table._GUIDE_WIDTH)
+
+
+# fresh tables of each kind (``_units_table`` keeps one a law, alpha, mating and cap)
+GUIDED_TABLES = {
+    "binomial": lambda: table._binomial_draw(0.3),
+    "units_pmf3": lambda: _units_table.__wrapped__(
+        ExplicitPmf({0: 0.25, 1: 0.05, 3: 0.7}), 0.5, Min(), 1 << 48),
+    "units_poisson": lambda: _units_table.__wrapped__(Poisson(1.5), 0.5, Min(), 1 << 48),
+}
+
+
+@pytest.mark.parametrize("name", [*GUIDED_TABLES, "folded_truncation", "bucket_ends"])
+def test_the_guide_gives_the_searchsorted_index_of_every_key(name):
+    draw = GUIDED_TABLES.get(name, GUIDED_TABLES["binomial"])()
+    draw(np.arange(1, 33), rng())  # builds all 32 rows
+    keys, values, _ = draw._table
+    if name == "bucket_ends":  # keys alone at the first or the last key of a bucket
+        keys = (1 << 53) + np.array([0, (1 << 45) - 1, 3 << 45, (5 << 45) - 1, 1 << 53])
+        values = np.arange(-1, keys.size)
+    if name == "folded_truncation":  # values -2^53, the key of a dead count, and 5 << 53 at most
+        keys, values = draw._fold({}, Truncation(GrowthFunction.constant(5)), 1, 5)
+        assert values.min() == -1 << 53 and values.max() == 5 << 53
+    # the keys increase, but for the Poisson units table's, which repeat past
+    # a value of probability 0: a tail threshold rounded to 2^53 - 1
+    steps = np.diff(keys)
+    assert steps.min() >= 0 and (steps.min() == 0) == (name == "units_poisson")
+    gen = rng(3)
+    row = np.concatenate([
+        (gen.integers(0, 35, 100_000) << 53) + gen.integers(0, 1 << 53, 100_000),
+        keys - 1, keys, keys + 1, [0, (1 << 53) - 1, -1, 34 << 53, (1 << 63) - 1],
+        values[values < 0] + gen.integers(0, 1 << 53, np.count_nonzero(values < 0)),
+        gen.integers(-1 << 53, 0, 1000)])  # the rows of dead counts in a fold
+    guide = table._guide(keys)
+    assert guide.dtype == np.int32 and guide[0] == -1  # a negative row is searched
+    assert np.array_equal(table._guided(row, guide, keys, np.empty_like(row)),
+                          keys.searchsorted(row, side="right"))
+
+
+@pytest.mark.parametrize("width", [1023, 1024, 1025])
+@pytest.mark.parametrize("name", GUIDED_TABLES)
+def test_lookups_on_either_side_of_the_guide_width_draw_alike(name, width, monkeypatch):
+    # one generation of counts up to 32, then a span of counts capped at 5,
+    # folded, in which counts die: the same counts and generator state with
+    # the guide as with the search alone, and a guide only from 1024 counts
+    def draws():
+        draw, gen, z = GUIDED_TABLES[name](), rng(21), rng(22).integers(1, 33, width)
+        rows = [draw.steps(z, 1, gen),
+                draw.steps(np.minimum(z, 5), 8, gen, Truncation(GrowthFunction.constant(5)))]
+        assert [len(r) > 0 for r in rows] == [True, True]
+        return [r.tolist() for r in rows], gen.bit_generator.state, len(draw._guides)
+    drawn, state, guides = draws()
+    monkeypatch.setattr(table, "_GUIDE_WIDTH", 1 << 62)
+    assert draws() == (drawn, state, 0)
+    assert guides == (2 if width >= 1024 else 0)  # the table's and its fold's
 
 
 def test_steps_grow_the_rows_to_their_counts_and_draw_numpys_numbers():
@@ -1233,22 +1291,28 @@ def test_a_span_ends_before_counts_past_the_built_rows_and_past_32(seed, parents
 def undrawable_row_4(draw, kept=-2):
     """As in test_a_row_the_table_cannot_draw_hands_the_call_to_numpy, but
     only a uniform of row 4 past its threshold ``kept`` (by default the
-    next-to-last) lands past the row's last."""
+    next-to-last) draws -1."""
     draw(np.arange(1, 6), rng())
     keys, values, built = draw._table
-    z, keys = 4, keys.copy()
-    at, row = row_keys(draw, z)
-    thresholds = keys[at:at + row]
-    thresholds[kept + 1:] = thresholds[kept]
+    values, row = row_values(draw, 4)
+    row[kept + 1:] = -1
     draw._table = (keys, values, built)
 
 
-@pytest.mark.parametrize("pmf", [{0: 0.25, 2: 0.75}, {1: 0.7, 2: 0.3}])
-def test_a_span_ends_before_a_row_the_table_cannot_draw(pmf):
-    cfg = Batch(ExplicitPmf(pmf), horizon=300, trials=3, master_seed=9, initial_size=2,
+# 3 trials search the table; 2048 take its guide, where no count dies and
+# the last value of row 4, 4 + 4, has the probability 10^-4
+@pytest.mark.parametrize("pmf, trials", [({0: 0.25, 2: 0.75}, 3), ({1: 0.7, 2: 0.3}, 3),
+                                         ({1: 0.9, 2: 0.1}, 2048)], ids=["pmf0", "pmf1", "wide"])
+def test_a_span_ends_before_a_row_the_table_cannot_draw(pmf, trials):
+    cfg = Batch(ExplicitPmf(pmf), horizon=300, trials=trials, master_seed=9, initial_size=2,
                 policy=Truncation(GrowthFunction.constant(4)))
-    _, _, spans = assert_spans_change_nothing(cfg, undrawable_row_4)
+    guides = []
+    _, _, spans = assert_spans_change_nothing(
+        cfg, lambda draw: undrawable_row_4(draw) or guides.append(draw._guides))
     assert any(0 < done < count and not died for count, done, died, _ in spans)
+    # a fold's guide is held by its level, the table's by None
+    assert any(level is not None for held in guides for level in held) == (
+        trials >= table._GUIDE_WIDTH)
 
 
 def test_spans_under_a_disaster_draw_the_same_control_stream():
