@@ -4,10 +4,10 @@ A table's row z gives a count of z its total from one 53-bit uniform m, the
 top 53 bits of one raw output of a PCG64: the total is the k-th of the row's
 values, k = #{thresholds of the row at or below m}.  ``_TableDraw`` looks
 each count up in a flat table of its rows by the key (z << 53) + m: a
-searchsorted, or from ``_GUIDE_WIDTH`` counts on, where the search costs
-more than six numpy calls, a gather from a guide table of the key's top
-bits (Chen & Asau, AIIE Trans. 6, 1974) and a search of the few keys in
-buckets that a key splits.  Every row
+searchsorted, or, for a generation of ``_GUIDE_WIDTH`` counts or more,
+where the search costs more than six numpy calls, a gather from a guide
+table of the key's top bits (Chen & Asau, AIIE Trans. 6, 1974) and a
+search of the few keys in buckets that a key splits.  Every row
 comes from ``_pmf_rows``: thresholds ceil(F(k) 2^53) of the cdf F of a
 float pmf, so each value takes its probability to within a few 2^-53 beyond
 the pmf's own rounding, and the last is 2^53, past every uniform.
@@ -22,7 +22,7 @@ one of those gaps: under 6e-14 of the draws of a count.
 
 Rows grow in ``_TableDraw.steps`` alone, and a policy that draws nothing
 folds into the table once a run of its ``levels``, so a span generation is
-one lookup, one take and one add.
+one searchsorted, one take and one add.
 """
 
 from __future__ import annotations
@@ -73,21 +73,21 @@ def _pmf_rows(ps) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _guide(keys) -> np.ndarray:
-    """The int32 guide of sorted keys of at least 0: entry B is the index
-    keys.searchsorted(k, side="right") of every k >> _GUIDE_SHIFT = B, or
-    -1 (search) where a key splits bucket B, and in bucket 0, where a
-    negative k is clipped.  A k past the last bucket looks that one up."""
+    """The int32 guide of sorted keys: entry B is the index
+    keys.searchsorted(k, side="right") of every k >= 0 with k >> _GUIDE_SHIFT
+    = B, or -1 (search) where a key splits bucket B.  A k past the last
+    bucket looks that one up."""
     edge = np.arange((int(keys.max(initial=0)) >> _GUIDE_SHIFT) + 1) << _GUIDE_SHIFT
     guide = keys.searchsorted(edge, side="right")
     edge += (1 << _GUIDE_SHIFT) - 1  # each bucket's last key
     guide[keys.searchsorted(edge, side="right") != guide] = -1
-    guide[0] = -1
     return guide.astype(np.int32)
 
 
 def _guided(row, guide, keys, at):
-    """keys.searchsorted(row, side="right"), written into the int64 array
-    ``at``: a gather from ``keys``' guide, and a search where it marks -1."""
+    """keys.searchsorted(row, side="right") for a row of keys of at least 0,
+    written into the int64 array ``at``: a gather from ``keys``' guide, and a
+    search where it marks -1."""
     at[...] = guide.take(np.right_shift(row, _GUIDE_SHIFT, out=at), mode="clip")
     miss = np.flatnonzero(at < 0)
     if miss.size:
@@ -107,8 +107,11 @@ def _rewind(bits, count: int):
 class _TableDraw:
     """draw(z, rng): the totals of an int64 array z of counts, each looked
     up by (z << 53) + m, m the top 53 bits of one raw output of a PCG64, in
-    a flat table of rows built up to the largest count seen, or in the
-    guide that its first lookup of ``_GUIDE_WIDTH`` counts or more builds.
+    a flat table of rows built up to the largest count seen, or, one
+    generation of ``_GUIDE_WIDTH`` counts or more, in the table's guide,
+    built at the first such lookup after the rows grow.  A folded span
+    keeps the search: the engine gives a span of two generations or more
+    at most 8192 raw outputs, so at most 4096 counts a lookup.
 
     ``rows_of(z0, z1)`` gives the sorted thresholds and the values, as many,
     of the rows of counts z0 .. z1 - 1 (``_pmf_rows``).  The table holds the
@@ -127,8 +130,8 @@ class _TableDraw:
         # drawn, or -1, the first and the last, for a count of 0 and a count
         # past the table
         self._table = (np.full(1, 1 << 53), np.full(2, -1), 0)
+        self._guide = None  # the table's, once a wide lookup needs it
         self._folds = (self._table, None, {})  # (table, policy, {level <= most + 1: fold})
-        self._guides = {}  # {None (the table) or a fold's level: (its keys, their guide)}
 
     def _grow(self, top: int):
         keys, values, built = self._table
@@ -137,13 +140,7 @@ class _TableDraw:
                                                 in enumerate(rows, built + 1)]),
                        np.concatenate([values[:-1]] + [totals for _, totals in rows] + [[-1]]),
                        top)
-
-    def _guide_of(self, keys, level=None):
-        """The guide of the table's ``keys`` (level None) or its fold's at ``level``."""
-        held = self._guides.get(level)
-        if held is None or held[0] is not keys:
-            self._guides[level] = held = keys, _guide(keys)
-        return held[1]
+        self._guide = None
 
     def _fold(self, folds, policy, n, level):
         """The table at the policy's ``level`` (of generation n): its values are
@@ -196,13 +193,14 @@ class _TableDraw:
         # numpy's next_double bits, a row a generation, plus its parents' keys
         rows = np.right_shift(raw, 11, out=raw).view(np.int64)
         key = z.astype(np.int64, copy=False) << 53
-        wide = size >= _GUIDE_WIDTH
         if checked:
-            guide = self._guide_of(keys) if wide else None
+            wide = size >= _GUIDE_WIDTH
+            if wide and self._guide is None:
+                self._guide = _guide(keys)
             for j, row in enumerate(rows, n + 1):
-                row += key
-                at = keys.searchsorted(row, side="right") if guide is None else _guided(
-                    row, guide, keys, key)  # the parents' keys are spent
+                row += key  # the parents' keys are spent, and hold a wide lookup's index
+                at = _guided(row, self._guide, keys, key) if wide else keys.searchsorted(
+                    row, side="right")
                 values.take(at, out=row, mode="clip")
                 if np.minimum.reduce(row) < 0:  # a count of 0 or past the rows
                     done = j - n - 1
@@ -215,12 +213,9 @@ class _TableDraw:
             for (j, level), end in zip(runs, [j for j, _ in runs[1:]] + [n + count + 1]):
                 level, folds = min(level, self.most + 1), self._folds[2]
                 keys, values = folds.get(level) or self._fold(folds, policy, j, level)
-                guide = self._guide_of(keys, level) if wide else None
                 for row in rows[j - n - 1:end - n - 1]:
                     row += key
-                    at = keys.searchsorted(row, side="right") if guide is None else _guided(
-                        row, guide, keys, np.empty_like(row))
-                    key = values.take(at, out=row, mode="clip")
+                    key = values.take(keys.searchsorted(row, side="right"), out=row, mode="clip")
             rows >>= 53  # a row holds the keys of its counts, and a -1 stays -1
             if np.minimum.reduce(rows[-1]) < 0:
                 done = int(np.flatnonzero(np.minimum.reduce(rows, axis=1) < 0)[0])

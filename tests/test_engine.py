@@ -414,7 +414,7 @@ def test_a_row_the_table_cannot_draw_hands_the_call_to_numpy(p, repeats):
     assert draw(units, gen).tolist() == want.tolist()
     assert gen.bit_generator.state == twin.bit_generator.state
     assert gen.integers(0, 1 << 32, dtype=np.uint32) == twin.integers(0, 1 << 32, dtype=np.uint32)
-    assert bool(draw._guides) == (units.size >= table._GUIDE_WIDTH)
+    assert (draw._guide is not None) == (units.size >= table._GUIDE_WIDTH)
 
 
 # fresh tables of each kind (``_units_table`` keeps one a law, alpha, mating and cap)
@@ -426,7 +426,7 @@ GUIDED_TABLES = {
 }
 
 
-@pytest.mark.parametrize("name", [*GUIDED_TABLES, "folded_truncation", "bucket_ends"])
+@pytest.mark.parametrize("name", [*GUIDED_TABLES, "bucket_ends"])
 def test_the_guide_gives_the_searchsorted_index_of_every_key(name):
     draw = GUIDED_TABLES.get(name, GUIDED_TABLES["binomial"])()
     draw(np.arange(1, 33), rng())  # builds all 32 rows
@@ -434,9 +434,6 @@ def test_the_guide_gives_the_searchsorted_index_of_every_key(name):
     if name == "bucket_ends":  # keys alone at the first or the last key of a bucket
         keys = (1 << 53) + np.array([0, (1 << 45) - 1, 3 << 45, (5 << 45) - 1, 1 << 53])
         values = np.arange(-1, keys.size)
-    if name == "folded_truncation":  # values -2^53, the key of a dead count, and 5 << 53 at most
-        keys, values = draw._fold({}, Truncation(GrowthFunction.constant(5)), 1, 5)
-        assert values.min() == -1 << 53 and values.max() == 5 << 53
     # the keys increase, but for the Poisson units table's, which repeat past
     # a value of probability 0: a tail threshold rounded to 2^53 - 1
     steps = np.diff(keys)
@@ -444,11 +441,9 @@ def test_the_guide_gives_the_searchsorted_index_of_every_key(name):
     gen = rng(3)
     row = np.concatenate([
         (gen.integers(0, 35, 100_000) << 53) + gen.integers(0, 1 << 53, 100_000),
-        keys - 1, keys, keys + 1, [0, (1 << 53) - 1, -1, 34 << 53, (1 << 63) - 1],
-        values[values < 0] + gen.integers(0, 1 << 53, np.count_nonzero(values < 0)),
-        gen.integers(-1 << 53, 0, 1000)])  # the rows of dead counts in a fold
+        keys - 1, keys, keys + 1, [0, (1 << 53) - 1, 34 << 53, (1 << 63) - 1]])
     guide = table._guide(keys)
-    assert guide.dtype == np.int32 and guide[0] == -1  # a negative row is searched
+    assert guide.dtype == np.int32
     assert np.array_equal(table._guided(row, guide, keys, np.empty_like(row)),
                           keys.searchsorted(row, side="right"))
 
@@ -464,11 +459,11 @@ def test_lookups_on_either_side_of_the_guide_width_draw_alike(name, width, monke
         rows = [draw.steps(z, 1, gen),
                 draw.steps(np.minimum(z, 5), 8, gen, Truncation(GrowthFunction.constant(5)))]
         assert [len(r) > 0 for r in rows] == [True, True]
-        return [r.tolist() for r in rows], gen.bit_generator.state, len(draw._guides)
-    drawn, state, guides = draws()
+        return [r.tolist() for r in rows], gen.bit_generator.state, draw._guide is not None
+    drawn, state, guided = draws()
     monkeypatch.setattr(table, "_GUIDE_WIDTH", 1 << 62)
-    assert draws() == (drawn, state, 0)
-    assert guides == (2 if width >= 1024 else 0)  # the table's and its fold's
+    assert draws() == (drawn, state, False)
+    assert guided == (width >= 1024)
 
 
 def test_steps_grow_the_rows_to_their_counts_and_draw_numpys_numbers():
@@ -1299,20 +1294,19 @@ def undrawable_row_4(draw, kept=-2):
     draw._table = (keys, values, built)
 
 
-# 3 trials search the table; 2048 take its guide, where no count dies and
-# the last value of row 4, 4 + 4, has the probability 10^-4
+# 3 trials search the table; 2048 take its guide one generation at a time,
+# where no count dies and the last value of row 4, 4 + 4, has the
+# probability 10^-4 (a span's fold searches at every width)
 @pytest.mark.parametrize("pmf, trials", [({0: 0.25, 2: 0.75}, 3), ({1: 0.7, 2: 0.3}, 3),
                                          ({1: 0.9, 2: 0.1}, 2048)], ids=["pmf0", "pmf1", "wide"])
 def test_a_span_ends_before_a_row_the_table_cannot_draw(pmf, trials):
     cfg = Batch(ExplicitPmf(pmf), horizon=300, trials=trials, master_seed=9, initial_size=2,
                 policy=Truncation(GrowthFunction.constant(4)))
-    guides = []
+    draws = []
     _, _, spans = assert_spans_change_nothing(
-        cfg, lambda draw: undrawable_row_4(draw) or guides.append(draw._guides))
+        cfg, lambda draw: undrawable_row_4(draw) or draws.append(draw))
     assert any(0 < done < count and not died for count, done, died, _ in spans)
-    # a fold's guide is held by its level, the table's by None
-    assert any(level is not None for held in guides for level in held) == (
-        trials >= table._GUIDE_WIDTH)
+    assert any(draw._guide is not None for draw in draws) == (trials >= table._GUIDE_WIDTH)
 
 
 def test_spans_under_a_disaster_draw_the_same_control_stream():
