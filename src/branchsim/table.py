@@ -21,8 +21,9 @@ table draw is numpy's, and takes as many raw outputs, but for a uniform in
 one of those gaps: under 6e-14 of the draws of a count.
 
 Rows grow in ``_TableDraw.steps`` alone, and a policy that draws nothing
-folds into the table once a run of its ``levels``, so a span generation is
-one searchsorted, one take and one add.
+folds once a run of its ``levels`` into a transition table over (count,
+bucket of m), the buckets being the intervals between the thresholds of all
+rows, so a span generation is one add and one take.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ _TABLE_COUNTS = 32
 # a lookup of fewer counts searches; a guide bucket spans 2^-8 of a count's uniforms
 _GUIDE_WIDTH = 1024
 _GUIDE_SHIFT = 53 - 8
+# a span's uniforms find their fold buckets by a guide of their top 12 bits,
+# and a table's folds keep at most 1 MiB
+_BUCKET_SHIFT, _FOLD_BYTES = 53 - 12, 1 << 20
 
 
 def _binomial_weights(p: float, top: int) -> np.ndarray:
@@ -72,27 +76,42 @@ def _pmf_rows(ps) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(row[:end], np.arange(end)) for row, end in zip(thresholds, ends.tolist())]
 
 
-def _guide(keys) -> np.ndarray:
+def _guide(keys, shift=_GUIDE_SHIFT) -> np.ndarray:
     """The int32 guide of sorted keys: entry B is the index
-    keys.searchsorted(k, side="right") of every k >= 0 with k >> _GUIDE_SHIFT
-    = B, or -1 (search) where a key splits bucket B.  A k past the last
-    bucket looks that one up."""
-    edge = np.arange((int(keys.max(initial=0)) >> _GUIDE_SHIFT) + 1) << _GUIDE_SHIFT
+    keys.searchsorted(k, side="right") of every k >= 0 with k >> shift = B,
+    or -1 (search) where a key splits bucket B.  A k past the last bucket
+    looks that one up."""
+    edge = np.arange((int(keys.max(initial=0)) >> shift) + 1) << shift
     guide = keys.searchsorted(edge, side="right")
-    edge += (1 << _GUIDE_SHIFT) - 1  # each bucket's last key
+    edge += (1 << shift) - 1  # each bucket's last key
     guide[keys.searchsorted(edge, side="right") != guide] = -1
     return guide.astype(np.int32)
 
 
-def _guided(row, guide, keys, at):
-    """keys.searchsorted(row, side="right") for a row of keys of at least 0,
-    written into the int64 array ``at``: a gather from ``keys``' guide, and a
-    search where it marks -1."""
-    at[...] = guide.take(np.right_shift(row, _GUIDE_SHIFT, out=at), mode="clip")
+def _guided(row, guide, keys, at, shift=_GUIDE_SHIFT):
+    """keys.searchsorted(row, side="right") for a 1-D row of keys of at least
+    0, written into the int64 array ``at``: a gather from ``keys``' guide of
+    ``shift``, and a search where it marks -1."""
+    at[...] = guide.take(np.right_shift(row, shift, out=at), mode="clip")
     miss = np.flatnonzero(at < 0)
     if miss.size:
         at[miss] = keys.searchsorted(row[miss], side="right")
     return at
+
+
+def _buckets(table):
+    """The merged thresholds (the keys mod 2^53, sorted and distinct), whose
+    count at or below m, m's bucket b, fixes m's index in every row; their
+    guide; log2 W, W the least power of two past their number; and at [s,
+    b] row s's index at merged[b - 1], 0 (the value -1) for s = 0."""
+    keys, _, built = table
+    merged = np.array(sorted(set((keys & ((1 << 53) - 1)).tolist())))
+    shift = merged.size.bit_length()
+    least = np.zeros(1 << shift, dtype=np.int64)
+    least[1:merged.size + 1] = merged
+    at = np.zeros((built + 1, 1 << shift), dtype=np.int32)
+    at[1:] = keys.searchsorted((np.arange(1, built + 1)[:, None] << 53) + least, side="right")
+    return merged, _guide(merged, _BUCKET_SHIFT), shift, at
 
 
 def _rewind(bits, count: int):
@@ -109,9 +128,7 @@ class _TableDraw:
     up by (z << 53) + m, m the top 53 bits of one raw output of a PCG64, in
     a flat table of rows built up to the largest count seen, or, one
     generation of ``_GUIDE_WIDTH`` counts or more, in the table's guide,
-    built at the first such lookup after the rows grow.  A folded span
-    keeps the search: the engine gives a span of two generations or more
-    at most 8192 raw outputs, so at most 4096 counts a lookup.
+    built at the first such lookup after the rows grow.
 
     ``rows_of(z0, z1)`` gives the sorted thresholds and the values, as many,
     of the rows of counts z0 .. z1 - 1 (``_pmf_rows``).  The table holds the
@@ -119,7 +136,9 @@ class _TableDraw:
     A count of 0 or past the rows, or another bit generator, hands the whole
     call to ``numpy``, with any raw outputs drawn first stepped back.
     ``steps`` draws several generations of such counts with one
-    ``random_raw`` call.
+    ``random_raw`` call.  Its folds of one table and policy hold at most
+    ``_FOLD_BYTES`` = 1 MiB, and start again past it: a binomial table's
+    buckets (W <= 1024 by 33 rows) and one fold take under 300 kB each.
     """
 
     def __init__(self, rows_of, rows: int, most: int, numpy=None):
@@ -131,7 +150,7 @@ class _TableDraw:
         # past the table
         self._table = (np.full(1, 1 << 53), np.full(2, -1), 0)
         self._guide = None  # the table's, once a wide lookup needs it
-        self._folds = (self._table, None, {})  # (table, policy, {level <= most + 1: fold})
+        self._folds = (self._table, None, {}, None)  # (table, policy, {level: fold}, buckets)
 
     def _grow(self, top: int):
         keys, values, built = self._table
@@ -142,22 +161,23 @@ class _TableDraw:
                        top)
         self._guide = None
 
-    def _fold(self, folds, policy, n, level):
-        """The table at the policy's ``level`` (of generation n): its values are
-        the keys z << 53 of the counts z ``apply`` leaves, -1 is -2^53, which
-        looks up -1 again, and runs of one value merge, so that the search
-        branches predictably in a capped row's upper tail.  A policy that
-        leaves no count above its level (a cap) first grows the rows to the
-        level, so that no count it leaves is past them."""
-        top = min(level, self.rows)
-        if self._table[2] < top and policy.apply(np.array([level + 1]), n)[0] <= level:
-            self._grow(top)
-            self._folds = (self._table, policy, folds := {})
-        keys, values, _ = self._table
-        live, left = values >= 0, np.full(values.size, -1 << 53)
-        left[live] = policy.apply(values[live], n) << 53
-        step = np.flatnonzero(np.diff(left))
-        folds[level] = fold = keys[step], np.append(left[:1], left[step + 1])
+    def _fold(self, state, policy, n, level, entering):
+        """The policy's transition table at ``level`` (of generation n) over
+        the rows of the counts s it or ``entering`` leaves: s W + b holds c W,
+        c what ``apply`` leaves of row s's total at bucket b, and -W (-1) for
+        s = 0 and last, where take clips -1's -W + b and counts past the rows.
+        It joins the folds as (table, most it leaves, rows), which start
+        again past ``_FOLD_BYTES``."""
+        (_, values, _), _, folds, (*buckets, shift, at) = state
+        live, left = values >= 0, np.full(values.size, -1)
+        left[live] = policy.apply(values[live], n)
+        leaves = int(np.maximum.reduce(left))
+        rows = min(len(at) - 1, max(leaves, entering))
+        fold = np.append(left.take(at[:rows + 1]), -1) << shift
+        spare = _FOLD_BYTES - fold.nbytes - sum(a.nbytes for a in (*buckets, at))
+        if sum(f.nbytes for f, *_ in list(folds.values())) > spare:
+            folds.clear()
+        folds[level] = fold = fold, leaves, rows
         return fold
 
     def __call__(self, z, rng):
@@ -175,25 +195,35 @@ class _TableDraw:
         go back.  A policy that draws (from ``ctl``), or overrides ``apply``
         but not ``levels``, applies unfolded, once the table has drawn every
         count, as does a single generation; any other folds once for each
-        run of its ``levels``."""
+        run of its ``levels``, once the rows reach each cap of the span."""
         bits, size, top = rng.bit_generator, z.size, int(np.maximum.reduce(z))
         if type(bits) is not np.random.PCG64 or top > self.rows:
             return z[:0, None]  # the first generation is numpy's
         if self._table[2] < top:
             self._grow(top)
-        keys, values, _ = self._table
         # a policy folds when its levels are all its apply reads: its own, or the identity's
         kind = type(policy)
         checked = (count == 1 or policy.stream is not None
                    or kind.levels is ControlPolicy.levels and kind.apply is not ControlPolicy.apply)
-        if not checked and (self._folds[0] is not self._table or self._folds[1] is not policy):
-            self._folds = (self._table, policy, {})
+        if not checked:
+            runs = [(j, min(v, self.most + 1)) for j, v in policy.levels(n + 1, n + count + 1)]
+            # this span's own state: another thread may grow the rows or fold another policy
+            state = self._folds
+            folds = state[2] if state[0] is self._table and state[1] is policy else {}
+            # before any fold, the rows reach every cap of a level not folded yet
+            if grow := max((cap for j, level in runs if level not in folds
+                            and self._table[2] < (cap := min(level, self.rows))
+                            and policy.apply(np.array([level + 1]), j)[0] <= level), default=0):
+                self._grow(grow)
+            if state[0] is not (table := self._table) or state[1] is not policy:
+                state = self._folds = (table, policy, {}, _buckets(table))
         done = count
-        raw = bits.random_raw(count * size).reshape(count, size)
-        # numpy's next_double bits, a row a generation, plus its parents' keys
-        rows = np.right_shift(raw, 11, out=raw).view(np.int64)
-        key = z.astype(np.int64, copy=False) << 53
+        raw = bits.random_raw(count * size)
+        flat = np.right_shift(raw, 11, out=raw).view(np.int64)  # numpy's next_double bits
+        rows = flat.reshape(count, size)  # a row a generation
         if checked:
+            keys, values, _ = self._table
+            key = z.astype(np.int64, copy=False) << 53  # the parents' keys
             wide = size >= _GUIDE_WIDTH
             if wide and self._guide is None:
                 self._guide = _guide(keys)
@@ -209,14 +239,20 @@ class _TableDraw:
                     row[...] = left
                 key = row << 53
         else:  # one fold a run of levels, all alike past every total
-            runs = policy.levels(n + 1, n + count + 1)
+            _, _, folds, (merged, guide, shift, at) = state
+            # each uniform's bucket, and the parents' states z W
+            rows = _guided(flat, guide, merged, np.empty_like(flat), _BUCKET_SHIFT).reshape(
+                count, size)
+            key, entering = z.astype(np.int64, copy=False) << shift, top
             for (j, level), end in zip(runs, [j for j, _ in runs[1:]] + [n + count + 1]):
-                level, folds = min(level, self.most + 1), self._folds[2]
-                keys, values = folds.get(level) or self._fold(folds, policy, j, level)
+                fold = folds.get(level)
+                if fold is None or fold[2] < min(entering, len(at) - 1):
+                    fold = self._fold(state, policy, j, level, entering)
+                fold, entering, _ = fold
                 for row in rows[j - n - 1:end - n - 1]:
                     row += key
-                    key = values.take(keys.searchsorted(row, side="right"), out=row, mode="clip")
-            rows >>= 53  # a row holds the keys of its counts, and a -1 stays -1
+                    key = fold.take(row, out=row, mode="clip")
+            rows >>= shift  # a row holds the counts of its states, and -1 stays -1
             if np.minimum.reduce(rows[-1]) < 0:
                 done = int(np.flatnonzero(np.minimum.reduce(rows, axis=1) < 0)[0])
         if done < count:

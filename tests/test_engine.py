@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchsim import (
     BatchTrialError,
@@ -1478,10 +1480,10 @@ def record_folds(monkeypatch):
     the cache it adds each to."""
     folded, sizes, fold = [], [], table._TableDraw._fold
 
-    def recorded(self, folds, policy, n, level):
+    def recorded(self, state, policy, n, level, entering):
         folded.append(level)
-        sizes.append(len(folds))
-        return fold(self, folds, policy, n, level)
+        sizes.append(len(state[2]))
+        return fold(self, state, policy, n, level, entering)
     monkeypatch.setattr(table._TableDraw, "_fold", recorded)
     return folded, sizes
 
@@ -1518,6 +1520,32 @@ def test_a_linear_g_over_the_largest_horizon_keeps_the_fold_cache_bounded(monkey
     assert len(folded) == len(set(folded)) <= 33 and max(folded) == 33
 
 
+def fold_cache_bytes(draw):
+    """The bytes of draw's fold cache: its folds and the buckets they share."""
+    _, _, folds, (merged, guide, _, at) = draw._folds
+    return sum(f.nbytes for f, *_ in folds.values()) + merged.nbytes + guide.nbytes + at.nbytes
+
+
+@pytest.mark.parametrize("law, initial, horizon", [
+    (ExplicitPmf({0: 1e-6, 1: 1 - 1e-6}), 20, 100_000), (PMF2, 1, 200)], ids=["pmf01", "pmf02"])
+def test_the_fold_cache_keeps_within_its_bound(monkeypatch, law, initial, horizon):
+    # g(n) = n + 1 folds a new level every generation; the {0, 2} law's
+    # rows reach 32 counts (W = 1024), where its levels' folds pass 4 MiB in all
+    seen, built, fold = [], [], table._TableDraw._fold
+
+    def recorded(self, *args):
+        out = fold(self, *args)
+        built.append(out[0].nbytes)
+        seen.append(fold_cache_bytes(self))
+        return out
+    monkeypatch.setattr(table._TableDraw, "_fold", recorded)
+    cfg = Batch(law, horizon=horizon, trials=4, master_seed=3, initial_size=initial,
+                policy=Truncation(GrowthFunction.linear(1, 1)))
+    assert_spans_change_nothing(cfg)
+    assert max(seen) <= table._FOLD_BYTES == 1 << 20
+    assert (sum(built) > 4 << 20) == (law is PMF2)
+
+
 def test_a_lower_boundary_past_every_total_folds_as_one_that_absorbs_every_count():
     # a {0, 1} law's totals are at most 32; b(n) = n leaves a count of 32 at
     # generation 32 and absorbs it at 33, where the level passes every total
@@ -1528,20 +1556,88 @@ def test_a_lower_boundary_past_every_total_folds_as_one_that_absorbs_every_count
     assert max(span[1] for span in spans) >= 16
 
 
-def test_a_fold_merges_runs_and_looks_up_what_the_policy_leaves_of_each_total():
+def fold_of(draw, policy, n, level, entering):
+    """draw's (fold, most it leaves, rows) of ``policy`` at ``level``, on its
+    built rows, and the buckets it folds over."""
+    draw._folds = (draw._table, policy, {}, table._buckets(draw._table))
+    return draw._fold(draw._folds, policy, n, level, entering), draw._folds[3]
+
+
+def assert_fold_leaves_what_apply_leaves(draw, policy, n, level):
+    """Each state of the fold of every built row (-1, 0, each row and counts
+    past the rows) at uniforms at each merged threshold and just below it, at
+    0, at 2^53 - 1 and at 5000 random ones holds what ``apply`` leaves of the
+    row's total; returns the most it leaves."""
+    keys, values, built = draw._table
+    (fold, leaves, rows), (merged, guide, shift, _) = fold_of(draw, policy, n, level, built)
+    assert rows == built and fold.dtype == np.int64 and fold.size == (built + 1 << shift) + 1
+    m = np.concatenate([merged, merged[1:] - 1, [0, (1 << 53) - 1],
+                        rng(5).integers(0, 1 << 53, 5000)])
+    b = table._guided(m, guide, merged, np.empty_like(m), table._BUCKET_SHIFT)
+    assert b.tolist() == merged.searchsorted(m, side="right").tolist() and b.max() < 1 << shift
+    for s in range(-1, built + 4):
+        got = fold.take((s << shift) + b, mode="clip") >> shift
+        want = np.full(m.size, -1)
+        if 0 < s <= built:
+            totals = values.take(keys.searchsorted((s << 53) + m, side="right"))
+            want = policy.apply(totals, n)
+        assert got.tolist() == want.tolist(), s
+    return leaves
+
+
+def test_a_fold_looks_up_what_the_policy_leaves_of_each_row_at_each_bucket():
     draw = table._binomial_draw(0.75, 2)
     draw(np.arange(1, 33), rng())  # builds all 32 rows
-    keys, values, _ = draw._table
     cap = Truncation(GrowthFunction.constant(3))
-    folded_keys, folded = draw._fold({}, cap, 1, 3)
-    assert np.count_nonzero(np.diff(folded)) == folded.size - 1 < values.size // 4
-    # keys of counts 0 to 33 (0 and 33 have no row), with uniforms at each
-    # threshold and just below it
-    probe = np.concatenate([keys - 1, keys, rng(5).integers(0, 34 << 53, 5000)])
-    totals = values.take(keys.searchsorted(probe, side="right"), mode="clip")
-    want = np.where(totals < 0, -1 << 53, np.minimum(totals, 3) << 53)
-    assert folded.take(folded_keys.searchsorted(probe, side="right"), mode="clip").tolist() \
-        == want.tolist()
+    assert assert_fold_leaves_what_apply_leaves(draw, cap, 1, 3) == 3
+    # a fold has the rows of the counts it leaves, or that enter it, within the built rows
+    (fold, leaves, rows), (_, _, shift, _) = fold_of(draw, cap, 1, 3, 2)
+    assert (leaves, rows, fold.size) == (3, 3, (4 << shift) + 1)
+    assert fold_of(draw, cap, 1, 3, 40)[0][2] == 32
+    assert fold_of(draw, ControlPolicy(), 1, 0, 0)[0][1:] == (64, 32)
+
+
+SMALL_LAWS = st.one_of(
+    st.builds(lambda lo, step, p: ExplicitPmf({lo: p, lo + step: 1 - p}),
+              st.integers(0, 3), st.integers(1, 3), st.floats(0.01, 0.99)),
+    st.builds(Binomial, st.integers(1, 4), st.floats(0.01, 0.99)))
+SMALL_POLICIES = {"identity": lambda level: ControlPolicy(),
+                  "truncation": lambda level: Truncation(GrowthFunction.constant(level)),
+                  "truncation_as_absorption":
+                      lambda level: TruncationAsAbsorption(GrowthFunction.constant(level)),
+                  "lower_boundary": lambda level: LowerBoundary(GrowthFunction.constant(level))}
+
+
+@settings(max_examples=80, deadline=None)
+@given(law=SMALL_LAWS, kind=st.sampled_from(sorted(SMALL_POLICIES)), built=st.integers(1, 32),
+       past=st.integers(-3, 3))
+def test_folds_of_small_laws_leave_what_each_policy_leaves(law, kind, built, past):
+    # levels below, at and past the built rows
+    draw = engine._make_block_draw(law)
+    built = min(built, draw.rows)
+    draw(np.arange(1, built + 1), rng())
+    level = max(built + past, 1)
+    assert assert_fold_leaves_what_apply_leaves(draw, SMALL_POLICIES[kind](level), 1, level) \
+        <= draw.most
+
+
+def test_a_span_folds_on_its_own_state_when_another_span_overtakes_it(monkeypatch):
+    # blocks on other threads share the draw: here, as a span of z + Bin(z,
+    # 1/2) folds, another grows the rows to 32 (W from 8 to 1024) and folds
+    # another policy
+    cap, z = Truncation(GrowthFunction.constant(3)), np.array([3, 1, 2] * 10)
+    draw, gen = table._binomial_draw(0.5, base=1), rng(4)
+    want = draw.steps(z, 8, gen, cap).tolist(), gen.bit_generator.state
+    fold = table._TableDraw._fold
+
+    def overtaken(self, *args):
+        self._grow(32)
+        self._folds = (self._table, ControlPolicy(), {}, table._buckets(self._table))
+        return fold(self, *args)
+    monkeypatch.setattr(table._TableDraw, "_fold", overtaken)
+    draw, gen = table._binomial_draw(0.5, base=1), rng(4)
+    assert (draw.steps(z, 8, gen, cap).tolist(), gen.bit_generator.state) == want
+    assert draw._table[2] == 32 and len(want[0]) > 1
 
 
 @dataclass(frozen=True)
