@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -183,13 +182,12 @@ def _kernel(alpha: float, mating: MatingFunction, top: int):
     return w, units.reshape(top + 1, top + 1)
 
 
-@lru_cache(maxsize=16)  # a table keeps its kernel, up to 4 MB
 def _units_table(law: OffspringLaw, alpha: float, mating: MatingFunction, cap: int):
-    """The table whose row z draws the next units of z mating units, from
-    the pmf p_{T|z} K (``OffspringLaw.sum_pmf``, ``_kernel``), K grown as
-    the rows need it.  None for a custom mating, and where the offspring
-    totals of its rows may reach ``_KERNEL_TOTALS`` or pass the cap, which
-    fails a trial and so must be drawn."""
+    """A batch's own table whose row z draws the next units of z mating units,
+    from the pmf p_{T|z} K (``OffspringLaw.sum_pmf``, ``_kernel``), K (up to
+    4 MB) grown as the rows need it.  None for a custom mating, and where
+    the offspring totals of its rows may reach ``_KERNEL_TOTALS`` or pass
+    the cap, which fails a trial and so must be drawn."""
     mk = law.max_k()
     if isinstance(mating, CustomMating) or _TABLE_COUNTS * (mk or law.mean()) >= _KERNEL_TOTALS:
         return None
@@ -336,7 +334,7 @@ def run_bisexual_batch(config, threads: int = 1) -> BatchResult:
     Runs on the single-sex batch kernel: the offspring totals of the live
     units are drawn exactly as there, then split by sex on the block's sex
     stream and mated, except that a generation whose counts all fit the rows
-    of ``_units_table`` draws its units there with one lookup a count.
+    of the batch's own ``_units_table`` draws its units there with one lookup a count.
     Aggregation, the cap and the failure budget are the same.
     """
     if getattr(config, "coupled", False):

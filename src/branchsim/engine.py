@@ -212,14 +212,13 @@ def _make_past_draw(law: OffspringLaw):
     return past
 
 
-@lru_cache(maxsize=256)
 def _lanes(law: OffspringLaw, cap: int):
     """The (bound, draw, past, limit, cap, max_k) arguments of ``_draw_offspring``
-    for a law, built once per (law, cap), so a batch builds its binomial
-    table once and not once per block.  ``bound``, the block size, keeps the
-    int64 lane's totals within int64; ``limit``, the largest parent count the
-    exact lane draws, keeps its binomial counts and means within
-    ``_EXACT_LIMIT``."""
+    for a law, which ``_run_batch`` builds once a batch: a batch builds its
+    binomial table once and shares it with no other.  ``bound``, the block
+    size, keeps the int64 lane's totals within int64; ``limit``, the largest
+    parent count the exact lane draws, keeps its binomial counts and means
+    within ``_EXACT_LIMIT``."""
     m, mk = law.mean(), law.max_k()
     bound = min(_MAX_BLOCK, int(_MEAN_BUDGET / m)) if m > 1.0 else _MAX_BLOCK
     if mk:
@@ -371,6 +370,7 @@ class _Batch:
     n_sample: int
     budget: int
     coupled: bool
+    lanes: tuple  # the ``_lanes`` of the law and cap, built for this batch
     units_table: object = None  # a _TableDraw of what a mating step leaves
 
 
@@ -439,7 +439,6 @@ def _run_vector_block(policy, batch, lo, hi, counted=None):
     whose counts fit its rows is one lookup, and neither units nor apply runs.
     Returns (extinction generations, alive counts, alive sums, samples, failures)."""
     gens = block_generators(batch.seed, lo // _TRIAL_BLOCK)
-    lanes = _lanes(batch.law, batch.cap)
     horizon, revive, stream = batch.horizon, policy.revives_zero, policy.stream
     custom = isinstance(policy, CustomAbsorption)
     each = custom or batch.coupled and stream is not None
@@ -455,7 +454,7 @@ def _run_vector_block(policy, batch, lo, hi, counted=None):
     if batch.initial == 0 and not revive:
         eg[:] = 0
         idx, z = idx[:0], z[:0]
-    draw, ctl = lanes[1], None if stream is None else gens[stream]
+    draw, ctl = batch.lanes[1], None if stream is None else gens[stream]
     tabled = batch.units_table
     # a table-lane block steps a span of generations per ``random_raw``
     spanning = (isinstance(draw, _TableDraw) and draw.spans and draw.most <= batch.cap
@@ -489,12 +488,13 @@ def _run_vector_block(policy, batch, lo, hi, counted=None):
             if tracks:
                 for t, col in zip(idx[:k].tolist(), rows[:-1, :k].T.tolist()):
                     tracks[t].extend(col)
-            n, z, failed = n + len(rows), rows[-1], {}
+            n, z, failed = n + len(rows), rows[-1].copy(), {}  # a copy: the span can go
+            del rows
         else:
             n += 1
             off, failed = (_draw_coupled(sample, policy.units(z), batch.seed, lo + idx, n)
                            if batch.coupled else
-                           _draw_offspring(policy.units(z), gens[STREAM_OFFSPRING], *lanes))
+                           _draw_offspring(policy.units(z), gens[STREAM_OFFSPRING], *batch.lanes))
             rng = ctl
             for i, t in enumerate(idx.tolist() if each else ()):
                 if batch.coupled and rng is not None:  # the trial's own stream
@@ -545,19 +545,19 @@ def _run_batch(config, initial, policy, units_table=None) -> BatchResult:
     ``policy.apply`` leaves of the offspring of z parents, from the
     offspring stream alone, with no total past the cap, or None.
     """
-    batch = _Batch(law=config.law, horizon=int(config.horizon),
-                   seed=int(config.master_seed), initial=int(initial),
-                   cap=int(getattr(config, "population_cap", DEFAULT_POPULATION_CAP)),
-                   n_sample=int(getattr(config, "sample_trajectories", 0)),
-                   budget=int(getattr(config, "failure_budget", 0)),
-                   coupled=bool(getattr(config, "coupled", False)), units_table=units_table)
-    horizon, trials = batch.horizon, int(config.trials)
+    horizon, trials, initial = int(config.horizon), int(config.trials), int(initial)
+    cap = int(getattr(config, "population_cap", DEFAULT_POPULATION_CAP))
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
-    if batch.initial < 0 or batch.initial > batch.cap:
-        raise ConfigError(f"initial size {batch.initial} outside [0, cap]")
+    if initial < 0 or initial > cap:
+        raise ConfigError(f"initial size {initial} outside [0, cap]")
+    batch = _Batch(law=config.law, horizon=horizon, seed=int(config.master_seed),
+                   initial=initial, cap=cap, lanes=_lanes(config.law, cap),
+                   n_sample=int(getattr(config, "sample_trajectories", 0)),
+                   budget=int(getattr(config, "failure_budget", 0)),
+                   coupled=bool(getattr(config, "coupled", False)), units_table=units_table)
 
     # blocks run one after another: a thread pool over blocks made the
     # 2-thread benchmark workload slower, since the exact lane and the

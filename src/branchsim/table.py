@@ -136,9 +136,10 @@ class _TableDraw:
     A count of 0 or past the rows, or another bit generator, hands the whole
     call to ``numpy``, with any raw outputs drawn first stepped back.
     ``steps`` draws several generations of such counts with one
-    ``random_raw`` call.  Its folds of one table and policy hold at most
+    ``random_raw`` call.  Its folds of one policy hold at most
     ``_FOLD_BYTES`` = 1 MiB, and start again past it: a binomial table's
     buckets (W <= 1024 by 33 rows) and one fold take under 300 kB each.
+    One batch owns a table and calls it one block at a time.
     """
 
     def __init__(self, rows_of, rows: int, most: int, numpy=None):
@@ -149,8 +150,8 @@ class _TableDraw:
         # drawn, or -1, the first and the last, for a count of 0 and a count
         # past the table
         self._table = (np.full(1, 1 << 53), np.full(2, -1), 0)
-        self._guide = None  # the table's, once a wide lookup needs it
-        self._folds = (self._table, None, {}, None)  # (table, policy, {level: fold}, buckets)
+        self._guide = self._merged = None  # its guide and ``_buckets``, once a lookup needs them
+        self._policy, self._folds = None, {}  # the policy folded, and {level: fold} of it
 
     def _grow(self, top: int):
         keys, values, built = self._table
@@ -159,25 +160,25 @@ class _TableDraw:
                                                 in enumerate(rows, built + 1)]),
                        np.concatenate([values[:-1]] + [totals for _, totals in rows] + [[-1]]),
                        top)
-        self._guide = None
+        self._guide, self._merged, self._folds = None, None, {}
 
-    def _fold(self, state, policy, n, level, entering):
-        """The policy's transition table at ``level`` (of generation n) over
-        the rows of the counts s it or ``entering`` leaves: s W + b holds c W,
-        c what ``apply`` leaves of row s's total at bucket b, and -W (-1) for
-        s = 0 and last, where take clips -1's -W + b and counts past the rows.
-        It joins the folds as (table, most it leaves, rows), which start
-        again past ``_FOLD_BYTES``."""
-        (_, values, _), _, folds, (*buckets, shift, at) = state
+    def _fold(self, n, level, entering):
+        """The folded policy's transition table at ``level`` (of generation
+        n) over the rows of the counts s it or ``entering`` leaves: s W + b
+        holds c W, c what ``apply`` leaves of row s's total at bucket b, and
+        -W (-1) for s = 0 and last, where take clips -1's -W + b and counts
+        past the rows.  It joins the folds as (table, most it leaves, rows),
+        which start again past ``_FOLD_BYTES``."""
+        values, (*buckets, shift, at) = self._table[1], self._merged
         live, left = values >= 0, np.full(values.size, -1)
-        left[live] = policy.apply(values[live], n)
+        left[live] = self._policy.apply(values[live], n)
         leaves = int(np.maximum.reduce(left))
         rows = min(len(at) - 1, max(leaves, entering))
         fold = np.append(left.take(at[:rows + 1]), -1) << shift
         spare = _FOLD_BYTES - fold.nbytes - sum(a.nbytes for a in (*buckets, at))
-        if sum(f.nbytes for f, *_ in list(folds.values())) > spare:
-            folds.clear()
-        folds[level] = fold = fold, leaves, rows
+        if sum(f.nbytes for f, *_ in self._folds.values()) > spare:
+            self._folds.clear()
+        self._folds[level] = fold = fold, leaves, rows
         return fold
 
     def __call__(self, z, rng):
@@ -195,7 +196,8 @@ class _TableDraw:
         go back.  A policy that draws (from ``ctl``), or overrides ``apply``
         but not ``levels``, applies unfolded, once the table has drawn every
         count, as does a single generation; any other folds once for each
-        run of its ``levels``, once the rows reach each cap of the span."""
+        run of its ``levels``, once the rows reach each cap of the span.
+        It keeps the buckets and folds until the rows grow or another policy folds."""
         bits, size, top = rng.bit_generator, z.size, int(np.maximum.reduce(z))
         if type(bits) is not np.random.PCG64 or top > self.rows:
             return z[:0, None]  # the first generation is numpy's
@@ -207,16 +209,15 @@ class _TableDraw:
                    or kind.levels is ControlPolicy.levels and kind.apply is not ControlPolicy.apply)
         if not checked:
             runs = [(j, min(v, self.most + 1)) for j, v in policy.levels(n + 1, n + count + 1)]
-            # this span's own state: another thread may grow the rows or fold another policy
-            state = self._folds
-            folds = state[2] if state[0] is self._table and state[1] is policy else {}
+            if policy is not self._policy:
+                self._policy, self._folds = policy, {}
             # before any fold, the rows reach every cap of a level not folded yet
-            if grow := max((cap for j, level in runs if level not in folds
+            if grow := max((cap for j, level in runs if level not in self._folds
                             and self._table[2] < (cap := min(level, self.rows))
                             and policy.apply(np.array([level + 1]), j)[0] <= level), default=0):
                 self._grow(grow)
-            if state[0] is not (table := self._table) or state[1] is not policy:
-                state = self._folds = (table, policy, {}, _buckets(table))
+            if self._merged is None:
+                self._merged = _buckets(self._table)
         done = count
         raw = bits.random_raw(count * size)
         flat = np.right_shift(raw, 11, out=raw).view(np.int64)  # numpy's next_double bits
@@ -239,7 +240,7 @@ class _TableDraw:
                     row[...] = left
                 key = row << 53
         else:  # one fold a run of levels, all alike past every total
-            _, _, folds, (merged, guide, shift, at) = state
+            folds, (merged, guide, shift, at) = self._folds, self._merged
             # each uniform's bucket, and the parents' states z W
             rows = _guided(flat, guide, merged, np.empty_like(flat), _BUCKET_SHIFT).reshape(
                 count, size)
@@ -247,7 +248,7 @@ class _TableDraw:
             for (j, level), end in zip(runs, [j for j, _ in runs[1:]] + [n + count + 1]):
                 fold = folds.get(level)
                 if fold is None or fold[2] < min(entering, len(at) - 1):
-                    fold = self._fold(state, policy, j, level, entering)
+                    fold = self._fold(j, level, entering)
                 fold, entering, _ = fold
                 for row in rows[j - n - 1:end - n - 1]:
                     row += key

@@ -5,7 +5,9 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import sys
 import threading
+import weakref
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from fractions import Fraction
@@ -419,12 +421,12 @@ def test_a_row_the_table_cannot_draw_hands_the_call_to_numpy(p, repeats):
     assert (draw._guide is not None) == (units.size >= table._GUIDE_WIDTH)
 
 
-# fresh tables of each kind (``_units_table`` keeps one a law, alpha, mating and cap)
+# fresh tables of each kind
 GUIDED_TABLES = {
     "binomial": lambda: table._binomial_draw(0.3),
-    "units_pmf3": lambda: _units_table.__wrapped__(
-        ExplicitPmf({0: 0.25, 1: 0.05, 3: 0.7}), 0.5, Min(), 1 << 48),
-    "units_poisson": lambda: _units_table.__wrapped__(Poisson(1.5), 0.5, Min(), 1 << 48),
+    "units_pmf3": lambda: _units_table(ExplicitPmf({0: 0.25, 1: 0.05, 3: 0.7}), 0.5, Min(),
+                                       1 << 48),
+    "units_poisson": lambda: _units_table(Poisson(1.5), 0.5, Min(), 1 << 48),
 }
 
 
@@ -502,8 +504,19 @@ def test_two_atom_pmf_totals_weigh_numpys_binomial_count(pmf):
     assert gen.bit_generator.state == twin.bit_generator.state
 
 
+def wrap_lanes(monkeypatch, prepare):
+    """Hand the table draw of each ``engine._lanes`` built from now on to
+    ``prepare``, before any block draws from it."""
+    lanes = engine._lanes
+
+    def prepared(law, cap):
+        out = lanes(law, cap)
+        prepare(out[1])
+        return out
+    monkeypatch.setattr(engine, "_lanes", prepared)
+
+
 def test_lanes_build_each_table_row_once_per_batch(monkeypatch):
-    engine._lanes.cache_clear()
     weighed, built, weights = [], [], table._binomial_weights
     monkeypatch.setattr(table, "_binomial_weights",
                         lambda p, top: weighed.append((p, top)) or weights(p, top))
@@ -511,12 +524,13 @@ def test_lanes_build_each_table_row_once_per_batch(monkeypatch):
     cfg = Batch(ExplicitPmf({0: 0.25, 2: 0.75}), horizon=60, trials=40_000, master_seed=3,
                 policy=Truncation(g))
     assert cfg.trials > 2 * _TRIAL_BLOCK
-    draw = engine._lanes(cfg.law, cfg.population_cap)[1]
-    rows = draw._rows
-    draw._rows = lambda z0, z1: built.extend(range(z0, z1)) or rows(z0, z1)
+
+    def record_rows(draw):
+        rows = draw._rows
+        draw._rows = lambda z0, z1: built.extend(range(z0, z1)) or rows(z0, z1)
+    wrap_lanes(monkeypatch, record_rows)
     run_batch(cfg)
-    engine._lanes.cache_clear()
-    assert weighed == [(0.25, 32)]  # one matrix for the law and cap, of rows of 0 to 32 trials
+    assert weighed == [(0.25, 32)]  # one matrix for the batch, of rows of 0 to 32 trials
     assert sorted(built) == list(range(1, g(60) + 1))
 
 
@@ -1207,7 +1221,7 @@ def test_trials_keep_their_block_whatever_the_trial_count():
 # ------------------------------------------------- table draws a span at a time
 
 def span_run(cfg, one_generation, prepare=None, run=run_batch):
-    """run_batch of cfg on fresh tables, each handed to ``prepare`` first,
+    """run_batch of cfg, its table draw handed to ``prepare`` first,
     the end states of its block generators (offspring, control and sex
     streams) and the spans of table draws it took, as (count, generations drawn, whether the last left a count of 0,
     the largest count it left), a one-generation draw's among them;
@@ -1219,19 +1233,15 @@ def span_run(cfg, one_generation, prepare=None, run=run_batch):
         spans.append((count, len(rows), len(rows) and int(rows[-1].min()) == 0,
                       len(rows) and int(rows[-1].max())))
         return rows
-    engine._lanes.cache_clear()  # a table keeps the rows an earlier run built
-    try:
+    with pytest.MonkeyPatch.context() as mp:
         if prepare:
-            prepare(engine._lanes(cfg.law, cfg.population_cap)[1])
-        with pytest.MonkeyPatch.context() as mp:
-            blocks = engine.block_generators
-            mp.setattr(engine, "block_generators", lambda *a: gens.append(blocks(*a)) or gens[-1])
-            mp.setattr(table._TableDraw, "steps", recorded)
-            if one_generation:
-                mp.setattr(engine, "_SPAN_RAWS", 0)
-            res = run(cfg)
-    finally:
-        engine._lanes.cache_clear()
+            wrap_lanes(mp, prepare)
+        blocks = engine.block_generators
+        mp.setattr(engine, "block_generators", lambda *a: gens.append(blocks(*a)) or gens[-1])
+        mp.setattr(table._TableDraw, "steps", recorded)
+        if one_generation:
+            mp.setattr(engine, "_SPAN_RAWS", 0)
+        res = run(cfg)
     return res, [[g.bit_generator.state for g in block] for block in gens], spans
 
 
@@ -1251,6 +1261,87 @@ def assert_spans_change_nothing(cfg, prepare=None, run=run_batch):
 
 PMF2 = ExplicitPmf({0: 0.25, 2: 0.75})
 LOG_G = GrowthFunction.log(2.0, 3.0, rounding="ceil")
+
+
+@pytest.mark.parametrize("run, cfg", [
+    (run_batch, Batch(PMF2, horizon=200, trials=300, master_seed=6, policy=Truncation(LOG_G))),
+    (run_bisexual_batch, SimpleNamespace(
+        law=Poisson(1.5), horizon=60, trials=300, master_seed=8, alpha=0.5, mating=Min(),
+        initial_units=3, population_cap=1 << 48, sample_trajectories=0, failure_budget=0))],
+    ids=["truncation_log", "bisexual_units"])
+def test_two_batches_of_one_config_build_their_own_tables_alike(monkeypatch, run, cfg):
+    # no table outlives its batch: the second batch grows, buckets and spans
+    # on rows of its own as the first did
+    draws, calls = [], []
+    init, grow, buckets, steps = (table._TableDraw.__init__, table._TableDraw._grow,
+                                  table._buckets, table._TableDraw.steps)
+
+    def record(name, fn, args):
+        calls[-1].append((name, *args))
+        return fn()
+    monkeypatch.setattr(table._TableDraw, "__init__", lambda self, *a: (
+        draws[-1].append(self), init(self, *a))[1])
+    monkeypatch.setattr(table._TableDraw, "_grow", lambda self, top: record(
+        "grow", lambda: grow(self, top), (draws[-1].index(self), top)))
+    monkeypatch.setattr(table, "_buckets", lambda t: record(
+        "buckets", lambda: buckets(t), (t[2],)))
+    monkeypatch.setattr(table._TableDraw, "steps", lambda self, z, count, *a: record(
+        "steps", lambda: steps(self, z, count, *a), (draws[-1].index(self), count, z.size)))
+    for _ in range(2):
+        draws.append([])
+        calls.append([])
+        run(cfg)
+    assert calls[0] == calls[1] and {"grow", "steps"} <= {name for name, *_ in calls[0]}
+    assert ("buckets" in {name for name, *_ in calls[0]}) == (run is run_batch)
+    assert len(draws[0]) == len(draws[1]) >= 1
+    assert not any(a is b for a in draws[0] for b in draws[1])
+
+
+def test_batches_of_one_law_on_two_threads_share_no_table():
+    # a thread switch every microsecond interleaves two batches' row grows
+    # and wide lookups (from 1024 counts), and each batch is still what it
+    # is on one thread
+    configs = [Batch(PMF2, horizon=6, trials=trials, master_seed=5) for trials in (1100, 1300)]
+    want = [run_batch(cfg) for cfg in configs]
+    got, raised = [[], []], []
+
+    def run(i):
+        try:
+            for _ in range(150):
+                got[i].append(run_batch(configs[i]))
+        except Exception as exc:  # a thread's exception is otherwise lost
+            raised.append(exc)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not raised and [len(results) for results in got] == [150, 150]
+    for results, ref in zip(got, want):
+        for res in results:
+            assert_same_result(res, ref)
+
+
+def test_a_span_is_dead_when_the_next_span_starts(monkeypatch):
+    # a block keeps a copy of a span's last row and drops the span, so one
+    # span's buffers are live at a time
+    refs, live, steps = [], [], table._TableDraw.steps
+
+    def recorded(self, *args):
+        live.append(sum(ref() is not None for ref in refs))
+        rows = steps(self, *args)
+        if len(rows):
+            refs.extend((weakref.ref(rows), weakref.ref(rows.base)))
+        return rows
+    monkeypatch.setattr(table._TableDraw, "steps", recorded)
+    run_batch(Batch(PMF2, horizon=200, trials=300, master_seed=6, policy=Truncation(LOG_G)))
+    assert len(refs) > 20 and not any(live)
 
 
 def test_a_span_ends_after_a_generation_with_deaths():
@@ -1480,10 +1571,10 @@ def record_folds(monkeypatch):
     the cache it adds each to."""
     folded, sizes, fold = [], [], table._TableDraw._fold
 
-    def recorded(self, state, policy, n, level, entering):
+    def recorded(self, n, level, entering):
         folded.append(level)
-        sizes.append(len(state[2]))
-        return fold(self, state, policy, n, level, entering)
+        sizes.append(len(self._folds))
+        return fold(self, n, level, entering)
     monkeypatch.setattr(table._TableDraw, "_fold", recorded)
     return folded, sizes
 
@@ -1502,18 +1593,14 @@ def test_a_linear_g_over_the_largest_horizon_keeps_the_fold_cache_bounded(monkey
     law, g = ExplicitPmf({0: 1e-6, 1: 1 - 1e-6}), GrowthFunction.linear(1, 1)
     cfg = Batch(law, horizon=100_000, trials=4, master_seed=3, initial_size=20,
                 policy=Truncation(g))
-    folded, sizes = record_folds(monkeypatch)
-    engine._lanes.cache_clear()
-    try:
-        res = run_batch(cfg)
-        draw = engine._lanes(law, cfg.population_cap)[1]
-        assert len(draw._folds[2]) <= draw.most + 2 == 34
-        assert max(sizes) < draw.most + 2
-        engine._lanes.cache_clear()
-        ref = run_batch(Batch(law, horizon=100_000, trials=4, master_seed=3, initial_size=20,
-                              policy=UnfoldedTruncation(g)))
-    finally:
-        engine._lanes.cache_clear()
+    folded, sizes, draws = *record_folds(monkeypatch), []
+    wrap_lanes(monkeypatch, draws.append)
+    res = run_batch(cfg)
+    draw = draws[0]
+    assert len(draw._folds) <= draw.most + 2 == 34
+    assert max(sizes) < draw.most + 2
+    ref = run_batch(Batch(law, horizon=100_000, trials=4, master_seed=3, initial_size=20,
+                          policy=UnfoldedTruncation(g)))
     assert res.per_generation_alive_counts[-1] == 4  # every trial lives to the end
     assert_same_result(res, ref)
     # each level folds once, levels up to 33 standing for all past every total
@@ -1522,8 +1609,9 @@ def test_a_linear_g_over_the_largest_horizon_keeps_the_fold_cache_bounded(monkey
 
 def fold_cache_bytes(draw):
     """The bytes of draw's fold cache: its folds and the buckets they share."""
-    _, _, folds, (merged, guide, _, at) = draw._folds
-    return sum(f.nbytes for f, *_ in folds.values()) + merged.nbytes + guide.nbytes + at.nbytes
+    merged, guide, _, at = draw._merged
+    return (sum(f.nbytes for f, *_ in draw._folds.values())
+            + merged.nbytes + guide.nbytes + at.nbytes)
 
 
 @pytest.mark.parametrize("law, initial, horizon", [
@@ -1559,8 +1647,8 @@ def test_a_lower_boundary_past_every_total_folds_as_one_that_absorbs_every_count
 def fold_of(draw, policy, n, level, entering):
     """draw's (fold, most it leaves, rows) of ``policy`` at ``level``, on its
     built rows, and the buckets it folds over."""
-    draw._folds = (draw._table, policy, {}, table._buckets(draw._table))
-    return draw._fold(draw._folds, policy, n, level, entering), draw._folds[3]
+    draw._policy, draw._folds, draw._merged = policy, {}, table._buckets(draw._table)
+    return draw._fold(n, level, entering), draw._merged
 
 
 def assert_fold_leaves_what_apply_leaves(draw, policy, n, level):
@@ -1619,25 +1707,6 @@ def test_folds_of_small_laws_leave_what_each_policy_leaves(law, kind, built, pas
     level = max(built + past, 1)
     assert assert_fold_leaves_what_apply_leaves(draw, SMALL_POLICIES[kind](level), 1, level) \
         <= draw.most
-
-
-def test_a_span_folds_on_its_own_state_when_another_span_overtakes_it(monkeypatch):
-    # blocks on other threads share the draw: here, as a span of z + Bin(z,
-    # 1/2) folds, another grows the rows to 32 (W from 8 to 1024) and folds
-    # another policy
-    cap, z = Truncation(GrowthFunction.constant(3)), np.array([3, 1, 2] * 10)
-    draw, gen = table._binomial_draw(0.5, base=1), rng(4)
-    want = draw.steps(z, 8, gen, cap).tolist(), gen.bit_generator.state
-    fold = table._TableDraw._fold
-
-    def overtaken(self, *args):
-        self._grow(32)
-        self._folds = (self._table, ControlPolicy(), {}, table._buckets(self._table))
-        return fold(self, *args)
-    monkeypatch.setattr(table._TableDraw, "_fold", overtaken)
-    draw, gen = table._binomial_draw(0.5, base=1), rng(4)
-    assert (draw.steps(z, 8, gen, cap).tolist(), gen.bit_generator.state) == want
-    assert draw._table[2] == 32 and len(want[0]) > 1
 
 
 @dataclass(frozen=True)

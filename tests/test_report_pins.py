@@ -220,7 +220,6 @@ def test_the_truncation_bench_round_keeps_its_bytes_with_few_spans_and_g_calls(
     monkeypatch.setattr(control.GrowthFunction, "__call__",
                         counted("g", control.GrowthFunction.__call__))
     monkeypatch.setattr(engine, "_draw_offspring", counted("draws", engine._draw_offspring))
-    engine._lanes.cache_clear()  # the rows of a fresh process
     assert (report_digest(tmp_path, "run", doc)
             == "20e7f3b7426f9b3ab816be98c02b57e5ad03eb6ba3e940e6c4d3f95b5a70c1fd")
     assert calls["steps"] <= 120 and calls["g"] <= 400 and calls["draws"] == 0, calls
