@@ -38,9 +38,9 @@ absorbing rules, which see each trajectory so far, apply trial by trial.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -229,7 +229,7 @@ def _lanes(law: OffspringLaw, cap: int):
     return bound, _make_block_draw(law), _make_past_draw(law), limit, cap, mk
 
 
-@lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=256)
 def _make_total_sampler(law: OffspringLaw, population_cap: int, per_particle: bool):
     """Build fn(z, rng) -> int distributed as the sum of z draws from law:
     per particle, one inverse-CDF uniform a parent, or else the batch
