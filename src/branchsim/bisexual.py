@@ -236,7 +236,8 @@ def mean_reproduction_per_unit(k: int, law: OffspringLaw, alpha: float,
                                exact: bool | None = None) -> MeanReproduction:
     """Mean units produced per starting unit, E[Z_1 | Z_0 = k] / k.
 
-    Uses exhaustive enumeration when the one-generation offspring total is
+    Exact, p_{T|k} K u from ``sum_pmf`` and ``_kernel``
+    (``_exact_mean_units``), when the one-generation offspring total is
     provably at most 24 (finite-support laws, small k); otherwise a Monte
     Carlo estimate with a 99% normal-approximation halfwidth.
     """
@@ -246,12 +247,12 @@ def mean_reproduction_per_unit(k: int, law: OffspringLaw, alpha: float,
         raise ConfigError(f"trials must be >= 1, got {trials}")
     step = _MatingStep(alpha, mating)
     mk = law.max_k()
-    can_enumerate = isinstance(law, ExplicitPmf) and mk is not None and k * mk <= 24
+    can_be_exact = isinstance(law, ExplicitPmf) and mk is not None and k * mk <= 24
     if exact is None:
-        exact = can_enumerate
+        exact = can_be_exact
     if exact:
-        if not can_enumerate:
-            raise ConfigError("exact enumeration needs a finite-support law "
+        if not can_be_exact:
+            raise ConfigError("the exact mean p_{T|k} K u needs a finite-support law "
                               f"with k * max_k <= 24, got k={k}")
         value = _exact_mean_units(k, law, alpha, mating) / k
         return MeanReproduction(k=k, estimate=value, halfwidth=0.0,

@@ -373,6 +373,9 @@ class Phi(ControlPolicy):
     table: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if self.form not in ("identity", "constant", "linear", "table") and (
+                self.form != "callable" or self.fn is None):
+            raise ConfigError(f"phi form {self.form!r} is unknown, or callable without fn")
         for x in (0, 1, 2, 5, 64):
             v = (self.fn or self)(x)
             if v < 0 or int(v) != v:

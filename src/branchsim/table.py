@@ -128,7 +128,8 @@ class _TableDraw:
     up by (z << 53) + m, m the top 53 bits of one raw output of a PCG64, in
     a flat table of rows built up to the largest count seen, or, one
     generation of ``_GUIDE_WIDTH`` counts or more, in the table's guide,
-    built at the first such lookup after the rows grow.
+    built at the first such lookup after the rows grow.  The rows grow at
+    one point, the head of ``steps``, and a fold covers every built row.
 
     ``rows_of(z0, z1)`` gives the sorted thresholds and the values, as many,
     of the rows of counts z0 .. z1 - 1 (``_pmf_rows``).  The table holds the
@@ -162,23 +163,20 @@ class _TableDraw:
                        top)
         self._guide, self._merged, self._folds = None, None, {}
 
-    def _fold(self, n, level, entering):
+    def _fold(self, n, level):
         """The folded policy's transition table at ``level`` (of generation
-        n) over the rows of the counts s it or ``entering`` leaves: s W + b
-        holds c W, c what ``apply`` leaves of row s's total at bucket b, and
-        -W (-1) for s = 0 and last, where take clips -1's -W + b and counts
-        past the rows.  It joins the folds as (table, most it leaves, rows),
-        which start again past ``_FOLD_BYTES``."""
+        n) over every built row: s W + b holds c W, c what ``apply`` leaves
+        of row s's total at bucket b, and -W (-1) for s = 0 and last, where
+        take clips -1's -W + b and counts past the rows.  It joins the
+        folds, which start again past ``_FOLD_BYTES``."""
         values, (*buckets, shift, at) = self._table[1], self._merged
         live, left = values >= 0, np.full(values.size, -1)
         left[live] = self._policy.apply(values[live], n)
-        leaves = int(np.maximum.reduce(left))
-        rows = min(len(at) - 1, max(leaves, entering))
-        fold = np.append(left.take(at[:rows + 1]), -1) << shift
+        fold = np.append(left.take(at), -1) << shift
         spare = _FOLD_BYTES - fold.nbytes - sum(a.nbytes for a in (*buckets, at))
-        if sum(f.nbytes for f, *_ in self._folds.values()) > spare:
+        if sum(f.nbytes for f in self._folds.values()) > spare:
             self._folds.clear()
-        self._folds[level] = fold = fold, leaves, rows
+        self._folds[level] = fold
         return fold
 
     def __call__(self, z, rng):
@@ -189,35 +187,28 @@ class _TableDraw:
     def steps(self, z, count, rng, policy=ControlPolicy(), n=0, ctl=None):
         """Up to ``count`` generations n + 1, ... of table draws from the int64
         counts z on a PCG64, one ``random_raw`` for all, each as ``policy``
-        leaves it: a (k, z.size) array of the counts of the k drawn, once the
-        rows reach z.  It stops before a generation that the table cannot
-        draw (a count past the rows, or a count of 0, so a span ends with
-        the generation of a death), whose raw outputs, and those after them,
-        go back.  A policy that draws (from ``ctl``), or overrides ``apply``
-        but not ``levels``, applies unfolded, once the table has drawn every
-        count, as does a single generation; any other folds once for each
-        run of its ``levels``, once the rows reach each cap of the span.
-        It keeps the buckets and folds until the rows grow or another policy folds."""
+        leaves it: a (k, z.size) array of the counts of the k drawn.  The
+        rows first grow to z and, in a span that folds, to its largest level
+        within ``rows``, past every count a cap leaves.  It stops before a
+        generation that the table cannot draw (a count past the rows, or a
+        count of 0, so a span ends with the generation of a death), whose raw
+        outputs, and those after them, go back.  A policy that draws (from
+        ``ctl``), or overrides ``apply`` but not ``levels``, applies
+        unfolded, once the table has drawn every count, as does a single
+        generation; any other folds once for each run of its ``levels``, and
+        keeps its buckets and folds until the rows grow or another policy folds."""
         bits, size, top = rng.bit_generator, z.size, int(np.maximum.reduce(z))
         if type(bits) is not np.random.PCG64 or top > self.rows:
             return z[:0, None]  # the first generation is numpy's
-        if self._table[2] < top:
-            self._grow(top)
         # a policy folds when its levels are all its apply reads: its own, or the identity's
         kind = type(policy)
         checked = (count == 1 or policy.stream is not None
                    or kind.levels is ControlPolicy.levels and kind.apply is not ControlPolicy.apply)
         if not checked:
             runs = [(j, min(v, self.most + 1)) for j, v in policy.levels(n + 1, n + count + 1)]
-            if policy is not self._policy:
-                self._policy, self._folds = policy, {}
-            # before any fold, the rows reach every cap of a level not folded yet
-            if grow := max((cap for j, level in runs if level not in self._folds
-                            and self._table[2] < (cap := min(level, self.rows))
-                            and policy.apply(np.array([level + 1]), j)[0] <= level), default=0):
-                self._grow(grow)
-            if self._merged is None:
-                self._merged = _buckets(self._table)
+            top = max(top, min(max(v for _, v in runs), self.rows))
+        if self._table[2] < top:
+            self._grow(top)
         done = count
         raw = bits.random_raw(count * size)
         flat = np.right_shift(raw, 11, out=raw).view(np.int64)  # numpy's next_double bits
@@ -240,16 +231,19 @@ class _TableDraw:
                     row[...] = left
                 key = row << 53
         else:  # one fold a run of levels, all alike past every total
-            folds, (merged, guide, shift, at) = self._folds, self._merged
+            if policy is not self._policy:
+                self._policy, self._folds = policy, {}
+            if self._merged is None:
+                self._merged = _buckets(self._table)
+            folds, (merged, guide, shift, _) = self._folds, self._merged
             # each uniform's bucket, and the parents' states z W
             rows = _guided(flat, guide, merged, np.empty_like(flat), _BUCKET_SHIFT).reshape(
                 count, size)
-            key, entering = z.astype(np.int64, copy=False) << shift, top
+            key = z.astype(np.int64, copy=False) << shift
             for (j, level), end in zip(runs, [j for j, _ in runs[1:]] + [n + count + 1]):
                 fold = folds.get(level)
-                if fold is None or fold[2] < min(entering, len(at) - 1):
-                    fold = self._fold(j, level, entering)
-                fold, entering, _ = fold
+                if fold is None:
+                    fold = self._fold(j, level)
                 for row in rows[j - n - 1:end - n - 1]:
                     row += key
                     key = fold.take(row, out=row, mode="clip")

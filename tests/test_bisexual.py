@@ -223,7 +223,7 @@ def test_mean_reproduction_validation():
         mean_reproduction_per_unit(1, Poisson(1.0), 0.5, Min(), 0, rng())
     with pytest.raises(ConfigError):
         mean_reproduction_per_unit(1, Poisson(1.0), 1.0, Min(), 10, rng())
-    with pytest.raises(ConfigError):  # infinite support cannot be enumerated
+    with pytest.raises(ConfigError):  # infinite support has no exact mean
         mean_reproduction_per_unit(1, Poisson(1.0), 0.5, Min(), 10, rng(),
                                    exact=True)
 

@@ -407,6 +407,10 @@ def test_phi_policy_validation_and_revival_flag():
         Phi(lambda x: x - 1)  # negative at x = 0
     with pytest.raises(ConfigError):
         Phi(lambda x: x / 2)  # fractional at x = 1
+    with pytest.raises(ConfigError, match="phi form 'callable' is unknown, or callable without"):
+        Phi()
+    with pytest.raises(ConfigError, match="phi form 'bogus'"):
+        Phi(form="bogus")
 
 
 # -------------------------------------------------------------- series criteria

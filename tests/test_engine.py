@@ -1571,10 +1571,10 @@ def record_folds(monkeypatch):
     the cache it adds each to."""
     folded, sizes, fold = [], [], table._TableDraw._fold
 
-    def recorded(self, n, level, entering):
+    def recorded(self, n, level):
         folded.append(level)
         sizes.append(len(self._folds))
-        return fold(self, n, level, entering)
+        return fold(self, n, level)
     monkeypatch.setattr(table._TableDraw, "_fold", recorded)
     return folded, sizes
 
@@ -1610,7 +1610,7 @@ def test_a_linear_g_over_the_largest_horizon_keeps_the_fold_cache_bounded(monkey
 def fold_cache_bytes(draw):
     """The bytes of draw's fold cache: its folds and the buckets they share."""
     merged, guide, _, at = draw._merged
-    return (sum(f.nbytes for f, *_ in draw._folds.values())
+    return (sum(f.nbytes for f in draw._folds.values())
             + merged.nbytes + guide.nbytes + at.nbytes)
 
 
@@ -1623,7 +1623,7 @@ def test_the_fold_cache_keeps_within_its_bound(monkeypatch, law, initial, horizo
 
     def recorded(self, *args):
         out = fold(self, *args)
-        built.append(out[0].nbytes)
+        built.append(out.nbytes)
         seen.append(fold_cache_bytes(self))
         return out
     monkeypatch.setattr(table._TableDraw, "_fold", recorded)
@@ -1644,11 +1644,11 @@ def test_a_lower_boundary_past_every_total_folds_as_one_that_absorbs_every_count
     assert max(span[1] for span in spans) >= 16
 
 
-def fold_of(draw, policy, n, level, entering):
-    """draw's (fold, most it leaves, rows) of ``policy`` at ``level``, on its
-    built rows, and the buckets it folds over."""
+def fold_of(draw, policy, n, level):
+    """draw's fold of ``policy`` at ``level``, over its built rows, and the
+    buckets it folds over."""
     draw._policy, draw._folds, draw._merged = policy, {}, table._buckets(draw._table)
-    return draw._fold(n, level, entering), draw._merged
+    return draw._fold(n, level), draw._merged
 
 
 def assert_fold_leaves_what_apply_leaves(draw, policy, n, level):
@@ -1657,8 +1657,8 @@ def assert_fold_leaves_what_apply_leaves(draw, policy, n, level):
     0, at 2^53 - 1 and at 5000 random ones holds what ``apply`` leaves of the
     row's total; returns the most it leaves."""
     keys, values, built = draw._table
-    (fold, leaves, rows), (merged, guide, shift, _) = fold_of(draw, policy, n, level, built)
-    assert rows == built and fold.dtype == np.int64 and fold.size == (built + 1 << shift) + 1
+    fold, (merged, guide, shift, _) = fold_of(draw, policy, n, level)
+    assert fold.dtype == np.int64 and fold.size == (built + 1 << shift) + 1
     m = np.concatenate([merged, merged[1:] - 1, [0, (1 << 53) - 1],
                         rng(5).integers(0, 1 << 53, 5000)])
     b = table._guided(m, guide, merged, np.empty_like(m), table._BUCKET_SHIFT)
@@ -1670,7 +1670,7 @@ def assert_fold_leaves_what_apply_leaves(draw, policy, n, level):
             totals = values.take(keys.searchsorted((s << 53) + m, side="right"))
             want = policy.apply(totals, n)
         assert got.tolist() == want.tolist(), s
-    return leaves
+    return int(fold.max()) >> shift
 
 
 def test_a_fold_looks_up_what_the_policy_leaves_of_each_row_at_each_bucket():
@@ -1678,11 +1678,10 @@ def test_a_fold_looks_up_what_the_policy_leaves_of_each_row_at_each_bucket():
     draw(np.arange(1, 33), rng())  # builds all 32 rows
     cap = Truncation(GrowthFunction.constant(3))
     assert assert_fold_leaves_what_apply_leaves(draw, cap, 1, 3) == 3
-    # a fold has the rows of the counts it leaves, or that enter it, within the built rows
-    (fold, leaves, rows), (_, _, shift, _) = fold_of(draw, cap, 1, 3, 2)
-    assert (leaves, rows, fold.size) == (3, 3, (4 << shift) + 1)
-    assert fold_of(draw, cap, 1, 3, 40)[0][2] == 32
-    assert fold_of(draw, ControlPolicy(), 1, 0, 0)[0][1:] == (64, 32)
+    # a fold has a row for every built count, whatever its level leaves
+    for policy, level, leaves in [(cap, 3, 3), (ControlPolicy(), 0, 64)]:
+        fold, (_, _, shift, _) = fold_of(draw, policy, 1, level)
+        assert fold.size == ((32 + 1) << shift) + 1 and int(fold.max()) >> shift == leaves
 
 
 SMALL_LAWS = st.one_of(

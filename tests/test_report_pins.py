@@ -206,10 +206,11 @@ def test_the_truncation_bench_round_keeps_its_bytes_with_few_spans_and_g_calls(
         tmp_path, monkeypatch):
     # bench/run.py's truncation_log config at master seed 2024000, pinned when
     # every span generation read g once: 165 steps calls and 2123 g calls then,
-    # and 4 draws off the table lane while a block's first span grew no rows
+    # and 4 draws off the table lane while a block's first span grew no rows;
+    # 14 grows when each span grew again to the caps of its levels
     doc = run_doc(truncation({"form": "log", "a": 2.0, "base": 3.0, "rounding": "ceil"}),
                   master_seed=2024000, trials=500, horizon=2000)
-    calls = {"steps": 0, "g": 0, "draws": 0}
+    calls = {"steps": 0, "g": 0, "draws": 0, "grow": 0, "buckets": 0, "fold": 0}
 
     def counted(name, fn):
         def call(*args, **kwargs):
@@ -220,6 +221,10 @@ def test_the_truncation_bench_round_keeps_its_bytes_with_few_spans_and_g_calls(
     monkeypatch.setattr(control.GrowthFunction, "__call__",
                         counted("g", control.GrowthFunction.__call__))
     monkeypatch.setattr(engine, "_draw_offspring", counted("draws", engine._draw_offspring))
+    monkeypatch.setattr(table._TableDraw, "_grow", counted("grow", table._TableDraw._grow))
+    monkeypatch.setattr(table, "_buckets", counted("buckets", table._buckets))
+    monkeypatch.setattr(table._TableDraw, "_fold", counted("fold", table._TableDraw._fold))
     assert (report_digest(tmp_path, "run", doc)
             == "20e7f3b7426f9b3ab816be98c02b57e5ad03eb6ba3e940e6c4d3f95b5a70c1fd")
-    assert calls["steps"] <= 120 and calls["g"] <= 400 and calls["draws"] == 0, calls
+    assert calls["steps"] <= 120 and calls["g"] <= 280 and calls["draws"] == 0, calls
+    assert calls["grow"] <= 13 and calls["buckets"] <= 12 and calls["fold"] <= 24, calls
