@@ -22,12 +22,13 @@ a count as numpy's inversion draw takes, and its numbers but for under
 6e-14 of them.  For a block whose policy reproduces its counts as they are
 and never raises them (no phi, custom rule or custom mating, coupled
 streams or failure replay, and a cap past every table total) the table
-draws a span of generations per ``random_raw`` call: up to 2^13 outputs
+draws a span of generations per ``random_raw`` call: up to 2^14 outputs
 (``_SPAN_RAWS``), each span twice the generations that the last one drew,
 which a death or a count past the table's rows cuts short; each first
-grows the rows to its parent counts.  A batch given a units table (the
-mating step of a built-in mating) draws a generation whose counts are all
-within its rows with one lookup a count, which is what ``apply`` would
+grows the rows to its parent counts, and the first that folds to its
+policy's levels up to the horizon.  A batch given a units table (the mating
+step of a built-in mating) draws a generation whose counts are all within
+its rows with one lookup a count, which is what ``apply`` would
 leave, so neither the offspring draw nor ``apply`` runs for it.  A
 per-particle inverse-CDF mode exists for monotone coupling: with
 generation-keyed streams, the draw for parent i is the same in two runs, so
@@ -62,7 +63,7 @@ _COUPLED_CAP = 1 << 24  # per-particle counts: one uniform, about 25 ns, per par
 # largest binomial count and Poisson mean of the exact lane: its draws hold
 # their moments there, while Poisson means of 2^96 lost 2% of their variance
 _EXACT_LIMIT = 1 << 90
-_SPAN_RAWS = 1 << 13  # raw outputs of one span of table draws: 64 kB
+_SPAN_RAWS = 1 << 14  # raw outputs of one span of table draws: 128 kB
 
 
 def _make_block_draw(law: OffspringLaw):
@@ -425,7 +426,7 @@ def _draw_coupled(sample, units, seed, trials, n):
         try:
             off[i] = sample(u, spawn_generator(seed, t, STREAM_OFFSPRING, n)) if u else 0
         except PopulationOverflow as exc:
-            failures[i] = exc
+            failures[i] = exc.with_traceback(None)  # a kept traceback pins the slab
     return _counts(off), failures
 
 
@@ -480,7 +481,8 @@ def _run_vector_block(policy, batch, lo, hi, counted=None):
             rows = tabled.steps(z, 1, gens[STREAM_OFFSPRING])
         else:
             count = min(span, horizon - n, _SPAN_RAWS // idx.size) if spanning else 0
-            rows = draw.steps(z, count, gens[STREAM_OFFSPRING], policy, n, ctl) if count else ()
+            rows = (draw.steps(z, count, gens[STREAM_OFFSPRING], policy, n, ctl, horizon)
+                    if count else ())
         span = max(2 * len(rows), 1)
         if len(rows):  # every trial is alive in each row but the last
             alive_counts[n + 1:n + len(rows)] = [idx.size] * (len(rows) - 1)
@@ -506,7 +508,7 @@ def _run_vector_block(policy, batch, lo, hi, counted=None):
                 except ConfigError:
                     raise
                 except BranchsimError as exc:
-                    failed[i] = exc
+                    failed[i] = exc.with_traceback(None)  # a kept traceback pins the block
             z = off if each else policy.apply(off, n, rng)
             if policy.grows:  # no draw bounded the counts the rule leaves
                 for i in np.flatnonzero(z > batch.cap).tolist():

@@ -23,14 +23,18 @@ one of those gaps: under 6e-14 of the draws of a count.
 Rows grow in ``_TableDraw.steps`` alone, and a policy that draws nothing
 folds once a run of its ``levels`` into a transition table over (count,
 bucket of m), the buckets being the intervals between the thresholds of all
-rows, so a span generation is one add and one take.
+rows, so a span generation is one add and one take.  A block finds its runs
+once and grows the rows to their largest level then, so its buckets build once.
 """
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
 from .control import ControlPolicy
+from .errors import ConfigError
 
 # the rows of a table: the binomial counts of at most 32 trials, whose rows
 # hold at most 33 int64 keys and values each, and the unit counts of at most 32
@@ -129,7 +133,8 @@ class _TableDraw:
     a flat table of rows built up to the largest count seen, or, one
     generation of ``_GUIDE_WIDTH`` counts or more, in the table's guide,
     built at the first such lookup after the rows grow.  The rows grow at
-    one point, the head of ``steps``, and a fold covers every built row.
+    one point, the head of ``steps``, to a folded policy's levels up to the
+    end of the block (``_runs``), and a fold covers every built row.
 
     ``rows_of(z0, z1)`` gives the sorted thresholds and the values, as many,
     of the rows of counts z0 .. z1 - 1 (``_pmf_rows``).  The table holds the
@@ -152,7 +157,8 @@ class _TableDraw:
         # past the table
         self._table = (np.full(1, 1 << 53), np.full(2, -1), 0)
         self._guide = self._merged = None  # its guide and ``_buckets``, once a lookup needs them
-        self._policy, self._folds = None, {}  # the policy folded, and {level: fold} of it
+        # the policy folded, {level: fold} of it, and its plan (``_runs``)
+        self._policy, self._folds, self._plan = None, {}, None
 
     def _grow(self, top: int):
         keys, values, built = self._table
@@ -179,17 +185,40 @@ class _TableDraw:
         self._folds[level] = fold
         return fold
 
+    def _runs(self, policy, n0, n1, end):
+        """``policy``'s (start, level) runs over n0 .. n1 - 1, levels past
+        ``most`` at ``most`` + 1, and its plan's largest level within ``rows``.
+        The plan, the runs from n0 to ``end``, is found once for the spans it
+        covers; if finding it raises (a level past the float range), each span
+        finds its own, so that only a span that reaches such a level raises."""
+        if policy is not self._policy:
+            self._policy, self._folds, self._plan = policy, {}, None
+        plan = self._plan
+        if plan is None or plan and not plan[0][0][0] <= n0 < n1 <= plan[2]:
+            try:
+                plan = self._plan = self._levels(policy, n0, end) + (end,)
+            except ConfigError:
+                plan = self._plan = ()
+        runs, top, _ = plan or self._levels(policy, n0, n1) + (n1,)
+        at = bisect.bisect_left(runs, (n0 + 1,))  # past the run of n0
+        return [(n0, runs[at - 1][1])] + runs[at:bisect.bisect_left(runs, (n1,))], top
+
+    def _levels(self, policy, n0, n1):
+        runs = [(j, min(v, self.most + 1)) for j, v in policy.levels(n0, n1)]
+        return runs, min(max(v for _, v in runs), self.rows)
+
     def __call__(self, z, rng):
         if z.size and len(rows := self.steps(z, 1, rng)):
             return rows[0]
         return self._numpy(z, rng)
 
-    def steps(self, z, count, rng, policy=ControlPolicy(), n=0, ctl=None):
+    def steps(self, z, count, rng, policy=ControlPolicy(), n=0, ctl=None, end=0):
         """Up to ``count`` generations n + 1, ... of table draws from the int64
         counts z on a PCG64, one ``random_raw`` for all, each as ``policy``
         leaves it: a (k, z.size) array of the counts of the k drawn.  The
-        rows first grow to z and, in a span that folds, to its largest level
-        within ``rows``, past every count a cap leaves.  It stops before a
+        rows first grow to z and, in a span that folds, to the largest level
+        within ``rows`` of the plan of ``policy.levels`` up to generation
+        ``end`` (``_runs``), past every count a cap leaves.  It stops before a
         generation that the table cannot draw (a count past the rows, or a
         count of 0, so a span ends with the generation of a death), whose raw
         outputs, and those after them, go back.  A policy that draws (from
@@ -205,8 +234,8 @@ class _TableDraw:
         checked = (count == 1 or policy.stream is not None
                    or kind.levels is ControlPolicy.levels and kind.apply is not ControlPolicy.apply)
         if not checked:
-            runs = [(j, min(v, self.most + 1)) for j, v in policy.levels(n + 1, n + count + 1)]
-            top = max(top, min(max(v for _, v in runs), self.rows))
+            runs, level = self._runs(policy, n + 1, n + count + 1, max(end, n + count) + 1)
+            top = max(top, level)
         if self._table[2] < top:
             self._grow(top)
         done = count
@@ -231,8 +260,6 @@ class _TableDraw:
                     row[...] = left
                 key = row << 53
         else:  # one fold a run of levels, all alike past every total
-            if policy is not self._policy:
-                self._policy, self._folds = policy, {}
             if self._merged is None:
                 self._merged = _buckets(self._table)
             folds, (merged, guide, shift, _) = self._folds, self._merged

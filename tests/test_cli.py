@@ -313,6 +313,21 @@ def test_a_g_past_the_float_range_names_its_first_such_generation(tmp_path, caps
         "error": "ConfigError", "message": "g(1798) = inf; the form leaves the float range"}
 
 
+def test_a_g_past_the_float_range_that_no_trial_reaches_still_reports(tmp_path):
+    # the same g, but every trial dies long before generation 1798: the table
+    # lane reads g ahead of its spans, and an error it meets there is raised
+    # only by a span that reaches it; the sha256 is of the report body
+    doc = controlled_doc(master_seed=4, trials=50, horizon=5000, initial_size=1,
+                         law={"kind": "explicit_pmf", "pmf": {"0": 0.75, "2": 0.25}},
+                         policy={"kind": "truncation",
+                                 "g": {"form": "linear", "a": 1e305, "c": 1}})
+    out = tmp_path / "report.csv"
+    assert cli.run(str(write_config(tmp_path, doc)), out=str(out)) == 0
+    _, _, body = out.read_bytes().partition(b"\n")
+    assert (hashlib.sha256(body).hexdigest()
+            == "8809d604fd6d72b5483d2dbf232cd024b85eb93d5ddbc9daa17929db6e546e66")
+
+
 def test_missing_config_file_exits_with_config_error(tmp_path):
     assert cli.run(str(tmp_path / "nope.json")) == 2
 

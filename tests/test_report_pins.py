@@ -207,7 +207,8 @@ def test_the_truncation_bench_round_keeps_its_bytes_with_few_spans_and_g_calls(
     # bench/run.py's truncation_log config at master seed 2024000, pinned when
     # every span generation read g once: 165 steps calls and 2123 g calls then,
     # and 4 draws off the table lane while a block's first span grew no rows;
-    # 14 grows when each span grew again to the caps of its levels
+    # 13 grows, 12 bucket builds, 24 folds and 273 g calls when each span found
+    # its own levels and grew to them; 2, 1, 13 and 133 with one plan a block
     doc = run_doc(truncation({"form": "log", "a": 2.0, "base": 3.0, "rounding": "ceil"}),
                   master_seed=2024000, trials=500, horizon=2000)
     calls = {"steps": 0, "g": 0, "draws": 0, "grow": 0, "buckets": 0, "fold": 0}
@@ -226,5 +227,5 @@ def test_the_truncation_bench_round_keeps_its_bytes_with_few_spans_and_g_calls(
     monkeypatch.setattr(table._TableDraw, "_fold", counted("fold", table._TableDraw._fold))
     assert (report_digest(tmp_path, "run", doc)
             == "20e7f3b7426f9b3ab816be98c02b57e5ad03eb6ba3e940e6c4d3f95b5a70c1fd")
-    assert calls["steps"] <= 120 and calls["g"] <= 280 and calls["draws"] == 0, calls
-    assert calls["grow"] <= 13 and calls["buckets"] <= 12 and calls["fold"] <= 24, calls
+    assert calls["steps"] <= 120 and calls["g"] <= 133 and calls["draws"] == 0, calls
+    assert calls["grow"] <= 2 and calls["buckets"] <= 1 and calls["fold"] <= 13, calls
