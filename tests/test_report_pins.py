@@ -117,6 +117,16 @@ CASES = {
     **{f"{name}_coupled": ("run", run_doc(policy, coupled=True))
        for name, policy in POLICIES.items()},
     "bisexual_min": ("run", bisexual_doc({"kind": "min"})),
+    # lookups of 1024 counts and more in one generation: bench/run.py's
+    # bisexual_min config, a plain Binomial run and a disaster's spans
+    "bisexual_min_wide": ("run", {**bisexual_doc({"kind": "min"}), "master_seed": 2024000,
+                                  "trials": 15000, "horizon": 500, "initial_units": 5,
+                                  "law": {"kind": "poisson", "lambda": 1.5}}),
+    "gw_binomial_wide": ("run", run_doc(law={"kind": "binomial", "n": 2, "p": 0.55},
+                                        trials=3000, horizon=40)),
+    "disaster_wide": ("run", run_doc(absorbing({"kind": "disaster", "delta": {
+        "form": "constant", "c": 0.004}}), law=PMF_DECAY, trials=3000, horizon=300,
+        initial_size=10)),
     "bisexual_daley_monogamy": ("run", bisexual_doc({"kind": "daley_monogamy"})),
     "bisexual_daley_polygamy": ("run", bisexual_doc({"kind": "daley_polygamy", "d": 3})),
     "series_search": ("run", series_doc({"family": "search", "max_points": 6})),
@@ -138,6 +148,7 @@ PINS = {
     "bisexual_daley_monogamy": "f9399a8df2f78ae2bfe5565c27a51c17c61dbae67cae712d9337e3e60b277011",
     "bisexual_daley_polygamy": "269129847bf70178b62636efe347d72bc031b74707440994958b90b96c4eface",
     "bisexual_min": "e7076127a836e49af339e0ac71bc7b299a115850fe77d6549f47ccbe9b8df979",
+    "bisexual_min_wide": "edba458bd06bf2ab642f1abfa67cedab8114b50a7d31e16ebbff7732f46f638d",
     "brs": "b5b5c7c9f3f39258d593a96d85e2c80ae6c1d20a83975c0d2c2383aefb260d47",
     "compare_phi_linear": "ac15ae2e3ced57e2d1910b857234a4ab05d5f3e1aa2c825a2fff89019e1567bc",
     "compare_truncation": "8e07932d2dcfcdcb69a22fdb76a0a7305b8a9cbadd513bde54fca33c9708117a",
@@ -145,6 +156,8 @@ PINS = {
     "disaster_block": "d6f3a164bcc4855cfc82d56e61ac20413c68d44b64b21f0ece4fc76faf4e5a64",
     "disaster_coupled": "4e6baf3ea7a10a03e60a8cfb8830922f1f7c913ee9972207526c30decb075356",
     "disaster_long": "5eac8e5c15c38a9eed2900374e7d05f8a7a761a6553baad1d22cc79e81c09873",
+    "disaster_wide": "16f80025054573ee4cbfcf4cf7be8406e99636a61a0048967c23f0e78727d44e",
+    "gw_binomial_wide": "24f2edaf10715bff7aede01a6af14c6e40d86fa2161e6d7331ad03920d5074f3",
     "gw_block": "ba237598ddb9655c10e4a618c956898e157e732f169635296f6dba431cddb76b",
     "gw_coupled": "f6f4f6f57078a2286927f360ba6c1c0e4888a7f7cad1972a9cff6a15b5ac6232",
     "gw_exact_lane_int64": "d9498f136998cf77dab8b73e009c80b4c09a2f9e0a39e68082b1b65c615f5f93",
