@@ -2,15 +2,10 @@
 
 A table's row z gives a count of z its total from one 53-bit uniform m, the
 top 53 bits of one raw output of a PCG64: the total is the k-th of the row's
-values, k = #{thresholds of the row at or below m}.  ``_TableDraw`` looks
-each count up in a flat table of its rows by the key (z << 53) + m: a
-searchsorted, or, for a generation of ``_GUIDE_WIDTH`` counts or more,
-where the search costs more than six numpy calls, a gather from a guide
-table of the key's top bits (Chen & Asau, AIIE Trans. 6, 1974) and a
-search of the few keys in buckets that a key splits.  Every row
-comes from ``_pmf_rows``: thresholds ceil(F(k) 2^53) of the cdf F of a
-float pmf, so each value takes its probability to within a few 2^-53 beyond
-the pmf's own rounding, and the last is 2^53, past every uniform.
+values, k = #{thresholds of the row at or below m}.  Every row comes from
+``_pmf_rows``: thresholds ceil(F(k) 2^53) of the cdf F of a float pmf, so
+each value takes its probability to within a few 2^-53 beyond the pmf's own
+rounding, and the last is 2^53, past every uniform.
 
 The rows of ``_binomial_draw`` are the weights of ``_binomial_weights``.
 numpy's ``Generator.binomial`` draws a count of n <= 32 trials by inversion
@@ -20,11 +15,15 @@ its steps lies within 64 units of 2^-53 of the table's threshold.  So a
 table draw is numpy's, and takes as many raw outputs, but for a uniform in
 one of those gaps: under 6e-14 of the draws of a count.
 
-Rows grow in ``_TableDraw.steps`` alone, and a policy that draws nothing
-folds once a run of its ``levels`` into a transition table over (count,
-bucket of m), the buckets being the intervals between the thresholds of all
-rows, so a span generation is one add and one take.  A block finds its runs
-once and grows the rows to their largest level then, so its buckets build once.
+``_TableDraw`` looks every count up one way: the merged thresholds of its
+rows cut the uniforms into buckets, m's bucket fixes m's index in every row
+(``_buckets``), and a call finds each uniform's bucket once, by a guide of
+its top 14 bits (Chen & Asau, AIIE Trans. 6, 1974) and a search where a
+threshold splits a guide cell.  A generation is then one add and one take
+from a table over (count, bucket): the identity's, or the fold of a policy
+that draws nothing, one a run of its ``levels``.  Rows grow in
+``_TableDraw.steps`` alone, and a block finds its runs once and grows the
+rows to their largest level then, so its buckets build once.
 """
 
 from __future__ import annotations
@@ -39,12 +38,9 @@ from .errors import ConfigError
 # the rows of a table: the binomial counts of at most 32 trials, whose rows
 # hold at most 33 int64 keys and values each, and the unit counts of at most 32
 _TABLE_COUNTS = 32
-# a lookup of fewer counts searches; a guide bucket spans 2^-8 of a count's uniforms
-_GUIDE_WIDTH = 1024
-_GUIDE_SHIFT = 53 - 8
-# a span's uniforms find their fold buckets by a guide of their top 12 bits,
-# and a table's folds keep at most 1 MiB
-_BUCKET_SHIFT, _FOLD_BYTES = 53 - 12, 1 << 20
+# uniforms find their buckets by a guide of their top 14 bits, and a table's
+# folds keep at most 1 MiB
+_BUCKET_SHIFT, _FOLD_BYTES = 53 - 14, 1 << 20
 
 
 def _binomial_weights(p: float, top: int) -> np.ndarray:
@@ -80,42 +76,49 @@ def _pmf_rows(ps) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(row[:end], np.arange(end)) for row, end in zip(thresholds, ends.tolist())]
 
 
-def _guide(keys, shift=_GUIDE_SHIFT) -> np.ndarray:
-    """The int32 guide of sorted keys: entry B is the index
-    keys.searchsorted(k, side="right") of every k >= 0 with k >> shift = B,
-    or -1 (search) where a key splits bucket B.  A k past the last bucket
-    looks that one up."""
-    edge = np.arange((int(keys.max(initial=0)) >> shift) + 1) << shift
-    guide = keys.searchsorted(edge, side="right")
-    edge += (1 << shift) - 1  # each bucket's last key
-    guide[keys.searchsorted(edge, side="right") != guide] = -1
-    return guide.astype(np.int32)
+def _guide(keys) -> np.ndarray:
+    """The int32 guide of sorted keys of at least 0: entry B is the index
+    keys.searchsorted(k, side="right") of every k >= 0 with k >>
+    _BUCKET_SHIFT = B, or -1 (search) where a key splits cell B, lying past
+    its first k.  A k past the last cell looks that one up."""
+    top, mask = (int(keys.max(initial=0)) >> _BUCKET_SHIFT) + 1, (1 << _BUCKET_SHIFT) - 1
+    # entry B counts the keys at or below B << _BUCKET_SHIFT: those whose cell,
+    # rounded up, is at most B
+    guide = np.arange(keys.size + 1, dtype=np.int32).repeat(
+        np.diff((keys + mask) >> _BUCKET_SHIFT, prepend=0, append=top))
+    guide[(keys >> _BUCKET_SHIFT)[keys & mask != 0]] = -1
+    return guide
 
 
-def _guided(row, guide, keys, at, shift=_GUIDE_SHIFT):
-    """keys.searchsorted(row, side="right") for a 1-D row of keys of at least
-    0, written into the int64 array ``at``: a gather from ``keys``' guide of
-    ``shift``, and a search where it marks -1."""
-    at[...] = guide.take(np.right_shift(row, shift, out=at), mode="clip")
+def _guided(row, guide, keys):
+    """keys.searchsorted(row, side="right") in place of a 1-D int64 row of
+    keys of at least 0: a gather from ``keys``' guide, and a search where
+    it marks -1."""
+    at = guide.take(row >> _BUCKET_SHIFT, mode="clip")
     miss = np.flatnonzero(at < 0)
     if miss.size:
         at[miss] = keys.searchsorted(row[miss], side="right")
-    return at
+    row[...] = at
+    return row
 
 
 def _buckets(table):
     """The merged thresholds (the keys mod 2^53, sorted and distinct), whose
     count at or below m, m's bucket b, fixes m's index in every row; their
-    guide; log2 W, W the least power of two past their number; and at [s,
-    b] row s's index at merged[b - 1], 0 (the value -1) for s = 0."""
-    keys, _, built = table
-    merged = np.array(sorted(set((keys & ((1 << 53) - 1)).tolist())))
+    guide; log2 W, W the least power of two past their number; the repeats
+    of the table's values over the states s W + b, in order; and the
+    identity's table, the values so repeated: state s W + b holds row s's
+    value at bucket b, -1 for s = 0, and the last, -1, is past the rows."""
+    keys, values, built = table
+    low = keys & ((1 << 53) - 1)
+    merged = np.array(sorted(set(low.tolist())))
     shift = merged.size.bit_length()
-    least = np.zeros(1 << shift, dtype=np.int64)
-    least[1:merged.size + 1] = merged
-    at = np.zeros((built + 1, 1 << shift), dtype=np.int32)
-    at[1:] = keys.searchsorted((np.arange(1, built + 1)[:, None] << 53) + least, side="right")
-    return merged, _guide(merged, _BUCKET_SHIFT), shift, at
+    # state s W + b looks up the value past the keys k at or below (s << 53) +
+    # merged[b - 1], those whose (k >> 53) W + (k's bucket) is at most s W +
+    # b; the last key, (built + 1) << 53, is past every state but the last
+    edges = ((keys[:-1] >> 53) << shift) + merged.searchsorted(low[:-1]) + 1
+    repeats = np.diff(edges, prepend=0, append=(built + 1 << shift, (built + 1 << shift) + 1))
+    return merged, _guide(merged), shift, repeats, values.repeat(repeats)
 
 
 def _rewind(bits, count: int):
@@ -129,12 +132,11 @@ def _rewind(bits, count: int):
 
 class _TableDraw:
     """draw(z, rng): the totals of an int64 array z of counts, each looked
-    up by (z << 53) + m, m the top 53 bits of one raw output of a PCG64, in
-    a flat table of rows built up to the largest count seen, or, one
-    generation of ``_GUIDE_WIDTH`` counts or more, in the table's guide,
-    built at the first such lookup after the rows grow.  The rows grow at
-    one point, the head of ``steps``, to a folded policy's levels up to the
-    end of the block (``_runs``), and a fold covers every built row.
+    up at (z, bucket of m), m the top 53 bits of one raw output of a PCG64,
+    in the identity's table of the rows built (``_buckets``).  The rows grow
+    at one point, the head of ``steps``, to a folded policy's levels up to
+    the end of the block (``_runs``), or to twice the largest count, and the
+    buckets, the identity and every fold cover every built row.
 
     ``rows_of(z0, z1)`` gives the sorted thresholds and the values, as many,
     of the rows of counts z0 .. z1 - 1 (``_pmf_rows``).  The table holds the
@@ -144,7 +146,8 @@ class _TableDraw:
     ``steps`` draws several generations of such counts with one
     ``random_raw`` call.  Its folds of one policy hold at most
     ``_FOLD_BYTES`` = 1 MiB, and start again past it: a binomial table's
-    buckets (W <= 1024 by 33 rows) and one fold take under 300 kB each.
+    buckets with the identity (W <= 1024 by 33 rows) take under 350 kB, and
+    one fold under 300 kB.
     One batch owns a table and calls it one block at a time.
     """
 
@@ -156,7 +159,7 @@ class _TableDraw:
         # drawn, or -1, the first and the last, for a count of 0 and a count
         # past the table
         self._table = (np.full(1, 1 << 53), np.full(2, -1), 0)
-        self._guide = self._merged = None  # its guide and ``_buckets``, once a lookup needs them
+        self._merged = None  # its ``_buckets``, once a lookup needs them
         # the policy folded, {level: fold} of it, and its plan (``_runs``)
         self._policy, self._folds, self._plan = None, {}, None
 
@@ -167,7 +170,7 @@ class _TableDraw:
                                                 in enumerate(rows, built + 1)]),
                        np.concatenate([values[:-1]] + [totals for _, totals in rows] + [[-1]]),
                        top)
-        self._guide, self._merged, self._folds = None, None, {}
+        self._merged, self._folds = None, {}
 
     def _fold(self, n, level):
         """The folded policy's transition table at ``level`` (of generation
@@ -175,11 +178,11 @@ class _TableDraw:
         of row s's total at bucket b, and -W (-1) for s = 0 and last, where
         take clips -1's -W + b and counts past the rows.  It joins the
         folds, which start again past ``_FOLD_BYTES``."""
-        values, (*buckets, shift, at) = self._table[1], self._merged
+        values, (merged, guide, shift, repeats, ident) = self._table[1], self._merged
         live, left = values >= 0, np.full(values.size, -1)
         left[live] = self._policy.apply(values[live], n)
-        fold = np.append(left.take(at), -1) << shift
-        spare = _FOLD_BYTES - fold.nbytes - sum(a.nbytes for a in (*buckets, at))
+        fold = left.repeat(repeats) << shift
+        spare = _FOLD_BYTES - fold.nbytes - sum(a.nbytes for a in (merged, guide, repeats, ident))
         if sum(f.nbytes for f in self._folds.values()) > spare:
             self._folds.clear()
         self._folds[level] = fold
@@ -216,16 +219,17 @@ class _TableDraw:
         """Up to ``count`` generations n + 1, ... of table draws from the int64
         counts z on a PCG64, one ``random_raw`` for all, each as ``policy``
         leaves it: a (k, z.size) array of the counts of the k drawn.  The
-        rows first grow to z and, in a span that folds, to the largest level
-        within ``rows`` of the plan of ``policy.levels`` up to generation
-        ``end`` (``_runs``), past every count a cap leaves.  It stops before a
-        generation that the table cannot draw (a count past the rows, or a
-        count of 0, so a span ends with the generation of a death), whose raw
-        outputs, and those after them, go back.  A policy that draws (from
-        ``ctl``), or overrides ``apply`` but not ``levels``, applies
-        unfolded, once the table has drawn every count, as does a single
-        generation; any other folds once for each run of its ``levels``, and
-        keeps its buckets and folds until the rows grow or another policy folds."""
+        rows first grow to twice the largest count of z, within ``rows``, or
+        further in a span that folds, to the largest level within ``rows`` of
+        the plan of ``policy.levels`` up to generation ``end`` (``_runs``),
+        past every count a cap leaves.  It stops before a generation that the
+        table cannot draw (a count past the rows, or a count of 0, so a span
+        ends with the generation of a death), whose raw outputs, and those
+        after them, go back.  A policy that draws (from ``ctl``), or overrides
+        ``apply`` but not ``levels``, applies to each generation's lookups in
+        the identity's table, as does a single generation's; any other folds
+        once for each run of its ``levels``, and keeps its folds until the
+        rows grow or another policy folds."""
         bits, size, top = rng.bit_generator, z.size, int(np.maximum.reduce(z))
         if type(bits) is not np.random.PCG64 or top > self.rows:
             return z[:0, None]  # the first generation is numpy's
@@ -233,42 +237,33 @@ class _TableDraw:
         kind = type(policy)
         checked = (count == 1 or policy.stream is not None
                    or kind.levels is ControlPolicy.levels and kind.apply is not ControlPolicy.apply)
+        level = 0
         if not checked:
             runs, level = self._runs(policy, n + 1, n + count + 1, max(end, n + count) + 1)
-            top = max(top, level)
-        if self._table[2] < top:
-            self._grow(top)
+        if self._table[2] < max(top, level):
+            self._grow(max(level, min(2 * top, self.rows)))
+        if self._merged is None:
+            self._merged = _buckets(self._table)
+        merged, guide, shift, _, ident = self._merged
         done = count
         raw = bits.random_raw(count * size)
         flat = np.right_shift(raw, 11, out=raw).view(np.int64)  # numpy's next_double bits
-        rows = flat.reshape(count, size)  # a row a generation
+        # each uniform's bucket, a row a generation, and the parents' states z W
+        rows = _guided(flat, guide, merged).reshape(count, size)
+        key = z.astype(np.int64, copy=False) << shift
         if checked:
-            keys, values, _ = self._table
-            key = z.astype(np.int64, copy=False) << 53  # the parents' keys
-            wide = size >= _GUIDE_WIDTH
-            if wide and self._guide is None:
-                self._guide = _guide(keys)
             for j, row in enumerate(rows, n + 1):
-                row += key  # the parents' keys are spent, and hold a wide lookup's index
-                at = _guided(row, self._guide, keys, key) if wide else keys.searchsorted(
-                    row, side="right")
-                values.take(at, out=row, mode="clip")
+                row += key
+                ident.take(row, out=row, mode="clip")
                 if np.minimum.reduce(row) < 0:  # a count of 0 or past the rows
                     done = j - n - 1
                     break
                 if (left := policy.apply(row, j, ctl)) is not row:
                     row[...] = left
-                key = row << 53
+                np.left_shift(row, shift, out=key)
         else:  # one fold a run of levels, all alike past every total
-            if self._merged is None:
-                self._merged = _buckets(self._table)
-            folds, (merged, guide, shift, _) = self._folds, self._merged
-            # each uniform's bucket, and the parents' states z W
-            rows = _guided(flat, guide, merged, np.empty_like(flat), _BUCKET_SHIFT).reshape(
-                count, size)
-            key = z.astype(np.int64, copy=False) << shift
             for (j, level), end in zip(runs, [j for j, _ in runs[1:]] + [n + count + 1]):
-                fold = folds.get(level)
+                fold = self._folds.get(level)
                 if fold is None:
                     fold = self._fold(j, level)
                 for row in rows[j - n - 1:end - n - 1]:

@@ -401,26 +401,35 @@ def row_values(draw, z):
     return values, values[at:int(keys.searchsorted((z + 1) << 53)) + 1]
 
 
-# 280 counts search the table, 2100 take its guide
-@pytest.mark.parametrize("p, repeats", [(0.75, 40), (0.3, 40), (0.75, 300), (0.3, 300)],
-                         ids=["0.75", "0.3", "0.75-wide", "0.3-wide"])
-def test_a_row_the_table_cannot_draw_hands_the_call_to_numpy(p, repeats):
+def edit_table(draw, values):
+    """Give draw's table these values, and drop the buckets and lookup
+    tables built from the old ones."""
+    keys, _, built = draw._table
+    draw._table, draw._merged, draw._folds = (keys, values, built), None, {}
+
+
+# lookups of one count, of 500, on either side of 1024 and of 15,000, the
+# trials of bench/run.py's bisexual_min config
+LOOKUP_WIDTHS = [1, 500, 1023, 1024, 1025, 15_000]
+
+
+@pytest.mark.parametrize("size", LOOKUP_WIDTHS)
+@pytest.mark.parametrize("p", [0.75, 0.3])
+def test_a_row_the_table_cannot_draw_hands_the_call_to_numpy(p, size):
     draw = table._binomial_draw(p)
-    draw(np.arange(1, 6), rng())  # builds rows 1 to 5
-    keys, values, built = draw._table
+    draw(np.arange(1, 6), rng())  # builds rows 1 to 10, twice the largest count
     values, row = row_values(draw, 4)
     # every uniform past the first threshold now draws -1
     row[1:] = -1
-    draw._table = (keys, values, built)
+    edit_table(draw, values)
     gen, twin = rng(11), rng(11)
     for g in (gen, twin):  # a buffered 32-bit half must survive the rewind
         g.integers(0, 10, dtype=np.uint32)
-    units = np.array([1, 4, 2, 4, 5, 3, 4] * repeats)
+    units = np.resize([4, 1, 2, 4, 5, 3, 4], size)
     want = twin.binomial(units, p, size=units.size)
     assert draw(units, gen).tolist() == want.tolist()
     assert gen.bit_generator.state == twin.bit_generator.state
     assert gen.integers(0, 1 << 32, dtype=np.uint32) == twin.integers(0, 1 << 32, dtype=np.uint32)
-    assert (draw._guide is not None) == (units.size >= table._GUIDE_WIDTH)
 
 
 # fresh tables of each kind
@@ -450,31 +459,43 @@ def test_the_guide_gives_the_searchsorted_index_of_every_key(name):
         keys - 1, keys, keys + 1, [0, (1 << 53) - 1, 34 << 53, (1 << 63) - 1]])
     guide = table._guide(keys)
     assert guide.dtype == np.int32
-    assert np.array_equal(table._guided(row, guide, keys, np.empty_like(row)),
+    assert np.array_equal(table._guided(row.copy(), guide, keys),
                           keys.searchsorted(row, side="right"))
 
 
-@pytest.mark.parametrize("width", [1023, 1024, 1025])
+def searched(draw, z, count, twin, cap):
+    """Up to ``count`` generations from the counts z, each a search of
+    draw's keys (z << 53) + m for the raw outputs of ``twin``, capped at
+    ``cap``: the generations before one with a count of 0, which draws
+    nothing from ``twin``."""
+    keys, values, _ = draw._table
+    rows = []
+    while len(rows) < count and z.min() > 0:
+        m = (twin.bit_generator.random_raw(z.size) >> np.uint64(11)).astype(np.int64)
+        z = np.minimum(values[keys.searchsorted((z << 53) + m, side="right")], cap)
+        rows.append(z.tolist())
+    return rows
+
+
+@pytest.mark.parametrize("width", LOOKUP_WIDTHS)
 @pytest.mark.parametrize("name", GUIDED_TABLES)
-def test_lookups_on_either_side_of_the_guide_width_draw_alike(name, width, monkeypatch):
+def test_lookups_of_every_width_draw_what_a_search_of_the_keys_draws(name, width):
     # one generation of counts up to 32, then a span of counts capped at 5,
-    # folded, in which counts die: the same counts and generator state with
-    # the guide as with the search alone, and a guide only from 1024 counts
-    def draws():
-        draw, gen, z = GUIDED_TABLES[name](), rng(21), rng(22).integers(1, 33, width)
-        rows = [draw.steps(z, 1, gen),
-                draw.steps(np.minimum(z, 5), 8, gen, Truncation(GrowthFunction.constant(5)))]
-        assert [len(r) > 0 for r in rows] == [True, True]
-        return [r.tolist() for r in rows], gen.bit_generator.state, draw._guide is not None
-    drawn, state, guided = draws()
-    monkeypatch.setattr(table, "_GUIDE_WIDTH", 1 << 62)
-    assert draws() == (drawn, state, False)
-    assert guided == (width >= 1024)
+    # folded, in which counts die: the counts and generator state of a
+    # search of the table's keys
+    draw, gen, twin = GUIDED_TABLES[name](), rng(21), rng(21)
+    z = rng(22).integers(1, 33, width)
+    first = draw.steps(z, 1, gen)
+    span = draw.steps(np.minimum(z, 5), 8, gen, Truncation(GrowthFunction.constant(5)))
+    assert len(first) == 1 and len(span) > 0
+    assert first.tolist() == searched(draw, z, 1, twin, 1 << 62)
+    assert span.tolist() == searched(draw, np.minimum(z, 5), 8, twin, 5)
+    assert gen.bit_generator.state == twin.bit_generator.state
 
 
 def test_steps_grow_the_rows_to_their_counts_and_draw_numpys_numbers():
     # 2 Bin(z, 1/2) a count on a fresh table: each call first builds the rows
-    # of its largest count, then draws until a count passes them or dies
+    # of twice its largest count, then draws until a count passes them or dies
     draw, gen, twin = table._binomial_draw(0.5, 2), rng(1), rng(1)
     z, built = np.array([3, 1, 4]), []
     while (rows := draw.steps(z, 8, gen)).size:
@@ -483,7 +504,7 @@ def test_steps_grow_the_rows_to_their_counts_and_draw_numpys_numbers():
             z = 2 * twin.binomial(z, 0.5)
             assert row.tolist() == z.tolist()
         assert gen.bit_generator.state == twin.bit_generator.state
-    assert built == [4, 8, 10] and 0 in z
+    assert built == [8, 20] and 0 in z
 
 
 def test_binomial_law_totals_take_the_table_and_stay_numpys():
@@ -533,7 +554,7 @@ def test_lanes_build_each_table_row_once_per_batch(monkeypatch):
     wrap_lanes(monkeypatch, record_rows)
     run_batch(cfg)
     assert weighed == [(0.25, 32)]  # one matrix for the batch, of rows of 0 to 32 trials
-    assert sorted(built) == list(range(1, g(60) + 1))
+    assert sorted(built) == list(range(1, len(built) + 1)) and len(built) >= g(60)
 
 
 def test_a_binomial_law_past_the_rows_draws_with_numpy():
@@ -1297,8 +1318,8 @@ LOG_G = GrowthFunction.log(2.0, 3.0, rounding="ceil")
     ids=["truncation_log", "bisexual_units"])
 def test_two_batches_of_one_config_build_their_own_tables_alike(monkeypatch, run, cfg):
     # no table outlives its batch: the second batch grows, buckets and spans
-    # on rows of its own as the first did
-    draws, calls = [], []
+    # on rows of its own as the first did, and draws the same
+    draws, calls, results = [], [], []
     init, grow, buckets, steps = (table._TableDraw.__init__, table._TableDraw._grow,
                                   table._buckets, table._TableDraw.steps)
 
@@ -1316,17 +1337,16 @@ def test_two_batches_of_one_config_build_their_own_tables_alike(monkeypatch, run
     for _ in range(2):
         draws.append([])
         calls.append([])
-        run(cfg)
-    assert calls[0] == calls[1] and {"grow", "steps"} <= {name for name, *_ in calls[0]}
-    assert ("buckets" in {name for name, *_ in calls[0]}) == (run is run_batch)
+        results.append(run(cfg))
+    assert calls[0] == calls[1] and {"grow", "buckets", "steps"} <= {name for name, *_ in calls[0]}
+    assert_same_result(*results)
     assert len(draws[0]) == len(draws[1]) >= 1
     assert not any(a is b for a in draws[0] for b in draws[1])
 
 
 def test_batches_of_one_law_on_two_threads_share_no_table():
     # a thread switch every microsecond interleaves two batches' row grows
-    # and wide lookups (from 1024 counts), and each batch is still what it
-    # is on one thread
+    # and bucket builds, and each batch is still what it is on one thread
     configs = [Batch(PMF2, horizon=6, trials=trials, master_seed=5) for trials in (1100, 1300)]
     want = [run_batch(cfg) for cfg in configs]
     got, raised = [[], []], []
@@ -1407,25 +1427,30 @@ def undrawable_row_4(draw, kept=-2):
     only a uniform of row 4 past its threshold ``kept`` (by default the
     next-to-last) draws -1."""
     draw(np.arange(1, 6), rng())
-    keys, values, built = draw._table
     values, row = row_values(draw, 4)
     row[kept + 1:] = -1
-    draw._table = (keys, values, built)
+    edit_table(draw, values)
 
 
-# 3 trials search the table; 2048 take its guide one generation at a time,
-# where no count dies and the last value of row 4, 4 + 4, has the
-# probability 10^-4 (a span's fold searches at every width)
+def numpys_lane(monkeypatch, cfg, run=run_batch):
+    """run of cfg with every table draw handed to its numpy fallback."""
+    make = engine._make_block_draw
+    with monkeypatch.context() as mp:
+        mp.setattr(engine, "_make_block_draw", lambda law: (
+            draw._numpy if isinstance(draw := make(law), table._TableDraw) else draw))
+        return run(cfg)
+
+
+# 3 trials a block, and 2048 one generation at a time, where no count dies
+# and the last value of row 4, 4 + 4, has the probability 10^-4
 @pytest.mark.parametrize("pmf, trials", [({0: 0.25, 2: 0.75}, 3), ({1: 0.7, 2: 0.3}, 3),
                                          ({1: 0.9, 2: 0.1}, 2048)], ids=["pmf0", "pmf1", "wide"])
-def test_a_span_ends_before_a_row_the_table_cannot_draw(pmf, trials):
+def test_a_span_ends_before_a_row_the_table_cannot_draw(monkeypatch, pmf, trials):
     cfg = Batch(ExplicitPmf(pmf), horizon=300, trials=trials, master_seed=9, initial_size=2,
                 policy=Truncation(GrowthFunction.constant(4)))
-    draws = []
-    _, _, spans = assert_spans_change_nothing(
-        cfg, lambda draw: undrawable_row_4(draw) or draws.append(draw))
+    res, _, spans = assert_spans_change_nothing(cfg, undrawable_row_4)
     assert any(0 < done < count and not died for count, done, died, _ in spans)
-    assert any(draw._guide is not None for draw in draws) == (trials >= table._GUIDE_WIDTH)
+    assert_same_result(res, numpys_lane(monkeypatch, cfg))
 
 
 def test_spans_under_a_disaster_draw_the_same_control_stream():
@@ -1635,9 +1660,9 @@ def test_a_linear_g_over_the_largest_horizon_keeps_the_fold_cache_bounded(monkey
 
 def fold_cache_bytes(draw):
     """The bytes of draw's fold cache: its folds and the buckets they share."""
-    merged, guide, _, at = draw._merged
+    merged, guide, _, repeats, ident = draw._merged
     return (sum(f.nbytes for f in draw._folds.values())
-            + merged.nbytes + guide.nbytes + at.nbytes)
+            + merged.nbytes + guide.nbytes + repeats.nbytes + ident.nbytes)
 
 
 @pytest.mark.parametrize("law, initial, horizon", [
@@ -1683,11 +1708,11 @@ def assert_fold_leaves_what_apply_leaves(draw, policy, n, level):
     0, at 2^53 - 1 and at 5000 random ones holds what ``apply`` leaves of the
     row's total; returns the most it leaves."""
     keys, values, built = draw._table
-    fold, (merged, guide, shift, _) = fold_of(draw, policy, n, level)
+    fold, (merged, guide, shift, *_) = fold_of(draw, policy, n, level)
     assert fold.dtype == np.int64 and fold.size == (built + 1 << shift) + 1
     m = np.concatenate([merged, merged[1:] - 1, [0, (1 << 53) - 1],
                         rng(5).integers(0, 1 << 53, 5000)])
-    b = table._guided(m, guide, merged, np.empty_like(m), table._BUCKET_SHIFT)
+    b = table._guided(m.copy(), guide, merged)
     assert b.tolist() == merged.searchsorted(m, side="right").tolist() and b.max() < 1 << shift
     for s in range(-1, built + 4):
         got = fold.take((s << shift) + b, mode="clip") >> shift
@@ -1706,7 +1731,7 @@ def test_a_fold_looks_up_what_the_policy_leaves_of_each_row_at_each_bucket():
     assert assert_fold_leaves_what_apply_leaves(draw, cap, 1, 3) == 3
     # a fold has a row for every built count, whatever its level leaves
     for policy, level, leaves in [(cap, 3, 3), (ControlPolicy(), 0, 64)]:
-        fold, (_, _, shift, _) = fold_of(draw, policy, 1, level)
+        fold, (_, _, shift, *_) = fold_of(draw, policy, 1, level)
         assert fold.size == ((32 + 1) << shift) + 1 and int(fold.max()) >> shift == leaves
 
 
