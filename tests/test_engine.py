@@ -446,7 +446,7 @@ def test_the_guide_gives_the_searchsorted_index_of_every_key(name):
     draw = GUIDED_TABLES.get(name, GUIDED_TABLES["binomial"])()
     draw(np.arange(1, 33), rng())  # builds all 32 rows
     keys, values, _ = draw._table
-    if name == "bucket_ends":  # keys alone at the first or the last key of a bucket
+    if name == "bucket_ends":  # keys alone at the first or the last key of a guide cell
         keys = (1 << 53) + np.array([0, (1 << 45) - 1, 3 << 45, (5 << 45) - 1, 1 << 53])
         values = np.arange(-1, keys.size)
     # the keys increase, but for the Poisson units table's, which repeat past
